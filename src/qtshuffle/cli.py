@@ -10,6 +10,8 @@ byte-identical.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import os
 import sys
@@ -91,11 +93,12 @@ class VerificationReport:
         return json.dumps(data, indent=1, sort_keys=True)
 
     def to_csv(self) -> str:
-        lines = ["suite,case-id,params,status,seconds"]
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(["suite", "case-id", "params", "status", "seconds"])
         for c in self.cases:
-            params = c.params.replace('"', "'")
-            lines.append(f'{self.suite},{c.case_id},"{params}",{c.status},{c.seconds:.3f}')
-        return "\n".join(lines) + "\n"
+            writer.writerow([self.suite, c.case_id, c.params, c.status, f"{c.seconds:.3f}"])
+        return out.getvalue()
 
     def to_plain(self) -> str:
         lines = []
@@ -354,17 +357,24 @@ def _cache_dir(arg: str | None) -> str:
     return arg or os.environ.get(ENV_CACHE) or os.path.join(os.getcwd(), "qtshuffle-cache")
 
 
+def _load_cached_table(path: str) -> bool:
+    """Load, verify and install one cache file; on failure say why and return False."""
+    try:
+        table = HTildeTable.load(path)
+    except Exception as err:
+        print(f"error: cache file {path} failed validation: {err}", file=sys.stderr)
+        return False
+    install_table(table)
+    return True
+
+
 def cmd_build_cache(n_max: int, cache_dir: str) -> int:
     os.makedirs(cache_dir, exist_ok=True)
     for n in range(0, n_max + 1):
         path = os.path.join(cache_dir, f"htilde-{n}.json")
         if os.path.exists(path):
-            try:
-                table = HTildeTable.load(path)
-            except Exception as err:
-                print(f"error: cache file {path} failed validation: {err}", file=sys.stderr)
+            if not _load_cached_table(path):
                 return 1
-            install_table(table)
             print(f"degree {n}: loaded and revalidated {path}")
         else:
             table = build_htilde(n)
@@ -435,11 +445,20 @@ def cmd_enumerate(comp, a: int, b: int, c: int, list_flag: bool = False, fmt: st
     return 0
 
 
-def cmd_verify(suite: str, n_max: int, jobs: int, fmt: str = "plain") -> int:
+def cmd_verify(suite: str, n_max: int, jobs: int, fmt: str = "plain",
+               cache_dir: str | None = None) -> int:
+    if cache_dir:
+        for n in range(0, n_max + 1):
+            path = os.path.join(cache_dir, f"htilde-{n}.json")
+            if os.path.exists(path) and not _load_cached_table(path):
+                return 1
     try:
         report = run_suite(suite, n_max, jobs)
     except ValueError as err:
         print(f"usage error: {err}", file=sys.stderr)
+        return 2
+    if not report.cases:  # an empty grid proves nothing
+        print(f"usage error: suite {suite} has no cases at --n-max {n_max}", file=sys.stderr)
         return 2
     if fmt == "json":
         print(report.to_json())
@@ -453,11 +472,25 @@ def cmd_verify(suite: str, n_max: int, jobs: int, fmt: str = "plain") -> int:
 # -- argument parsing -------------------------------------------------------
 
 
-def _parse_ints(text: str) -> tuple[int, ...]:
+def _parse_ints(text: str, flag: str) -> tuple[int, ...]:
     text = text.strip()
     if not text:
         return ()
-    return tuple(int(x) for x in text.split(","))
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise ValueError(f"{flag} needs comma-separated integers, got {text!r}") from None
+
+
+def _parse_comp_abc(comp_text: str, abc_text: str):
+    """(composition, (a, b, c)) from --comp and --abc; ValueError names the bad flag."""
+    comp = _parse_ints(comp_text, "--comp")
+    if any(part < 1 for part in comp):
+        raise ValueError(f"--comp parts must be positive, got {comp_text!r}")
+    abc = _parse_ints(abc_text, "--abc")
+    if len(abc) != 3:
+        raise ValueError("--abc needs exactly three integers")
+    return comp, abc
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -496,29 +529,16 @@ def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     if args.command == "build-cache":
         return cmd_build_cache(args.n_max, _cache_dir(args.cache))
-    if args.command == "inner":
-        comp = _parse_ints(args.comp)
-        abc = _parse_ints(args.abc)
-        if len(abc) != 3:
-            print("usage error: --abc needs exactly three integers", file=sys.stderr)
-            return 2
-        return cmd_inner(comp, *abc, fmt=args.format)
     if args.command == "verify":
-        if args.cache:
-            cache_dir = _cache_dir(args.cache)
-            for n in range(0, args.n_max + 1):
-                path = os.path.join(cache_dir, f"htilde-{n}.json")
-                if os.path.exists(path):
-                    install_table(HTildeTable.load(path))
-        return cmd_verify(args.suite, args.n_max, args.jobs, args.format)
-    if args.command == "enumerate":
-        comp = _parse_ints(args.comp)
-        abc = _parse_ints(args.abc)
-        if len(abc) != 3:
-            print("usage error: --abc needs exactly three integers", file=sys.stderr)
-            return 2
-        return cmd_enumerate(comp, *abc, list_flag=args.list, fmt=args.format)
-    raise AssertionError("unreachable")
+        return cmd_verify(args.suite, args.n_max, args.jobs, args.format, args.cache)
+    try:
+        comp, abc = _parse_comp_abc(args.comp, args.abc)
+    except ValueError as err:
+        print(f"usage error: {err}", file=sys.stderr)
+        return 2
+    if args.command == "inner":
+        return cmd_inner(comp, *abc, fmt=args.format)
+    return cmd_enumerate(comp, *abc, list_flag=args.list, fmt=args.format)
 
 
 if __name__ == "__main__":  # pragma: no cover

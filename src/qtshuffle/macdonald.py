@@ -3,7 +3,12 @@ operators and their star-adjoints, and the registry of checkable identities.
 
 Tables are built per degree by solving the orthogonality + normalization
 system over the rescaled Schur basis s_lam[X/(t-1)], then revalidated against
-the defining invariants before use.
+the defining invariants before use.  A table loaded from a cache file is
+verified once, on load; install_table does not repeat the check.
+
+Lemma 3.1, Lemma 3.2, Proposition 3.1 and Theorems 3.1-3.2 expand over the
+same corners: an outer sum over r <= a, s <= b, nu |- r+s (_corner_sum) of an
+inner sum over u that depends only on (kind, m, n, nu) (_corner_block, cached).
 """
 
 from __future__ import annotations
@@ -69,6 +74,7 @@ class HTildeTable:
         self.entries = {mu: f.convert("schur") for mu, f in entries.items()}
         self.power = {mu: f.to_power() for mu, f in entries.items()}
         self.invariants = {mu: partition_invariants(mu) for mu in entries}
+        self.verified = False
 
     def __getitem__(self, mu: Partition) -> SymFunc:
         return self.entries[tuple(mu)]
@@ -87,6 +93,7 @@ class HTildeTable:
                 want = self.invariants[mu].w if lam == mu else QTR_ZERO
                 if got != want:
                     raise TableInvariantError(f"orthogonality failed at ({lam}, {mu})")
+        self.verified = True
 
     # -- cache file round trip
 
@@ -221,8 +228,10 @@ def build_htilde(n: int) -> HTildeTable:
 
 
 def install_table(table: HTildeTable) -> None:
-    """Adopt a loaded (already verified) table into the in-process cache."""
-    table.verify()
+    """Adopt a table into the in-process cache, verifying it first unless it
+    already passed verify() (as every loaded table has)."""
+    if not table.verified:
+        table.verify()
     with _tables_lock:
         _tables[table.degree] = table
 
@@ -596,11 +605,7 @@ def _check_pieri_rel(mu: Partition) -> IdentityReport:
 
 
 def _check_sum_c(mu: Partition, k: int) -> IdentityReport:
-    lhs = QTR_ZERO
-    tm = partition_invariants(mu).T
-    for nu, c in _pieri_remove(mu):
-        tn = partition_invariants(nu).T
-        lhs = lhs + c * (tm / tn) ** k
+    lhs = _csum(mu, k)
     if k == 0:
         rhs = partition_invariants(mu).B
     else:
@@ -704,10 +709,10 @@ def _check_commutator(a: int, b: int, P: SymFunc, tag: str) -> IdentityReport:
     return _report("commutator", {"a": a, "b": b, "P": tag}, lhs, rhs)
 
 
-def _check_lemma31(a: int, b: int, c: int) -> IdentityReport:
-    n = a + b + c
-    lhs = _nabla_hee(a, b, c)
-    rhs = SymFunc.zero()
+def _corner_sum(a: int, b: int, n: int, block) -> SymFunc:
+    """sum over r <= a, s <= b, nu |- r+s of
+    e_{a-r}[1/M] h_{b-s}[1/M] (-1)^(n-r-s) e_r[B_nu] / w_nu * block(nu)."""
+    out = SymFunc.zero()
     for r in range(a + 1):
         for s in range(b + 1):
             pref = _e_scalar_invm(a - r) * _h_scalar_invm(b - s) * _sign(n - r - s)
@@ -717,9 +722,9 @@ def _check_lemma31(a: int, b: int, c: int) -> IdentityReport:
             for nu in partitions_of(r + s):
                 coeff = _e_of_B(r, nu) / partition_invariants(nu).w
                 if not coeff.is_zero():
-                    acc = acc + _e_xd(n, nu).scale(coeff)
-            rhs = rhs + acc.scale(pref)
-    return _report("lemma31", {"a": a, "b": b, "c": c}, lhs, rhs)
+                    acc = acc + block(nu).scale(coeff)
+            out = out + acc.scale(pref)
+    return out
 
 
 def _csum(nu: Partition, power: int) -> QtRational:
@@ -732,50 +737,43 @@ def _csum(nu: Partition, power: int) -> QtRational:
     return total
 
 
+_BLOCK_WEIGHTS = {
+    "gamma": lambda nu, u: T ** (u - 1) * capital_m() * _csum(nu, u - 1),
+    "phi1": lambda nu, u: _e_of_D(u - 1, nu) * _sign(u - 1),
+    "phi2": lambda nu, u: _e_of_D(u - 2, nu) * _sign(u),
+}
+
+
+@lru_cache(maxsize=None)
+def _corner_block(kind: str, m: int, n: int, nu: Partition) -> SymFunc:
+    """(-1)^(m-1) sum over m <= u <= n of weight(nu, u) e_{n-u}[X D_nu/M] e_{u-m}[X/(1-t)]."""
+    weight = _BLOCK_WEIGHTS[kind]
+    out = SymFunc.zero()
+    for u in range(m, n + 1):
+        cu = weight(nu, u)
+        if not cu.is_zero():
+            out = out + (_e_xd(n - u, nu) * _e_x_1mt(u - m)).scale(cu)
+    return out.scale(_sign(m - 1))
+
+
+def _check_lemma31(a: int, b: int, c: int) -> IdentityReport:
+    n = a + b + c
+    rhs = _corner_sum(a, b, n, lambda nu: _e_xd(n, nu))
+    return _report("lemma31", {"a": a, "b": b, "c": c}, _nabla_hee(a, b, c), rhs)
+
+
 def _check_lemma32(m: int, nu: Partition, n: int) -> IdentityReport:
     lhs = op_C_star(m, _e_xd(n, nu))
-    M = capital_m()
-    rhs = SymFunc.zero()
-    for u in range(m, n + 1):
-        coeff = T ** (u - 1) * M * _csum(nu, u - 1)
-        if coeff.is_zero():
-            continue
-        rhs = rhs + (_e_xd(n - u, nu) * _e_x_1mt(u - m)).scale(coeff)
-    rhs = rhs.scale(_sign(m - 1))
+    rhs = _corner_block("gamma", m, n, nu)
     if m == 1:
         rhs = rhs - _e_xd(n - 1, nu)
     return _report("lemma32", {"m": m, "nu": nu, "n": n}, lhs, rhs)
 
 
-def _gamma1(m: int, a: int, b: int, n: int) -> SymFunc:
-    """The corner-sum block shared by the Gamma expansion (all-u version)."""
-    M = capital_m()
-    out = SymFunc.zero()
-    for r in range(a + 1):
-        for s in range(b + 1):
-            pref = _e_scalar_invm(a - r) * _h_scalar_invm(b - s) * _sign(n - r - s)
-            if pref.is_zero():
-                continue
-            acc = SymFunc.zero()
-            for nu in partitions_of(r + s):
-                coeff0 = _e_of_B(r, nu) / partition_invariants(nu).w
-                if coeff0.is_zero():
-                    continue
-                inner = SymFunc.zero()
-                for u in range(m, n + 1):
-                    cu = T ** (u - 1) * M * _csum(nu, u - 1)
-                    if cu.is_zero():
-                        continue
-                    inner = inner + (_e_xd(n - u, nu) * _e_x_1mt(u - m)).scale(cu)
-                acc = acc + inner.scale(coeff0)
-            out = out + acc.scale(pref)
-    return out.scale(_sign(m - 1))
-
-
 def _check_prop31(m: int, a: int, b: int, n: int) -> IdentityReport:
     c = n - a - b
     lhs = _cstar_nabla_hee(m, a, b, c)
-    rhs = _gamma1(m, a, b, n)
+    rhs = _corner_sum(a, b, n, lambda nu: _corner_block("gamma", m, n, nu))
     if m == 1:
         rhs = rhs + _nabla_hee(a, b, c - 1)
     return _report("prop31", {"m": m, "a": a, "b": b, "n": n}, lhs, rhs)
@@ -783,50 +781,12 @@ def _check_prop31(m: int, a: int, b: int, n: int) -> IdentityReport:
 
 @lru_cache(maxsize=None)
 def _phi1(m: int, a: int, b: int, n: int) -> SymFunc:
-    out = SymFunc.zero()
-    for r in range(a):
-        for s in range(b + 1):
-            pref = _e_scalar_invm(a - 1 - r) * _h_scalar_invm(b - s) * _sign(n - 1 - r - s)
-            if pref.is_zero():
-                continue
-            acc = SymFunc.zero()
-            for tau in partitions_of(r + s):
-                coeff0 = _e_of_B(r, tau) / partition_invariants(tau).w
-                if coeff0.is_zero():
-                    continue
-                inner = SymFunc.zero()
-                for v in range(m, n + 1):
-                    cv = _e_of_D(v - 1, tau) * _sign(v - 1)
-                    if cv.is_zero():
-                        continue
-                    inner = inner + (_e_xd(n - v, tau) * _e_x_1mt(v - m)).scale(cv)
-                acc = acc + inner.scale(coeff0)
-            out = out + acc.scale(pref)
-    return out.scale(_sign(m - 1))
+    return _corner_sum(a - 1, b, n - 1, lambda tau: _corner_block("phi1", m, n, tau))
 
 
 @lru_cache(maxsize=None)
 def _phi2(m: int, a: int, b: int, n: int) -> SymFunc:
-    out = SymFunc.zero()
-    for r in range(a + 1):
-        for s in range(b):
-            pref = _e_scalar_invm(a - r) * _h_scalar_invm(b - 1 - s) * _sign(n - 1 - r - s)
-            if pref.is_zero():
-                continue
-            acc = SymFunc.zero()
-            for tau in partitions_of(r + s):
-                coeff0 = _e_of_B(r, tau) / partition_invariants(tau).w
-                if coeff0.is_zero():
-                    continue
-                inner = SymFunc.zero()
-                for v in range(m, n + 1):
-                    cv = _e_of_D(v - 2, tau) * _sign(v)
-                    if cv.is_zero():
-                        continue
-                    inner = inner + (_e_xd(n - v, tau) * _e_x_1mt(v - m)).scale(cv)
-                acc = acc + inner.scale(coeff0)
-            out = out + acc.scale(pref)
-    return out.scale(_sign(m - 1))
+    return _corner_sum(a, b - 1, n - 1, lambda tau: _corner_block("phi2", m, n, tau))
 
 
 def _check_thm31(m: int, a: int, b: int, n: int) -> IdentityReport:

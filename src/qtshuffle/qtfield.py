@@ -593,7 +593,8 @@ class QtRational:
 
     Canonical form: numerator and denominator share no polynomial or integer
     factor and the denominator's lex-leading (q then t) coefficient is
-    positive.  Equality and hashing are structural.
+    positive.  Equality and hashing are structural, except that a constant
+    equals (and hashes like) the int or Fraction of the same value.
     """
 
     __slots__ = ("_num", "_den")
@@ -743,7 +744,11 @@ class QtRational:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((frozenset(self._num.items()), frozenset(self._den.items())))
+        num, den = self._num, self._den
+        if num.keys() <= {(0, 0)} and den.keys() == {(0, 0)}:
+            # a constant equals an int / Fraction, so it must hash like one
+            return hash(Fraction(num.get((0, 0), 0), den[(0, 0)]))
+        return hash((frozenset(num.items()), frozenset(den.items())))
 
     def __bool__(self) -> bool:
         return bool(self._num)
@@ -840,34 +845,6 @@ QTR_ZERO = QtRational._make({}, dict(_IONE))
 QTR_ONE = QtRational._make(dict(_IONE), dict(_IONE))
 Q = QtRational._make({(1, 0): 1}, dict(_IONE))
 T = QtRational._make({(0, 1): 1}, dict(_IONE))
-
-
-def qt_monomial(c, qe: int = 0, te: int = 0) -> QtRational:
-    """c * q^qe * t^te with integer exponents of either sign."""
-    r = qtr(Fraction(c))
-    if qe >= 0:
-        r = r * QtRational._make({(qe, 0): 1}, dict(_IONE)) if qe else r
-    else:
-        r = r / QtRational._make({(-qe, 0): 1}, dict(_IONE))
-    if te >= 0:
-        r = r * QtRational._make({(0, te): 1}, dict(_IONE)) if te else r
-    else:
-        r = r / QtRational._make({(0, -te): 1}, dict(_IONE))
-    return r
-
-
-def qtr_sum(items) -> QtRational:
-    total = QTR_ZERO
-    for x in items:
-        total = total + x
-    return total
-
-
-def qtr_prod(items) -> QtRational:
-    total = QTR_ONE
-    for x in items:
-        total = total * x
-    return total
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 
@@ -79,6 +81,15 @@ def test_verify_csv_columns(capsys):
     assert header == "suite,case-id,params,status,seconds"
 
 
+def test_verify_csv_quotes_fields(capsys):
+    # case ids such as commutator[a=-1,b=1,P=...] carry commas
+    assert main(["verify", "operators", "--n-max", "1", "--format", "csv"]) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert rows[0] == ["suite", "case-id", "params", "status", "seconds"]
+    assert len(rows) > 1 and all(len(row) == 5 for row in rows)
+    assert any("," in row[1] for row in rows[1:])
+
+
 def test_verify_unknown_suite():
     with pytest.raises(SystemExit):
         main(["verify", "bogus"])
@@ -125,3 +136,32 @@ def test_env_cache_dir(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("QTSHUFFLE_CACHE", str(tmp_path / "envcache"))
     assert main(["build-cache", "--n-max", "1"]) == 0
     assert os.path.isdir(str(tmp_path / "envcache"))
+
+
+def test_verify_cache_detects_corruption(tmp_path, capsys):
+    cache = str(tmp_path / "cache")
+    assert cmd_build_cache(1, cache) == 0
+    capsys.readouterr()
+    path = os.path.join(cache, "htilde-1.json")
+    open(path, "w").write("{not json")
+    assert main(["verify", "macdonald", "--n-max", "1", "--cache", cache]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cache file {path} failed validation: ")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["enumerate", "inner"])
+@pytest.mark.parametrize("comp", ["0,2", "2,x"])
+def test_bad_composition_is_a_usage_error(command, comp, capsys):
+    assert main([command, "--comp", comp, "--abc", "1,1,0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: --comp ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("suite,n_max", [("main-theorem", "0"), ("macdonald", "-3")])
+def test_verify_empty_grid_is_a_usage_error(suite, n_max, capsys):
+    assert main(["verify", suite, "--n-max", n_max]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"usage error: suite {suite} has no cases at --n-max {n_max}\n"

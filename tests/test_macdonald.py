@@ -12,6 +12,7 @@ from qtshuffle.macdonald import (
     c_word,
     check_identity,
     identity_ids,
+    install_table,
     lhs_inner,
     nabla,
     op_B,
@@ -85,6 +86,21 @@ def test_corrupted_cache_fails_loudly(tmp_path):
     path.write_text(json.dumps(data))
     with pytest.raises(TableInvariantError):
         HTildeTable.load(str(path))
+
+
+def test_install_table_verifies_each_table_once(tmp_path, monkeypatch):
+    path = tmp_path / "htilde-2.json"
+    build_htilde(2).save(str(path))
+    calls = []
+    original = HTildeTable.verify
+    monkeypatch.setattr(HTildeTable, "verify", lambda self: calls.append(self) or original(self))
+    install_table(HTildeTable.load(str(path)))
+    assert len(calls) == 1  # on load only
+    # a table that never passed verify() is still checked before adoption
+    bad = HTildeTable(2, {(2,): s_((2,)), (1, 1): s_((2,))})
+    with pytest.raises(TableInvariantError):
+        install_table(bad)
+    assert len(calls) == 2
 
 
 # -- nabla ---------------------------------------------------------------------
@@ -236,12 +252,24 @@ def test_failed_identity_reports_both_sides():
 
 
 def test_thm21_small_grid():
+    # thm21 and the corner-sum expansions it rests on: lemma31, lemma32,
+    # prop31, thm31, thm32
     for N in (1, 2, 3):
+        for a in range(0, N + 1):
+            for b in range(0, N - a + 1):
+                rep = check_identity("lemma31", a=a, b=b, c=N - a - b)
+                assert rep.passed, rep
         for m in range(1, N + 1):
+            for nu in (mu for d in range(0, N + 1) for mu in partitions_of(d)):
+                rep = check_identity("lemma32", m=m, nu=nu, n=N)
+                assert rep.passed, rep
             for a in range(0, N + 1):
                 for b in range(0, N - a + 1):
                     rep = check_identity("thm21", m=m, a=a, b=b, c=N - a - b)
                     assert rep.passed, rep
+                    for ident in ("prop31", "thm31", "thm32"):
+                        rep = check_identity(ident, m=m, a=a, b=b, n=N)
+                        assert rep.passed, rep
 
 
 def test_recursion_identities_small():

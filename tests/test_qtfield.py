@@ -211,3 +211,14 @@ def test_z_extract_linear(a, b, e):
     L1 = ZLaurent({0: a, e: b})
     L2 = ZLaurent({e: a, 1: b})
     assert z_extract(L1 + L2, e) == z_extract(L1, e) + z_extract(L2, e)
+
+
+def test_hash_agrees_with_equality_for_constants():
+    half = qtr(Fraction(1, 2))
+    assert half == Fraction(1, 2) and hash(half) == hash(Fraction(1, 2))
+    assert QTR_ONE == 1 and hash(QTR_ONE) == hash(1)
+    assert hash(QTR_ZERO) == hash(0)
+    assert hash(qtr(-3)) == hash(-3)
+    assert len({1, QTR_ONE}) == 1
+    assert len({Fraction(1, 2), half, Fraction(2, 4)}) == 1
+    assert QtRational({(1, 0): 1}, 1) == Q and hash(QtRational({(1, 0): 1}, 1)) == hash(Q)
