@@ -369,6 +369,10 @@ def _load_cached_table(path: str) -> bool:
 
 
 def cmd_build_cache(n_max: int, cache_dir: str) -> int:
+    if n_max < 0:  # building nothing proves nothing
+        print(f"usage error: build-cache has no tables to build at --n-max {n_max}",
+              file=sys.stderr)
+        return 2
     os.makedirs(cache_dir, exist_ok=True)
     for n in range(0, n_max + 1):
         path = os.path.join(cache_dir, f"htilde-{n}.json")
@@ -384,11 +388,7 @@ def cmd_build_cache(n_max: int, cache_dir: str) -> int:
 
 
 def cmd_inner(comp, a: int, b: int, c: int, fmt: str = "plain") -> int:
-    try:
-        value = lhs_inner(comp, a, b, c)
-    except ValueError as err:
-        print(f"usage error: {err}", file=sys.stderr)
-        return 2
+    value = lhs_inner(comp, a, b, c)
     if fmt == "json":
         print(json.dumps({
             "comp": composition_str(comp),
@@ -405,10 +405,6 @@ def cmd_inner(comp, a: int, b: int, c: int, fmt: str = "plain") -> int:
 
 def cmd_enumerate(comp, a: int, b: int, c: int, list_flag: bool = False, fmt: str = "plain") -> int:
     comp = tuple(comp)
-    if a + b + c != sum(comp) or min(a, b, c) < 0:
-        print(f"usage error: (a,b,c)=({a},{b},{c}) must be nonnegative and sum to {sum(comp)}",
-              file=sys.stderr)
-        return 2
     fam = list(enumerate_family(comp, a, b, c))
     poly = pi_poly(comp, a, b, c)
     if fmt == "json":
@@ -483,13 +479,20 @@ def _parse_ints(text: str, flag: str) -> tuple[int, ...]:
 
 
 def _parse_comp_abc(comp_text: str, abc_text: str):
-    """(composition, (a, b, c)) from --comp and --abc; ValueError names the bad flag."""
+    """(composition, (a, b, c)) from --comp and --abc; ValueError says what is wrong.
+
+    Shared by `inner` and `enumerate`, so both reject the same inputs with the
+    same message.
+    """
     comp = _parse_ints(comp_text, "--comp")
     if any(part < 1 for part in comp):
         raise ValueError(f"--comp parts must be positive, got {comp_text!r}")
     abc = _parse_ints(abc_text, "--abc")
     if len(abc) != 3:
         raise ValueError("--abc needs exactly three integers")
+    if min(abc) < 0 or sum(abc) != sum(comp):
+        a, b, c = abc
+        raise ValueError(f"(a,b,c)=({a},{b},{c}) must be nonnegative and sum to {sum(comp)}")
     return comp, abc
 
 

@@ -1,5 +1,6 @@
 """Parking functions as validated two-line arrays, their q,t statistics,
-enumeration by diagonal composition, the triple-shuffle filter, the
+enumeration by diagonal composition, the triple-shuffle filter and the
+inverse-descent index that answers it for every (a, b, c), the
 section-cycling bijection with its sieve bookkeeping, and the 5-step
 lattice path conversion.
 """
@@ -272,6 +273,33 @@ def enumerate_family(alpha: Composition, a: int, b: int, c: int):
             yield pf
 
 
+@lru_cache(maxsize=None)
+def _ides_index(alpha: Composition) -> dict:
+    """{ides: {(dinv, area): count}} over the class, built in one pass; read-only.
+
+    The triple-shuffle filter sees a reading word only through its inverse
+    descent set, so this index answers every (a, b, c) and the fundamental
+    expansion without enumerating the class again.
+    """
+    index: dict = {}
+    for pf in enumerate_by_comp(alpha):
+        st = pf.stats
+        bucket = index.setdefault(st.ides, {})
+        key = (st.dinv, st.area)
+        bucket[key] = bucket.get(key, 0) + 1
+    return index
+
+
+def _ides_fits(ides: frozenset, a: int, b: int) -> bool:
+    """is_triple_shuffle(sigma, a, b, c), read off ides = iDes(sigma).
+
+    Small values 1..a appear in decreasing order, so each i < a is an
+    inverse descent; middle and big values appear increasing, so none of
+    a+1..a+b-1 or a+b+1..n-1 is one.  The boundaries a and a+b are free.
+    """
+    return all(i in ides for i in range(1, a)) and all(i <= a or i == a + b for i in ides)
+
+
 def pi_poly(alpha: Composition, a: int, b: int, c: int) -> QtRational:
     """Sum of t^area q^dinv over the shuffle-filtered family."""
     alpha = tuple(alpha)
@@ -279,18 +307,13 @@ def pi_poly(alpha: Composition, a: int, b: int, c: int) -> QtRational:
         return QTR_ZERO
     if a + b + c != sum(alpha):
         raise ValueError(f"(a,b,c)={(a, b, c)} must sum to |alpha|={sum(alpha)}")
-    return _pi_poly_cached(alpha, a, b, c)
-
-
-@lru_cache(maxsize=None)
-def _pi_poly_cached(alpha: Composition, a: int, b: int, c: int) -> QtRational:
     if not alpha:
         return QTR_ONE
     terms: dict = {}
-    for pf in enumerate_family(alpha, a, b, c):
-        st = pf.stats
-        key = (st.dinv, st.area)
-        terms[key] = terms.get(key, 0) + 1
+    for ides, bucket in _ides_index(alpha).items():
+        if _ides_fits(ides, a, b):
+            for key, count in bucket.items():
+                terms[key] = terms.get(key, 0) + count
     return QtRational(terms, 1) if terms else QTR_ZERO
 
 
@@ -299,14 +322,9 @@ def rhs_quasisym(p: Composition):
     from .symfunc import QSymFunc
 
     p = tuple(p)
-    n = sum(p)
-    coeffs: dict = {}
-    for pf in enumerate_by_comp(p):
-        st = pf.stats
-        w = QtRational({(st.dinv, st.area): 1}, 1)
-        cur = coeffs.get(st.ides)
-        coeffs[st.ides] = w if cur is None else cur + w
-    return QSymFunc(n, coeffs)
+    return QSymFunc(sum(p), {
+        ides: QtRational(bucket, 1) for ides, bucket in _ides_index(p).items()
+    })
 
 
 # ---------------------------------------------------------------------------

@@ -165,3 +165,22 @@ def test_verify_empty_grid_is_a_usage_error(suite, n_max, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"usage error: suite {suite} has no cases at --n-max {n_max}\n"
+
+
+def test_build_cache_negative_n_max_is_a_usage_error(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    assert main(["build-cache", "--n-max", "-1", "--cache", str(cache)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "usage error: build-cache has no tables to build at --n-max -1\n"
+    assert not cache.exists()
+
+
+@pytest.mark.parametrize("command", ["enumerate", "inner"])
+@pytest.mark.parametrize("abc", ["-1,3,3", "1,1,1"])
+def test_bad_abc_is_the_same_usage_error(command, abc, capsys):
+    assert main([command, "--comp", "3,2", f"--abc={abc}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    a, b, c = abc.split(",")
+    assert captured.err == f"usage error: (a,b,c)=({a},{b},{c}) must be nonnegative and sum to 5\n"

@@ -1,6 +1,8 @@
+from itertools import permutations
+
 import pytest
 
-from qtshuffle.qtfield import Q, QTR_ONE, QTR_ZERO, T
+from qtshuffle.qtfield import Q, QTR_ONE, QTR_ZERO, QtRational, T
 from qtshuffle.shapes import compositions_of
 from qtshuffle.symfunc import QSymFunc
 from qtshuffle.parking import (
@@ -8,6 +10,7 @@ from qtshuffle.parking import (
     InvalidParkingFunction,
     ParkingFunction,
     PFStats,
+    _ides_fits,
     enumerate_by_comp,
     enumerate_family,
     is_triple_shuffle,
@@ -143,6 +146,35 @@ def test_shuffle_structure_constraints():
                         assert not (below == "B")
                         if above == "M":
                             assert below == "S"
+
+
+def test_ides_rule_matches_shuffle_definition():
+    # every permutation with n <= 7 against every triple: 204,556 pairs
+    for n in range(8):
+        for sigma in permutations(range(1, n + 1)):
+            pos = {v: i for i, v in enumerate(sigma)}
+            ides = frozenset(i for i in range(1, n) if pos[i] > pos[i + 1])
+            for a, b, c in _abc_triples(n):
+                assert _ides_fits(ides, a, b) == is_triple_shuffle(sigma, a, b, c), (
+                    sigma, (a, b, c))
+
+
+def test_ides_index_matches_brute_force():
+    # pi_poly and rhs_quasisym read one shared index; recount both per parking function
+    for n in range(6):
+        for alpha in compositions_of(n):
+            for a, b, c in _abc_triples(n):
+                terms = {}
+                for pf in enumerate_family(alpha, a, b, c):
+                    key = (pf.stats.dinv, pf.stats.area)
+                    terms[key] = terms.get(key, 0) + 1
+                assert pi_poly(alpha, a, b, c) == QtRational(terms, 1), (alpha, (a, b, c))
+            for a, b, c in [(-1, n, 1), (n + 1, -1, 0), (0, n + 1, -1)]:
+                assert pi_poly(alpha, a, b, c) is QTR_ZERO
+            coeffs = {}
+            for pf in enumerate_by_comp(alpha):
+                coeffs[pf.stats.ides] = coeffs.get(pf.stats.ides, QTR_ZERO) + pf.weight()
+            assert rhs_quasisym(alpha) == QSymFunc(n, coeffs), alpha
 
 
 # -- quasisymmetric side -----------------------------------------------------------
