@@ -41,7 +41,7 @@ from .shapes import (
     compositions_of,
     partitions_of,
 )
-from .symfunc import SymFunc, fundamental_expand, p_
+from .symfunc import SymFunc, check_degree, fundamental_expand, p_
 
 ENV_CACHE = "QTSHUFFLE_CACHE"
 SUITES = ("macdonald", "operators", "recursion", "main-theorem", "shuffle-qsym", "paths", "all")
@@ -357,10 +357,12 @@ def _cache_dir(arg: str | None) -> str:
     return arg or os.environ.get(ENV_CACHE) or os.path.join(os.getcwd(), "qtshuffle-cache")
 
 
-def _load_cached_table(path: str) -> bool:
-    """Load, verify and install one cache file; on failure say why and return False."""
+def _load_cached_table(path: str, n: int) -> bool:
+    """Load, verify and install the degree-n cache file; on failure say why and return False."""
     try:
         table = HTildeTable.load(path)
+        if table.degree != n:
+            raise ValueError(f"it holds the degree {table.degree} table, not degree {n}")
     except Exception as err:
         print(f"error: cache file {path} failed validation: {err}", file=sys.stderr)
         return False
@@ -369,15 +371,18 @@ def _load_cached_table(path: str) -> bool:
 
 
 def cmd_build_cache(n_max: int, cache_dir: str) -> int:
-    if n_max < 0:  # building nothing proves nothing
-        print(f"usage error: build-cache has no tables to build at --n-max {n_max}",
-              file=sys.stderr)
+    try:
+        if n_max < 0:  # building nothing proves nothing
+            raise ValueError(f"build-cache has no tables to build at --n-max {n_max}")
+        check_degree(n_max)
+    except ValueError as err:
+        print(f"usage error: {err}", file=sys.stderr)
         return 2
     os.makedirs(cache_dir, exist_ok=True)
     for n in range(0, n_max + 1):
         path = os.path.join(cache_dir, f"htilde-{n}.json")
         if os.path.exists(path):
-            if not _load_cached_table(path):
+            if not _load_cached_table(path, n):
                 return 1
             print(f"degree {n}: loaded and revalidated {path}")
         else:
@@ -446,7 +451,7 @@ def cmd_verify(suite: str, n_max: int, jobs: int, fmt: str = "plain",
     if cache_dir:
         for n in range(0, n_max + 1):
             path = os.path.join(cache_dir, f"htilde-{n}.json")
-            if os.path.exists(path) and not _load_cached_table(path):
+            if os.path.exists(path) and not _load_cached_table(path, n):
                 return 1
     try:
         report = run_suite(suite, n_max, jobs)
@@ -536,6 +541,8 @@ def main(argv=None) -> int:
         return cmd_verify(args.suite, args.n_max, args.jobs, args.format, args.cache)
     try:
         comp, abc = _parse_comp_abc(args.comp, args.abc)
+        if args.command == "inner":  # enumerate never reaches the symmetric functions
+            check_degree(sum(comp))
     except ValueError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 2

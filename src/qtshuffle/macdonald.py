@@ -1,10 +1,12 @@
 """The modified Macdonald basis, nabla, Pieri coefficients, the creation
 operators and their star-adjoints, and the registry of checkable identities.
 
-Tables are built per degree by solving the orthogonality + normalization
-system over the rescaled Schur basis s_lam[X/(t-1)], then revalidated against
-the defining invariants before use.  A table loaded from a cache file is
-verified once, on load; install_table does not repeat the check.
+Tables are built per degree from the Haglund-Haiman-Loehr combinatorial
+formula (a sum over fillings of mu, in fundamental quasisymmetric functions),
+then checked against the defining invariants (star-orthogonality with norms
+w_mu, <H~_mu, h_n> = 1) before use; a table that fails raises
+TableInvariantError.  A table loaded from a cache file is verified once, on
+load; install_table does not repeat the check.
 
 Lemma 3.1, Lemma 3.2, Proposition 3.1 and Theorems 3.1-3.2 expand over the
 same corners: an outer sum over r <= a, s <= b, nu |- r+s (_corner_sum) of an
@@ -19,6 +21,7 @@ import tempfile
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import permutations
 
 from .qtfield import (
     Q,
@@ -34,6 +37,7 @@ from .shapes import (
     Composition,
     Partition,
     capital_m,
+    cell_stats,
     compositions_of,
     corners,
     partition_invariants,
@@ -144,56 +148,52 @@ _tables: dict[int, HTildeTable] = {}
 _tables_lock = threading.Lock()
 
 
-def _rescaled_schur(lam: Partition) -> SymFunc:
-    """s_lam[X/(t-1)], the triangularity frame for the table solve."""
-    mult = QtRational(1, {(0, 1): 1, (0, 0): -1})
-    return plethysm(SymFunc("schur", {lam: QTR_ONE}), Alphabet.X(ZLaurent({0: mult})))
+def _hhl_monomial(mu: Partition) -> SymFunc:
+    """H~_mu in the monomial basis by the Haglund-Haiman-Loehr formula,
+    sum over fillings w of mu by 1..n of q^inv(w) t^maj(w) F_iDes(read w).
 
-
-def _solve_table(n: int, ascending: bool) -> dict:
-    parts = sorted(partitions_of(n)) if ascending else sorted(partitions_of(n), reverse=True)
-    gs = [_rescaled_schur(lam) for lam in parts]
-    hn = h_(n).to_power()
-    built: dict[Partition, SymFunc] = {}
-    star_rows: list[list[QtRational]] = []  # <g_j, Htilde_built_i>_*
-    for idx, mu in enumerate(parts):
-        size = idx + 1
-        mat = [[QTR_ZERO] * size for _ in range(size)]
-        rhs = [QTR_ZERO] * size
-        for i in range(idx):
-            for j in range(size):
-                mat[i][j] = star_rows[i][j] if j < len(star_rows[i]) else star_inner(gs[j], built[parts[i]])
-        for j in range(size):
-            mat[idx][j] = hall_inner(gs[j], hn)
-        rhs[idx] = QTR_ONE
-        sol = _solve_linear(mat, rhs)
-        if sol is None:
-            raise TableInvariantError(f"singular system while building degree {n}")
-        f = SymFunc.zero()
-        for j, x in enumerate(sol):
-            if not x.is_zero():
-                f = f + gs[j].scale(x)
-        built[mu] = f.to_power()
-        star_rows.append([star_inner(gs[j], built[mu]) for j in range(len(parts))])
-    return built
-
-
-def _solve_linear(mat, rhs):
-    """Gaussian elimination over Q(q,t); returns None when singular."""
-    n = len(rhs)
-    a = [row[:] + [rhs[i]] for i, row in enumerate(mat)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if not a[r][col].is_zero()), None)
-        if piv is None:
-            return None
-        a[col], a[piv] = a[piv], a[col]
-        inv = a[col][col].inverse()
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and not a[r][col].is_zero():
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [a[i][n] for i in range(n)]
+    The reading order runs row by row from the top, each row left to right.
+    A descent is a cell whose value exceeds the value directly below it;
+    maj sums leg+1 over descents.  Two cells attack when they share a row or
+    when the lower one is one row down and strictly to the left; inv counts
+    attacking pairs read larger value first, minus the arms of the descents.
+    """
+    n = sum(mu)
+    order = [(col, row) for row in reversed(range(len(mu))) for col in range(mu[row])]
+    at = {cell: k for k, cell in enumerate(order)}
+    attacks = [
+        (at[u], at[v])
+        for u in order
+        for v in order
+        if at[u] < at[v] and (u[1] == v[1] or (u[1] == v[1] + 1 and v[0] < u[0]))
+    ]
+    below = []  # (cell, cell under it, arm, leg + 1)
+    for col, row in order:
+        if row:
+            arm, leg, _, _ = cell_stats(mu, (col, row))
+            below.append((at[col, row], at[col, row - 1], arm, leg + 1))
+    by_ides: dict[int, dict[tuple[int, int], int]] = {}  # iDes bitmask -> q,t terms
+    for w in permutations(range(n)):
+        ides = sum(1 << i for i in range(n - 1) if w.index(i + 1) < w.index(i))
+        inv = sum(w[k] > w[l] for k, l in attacks)
+        maj = 0
+        for k, l, arm, leg1 in below:
+            if w[k] > w[l]:
+                inv -= arm
+                maj += leg1
+        terms = by_ides.setdefault(ides, {})
+        terms[inv, maj] = terms.get((inv, maj), 0) + 1
+    # [m_lam] F_S = 1 exactly when S lies inside the partial sums of lam
+    coeffs = {}
+    for lam in partitions_of(n):
+        sums = sum(1 << (sum(lam[:i]) - 1) for i in range(1, len(lam)))
+        total: dict[tuple[int, int], int] = {}
+        for ides, terms in by_ides.items():
+            if not ides & ~sums:
+                for key, c in terms.items():
+                    total[key] = total.get(key, 0) + c
+        coeffs[lam] = QtRational(total)
+    return SymFunc("monomial", coeffs)
 
 
 def build_htilde(n: int) -> HTildeTable:
@@ -207,22 +207,8 @@ def build_htilde(n: int) -> HTildeTable:
         table = _tables.get(n)
         if table is not None:
             return table
-        if n == 0:
-            table = HTildeTable(0, {(): SymFunc.one()})
-        else:
-            last_err = None
-            table = None
-            for ascending in (True, False):
-                try:
-                    entries = _solve_table(n, ascending)
-                    cand = HTildeTable(n, entries)
-                    cand.verify()
-                    table = cand
-                    break
-                except TableInvariantError as err:
-                    last_err = err
-            if table is None:
-                raise TableInvariantError(f"no triangularity direction works at degree {n}: {last_err}")
+        table = HTildeTable(n, {mu: _hhl_monomial(mu) for mu in partitions_of(n)})
+        table.verify()
         _tables[n] = table
     return table
 

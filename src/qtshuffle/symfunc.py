@@ -34,7 +34,7 @@ def set_degree_cap(n: int) -> None:
     _degree_cap = int(n)
 
 
-def _check_degree(n: int) -> None:
+def check_degree(n: int) -> None:
     if n > _degree_cap:
         raise ValueError(f"degree {n} exceeds the configured cap {_degree_cap}")
 
@@ -178,7 +178,7 @@ _basis_cache: dict[int, _BasisData] = {}
 def _basis_data(n: int) -> _BasisData:
     data = _basis_cache.get(n)
     if data is None:
-        _check_degree(n)
+        check_degree(n)
         with _cache_lock:
             data = _basis_cache.get(n)
             if data is None:
@@ -615,7 +615,7 @@ def omega_series(A: Alphabet, maxdeg: int, z_trunc: int | None = None) -> SymFun
     """
     if maxdeg < 0:
         raise ValueError("maxdeg must be nonnegative")
-    _check_degree(maxdeg)
+    check_degree(maxdeg)
     if z_trunc is None:
         z_trunc = maxdeg
     # X part: exp of sum_k xm_k p_k / k

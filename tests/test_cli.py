@@ -44,6 +44,11 @@ def test_inner_latex(capsys):
 def test_inner_size_mismatch(capsys):
     assert main(["inner", "--comp", "2,1", "--abc", "1,1,2"]) == 2
     assert "usage error" in capsys.readouterr().err
+    # above the degree cap: refused before any symmetric-function work
+    assert main(["inner", "--comp", "13", "--abc", "13,0,0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "usage error: degree 13 exceeds the configured cap 12\n"
 
 
 def test_enumerate_worked_example(capsys):
@@ -143,12 +148,14 @@ def test_verify_cache_detects_corruption(tmp_path, capsys):
     assert cmd_build_cache(1, cache) == 0
     capsys.readouterr()
     path = os.path.join(cache, "htilde-1.json")
-    open(path, "w").write("{not json")
-    assert main(["verify", "macdonald", "--n-max", "1", "--cache", cache]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith(f"error: cache file {path} failed validation: ")
-    assert captured.err.count("\n") == 1
+    wrong_degree = open(os.path.join(cache, "htilde-0.json")).read()  # a valid table, misnamed
+    for corrupt in ("{not json", wrong_degree):
+        open(path, "w").write(corrupt)
+        assert main(["verify", "macdonald", "--n-max", "1", "--cache", cache]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cache file {path} failed validation: ")
+        assert captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("command", ["enumerate", "inner"])
@@ -173,6 +180,12 @@ def test_build_cache_negative_n_max_is_a_usage_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "usage error: build-cache has no tables to build at --n-max -1\n"
+    assert not cache.exists()
+    # above the degree cap: refused before the directory is made
+    assert main(["build-cache", "--n-max", "13", "--cache", str(cache)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "usage error: degree 13 exceeds the configured cap 12\n"
     assert not cache.exists()
 
 

@@ -1,9 +1,10 @@
+import hashlib
 import json
 
 import pytest
 
-from qtshuffle.qtfield import Q, QTR_ONE, QTR_ZERO, T, qtr
-from qtshuffle.shapes import capital_m, compositions_of, partition_invariants, partitions_of
+from qtshuffle.qtfield import Q, QTR_ONE, QTR_ZERO, T, qtr, swap_qt
+from qtshuffle.shapes import capital_m, compositions_of, conjugate, partition_invariants, partitions_of
 from qtshuffle.symfunc import SymFunc, e_, h_, hall_inner, p_, s_, star_inner
 from qtshuffle.macdonald import (
     HTildeTable,
@@ -39,6 +40,43 @@ def test_table_degree_two_hand_solved():
     table = build_htilde(2)
     assert table[(2,)] == s_((2,)) + s_((1, 1)).scale(Q)
     assert table[(1, 1)] == s_((2,)) + s_((1, 1)).scale(T)
+    # degree 3: the modified q,t-Kostka polynomials, by hand
+    table = build_htilde(3)
+    assert table[(3,)] == s_((3,)) + s_((2, 1)).scale(Q + Q**2) + s_((1, 1, 1)).scale(Q**3)
+    assert table[(2, 1)] == s_((3,)) + s_((2, 1)).scale(Q + T) + s_((1, 1, 1)).scale(Q * T)
+    assert table[(1, 1, 1)] == s_((3,)) + s_((2, 1)).scale(T + T**2) + s_((1, 1, 1)).scale(T**3)
+
+
+def test_table_qt_symmetry():
+    # H~_mu(q,t) = H~_mu'(t,q); the table is built without using this
+    for n in range(0, 7):
+        table = build_htilde(n)
+        for mu in partitions_of(n):
+            assert table[mu].map_coeffs(swap_qt) == table[conjugate(mu)], mu
+    # swapping q and t in the entries but not in the shapes breaks the norms
+    table = build_htilde(3)
+    swapped = HTildeTable(3, {mu: table[mu].map_coeffs(swap_qt) for mu in partitions_of(3)})
+    with pytest.raises(TableInvariantError):
+        swapped.verify()
+
+
+# sha256 of the saved htilde-<n>.json bytes, n = 0..6
+TABLE_FILE_SHA256 = (
+    "95a7e2c667b522910a9ca184fdcf08cd9faf1e59d3d8af685a93db9deeb87d11",
+    "c82c35e02e7ac88d43f3160764ecffd635f5bdf03e1fd261b52becabb0596277",
+    "2a1db511e43d5d0e904643b867aaef263c7343d86d9034541be06ecf84aa583c",
+    "6c3850913f600ae63577c0c66cac544350ffc39aca6d058a0acea65e5876bf1a",
+    "bb8d153fcef9ea2a59879a302ae6c043870f5936b2bc3f0af7dbe43210797152",
+    "bb4116d4e2dba455e13918cdd4ab9d5999504e0ee36deb2b263c08b9bb8b8dc7",
+    "ec9ae69d520755fb568b2848eac34378e93a8426124b12a1c8a0361df560403b",
+)
+
+
+def test_saved_table_bytes_are_pinned(tmp_path):
+    for n, want in enumerate(TABLE_FILE_SHA256):
+        path = tmp_path / f"htilde-{n}.json"
+        build_htilde(n).save(str(path))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == want, n
 
 
 def test_table_gram_matches_invariants():
