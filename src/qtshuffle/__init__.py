@@ -7,20 +7,15 @@ with shuffle filters).  Every identity the library relies on is re-checkable
 through `qtshuffle verify`.
 """
 
-from .qtfield import QtPolynomial, QtRational, ZLaurent, eval_numeric, frobenius_scale, normalize, z_extract
+from .qtfield import QtRational, ZLaurent
 from .shapes import partition_invariants
 from .symfunc import SymFunc, fundamental_expand, hall_inner, plethysm, star_inner
 from .macdonald import build_htilde, c_word, check_identity, lhs_inner, nabla, op_B, op_C
 from .parking import ParkingFunction, pi_poly, validate_pf, verify_recursion
 
 __all__ = [
-    "QtPolynomial",
     "QtRational",
     "ZLaurent",
-    "normalize",
-    "frobenius_scale",
-    "z_extract",
-    "eval_numeric",
     "partition_invariants",
     "SymFunc",
     "plethysm",

@@ -3,8 +3,7 @@
 Suites aggregate the identity registry, the combinatorial recursions, and
 the cross-checks between the symbolic and enumeration pipelines.  Reports
 are deterministic: case order is fixed by case id, and the canonical JSON
-form carries no timings, so runs with different worker counts are
-byte-identical.
+form carries no timings, so every run of a suite prints the same bytes.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .macdonald import (
@@ -35,7 +33,6 @@ from .parking import (
     rhs_quasisym,
     verify_recursion,
 )
-from .qtfield import eval_numeric
 from .shapes import (
     composition_str,
     compositions_of,
@@ -285,7 +282,7 @@ def _paths_case(alpha, a, b, c) -> _Case:
         fam = list(enumerate_family(alpha, a, b, c))
         paths = {pf_to_path(pf, a, b, c).steps for pf in fam}
         injective = len(paths) == len(fam)
-        expected = eval_numeric(lhs_inner(alpha, a, b, c), 1, 1)
+        expected = lhs_inner(alpha, a, b, c).evaluate(1, 1)
         return (
             injective and len(paths) == expected,
             f"paths={len(paths)} injective={injective}",
@@ -336,16 +333,8 @@ def _run_case(case: _Case) -> CaseResult:
     return CaseResult(case.case_id, case.params, status, lhs, rhs, time.perf_counter() - t0)
 
 
-def run_suite(suite: str, n_max: int, jobs: int = 1) -> VerificationReport:
-    cases = build_cases(suite, n_max)
-    if jobs <= 1:
-        results = [_run_case(c) for c in cases]
-    else:
-        # tables are built once up front so workers share read-only state
-        for n in range(0, n_max + 1):
-            build_htilde(n)
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_run_case, cases))
+def run_suite(suite: str, n_max: int) -> VerificationReport:
+    results = [_run_case(c) for c in build_cases(suite, n_max)]
     results.sort(key=lambda r: r.case_id)
     return VerificationReport(suite, n_max, results)
 
@@ -446,15 +435,14 @@ def cmd_enumerate(comp, a: int, b: int, c: int, list_flag: bool = False, fmt: st
     return 0
 
 
-def cmd_verify(suite: str, n_max: int, jobs: int, fmt: str = "plain",
-               cache_dir: str | None = None) -> int:
+def cmd_verify(suite: str, n_max: int, fmt: str = "plain", cache_dir: str | None = None) -> int:
     if cache_dir:
         for n in range(0, n_max + 1):
             path = os.path.join(cache_dir, f"htilde-{n}.json")
             if os.path.exists(path) and not _load_cached_table(path, n):
                 return 1
     try:
-        report = run_suite(suite, n_max, jobs)
+        report = run_suite(suite, n_max)
     except ValueError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 2
@@ -520,7 +508,6 @@ def make_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("suite", choices=SUITES)
     p_verify.add_argument("--n-max", type=int, default=4)
-    p_verify.add_argument("--jobs", type=int, default=1)
     p_verify.add_argument("--format", default="plain", choices=("plain", "json", "csv"))
     p_verify.add_argument("--cache", default=None, help="warm table cache directory to load first")
 
@@ -538,11 +525,10 @@ def main(argv=None) -> int:
     if args.command == "build-cache":
         return cmd_build_cache(args.n_max, _cache_dir(args.cache))
     if args.command == "verify":
-        return cmd_verify(args.suite, args.n_max, args.jobs, args.format, args.cache)
+        return cmd_verify(args.suite, args.n_max, args.format, args.cache)
     try:
         comp, abc = _parse_comp_abc(args.comp, args.abc)
-        if args.command == "inner":  # enumerate never reaches the symmetric functions
-            check_degree(sum(comp))
+        check_degree(sum(comp))
     except ValueError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 2

@@ -2,9 +2,11 @@
 
 Polynomials are sparse dicts mapping (q-exponent, t-exponent) to coefficients;
 rationals are kept fully reduced with integer-coefficient numerator and
-denominator so that equality is a structural comparison.  GCDs are computed by
-recursive content/primitive-part reduction (polynomials in q over Z[t]), which
-is exact and fast enough at the sizes this library generates.
+denominator so that equality is a structural comparison.  GCDs go through an
+evaluation heuristic first (substitute integers, take an integer GCD, read the
+candidate back off its digits, keep it only if it divides both inputs
+exactly); recursive content/primitive-part reduction (polynomials in q over
+Z[t]) is the fallback when the heuristic gives up.
 """
 
 from __future__ import annotations
@@ -13,14 +15,13 @@ import re
 from fractions import Fraction
 from math import gcd as _int_gcd
 
-Term = tuple[int, int]  # (q-exponent, t-exponent), both nonnegative
-
 # ---------------------------------------------------------------------------
 # integer polynomial kernels (raw dicts, no classes, hot path)
 # ---------------------------------------------------------------------------
 
 # A "tpoly" is a univariate integer polynomial in t: dict[exp] -> nonzero int.
 # An "ipoly" is an integer polynomial in q,t: dict[(qe, te)] -> nonzero int.
+# The heuristic GCD also uses univariate polynomials in q, keyed the same way.
 
 
 def _i_add(a: dict, b: dict) -> dict:
@@ -42,10 +43,6 @@ def _i_neg(a: dict) -> dict:
     return {k: -v for k, v in a.items()}
 
 
-def _i_sub(a: dict, b: dict) -> dict:
-    return _i_add(a, _i_neg(b))
-
-
 def _i_mul(a: dict, b: dict) -> dict:
     if not a or not b:
         return {}
@@ -63,18 +60,6 @@ def _i_mul(a: dict, b: dict) -> dict:
     return out
 
 
-def _i_scale(a: dict, c: int) -> dict:
-    if c == 0:
-        return {}
-    if c == 1:
-        return a
-    return {k: v * c for k, v in a.items()}
-
-
-def _i_lead(a: dict) -> Term:
-    return max(a)  # lex on (qe, te)
-
-
 def _T_mul(a: dict, b: dict) -> dict:
     out: dict = {}
     for ea, ca in a.items():
@@ -88,7 +73,8 @@ def _T_mul(a: dict, b: dict) -> dict:
     return out
 
 
-def _T_content(a: dict) -> int:
+def _content(a: dict) -> int:
+    """GCD of the coefficients of a nonempty term dict (any of the kinds above)."""
     g = 0
     for v in a.values():
         g = _int_gcd(g, v)
@@ -97,11 +83,18 @@ def _T_content(a: dict) -> int:
     return g
 
 
+def _sign_norm(a: dict) -> dict:
+    """Flip sign so the coefficient at the largest key (lex, q then t) is positive."""
+    if a and a[max(a)] < 0:
+        return _i_neg(a)
+    return a
+
+
 def _T_prim(a: dict) -> dict:
     """Primitive part with positive leading coefficient."""
     if not a:
         return {}
-    c = _T_content(a)
+    c = _content(a)
     if a[max(a)] < 0:
         c = -c
     if c == 1:
@@ -159,18 +152,12 @@ def _T_prem_reduce(a: dict, b: dict) -> dict:
     return r
 
 
-def _T_signnorm(a: dict) -> dict:
-    if a and a[max(a)] < 0:
-        return {e: -v for e, v in a.items()}
-    return a
-
-
 def _T_gcd(a: dict, b: dict) -> dict:
     if not a:
-        return _T_signnorm(b)
+        return _sign_norm(b)
     if not b:
-        return _T_signnorm(a)
-    ca, cb = abs(_T_content(a)), abs(_T_content(b))
+        return _sign_norm(a)
+    ca, cb = abs(_content(a)), abs(_content(b))
     g0 = _int_gcd(ca, cb)
     pa, pb = _T_prim(a), _T_prim(b)
     if max(pa) < max(pb):
@@ -244,22 +231,6 @@ def _i_t_sub(a: dict, b: dict) -> dict:
     return out
 
 
-def _sign_norm(a: dict) -> dict:
-    """Flip sign so the lex-leading (q then t) coefficient is positive."""
-    if a and a[_i_lead(a)] < 0:
-        return _i_neg(a)
-    return a
-
-
-def _i_content(a: dict) -> int:
-    g = 0
-    for v in a.values():
-        g = _int_gcd(g, v)
-        if g == 1:
-            return 1
-    return g
-
-
 def _balanced_digits(n: int, xi: int):
     """n in balanced base xi, least significant first."""
     digits = []
@@ -298,8 +269,8 @@ def _u_divides(c: dict, a: dict) -> bool:
 
 def _heu_gcd_uni(a: dict, b: dict):
     """Heuristic GCD in Z[q] by integer evaluation; None on failure."""
-    ca = abs(_i_content_uni(a))
-    cb = abs(_i_content_uni(b))
+    ca = abs(_content(a))
+    cb = abs(_content(b))
     g0 = _int_gcd(ca, cb)
     a = {e: v // ca for e, v in a.items()}
     b = {e: v // cb for e, v in b.items()}
@@ -313,21 +284,12 @@ def _heu_gcd_uni(a: dict, b: dict):
         if g:
             cand = {e: d for e, d in enumerate(_balanced_digits(g, xi)) if d}
             if cand:
-                cc = abs(_i_content_uni(cand))
+                cc = abs(_content(cand))
                 cand = {e: v // cc for e, v in cand.items()}
                 if _u_divides(cand, a) and _u_divides(cand, b):
                     return {e: v * g0 for e, v in cand.items()}
         xi = xi * 2731 // 1000 + 1
     return None
-
-
-def _i_content_uni(a: dict) -> int:
-    g = 0
-    for v in a.values():
-        g = _int_gcd(g, v)
-        if g == 1:
-            return 1
-    return g if g else 1
 
 
 def _divides_bi(c: dict, a: dict) -> bool:
@@ -340,7 +302,7 @@ def _divides_bi(c: dict, a: dict) -> bool:
 
 def _heu_gcd_bi(a: dict, b: dict):
     """Heuristic GCD in Z[q,t]: evaluate t, recurse in q, reconstruct digits."""
-    ca, cb = abs(_i_content(a)), abs(_i_content(b))
+    ca, cb = abs(_content(a)), abs(_content(b))
     g0 = _int_gcd(ca, cb)
     a = {k: v // ca for k, v in a.items()}
     b = {k: v // cb for k, v in b.items()}
@@ -365,7 +327,7 @@ def _heu_gcd_bi(a: dict, b: dict):
                         if d:
                             cand[(qe, te)] = d
                 if cand:
-                    cc = abs(_i_content(cand))
+                    cc = abs(_content(cand))
                     if cc != 1:
                         cand = {k: v // cc for k, v in cand.items()}
                     if _divides_bi(cand, a) and _divides_bi(cand, b):
@@ -460,130 +422,6 @@ def _i_eval(a: dict, q0: Fraction, t0: Fraction) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# QtPolynomial
-# ---------------------------------------------------------------------------
-
-
-class QtPolynomial:
-    """Polynomial in q,t with exact rational coefficients, q,t-exponents >= 0."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict | None = None):
-        clean: dict[Term, Fraction] = {}
-        if terms:
-            for (qe, te), c in terms.items():
-                if qe < 0 or te < 0:
-                    raise ValueError("QtPolynomial exponents must be nonnegative")
-                c = Fraction(c)
-                if c:
-                    clean[(int(qe), int(te))] = c
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, *a):  # pragma: no cover - immutability guard
-        raise AttributeError("QtPolynomial is immutable")
-
-    # -- constructors
-
-    @classmethod
-    def zero(cls) -> "QtPolynomial":
-        return cls({})
-
-    @classmethod
-    def one(cls) -> "QtPolynomial":
-        return cls({(0, 0): 1})
-
-    @classmethod
-    def const(cls, c) -> "QtPolynomial":
-        return cls({(0, 0): Fraction(c)})
-
-    @classmethod
-    def monomial(cls, c, qe: int = 0, te: int = 0) -> "QtPolynomial":
-        return cls({(qe, te): Fraction(c)})
-
-    @classmethod
-    def var_q(cls) -> "QtPolynomial":
-        return cls({(1, 0): 1})
-
-    @classmethod
-    def var_t(cls) -> "QtPolynomial":
-        return cls({(0, 1): 1})
-
-    # -- ring operations
-
-    def __add__(self, other: "QtPolynomial") -> "QtPolynomial":
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            s = out.get(k, 0) + v
-            if s:
-                out[k] = s
-            else:
-                del out[k]
-        return QtPolynomial(out)
-
-    def __neg__(self) -> "QtPolynomial":
-        return QtPolynomial({k: -v for k, v in self.terms.items()})
-
-    def __sub__(self, other: "QtPolynomial") -> "QtPolynomial":
-        return self + (-other)
-
-    def __mul__(self, other: "QtPolynomial") -> "QtPolynomial":
-        out: dict = {}
-        for (qa, ta), ca in self.terms.items():
-            for (qb, tb), cb in other.terms.items():
-                k = (qa + qb, ta + tb)
-                s = out.get(k, 0) + ca * cb
-                if s:
-                    out[k] = s
-                else:
-                    del out[k]
-        return QtPolynomial(out)
-
-    def __pow__(self, n: int) -> "QtPolynomial":
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        result = QtPolynomial.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, QtPolynomial) and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def is_one(self) -> bool:
-        return self.terms == {(0, 0): Fraction(1)}
-
-    def evaluate(self, q0, t0) -> Fraction:
-        q0, t0 = Fraction(q0), Fraction(t0)
-        return sum((c * q0**qe * t0**te for (qe, te), c in self.terms.items()), Fraction(0))
-
-    def _int_pair(self) -> tuple[dict, int]:
-        """(integer term dict, common denominator) with terms*den == self."""
-        den = 1
-        for c in self.terms.values():
-            den = den * c.denominator // _int_gcd(den, c.denominator)
-        return {k: int(c * den) for k, c in self.terms.items()}, den
-
-    def __repr__(self) -> str:
-        if all(c.denominator == 1 for c in self.terms.values()):
-            return f"QtPolynomial({_poly_canonical_str({k: int(c) for k, c in self.terms.items()})!r})"
-        return f"QtPolynomial({self.terms!r})"
-
-
-# ---------------------------------------------------------------------------
 # QtRational
 # ---------------------------------------------------------------------------
 
@@ -618,15 +456,7 @@ class QtRational:
         object.__setattr__(self, "_den", den)
         return self
 
-    # -- views
-
-    @property
-    def num(self) -> QtPolynomial:
-        return QtPolynomial(self._num)
-
-    @property
-    def den(self) -> QtPolynomial:
-        return QtPolynomial(self._den)
+    # -- predicates
 
     def is_zero(self) -> bool:
         return not self._num
@@ -719,7 +549,7 @@ class QtRational:
         if not self._num:
             raise ZeroDivisionError("inverse of zero")
         n, d = dict(self._den), dict(self._num)
-        if d[_i_lead(d)] < 0:
+        if d[max(d)] < 0:
             n, d = _i_neg(n), _i_neg(d)
         return QtRational._make(n, d)
 
@@ -793,11 +623,12 @@ def _coerce_ipoly(x) -> dict:
         num = dict(x._num)
         d = x._den.get((0, 0), 1)
         return num if d == 1 else {k: Fraction(v, d) for k, v in num.items()}
-    if isinstance(x, QtPolynomial):
-        return {k: v for k, v in x.terms.items()}
     if isinstance(x, (int, Fraction)):
         return {(0, 0): x} if x else {}
     if isinstance(x, dict):
+        for qe, te in x:
+            if qe < 0 or te < 0:
+                raise ValueError(f"q,t-exponents must be nonnegative, got {(qe, te)}")
         return {k: v for k, v in x.items() if v}
     raise TypeError(f"cannot coerce {type(x).__name__} to a q,t-polynomial")
 
@@ -820,13 +651,13 @@ def _reduce(ni: dict, di: dict) -> tuple[dict, dict]:
     g = _i_gcd(ni, di)
     if g != _IONE:
         ni, di = _i_divexact(ni, g), _i_divexact(di, g)
-    if di[_i_lead(di)] < 0:
+    if di[max(di)] < 0:
         ni, di = _i_neg(ni), _i_neg(di)
     return ni, di
 
 
 def qtr(x) -> QtRational:
-    """Coerce an int / Fraction / QtPolynomial into a QtRational."""
+    """Coerce an int or Fraction into a QtRational (a QtRational passes through)."""
     if isinstance(x, QtRational):
         return x
     if isinstance(x, int):
@@ -835,9 +666,6 @@ def qtr(x) -> QtRational:
         if not x:
             return QTR_ZERO
         return QtRational._make({(0, 0): x.numerator}, {(0, 0): x.denominator})
-    if isinstance(x, QtPolynomial):
-        ints, den = x._int_pair()
-        return QtRational(ints, {(0, 0): den})
     raise TypeError(f"cannot coerce {type(x).__name__} to QtRational")
 
 
@@ -848,23 +676,8 @@ T = QtRational._make({(0, 1): 1}, dict(_IONE))
 
 
 # ---------------------------------------------------------------------------
-# spec operations
+# q <-> t symmetry
 # ---------------------------------------------------------------------------
-
-
-def normalize(num, den) -> QtRational:
-    """Canonical reduced fraction num/den; raises ZeroDivisionError on den=0."""
-    return QtRational(num, den)
-
-
-def frobenius_scale(r: QtRational, k: int) -> QtRational:
-    """Multiply every q- and t-exponent by k (the p_k exponent scaling)."""
-    return r.frobenius(k)
-
-
-def eval_numeric(r: QtRational, q0, t0) -> Fraction:
-    """Exact value of r at a rational point; raises on a pole."""
-    return r.evaluate(q0, t0)
 
 
 def swap_qt(r: QtRational) -> QtRational:
@@ -989,11 +802,6 @@ def _as_zlaurent(x) -> ZLaurent | None:
 
 ZL_ZERO = ZLaurent({})
 ZL_ONE = ZLaurent({0: QTR_ONE})
-
-
-def z_extract(L: ZLaurent, a: int) -> QtRational:
-    """Coefficient of z^a, or 0 when absent."""
-    return L.extract(a)
 
 
 # ---------------------------------------------------------------------------

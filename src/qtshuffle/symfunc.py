@@ -24,19 +24,13 @@ from .shapes import Partition, partitions_of, zmu
 BASES = ("power", "elementary", "homogeneous", "monomial", "schur")
 _BASIS_ALIAS = {"p": "power", "e": "elementary", "h": "homogeneous", "m": "monomial", "s": "schur"}
 
-_degree_cap = 12
+_DEGREE_CAP = 12  # safety cap on symmetric-function degrees
 _cache_lock = threading.Lock()
 
 
-def set_degree_cap(n: int) -> None:
-    """Raise or lower the safety cap on symmetric-function degrees."""
-    global _degree_cap
-    _degree_cap = int(n)
-
-
 def check_degree(n: int) -> None:
-    if n > _degree_cap:
-        raise ValueError(f"degree {n} exceeds the configured cap {_degree_cap}")
+    if n > _DEGREE_CAP:
+        raise ValueError(f"degree {n} exceeds the configured cap {_DEGREE_CAP}")
 
 
 # ---------------------------------------------------------------------------

@@ -44,11 +44,12 @@ def test_inner_latex(capsys):
 def test_inner_size_mismatch(capsys):
     assert main(["inner", "--comp", "2,1", "--abc", "1,1,2"]) == 2
     assert "usage error" in capsys.readouterr().err
-    # above the degree cap: refused before any symmetric-function work
-    assert main(["inner", "--comp", "13", "--abc", "13,0,0"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "usage error: degree 13 exceeds the configured cap 12\n"
+    # above the degree cap: both commands refuse before any work
+    for command in ("inner", "enumerate"):
+        assert main([command, "--comp", "13", "--abc", "13,0,0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "usage error: degree 13 exceeds the configured cap 12\n"
 
 
 def test_enumerate_worked_example(capsys):
@@ -100,10 +101,14 @@ def test_verify_unknown_suite():
         main(["verify", "bogus"])
 
 
-def test_report_independent_of_jobs():
-    r1 = run_suite("shuffle-qsym", 3, jobs=1)
-    r8 = run_suite("shuffle-qsym", 3, jobs=8)
-    assert r1.to_json() == r8.to_json()
+def test_report_is_deterministic():
+    r1 = run_suite("shuffle-qsym", 3)
+    r2 = run_suite("shuffle-qsym", 3)
+    assert r1.to_json() == r2.to_json()
+    # verify runs its cases in one sequence; it takes no worker-count flag
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "shuffle-qsym", "--n-max", "3", "--jobs", "2"])
+    assert exc.value.code == 2
 
 
 def test_build_cases_deterministic():
