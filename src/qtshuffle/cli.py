@@ -41,7 +41,6 @@ from .shapes import (
 from .symfunc import SymFunc, check_degree, fundamental_expand, p_
 
 ENV_CACHE = "QTSHUFFLE_CACHE"
-SUITES = ("macdonald", "operators", "recursion", "main-theorem", "shuffle-qsym", "paths", "all")
 
 
 @dataclass
@@ -309,14 +308,12 @@ _SUITE_BUILDERS = {
     "shuffle-qsym": _cases_shuffle_qsym,
     "paths": _cases_paths,
 }
+SUITES = (*_SUITE_BUILDERS, "all")
 
 
 def build_cases(suite: str, n_max: int) -> list:
     if suite == "all":
-        cases = []
-        for name in ("macdonald", "operators", "recursion", "main-theorem", "shuffle-qsym", "paths"):
-            cases.extend(_SUITE_BUILDERS[name](n_max))
-        return cases
+        return [case for builder in _SUITE_BUILDERS.values() for case in builder(n_max)]
     builder = _SUITE_BUILDERS.get(suite)
     if builder is None:
         raise ValueError(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}")
@@ -436,6 +433,11 @@ def cmd_enumerate(comp, a: int, b: int, c: int, list_flag: bool = False, fmt: st
 
 
 def cmd_verify(suite: str, n_max: int, fmt: str = "plain", cache_dir: str | None = None) -> int:
+    try:
+        check_degree(n_max)
+    except ValueError as err:
+        print(f"usage error: {err}", file=sys.stderr)
+        return 2
     if cache_dir:
         for n in range(0, n_max + 1):
             path = os.path.join(cache_dir, f"htilde-{n}.json")

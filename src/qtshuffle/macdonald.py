@@ -8,6 +8,12 @@ w_mu, <H~_mu, h_n> = 1) before use; a table that fails raises
 TableInvariantError.  A table loaded from a cache file is verified once, on
 load; install_table does not repeat the check.
 
+Each coefficient on the H~ basis is <f, H~_mu>_* / w_mu (_htilde_coeff): the
+expansion behind nabla and both Pieri directions, which one loop in pieri()
+computes and checks against d_{mu,nu} = M c_{mu,nu} w_nu / w_mu.  The rec-m and
+rec-1 identities apply shapes.recursion_rhs to lhs_inner; the parking side
+applies the same formula to its own counts.
+
 Lemma 3.1, Lemma 3.2, Proposition 3.1 and Theorems 3.1-3.2 expand over the
 same corners: an outer sum over r <= a, s <= b, nu |- r+s (_corner_sum) of an
 inner sum over u that depends only on (kind, m, n, nu) (_corner_block, cached).
@@ -44,6 +50,7 @@ from .shapes import (
     partition_str,
     parse_partition,
     partitions_of,
+    recursion_rhs,
 )
 from .symfunc import (
     Alphabet,
@@ -228,12 +235,17 @@ def htilde_expand(f: SymFunc) -> dict:
     fp = f.to_power()
     for d in fp.degrees():
         comp = fp.homogeneous_component(d)
-        table = build_htilde(d)
         for mu in partitions_of(d):
-            c = star_inner(comp, table.power[mu]) / table.invariants[mu].w
+            c = _htilde_coeff(comp, mu)
             if not c.is_zero():
                 out[mu] = c
     return out
+
+
+def _htilde_coeff(f: SymFunc, mu: Partition) -> QtRational:
+    """Coefficient of H~_mu in f: <f, H~_mu>_* / w_mu."""
+    table = build_htilde(sum(mu))
+    return star_inner(f, table.power[mu]) / table.invariants[mu].w
 
 
 def nabla(f: SymFunc, sign: int = 1) -> SymFunc:
@@ -262,72 +274,60 @@ class PieriData:
 
 def _d_coeff(mu: Partition, nu: Partition) -> QtRational:
     """d_{mu,nu}: coefficient of H~_mu in e_1 H~_nu."""
-    tn, tm = build_htilde(sum(nu)), build_htilde(sum(mu))
-    f = e_(1) * tn.power[nu]
-    return star_inner(f, tm.power[mu]) / tm.invariants[mu].w
+    return _htilde_coeff(e_(1) * build_htilde(sum(nu)).power[nu], mu)
 
 
 def _c_coeff(mu: Partition, nu: Partition) -> QtRational:
     """c_{mu,nu}: coefficient of H~_nu in e_1-perp H~_mu."""
-    tm, tn = build_htilde(sum(mu)), build_htilde(sum(nu))
-    f = skew_by_e1(tm.power[mu])
-    return star_inner(f, tn.power[nu]) / tn.invariants[nu].w
+    return _htilde_coeff(skew_by_e1(build_htilde(sum(mu)).power[mu]), nu)
+
+
+_PIERI_ARROWS = {"add": "<-", "remove": "->"}
 
 
 def pieri(shape: Partition, direction: str) -> PieriData:
+    """The d_{mu,shape} over mu = shape plus a box ("add"), or the c_{shape,nu}
+    over nu = shape minus a box ("remove").  Each is checked against the other
+    direction by d_{mu,nu} = M c_{mu,nu} w_nu / w_mu, and every other shape of
+    the neighbouring degree must get coefficient zero."""
     shape = tuple(shape)
+    arrow = _PIERI_ARROWS.get(direction)
+    if arrow is None:
+        raise ValueError(f"unknown Pieri direction {direction!r}")
+    add = direction == "add"
+    hshape = build_htilde(sum(shape)).power[shape]
+    f = e_(1) * hshape if add else skew_by_e1(hshape)
+    targets = corners(shape)[1 if add else 0]
     M = capital_m()
-    if direction == "add":
-        nu = shape
-        addable = corners(nu)[1]
-        tbl = build_htilde(sum(nu) + 1)
-        f = e_(1) * build_htilde(sum(nu)).power[nu]
-        coeffs = {}
-        for mu in partitions_of(sum(nu) + 1):
-            d = star_inner(f, tbl.power[mu]) / tbl.invariants[mu].w
-            if mu in addable:
-                coeffs[mu] = d
-                c = _c_coeff(mu, nu)
-                wn = partition_invariants(nu).w
-                wm = partition_invariants(mu).w
-                if d != M * c * wn / wm:
-                    raise TableInvariantError(f"Pieri relation failed at {mu} <- {nu}")
-            elif not d.is_zero():
-                raise TableInvariantError(f"spurious Pieri support {mu} <- {nu}")
-        return PieriData(nu, "add", coeffs)
-    if direction == "remove":
-        mu = shape
-        if not mu:
-            return PieriData(mu, "remove", {})
-        removable = corners(mu)[0]
-        tbl = build_htilde(sum(mu) - 1)
-        f = skew_by_e1(build_htilde(sum(mu)).power[mu])
-        coeffs = {}
-        for nu in partitions_of(sum(mu) - 1):
-            c = star_inner(f, tbl.power[nu]) / tbl.invariants[nu].w
-            if nu in removable:
-                coeffs[nu] = c
-                d = _d_coeff(mu, nu)
-                wn = partition_invariants(nu).w
-                wm = partition_invariants(mu).w
-                if d != M * c * wn / wm:
-                    raise TableInvariantError(f"Pieri relation failed at {mu} -> {nu}")
-            elif not c.is_zero():
-                raise TableInvariantError(f"spurious Pieri support {mu} -> {nu}")
-        return PieriData(mu, "remove", coeffs)
-    raise ValueError(f"unknown Pieri direction {direction!r}")
+    coeffs = {}
+    for other in partitions_of(sum(shape) + (1 if add else -1)):
+        x = _htilde_coeff(f, other)
+        mu, nu = (other, shape) if add else (shape, other)
+        if other in targets:
+            coeffs[other] = x
+            d, c = (x, _c_coeff(mu, nu)) if add else (_d_coeff(mu, nu), x)
+            if d != M * c * partition_invariants(nu).w / partition_invariants(mu).w:
+                raise TableInvariantError(f"Pieri relation failed at {mu} {arrow} {nu}")
+        elif not x.is_zero():
+            raise TableInvariantError(f"spurious Pieri support {mu} {arrow} {nu}")
+    return PieriData(shape, direction, coeffs)
 
 
 @lru_cache(maxsize=None)
-def _pieri_remove(mu: Partition) -> tuple[tuple[Partition, QtRational], ...]:
-    data = pieri(mu, "remove")
-    return tuple(sorted(data.coeffs.items()))
+def _pieri(shape: Partition, direction: str) -> tuple[tuple[Partition, QtRational], ...]:
+    return tuple(sorted(pieri(shape, direction).coeffs.items()))
 
 
 @lru_cache(maxsize=None)
-def _pieri_add(nu: Partition) -> tuple[tuple[Partition, QtRational], ...]:
-    data = pieri(nu, "add")
-    return tuple(sorted(data.coeffs.items()))
+def _pieri_sum(shape: Partition, direction: str, power: int) -> QtRational:
+    """sum over the Pieri neighbours of shape of coefficient * (T_mu/T_nu)^power,
+    mu the larger and nu the smaller of the two shapes."""
+    ts = partition_invariants(shape).T
+    total = QTR_ZERO
+    for other, x in _pieri(shape, direction):
+        to = partition_invariants(other).T
+        total = total + x * (to / ts if direction == "add" else ts / to) ** power
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -372,14 +372,6 @@ def op_B_star(a: int, P: SymFunc) -> SymFunc:
     return extract_z(plethysm(P, shift) * om, -a).demote()
 
 
-def op_adjoint(kind: str, a: int, P: SymFunc) -> SymFunc:
-    if kind == "C":
-        return op_C_star(a, P)
-    if kind == "B":
-        return op_B_star(a, P)
-    raise ValueError(f"unknown operator kind {kind!r}")
-
-
 def c_word(alpha: Composition) -> SymFunc:
     """C_{alpha_1} ... C_{alpha_l} applied to 1, right to left."""
     f = SymFunc.one()
@@ -418,54 +410,20 @@ def _lhs_inner_cached(alpha: Composition, a: int, b: int, c: int) -> QtRational:
 # ---------------------------------------------------------------------------
 
 
-def _x_times(v: QtRational) -> Alphabet:
-    return Alphabet.X(ZLaurent({0: v}))
+_INV_M = capital_m().inverse()
+_INV_1MT = (1 - T).inverse()
 
 
 @lru_cache(maxsize=None)
-def _e_scalar_invm(k: int) -> QtRational:
-    return plethysm_eval(e_(k), capital_m().inverse()) if k >= 0 else QTR_ZERO
+def _scalar_pleth(base, k: int, v: QtRational) -> QtRational:
+    """base(k)[v] for base e_ or h_ and the scalar alphabet v; zero for k < 0."""
+    return plethysm_eval(base(k), v)
 
 
 @lru_cache(maxsize=None)
-def _h_scalar_invm(k: int) -> QtRational:
-    return plethysm_eval(h_(k), capital_m().inverse()) if k >= 0 else QTR_ZERO
-
-
-@lru_cache(maxsize=None)
-def _e_of_B(r: int, nu: Partition) -> QtRational:
-    return plethysm_eval(e_(r), partition_invariants(nu).B) if r >= 0 else QTR_ZERO
-
-
-@lru_cache(maxsize=None)
-def _e_of_D(r: int, nu: Partition) -> QtRational:
-    return plethysm_eval(e_(r), partition_invariants(nu).D) if r >= 0 else QTR_ZERO
-
-
-@lru_cache(maxsize=None)
-def _e_xd(k: int, nu: Partition) -> SymFunc:
-    """e_k[X D_nu / M]."""
-    if k < 0:
-        return SymFunc.zero()
-    v = partition_invariants(nu).D / capital_m()
-    return plethysm(e_(k), _x_times(v))
-
-
-@lru_cache(maxsize=None)
-def _e_x_1mt(k: int) -> SymFunc:
-    """e_k[X/(1-t)]."""
-    if k < 0:
-        return SymFunc.zero()
-    return plethysm(e_(k), _x_times((1 - T).inverse()))
-
-
-@lru_cache(maxsize=None)
-def _star_poly(k: int, which: str) -> SymFunc:
-    """h_k[X/M] or e_k[X/M]."""
-    if k < 0:
-        return SymFunc.zero()
-    base = h_(k) if which == "h" else e_(k)
-    return plethysm(base, _x_times(capital_m().inverse()))
+def _x_pleth(base, k: int, v: QtRational) -> SymFunc:
+    """base(k)[X v] for base e_ or h_ and a scalar v; zero for k < 0."""
+    return plethysm(base(k), Alphabet.X(ZLaurent({0: v})))
 
 
 @lru_cache(maxsize=None)
@@ -473,18 +431,14 @@ def _nabla_hee(a: int, b: int, c: int) -> SymFunc:
     """nabla (h_a^* e_b^* e_c^*)."""
     if min(a, b, c) < 0:
         return SymFunc.zero()
-    f = _star_poly(a, "h") * _star_poly(b, "e") * _star_poly(c, "e")
+    f = _x_pleth(h_, a, _INV_M) * _x_pleth(e_, b, _INV_M) * _x_pleth(e_, c, _INV_M)
     return nabla(f)
 
 
 @lru_cache(maxsize=None)
-def _cstar_nabla_hee(m: int, a: int, b: int, c: int) -> SymFunc:
-    return op_C_star(m, _nabla_hee(a, b, c))
-
-
-@lru_cache(maxsize=None)
-def _bstar_nabla_hee(m: int, a: int, b: int, c: int) -> SymFunc:
-    return op_B_star(m, _nabla_hee(a, b, c))
+def _adjoint_nabla_hee(adjoint, m: int, a: int, b: int, c: int) -> SymFunc:
+    """adjoint(m, nabla (h_a^* e_b^* e_c^*)), adjoint being op_C_star or op_B_star."""
+    return adjoint(m, _nabla_hee(a, b, c))
 
 
 def _sign(k: int) -> int:
@@ -570,28 +524,29 @@ def _check_sym_ab(alpha: Partition, beta: Partition) -> IdentityReport:
     )
 
 
-def _check_pieri_rel(mu: Partition) -> IdentityReport:
-    M = capital_m()
-    wm = partition_invariants(mu).w
-    ok = True
-    sides = []
-    for nu, c in _pieri_remove(mu):
-        d = _d_coeff(mu, nu)
-        wn = partition_invariants(nu).w
-        lhs, rhs = d, M * c * wn / wm
-        sides.append((lhs, rhs))
-        ok = ok and lhs == rhs
+def _report_pairs(ident, params, pairs) -> IdentityReport:
+    """One report over several scalar (lhs, rhs) pairs, each side joined by '; '."""
     return IdentityReport(
-        "pieri-rel",
-        {"mu": mu},
-        ok,
-        "; ".join(x.canonical() for x, _ in sides) or "0",
-        "; ".join(y.canonical() for _, y in sides) or "0",
+        ident,
+        params,
+        all(lhs == rhs for lhs, rhs in pairs),
+        "; ".join(lhs.canonical() for lhs, _ in pairs) or "0",
+        "; ".join(rhs.canonical() for _, rhs in pairs) or "0",
     )
 
 
+def _check_pieri_rel(mu: Partition) -> IdentityReport:
+    M = capital_m()
+    wm = partition_invariants(mu).w
+    pairs = [
+        (_d_coeff(mu, nu), M * c * partition_invariants(nu).w / wm)
+        for nu, c in _pieri(mu, "remove")
+    ]
+    return _report_pairs("pieri-rel", {"mu": mu}, pairs)
+
+
 def _check_sum_c(mu: Partition, k: int) -> IdentityReport:
-    lhs = _csum(mu, k)
+    lhs = _pieri_sum(mu, "remove", k)
     if k == 0:
         rhs = partition_invariants(mu).B
     else:
@@ -602,24 +557,20 @@ def _check_sum_c(mu: Partition, k: int) -> IdentityReport:
 
 
 def _check_sum_d(nu: Partition, k: int) -> IdentityReport:
-    lhs = QTR_ZERO
-    tn = partition_invariants(nu).T
-    for mu, d in _pieri_add(nu):
-        tm = partition_invariants(mu).T
-        lhs = lhs + d * (tm / tn) ** k
+    lhs = _pieri_sum(nu, "add", k)
     if k == 0:
         rhs = QTR_ONE
     else:
-        rhs = _e_of_D(k - 1, nu) * _sign(k - 1)
+        rhs = _scalar_pleth(e_, k - 1, partition_invariants(nu).D) * _sign(k - 1)
     return _report("sum-d", {"nu": nu, "k": k}, lhs, rhs)
 
 
 def _check_exp_abc(n: int, k: int) -> IdentityReport:
-    lhs = _star_poly(k, "h") * _star_poly(n - k, "e")
+    lhs = _x_pleth(h_, k, _INV_M) * _x_pleth(e_, n - k, _INV_M)
     rhs = SymFunc.zero()
     table = build_htilde(n)
     for mu in partitions_of(n):
-        coeff = _e_of_B(k, mu) / table.invariants[mu].w
+        coeff = _scalar_pleth(e_, k, table.invariants[mu].B) / table.invariants[mu].w
         rhs = rhs + table.power[mu].scale(coeff)
     return _report("exp-abc", {"n": n, "k": k}, lhs, rhs)
 
@@ -650,29 +601,20 @@ def _check_reproducing(fname: str, r: int, lam: Partition | None, n: int) -> Ide
         (nu, c * partition_invariants(nu).T ** -1) for nu, c in htilde_expand(inner).items()
     ]
     table = build_htilde(n)
-    ok = True
-    ls, rs = [], []
+    pairs = []
     for mu in partitions_of(n):
         lhs = hall_inner(f * h_(n - r), table.power[mu])
         rhs = QTR_ZERO
         for nu, c in expansion:
             rhs = rhs + c * _htilde_at_d(nu, mu)
-        ls.append(lhs)
-        rs.append(rhs)
-        ok = ok and lhs == rhs
-    return IdentityReport(
-        "reproducing",
-        {"f": fname, "r": r, "lam": lam, "n": n},
-        ok,
-        "; ".join(x.canonical() for x in ls),
-        "; ".join(x.canonical() for x in rs),
-    )
+        pairs.append((lhs, rhs))
+    return _report_pairs("reproducing", {"f": fname, "r": r, "lam": lam, "n": n}, pairs)
 
 
 def _check_erh(mu: Partition, r: int) -> IdentityReport:
     n = sum(mu)
     lhs = hall_inner(build_htilde(n).power[mu], e_(r) * h_(n - r))
-    rhs = _e_of_B(r, mu)
+    rhs = _scalar_pleth(e_, r, partition_invariants(mu).B)
     return _report("erh", {"mu": mu, "r": r}, lhs, rhs)
 
 
@@ -701,32 +643,24 @@ def _corner_sum(a: int, b: int, n: int, block) -> SymFunc:
     out = SymFunc.zero()
     for r in range(a + 1):
         for s in range(b + 1):
-            pref = _e_scalar_invm(a - r) * _h_scalar_invm(b - s) * _sign(n - r - s)
+            pref = _scalar_pleth(e_, a - r, _INV_M) * _scalar_pleth(h_, b - s, _INV_M)
+            pref = pref * _sign(n - r - s)
             if pref.is_zero():
                 continue
             acc = SymFunc.zero()
             for nu in partitions_of(r + s):
-                coeff = _e_of_B(r, nu) / partition_invariants(nu).w
+                inv = partition_invariants(nu)
+                coeff = _scalar_pleth(e_, r, inv.B) / inv.w
                 if not coeff.is_zero():
                     acc = acc + block(nu).scale(coeff)
             out = out + acc.scale(pref)
     return out
 
 
-def _csum(nu: Partition, power: int) -> QtRational:
-    """sum over corners tau of c_{nu,tau} (T_nu/T_tau)^power."""
-    tn = partition_invariants(nu).T
-    total = QTR_ZERO
-    for tau, cc in _pieri_remove(nu):
-        tt = partition_invariants(tau).T
-        total = total + cc * (tn / tt) ** power
-    return total
-
-
 _BLOCK_WEIGHTS = {
-    "gamma": lambda nu, u: T ** (u - 1) * capital_m() * _csum(nu, u - 1),
-    "phi1": lambda nu, u: _e_of_D(u - 1, nu) * _sign(u - 1),
-    "phi2": lambda nu, u: _e_of_D(u - 2, nu) * _sign(u),
+    "gamma": lambda nu, u: T ** (u - 1) * capital_m() * _pieri_sum(nu, "remove", u - 1),
+    "phi1": lambda nu, u: _scalar_pleth(e_, u - 1, partition_invariants(nu).D) * _sign(u - 1),
+    "phi2": lambda nu, u: _scalar_pleth(e_, u - 2, partition_invariants(nu).D) * _sign(u),
 }
 
 
@@ -734,31 +668,33 @@ _BLOCK_WEIGHTS = {
 def _corner_block(kind: str, m: int, n: int, nu: Partition) -> SymFunc:
     """(-1)^(m-1) sum over m <= u <= n of weight(nu, u) e_{n-u}[X D_nu/M] e_{u-m}[X/(1-t)]."""
     weight = _BLOCK_WEIGHTS[kind]
+    d_over_m = partition_invariants(nu).D / capital_m()
     out = SymFunc.zero()
     for u in range(m, n + 1):
         cu = weight(nu, u)
         if not cu.is_zero():
-            out = out + (_e_xd(n - u, nu) * _e_x_1mt(u - m)).scale(cu)
+            out = out + (_x_pleth(e_, n - u, d_over_m) * _x_pleth(e_, u - m, _INV_1MT)).scale(cu)
     return out.scale(_sign(m - 1))
 
 
 def _check_lemma31(a: int, b: int, c: int) -> IdentityReport:
-    n = a + b + c
-    rhs = _corner_sum(a, b, n, lambda nu: _e_xd(n, nu))
+    n, M = a + b + c, capital_m()
+    rhs = _corner_sum(a, b, n, lambda nu: _x_pleth(e_, n, partition_invariants(nu).D / M))
     return _report("lemma31", {"a": a, "b": b, "c": c}, _nabla_hee(a, b, c), rhs)
 
 
 def _check_lemma32(m: int, nu: Partition, n: int) -> IdentityReport:
-    lhs = op_C_star(m, _e_xd(n, nu))
+    d_over_m = partition_invariants(nu).D / capital_m()
+    lhs = op_C_star(m, _x_pleth(e_, n, d_over_m))
     rhs = _corner_block("gamma", m, n, nu)
     if m == 1:
-        rhs = rhs - _e_xd(n - 1, nu)
+        rhs = rhs - _x_pleth(e_, n - 1, d_over_m)
     return _report("lemma32", {"m": m, "nu": nu, "n": n}, lhs, rhs)
 
 
 def _check_prop31(m: int, a: int, b: int, n: int) -> IdentityReport:
     c = n - a - b
-    lhs = _cstar_nabla_hee(m, a, b, c)
+    lhs = _adjoint_nabla_hee(op_C_star, m, a, b, c)
     rhs = _corner_sum(a, b, n, lambda nu: _corner_block("gamma", m, n, nu))
     if m == 1:
         rhs = rhs + _nabla_hee(a, b, c - 1)
@@ -777,7 +713,7 @@ def _phi2(m: int, a: int, b: int, n: int) -> SymFunc:
 
 def _check_thm31(m: int, a: int, b: int, n: int) -> IdentityReport:
     c = n - a - b
-    lhs = _cstar_nabla_hee(m, a, b, c)
+    lhs = _adjoint_nabla_hee(op_C_star, m, a, b, c)
     rhs = (_phi1(m, a, b, n) + _phi2(m, a, b, n)).scale(T ** (m - 1))
     if m == 1:
         rhs = rhs + _nabla_hee(a, b, c - 1) + _nabla_hee(a, b - 1, c)
@@ -787,9 +723,9 @@ def _check_thm31(m: int, a: int, b: int, n: int) -> IdentityReport:
 def _check_thm32(m: int, a: int, b: int, n: int) -> IdentityReport:
     c = n - a - b
     lhs1 = _phi1(m, a, b, n)
-    rhs1 = _bstar_nabla_hee(m - 1, a - 1, b, c)
+    rhs1 = _adjoint_nabla_hee(op_B_star, m - 1, a - 1, b, c)
     lhs2 = _phi2(m, a, b, n)
-    rhs2 = _bstar_nabla_hee(m - 2, a, b - 1, c - 1)
+    rhs2 = _adjoint_nabla_hee(op_B_star, m - 2, a, b - 1, c - 1)
     passed = lhs1 == rhs1 and lhs2 == rhs2
     return IdentityReport(
         "thm32",
@@ -801,10 +737,10 @@ def _check_thm32(m: int, a: int, b: int, n: int) -> IdentityReport:
 
 
 def _check_thm21(m: int, a: int, b: int, c: int) -> IdentityReport:
-    lhs = _cstar_nabla_hee(m, a, b, c)
+    lhs = _adjoint_nabla_hee(op_C_star, m, a, b, c)
     tm = T ** (m - 1)
-    rhs = _bstar_nabla_hee(m - 1, a - 1, b, c).scale(tm)
-    rhs = rhs + _bstar_nabla_hee(m - 2, a, b - 1, c - 1).scale(tm)
+    rhs = _adjoint_nabla_hee(op_B_star, m - 1, a - 1, b, c).scale(tm)
+    rhs = rhs + _adjoint_nabla_hee(op_B_star, m - 2, a, b - 1, c - 1).scale(tm)
     if m == 1:
         rhs = rhs + _nabla_hee(a, b - 1, c) + _nabla_hee(a, b, c - 1)
     return _report("thm21", {"m": m, "a": a, "b": b, "c": c}, lhs, rhs)
@@ -814,34 +750,14 @@ def _check_rec_m(m: int, alpha: Composition, a: int, b: int, c: int) -> Identity
     if m <= 1:
         raise ValueError("this recursion case needs m > 1")
     lhs = lhs_inner((m,) + tuple(alpha), a, b, c)
-    pref = T ** (m - 1) * Q ** len(alpha)
-    acc = QTR_ZERO
-    if a >= 1:
-        for beta in compositions_of(m - 1):
-            acc = acc + lhs_inner(tuple(alpha) + beta, a - 1, b, c)
-    acc2 = QTR_ZERO
-    if b >= 1 and c >= 1:
-        for beta in compositions_of(m - 2):
-            acc2 = acc2 + lhs_inner(tuple(alpha) + beta, a, b - 1, c - 1)
-    rhs = pref * (acc + acc2)
+    rhs = recursion_rhs(lhs_inner, m, alpha, a, b, c)
     return _report("rec-m", {"m": m, "alpha": alpha, "a": a, "b": b, "c": c}, lhs, rhs)
 
 
 def _check_rec_1(alpha: Composition, a: int, b: int, c: int) -> IdentityReport:
     alpha = tuple(alpha)
     lhs = lhs_inner((1,) + alpha, a, b, c)
-    rhs = QTR_ZERO
-    if a >= 1:
-        rhs = rhs + Q ** len(alpha) * lhs_inner(alpha, a - 1, b, c)
-    if b >= 1:
-        rhs = rhs + lhs_inner(alpha, a, b - 1, c)
-    if c >= 1:
-        rhs = rhs + lhs_inner(alpha, a, b, c - 1)
-    if b >= 1 and c >= 1:
-        for i, part in enumerate(alpha, start=1):
-            if part == 1:
-                hat = alpha[: i - 1] + alpha[i:]
-                rhs = rhs + (Q - 1) * Q ** (i - 1) * lhs_inner(hat, a, b - 1, c - 1)
+    rhs = recursion_rhs(lhs_inner, 1, alpha, a, b, c)
     return _report("rec-1", {"alpha": alpha, "a": a, "b": b, "c": c}, lhs, rhs)
 
 

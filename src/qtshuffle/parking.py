@@ -10,8 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .qtfield import Q, QTR_ONE, QTR_ZERO, QtRational, T
-from .shapes import Composition, compositions_of
+from .qtfield import QTR_ONE, QTR_ZERO, QtRational
+from .shapes import Composition, recursion_rhs
 
 __all__ = [
     "InvalidParkingFunction",
@@ -266,6 +266,8 @@ def is_triple_shuffle(sigma, a: int, b: int, c: int) -> bool:
 
 def enumerate_family(alpha: Composition, a: int, b: int, c: int):
     """The shuffle-filtered family with diagonal composition alpha."""
+    if a + b + c != sum(alpha):
+        raise ValueError(f"(a,b,c)={(a, b, c)} must sum to |alpha|={sum(alpha)}")
     if min(a, b, c) < 0:
         return
     for pf in enumerate_by_comp(alpha):
@@ -303,10 +305,10 @@ def _ides_fits(ides: frozenset, a: int, b: int) -> bool:
 def pi_poly(alpha: Composition, a: int, b: int, c: int) -> QtRational:
     """Sum of t^area q^dinv over the shuffle-filtered family."""
     alpha = tuple(alpha)
-    if min(a, b, c) < 0:
-        return QTR_ZERO
     if a + b + c != sum(alpha):
         raise ValueError(f"(a,b,c)={(a, b, c)} must sum to |alpha|={sum(alpha)}")
+    if min(a, b, c) < 0:
+        return QTR_ZERO
     if not alpha:
         return QTR_ONE
     terms: dict = {}
@@ -583,29 +585,7 @@ def verify_recursion(m: int, alpha: Composition, a: int, b: int, c: int) -> Recu
     if a + b + c != m + sum(alpha):
         raise ValueError("sizes must satisfy a+b+c = m + |alpha|")
     lhs = pi_poly((m,) + alpha, a, b, c)
-    if m > 1:
-        acc = QTR_ZERO
-        if a >= 1:
-            for beta in compositions_of(m - 1):
-                acc = acc + pi_poly(alpha + beta, a - 1, b, c)
-        acc2 = QTR_ZERO
-        if b >= 1 and c >= 1:
-            for beta in compositions_of(m - 2):
-                acc2 = acc2 + pi_poly(alpha + beta, a, b - 1, c - 1)
-        rhs = T ** (m - 1) * Q ** len(alpha) * (acc + acc2)
-    else:
-        rhs = QTR_ZERO
-        if a >= 1:
-            rhs = rhs + Q ** len(alpha) * pi_poly(alpha, a - 1, b, c)
-        if b >= 1:
-            rhs = rhs + pi_poly(alpha, a, b - 1, c)
-        if c >= 1:
-            rhs = rhs + pi_poly(alpha, a, b, c - 1)
-        if b >= 1 and c >= 1:
-            for i, part in enumerate(alpha, start=1):
-                if part == 1:
-                    hat = alpha[: i - 1] + alpha[i:]
-                    rhs = rhs + (Q - 1) * Q ** (i - 1) * pi_poly(hat, a, b - 1, c - 1)
+    rhs = recursion_rhs(pi_poly, m, alpha, a, b, c)
     return RecursionReport(
         m, alpha, a, b, c, lhs == rhs, lhs.canonical(), rhs.canonical()
     )

@@ -461,9 +461,6 @@ class QtRational:
     def is_zero(self) -> bool:
         return not self._num
 
-    def is_one(self) -> bool:
-        return self._num == _IONE and self._den == _IONE
-
     def is_polynomial(self) -> bool:
         return self._den == _IONE or (len(self._den) == 1 and (0, 0) in self._den)
 
@@ -709,10 +706,6 @@ class ZLaurent:
     def __setattr__(self, *a):  # pragma: no cover - immutability guard
         raise AttributeError("ZLaurent is immutable")
 
-    @classmethod
-    def from_scalar(cls, c, e: int = 0) -> "ZLaurent":
-        return cls({e: qtr(c) if not isinstance(c, QtRational) else c})
-
     def __add__(self, other):
         other = _as_zlaurent(other)
         if other is None:
@@ -800,10 +793,6 @@ def _as_zlaurent(x) -> ZLaurent | None:
     return None
 
 
-ZL_ZERO = ZLaurent({})
-ZL_ONE = ZLaurent({0: QTR_ONE})
-
-
 # ---------------------------------------------------------------------------
 # canonical string format (cache files, reports) and display rendering
 # ---------------------------------------------------------------------------
@@ -841,9 +830,8 @@ def parse_rational(s: str) -> QtRational:
     if "|" not in s:
         raise ValueError("canonical rational must contain 'num|den'")
     ns, ds = s.split("|", 1)
-    num, den = _poly_parse(ns), _poly_parse(ds)
-    r = QtRational(num, den)
-    if r._num != num or r._den != den:
+    r = QtRational(_poly_parse(ns), _poly_parse(ds))
+    if r.canonical() != s:
         raise ValueError("input was not in canonical form")
     return r
 

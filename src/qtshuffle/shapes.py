@@ -1,4 +1,5 @@
-"""Partitions, compositions, cells, and their q,t bookkeeping statistics.
+"""Partitions, compositions, cells, their q,t bookkeeping statistics, and the
+first-section recursion that both sides of the main identity satisfy.
 
 Shapes are plain tuples of ints: partitions weakly decreasing, compositions
 arbitrary positive parts.  Cells use the French convention, zero-based, as
@@ -10,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .qtfield import QTR_ONE, QTR_ZERO, QtRational
+from .qtfield import Q, QTR_ONE, QTR_ZERO, QtRational, T
 
 Partition = tuple[int, ...]
 Composition = tuple[int, ...]
@@ -99,14 +100,6 @@ def compositions_of(n: int) -> tuple[Composition, ...]:
     return tuple(gen(n))
 
 
-def enumerate_shapes(n: int, kind: str):
-    if kind == "partitions":
-        return partitions_of(n)
-    if kind == "compositions":
-        return compositions_of(n)
-    raise ValueError(f"unknown shape kind: {kind!r}")
-
-
 @dataclass(frozen=True)
 class PartitionInvariants:
     """The scalar package attached to a partition, all exact."""
@@ -181,25 +174,34 @@ def remove_part(alpha: Composition, i: int) -> Composition:
     return alpha[: i - 1] + alpha[i:]
 
 
-def dominance_leq(lam: Partition, mu: Partition):
-    """True if lam <= mu in dominance, False if mu < lam, None if incomparable."""
-    if sum(lam) != sum(mu):
-        raise ValueError("dominance compares partitions of equal size")
-    k = max(len(lam), len(mu))
-    le = ge = True
-    sl = sm = 0
-    for i in range(k):
-        sl += lam[i] if i < len(lam) else 0
-        sm += mu[i] if i < len(mu) else 0
-        if sl > sm:
-            le = False
-        if sl < sm:
-            ge = False
-    if le:
-        return True
-    if ge:
-        return False
-    return None
+def recursion_rhs(value, m: int, alpha: Composition, a: int, b: int, c: int) -> QtRational:
+    """Right side of the first-section recursion that value((m,) + alpha, a, b, c)
+    satisfies, value being either side of the main identity (lhs_inner or
+    pi_poly).  Each pipeline applies it to its own values, so the checks stay
+    independent; terms with a negative index are left out.
+    """
+    alpha = tuple(alpha)
+    lead = Q ** len(alpha)
+    rhs = QTR_ZERO
+    if m > 1:
+        if a >= 1:
+            for beta in compositions_of(m - 1):
+                rhs = rhs + value(alpha + beta, a - 1, b, c)
+        if b >= 1 and c >= 1:
+            for beta in compositions_of(m - 2):
+                rhs = rhs + value(alpha + beta, a, b - 1, c - 1)
+        return T ** (m - 1) * lead * rhs
+    if a >= 1:
+        rhs = rhs + lead * value(alpha, a - 1, b, c)
+    if b >= 1:
+        rhs = rhs + value(alpha, a, b - 1, c)
+    if c >= 1:
+        rhs = rhs + value(alpha, a, b, c - 1)
+    if b >= 1 and c >= 1:
+        for i, part in enumerate(alpha, start=1):
+            if part == 1:
+                rhs = rhs + (Q - 1) * Q ** (i - 1) * value(remove_part(alpha, i), a, b - 1, c - 1)
+    return rhs
 
 
 def zmu(mu: Partition) -> int:

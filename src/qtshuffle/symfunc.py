@@ -3,7 +3,9 @@
 The internal canonical basis is the power-sum basis, where plethysm is
 diagonal and both scalar products are diagonal; conversions to the
 elementary, homogeneous, monomial and Schur bases go through per-degree
-transition matrices (Schur via Murnaghan-Nakayama characters).
+transition matrices (Schur via Murnaghan-Nakayama characters).  One matrix is
+inverted per degree, h -> p; the elementary matrices follow from e = omega h
+and the monomial ones from the Hall duality <h_lam, m_mu> = delta.
 """
 
 from __future__ import annotations
@@ -69,20 +71,6 @@ def _merge_part(lam: Partition, k: int) -> Partition:
 
 
 @lru_cache(maxsize=None)
-def _e_in_p(k: int) -> dict:
-    """e_k in the power basis: dict[partition] -> Fraction."""
-    if k == 0:
-        return {(): Fraction(1)}
-    out: dict = {}
-    for i in range(1, k + 1):
-        sign = Fraction(1 if i % 2 else -1, k)
-        for lam, c in _e_in_p(k - i).items():
-            key = _merge_part(lam, i)
-            out[key] = out.get(key, Fraction(0)) + sign * c
-    return {kk: v for kk, v in out.items() if v}
-
-
-@lru_cache(maxsize=None)
 def _h_in_p(k: int) -> dict:
     if k == 0:
         return {(): Fraction(1)}
@@ -134,36 +122,50 @@ def _invert(parts, mat: dict) -> dict:
     return out
 
 
+def _omega_sign(lam: Partition) -> int:
+    """omega p_lam = (-1)^(|lam| - len(lam)) p_lam."""
+    return -1 if (sum(lam) - len(lam)) % 2 else 1
+
+
 class _BasisData:
-    """Per-degree transition matrices between the classical bases and power."""
+    """Per-degree transition matrices between the classical bases and power.
+
+    Only h -> p is inverted.  e = omega h signs each power sum p_rho by
+    (-1)^(|rho|-len(rho)); <h_lam, m_mu> = delta makes m -> p the transpose of
+    p -> h over z_rho, and p -> m the transpose of h -> p times z_rho.
+    """
 
     def __init__(self, n: int):
         parts = partitions_of(n)
-        self.parts = parts
-        to_p = {
-            "elementary": {lam: _prod_in_p([_e_in_p(k) for k in lam]) for lam in parts},
-            "homogeneous": {lam: _prod_in_p([_h_in_p(k) for k in lam]) for lam in parts},
+        h_to_p = {lam: _prod_in_p([_h_in_p(k) for k in lam]) for lam in parts}
+        p_to_h = _invert(parts, h_to_p)
+        self.to_p = {
+            "homogeneous": h_to_p,
+            "elementary": {
+                lam: {rho: v * _omega_sign(rho) for rho, v in row.items()}
+                for lam, row in h_to_p.items()
+            },
+            "monomial": {
+                lam: {rho: p_to_h[rho][lam] / zmu(rho) for rho in parts if lam in p_to_h[rho]}
+                for lam in parts
+            },
             "schur": {
                 lam: {mu: Fraction(character(lam, mu), zmu(mu)) for mu in parts if character(lam, mu)}
                 for lam in parts
             },
         }
-        # p_lam = sum_mu z_lam * (h_mu in p)_lam * m_mu
-        to_p["monomial"] = None  # filled below via inversion
-        from_p = {
+        self.from_p = {
+            "homogeneous": p_to_h,
+            "elementary": {
+                rho: {lam: v * _omega_sign(rho) for lam, v in row.items()}
+                for rho, row in p_to_h.items()
+            },
+            "monomial": {
+                rho: {mu: zmu(rho) * h_to_p[mu][rho] for mu in parts if rho in h_to_p[mu]}
+                for rho in parts
+            },
             "schur": {mu: {lam: Fraction(character(lam, mu)) for lam in parts if character(lam, mu)} for mu in parts},
-            "elementary": _invert(parts, to_p["elementary"]),
-            "homogeneous": _invert(parts, to_p["homogeneous"]),
         }
-        p2m = {
-            lam: {mu: zmu(lam) * to_p["homogeneous"][mu].get(lam, Fraction(0)) for mu in parts}
-            for lam in parts
-        }
-        p2m = {lam: {mu: v for mu, v in row.items() if v} for lam, row in p2m.items()}
-        from_p["monomial"] = p2m
-        to_p["monomial"] = _invert(parts, p2m)
-        self.to_p = to_p
-        self.from_p = from_p
 
 
 _basis_cache: dict[int, _BasisData] = {}
@@ -179,6 +181,17 @@ def _basis_data(n: int) -> _BasisData:
                 data = _BasisData(n)
                 _basis_cache[n] = data
     return data
+
+
+def _transform(coeffs: dict, matrix) -> dict:
+    """sum over lam of coeffs[lam] times row lam of matrix(|lam|), a transition matrix."""
+    out: dict = {}
+    for lam, c in coeffs.items():
+        for mu, f in matrix(sum(lam))[lam].items():
+            term = c * f
+            cur = out.get(mu)
+            out[mu] = term if cur is None else cur + term
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -268,14 +281,7 @@ class SymFunc:
     def to_power(self) -> "SymFunc":
         if self.basis == "power":
             return self
-        out: dict = {}
-        for lam, c in self.coeffs.items():
-            table = _basis_data(sum(lam)).to_p[self.basis][lam]
-            for mu, f in table.items():
-                cur = out.get(mu)
-                term = c * f
-                out[mu] = term if cur is None else cur + term
-        return SymFunc("power", out)
+        return SymFunc("power", _transform(self.coeffs, lambda d: _basis_data(d).to_p[self.basis]))
 
     def convert(self, target: str) -> "SymFunc":
         target = _BASIS_ALIAS.get(target, target)
@@ -286,14 +292,7 @@ class SymFunc:
         f = self.to_power()
         if target == "power":
             return f
-        out: dict = {}
-        for mu, c in f.coeffs.items():
-            table = _basis_data(sum(mu)).from_p[target][mu]
-            for lam, w in table.items():
-                cur = out.get(lam)
-                term = c * w
-                out[lam] = term if cur is None else cur + term
-        return SymFunc(target, out)
+        return SymFunc(target, _transform(f.coeffs, lambda d: _basis_data(d).from_p[target]))
 
     # -- arithmetic
 
@@ -384,10 +383,6 @@ def m_(mu) -> SymFunc:
     return SymFunc("monomial", {tuple(sorted(mu, reverse=True)): QTR_ONE})
 
 
-def convert_basis(f: SymFunc, target: str) -> SymFunc:
-    return f.convert(target)
-
-
 def symfunc_to_json(f: SymFunc) -> dict:
     """JSON form of a homogeneous symmetric function, canonical coefficients."""
     from .qtfield import QtRational
@@ -422,44 +417,41 @@ def symfunc_from_json(data: dict) -> SymFunc:
 
 
 @lru_cache(maxsize=None)
-def _star_weight(lam: Partition) -> QtRational:
-    """<p_lam, p_lam>_* / z_lam without the z factor: the deformed diagonal."""
+def _star_z(lam: Partition) -> QtRational:
+    """<p_lam, p_lam>_*: (-1)^(|lam|-len(lam)) z_lam prod over parts k of (1-q^k)(1-t^k)."""
     w = QTR_ONE
     for part in lam:
         w = w * QtRational({(0, 0): 1, (0, part): -1}, 1) * QtRational({(0, 0): 1, (part, 0): -1}, 1)
-    sign = (-1) ** (sum(lam) - len(lam))
-    return w if sign == 1 else -w
+    return w * (_omega_sign(lam) * zmu(lam))
+
+
+def _diagonal_pairing(f: SymFunc, g: SymFunc, norm) -> QtRational:
+    """sum over lam of [p_lam]f [p_lam]g norm(lam), for a pairing diagonal on power sums."""
+    a, b = f.to_power(), g.to_power()
+    small, big = (a.coeffs, b.coeffs) if len(a.coeffs) <= len(b.coeffs) else (b.coeffs, a.coeffs)
+    total = QTR_ZERO
+    for lam, c in small.items():
+        d = big.get(lam)
+        if d is not None:
+            total = total + c * d * norm(lam)
+    return total
 
 
 def hall_inner(f: SymFunc, g: SymFunc):
     """Hall scalar product; diagonal on the power basis with weights z_mu."""
-    a, b = f.to_power(), g.to_power()
-    small, big = (a.coeffs, b.coeffs) if len(a.coeffs) <= len(b.coeffs) else (b.coeffs, a.coeffs)
-    total = QTR_ZERO
-    for lam, c in small.items():
-        d = big.get(lam)
-        if d is not None:
-            total = total + c * d * zmu(lam)
-    return total
+    return _diagonal_pairing(f, g, zmu)
 
 
 def star_inner(f: SymFunc, g: SymFunc):
     """Deformed (star) scalar product."""
-    a, b = f.to_power(), g.to_power()
-    small, big = (a.coeffs, b.coeffs) if len(a.coeffs) <= len(b.coeffs) else (b.coeffs, a.coeffs)
-    total = QTR_ZERO
-    for lam, c in small.items():
-        d = big.get(lam)
-        if d is not None:
-            total = total + c * d * (_star_weight(lam) * zmu(lam))
-    return total
+    return _diagonal_pairing(f, g, _star_z)
 
 
 def omega_involution(f: SymFunc) -> SymFunc:
     fp = f.to_power()
     out = {}
     for lam, c in fp.coeffs.items():
-        out[lam] = c if (sum(lam) - len(lam)) % 2 == 0 else -c
+        out[lam] = c if _omega_sign(lam) == 1 else -c
     return SymFunc("power", out)
 
 
@@ -532,9 +524,6 @@ class Alphabet:
             else:
                 sc = sc + v
         return xm, sc
-
-
-ALPHABET_X = Alphabet.X()
 
 
 def plethysm(f: SymFunc, A: Alphabet) -> SymFunc:

@@ -2,6 +2,8 @@ import csv
 import io
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -109,6 +111,26 @@ def test_report_is_deterministic():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "shuffle-qsym", "--n-max", "3", "--jobs", "2"])
     assert exc.value.code == 2
+
+
+def test_verify_above_degree_cap_is_a_usage_error(tmp_path, capsys):
+    # refused before any table is loaded or built
+    for extra in ([], ["--cache", str(tmp_path)]):
+        assert main(["verify", "macdonald", "--n-max", "13", *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "usage error: degree 13 exceeds the configured cap 12\n"
+
+
+def test_perfbench_tracer_installs():
+    # the benchmark's tracer binds functions by name; a renamed or deleted one fails here
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(["src", "perfbench"]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "from tracing import Tracer; Tracer().install()"],
+        cwd=root, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_build_cases_deterministic():

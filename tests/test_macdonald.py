@@ -4,7 +4,14 @@ import json
 import pytest
 
 from qtshuffle.qtfield import Q, QTR_ONE, QTR_ZERO, T, qtr, swap_qt
-from qtshuffle.shapes import capital_m, compositions_of, conjugate, partition_invariants, partitions_of
+from qtshuffle.shapes import (
+    capital_m,
+    compositions_of,
+    conjugate,
+    corners,
+    partition_invariants,
+    partitions_of,
+)
 from qtshuffle.symfunc import SymFunc, e_, h_, hall_inner, p_, s_, star_inner
 from qtshuffle.macdonald import (
     HTildeTable,
@@ -20,7 +27,6 @@ from qtshuffle.macdonald import (
     op_B_star,
     op_C,
     op_C_star,
-    op_adjoint,
     pieri,
 )
 
@@ -186,6 +192,26 @@ def test_pieri_sums():
             assert weighted == QTR_ONE
 
 
+def test_pieri_directions_agree():
+    # the two directions of the one Pieri loop: supports are the corners, and
+    # d_{mu,nu} = M c_{mu,nu} w_nu / w_mu across an "add" and a "remove" call
+    for n in range(0, 5):
+        for mu in partitions_of(n):
+            removable, addable = corners(mu)
+            remove = pieri(mu, "remove").coeffs
+            add = pieri(mu, "add").coeffs
+            assert set(remove) == set(removable)
+            assert set(add) == set(addable)
+            for nu, c in remove.items():
+                d = pieri(nu, "add").coeffs[mu]
+                w_nu, w_mu = partition_invariants(nu).w, partition_invariants(mu).w
+                assert d == M * c * w_nu / w_mu
+    assert pieri((2,), "remove").coeffs == {(1,): 1 + Q}
+    assert pieri((1, 1), "remove").coeffs == {(1,): 1 + T}
+    with pytest.raises(ValueError):
+        pieri((1,), "sideways")
+
+
 # -- creation operators -------------------------------------------------------------
 
 
@@ -230,10 +256,8 @@ def test_adjoints_are_star_adjoints():
 
 
 def test_adjoint_degree_bookkeeping():
-    out = op_adjoint("C", 2, h_(2))
+    out = op_C_star(2, h_(2))
     assert out.degrees() in ((), (0,))
-    with pytest.raises(ValueError):
-        op_adjoint("Q", 1, h_(1))
 
 
 # -- pairings ------------------------------------------------------------------------

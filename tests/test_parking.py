@@ -5,6 +5,7 @@ import pytest
 from qtshuffle.qtfield import Q, QTR_ONE, QTR_ZERO, QtRational, T
 from qtshuffle.shapes import compositions_of
 from qtshuffle.symfunc import QSymFunc
+from qtshuffle.macdonald import lhs_inner
 from qtshuffle.parking import (
     FiveStepPath,
     InvalidParkingFunction,
@@ -175,6 +176,17 @@ def test_ides_index_matches_brute_force():
             for pf in enumerate_by_comp(alpha):
                 coeffs[pf.stats.ides] = coeffs.get(pf.stats.ides, QTR_ZERO) + pf.weight()
             assert rhs_quasisym(alpha) == QSymFunc(n, coeffs), alpha
+
+
+def test_both_sides_reject_a_bad_sum_before_a_negative_index():
+    # a negative index with the wrong total is a size error on both sides
+    want = r"must sum to \|alpha\|=2"
+    with pytest.raises(ValueError, match=want):
+        lhs_inner((2,), -1, 5, 5)
+    with pytest.raises(ValueError, match=want):
+        pi_poly((2,), -1, 5, 5)
+    with pytest.raises(ValueError, match=want):
+        list(enumerate_family((2,), -1, 5, 5))
 
 
 # -- quasisymmetric side -----------------------------------------------------------

@@ -104,8 +104,14 @@ def test_canonical_round_trip():
 
 
 def test_parse_rejects_non_canonical():
-    with pytest.raises(ValueError):
-        parse_rational("2*q^1*t^0|2*q^0*t^0")  # reducible pair
+    for text in (
+        "2*q^1*t^0|2*q^0*t^0",  # reducible pair
+        "1*q^0*t^0 + 1*q^1*t^0|1*q^0*t^0",  # terms out of order
+        "1*q^1*t^0 + 0*q^0*t^0|1*q^0*t^0",  # a zero term
+        "1*q^1*t^0 + 1*q^1*t^0|1*q^0*t^0",  # a repeated term
+    ):
+        with pytest.raises(ValueError):
+            parse_rational(text)
 
 
 def test_display_matches_paper_style():

@@ -7,8 +7,6 @@ from qtshuffle.shapes import (
     compositions_of,
     conjugate,
     corners,
-    dominance_leq,
-    enumerate_shapes,
     parse_composition,
     parse_partition,
     partition_invariants,
@@ -27,10 +25,6 @@ def test_enumerate_counts():
     assert len(compositions_of(3)) == 4
     assert compositions_of(0) == ((),)
     assert compositions_of(-1) == ()
-    assert enumerate_shapes(4, "partitions") == partitions_of(4)
-    assert enumerate_shapes(3, "compositions") == compositions_of(3)
-    with pytest.raises(ValueError):
-        enumerate_shapes(3, "widgets")
 
 
 def test_enumeration_is_sorted_and_duplicate_free():
@@ -123,15 +117,6 @@ def test_remove_part():
     assert remove_part((1,), 1) == ()
     with pytest.raises(IndexError):
         remove_part((1, 2), 3)
-
-
-def test_dominance():
-    assert dominance_leq((1, 1, 1), (3,)) is True
-    assert dominance_leq((2, 2), (3, 1)) is True
-    assert dominance_leq((3, 1), (2, 2)) is False
-    assert dominance_leq((3, 1, 1, 1), (2, 2, 2)) is None
-    with pytest.raises(ValueError):
-        dominance_leq((2,), (3,))
 
 
 def test_n_of_mu_three_ways():

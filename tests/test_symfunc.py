@@ -9,7 +9,6 @@ from qtshuffle.symfunc import (
     Alphabet,
     QSymFunc,
     SymFunc,
-    convert_basis,
     e_,
     extract_z,
     fundamental_expand,
@@ -40,7 +39,7 @@ def test_h2_and_e2_in_power():
 
 
 def test_s21_in_homogeneous():
-    assert convert_basis(s_((2, 1)), "homogeneous") == h_(2) * h_(1) - h_(3)
+    assert s_((2, 1)).convert("homogeneous") == h_(2) * h_(1) - h_(3)
 
 
 def test_round_trip_all_bases():
