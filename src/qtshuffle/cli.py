@@ -15,6 +15,7 @@ import json
 import os
 import sys
 import time
+import traceback
 from dataclasses import dataclass, field
 
 from .macdonald import (
@@ -327,6 +328,11 @@ def _run_case(case: _Case) -> CaseResult:
         status = "pass" if ok else "fail"
     except Exception as err:  # a math bug must surface, not crash the grid
         status, lhs, rhs = "error", f"{type(err).__name__}: {err}", ""
+        frame = traceback.extract_tb(err.__traceback__)[-1]
+        print(
+            f"error: {case.case_id}: {type(err).__name__} at {frame.filename}:{frame.lineno}",
+            file=sys.stderr,
+        )
     return CaseResult(case.case_id, case.params, status, lhs, rhs, time.perf_counter() - t0)
 
 
@@ -439,6 +445,9 @@ def cmd_verify(suite: str, n_max: int, fmt: str = "plain", cache_dir: str | None
         print(f"usage error: {err}", file=sys.stderr)
         return 2
     if cache_dir:
+        if not os.path.isdir(cache_dir):
+            print(f"usage error: --cache {cache_dir} is not a directory", file=sys.stderr)
+            return 2
         for n in range(0, n_max + 1):
             path = os.path.join(cache_dir, f"htilde-{n}.json")
             if os.path.exists(path) and not _load_cached_table(path, n):

@@ -538,9 +538,10 @@ def _report_pairs(ident, params, pairs) -> IdentityReport:
 def _check_pieri_rel(mu: Partition) -> IdentityReport:
     M = capital_m()
     wm = partition_invariants(mu).w
+    # the raw coefficients: pieri() asserts this same relation and would raise
     pairs = [
-        (_d_coeff(mu, nu), M * c * partition_invariants(nu).w / wm)
-        for nu, c in _pieri(mu, "remove")
+        (_d_coeff(mu, nu), M * _c_coeff(mu, nu) * partition_invariants(nu).w / wm)
+        for nu in sorted(corners(mu)[0])
     ]
     return _report_pairs("pieri-rel", {"mu": mu}, pairs)
 

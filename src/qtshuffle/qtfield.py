@@ -1,18 +1,29 @@
 """Exact arithmetic in Q(q,t), plus a Laurent layer in one auxiliary variable z.
 
-Polynomials are sparse dicts mapping (q-exponent, t-exponent) to coefficients;
-rationals are kept fully reduced with integer-coefficient numerator and
-denominator so that equality is a structural comparison.  GCDs go through an
-evaluation heuristic first (substitute integers, take an integer GCD, read the
-candidate back off its digits, keep it only if it divides both inputs
-exactly); recursive content/primitive-part reduction (polynomials in q over
-Z[t]) is the fallback when the heuristic gives up.
+Polynomials are sparse dicts mapping (q-exponent, t-exponent) to coefficients.
+A rational is kept fully reduced, so equality is a structural comparison: the
+numerator as an expanded integer polynomial, the denominator factored as
+c q^i t^j times a product of atom powers.  An atom is a cyclotomic polynomial
+Phi_d at a primitive monomial q^a t^b (q - 1, t + 1, q - t, q^2 - t, ...);
+the denominators of plethystic calculus (M, w_mu, Pi_mu, the star weights)
+are all such products.  Atoms are irreducible, so no GCD is needed: a product
+adds exponents, a sum takes the larger exponent of each atom, and reduction
+tries each atom that could divide the numerator.  That trial is an evaluation
+on the atom's zero curve (see _atom_quotient); the division runs only when
+it succeeds.  A polynomial that becomes a denominator (a constructor argument,
+an inverted numerator) is factored once, from the edges of its Newton
+polygon, and cached.  A factor that is no product of atoms is the one generic
+route: it stays expanded as the denominator's rest and is reduced by a GCD,
+recursive content/primitive-part PRS (polynomials in q over Z[t]) after a
+check modulo a prime that settles the usual coprime case (_coprime);
+GENERIC_REDUCTIONS counts those GCDs.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd as _int_gcd
 
 # ---------------------------------------------------------------------------
@@ -21,7 +32,6 @@ from math import gcd as _int_gcd
 
 # A "tpoly" is a univariate integer polynomial in t: dict[exp] -> nonzero int.
 # An "ipoly" is an integer polynomial in q,t: dict[(qe, te)] -> nonzero int.
-# The heuristic GCD also uses univariate polynomials in q, keyed the same way.
 
 
 def _i_add(a: dict, b: dict) -> dict:
@@ -231,122 +241,43 @@ def _i_t_sub(a: dict, b: dict) -> dict:
     return out
 
 
-def _balanced_digits(n: int, xi: int):
-    """n in balanced base xi, least significant first."""
-    digits = []
-    while n:
-        r = n % xi
-        if 2 * r > xi:
-            r -= xi
-        digits.append(r)
-        n = (n - r) // xi
-    return digits
+_P = 2**31 - 1  # a prime
 
 
-def _u_divides(c: dict, a: dict) -> bool:
-    """Does c divide a in Z[q] (exact long division)?"""
-    if not a:
-        return True
-    rem = dict(a)
-    dc = max(c)
-    lc = c[dc]
-    while rem:
-        da = max(rem)
-        if da < dc:
+def _fp_image(a: dict, keep: int, x0: int) -> list:
+    """a mod _P with the other variable set to x0: dense coefficients in the kept one."""
+    out = [0] * (max(k[keep] for k in a) + 1)
+    for k, c in a.items():
+        out[k[keep]] += c * pow(x0, k[1 - keep], _P)
+    return [c % _P for c in out]
+
+
+def _fp_gcd_degree(f: list, g: list) -> int:
+    """Degree of gcd(f, g) over Z/_P, both with nonzero leading coefficients."""
+    while g:
+        f, inv = list(f), pow(g[-1], _P - 2, _P)
+        while len(f) >= len(g):
+            c, shift = f[-1] * inv % _P, len(f) - len(g)
+            for k, gc in enumerate(g):
+                f[shift + k] = (f[shift + k] - c * gc) % _P
+            while f and not f[-1]:
+                f.pop()
+        f, g = g, f
+    return len(f) - 1
+
+
+def _coprime(a: dict, b: dict) -> bool:
+    """True only if a and b have no common factor of positive degree (False: unknown).
+
+    A common factor G keeps its degree in q at t = t0 modulo _P when the
+    leading q-coefficients of a and b survive there (G's divides theirs), so
+    a constant GCD of the images bounds deg_q G by 0; likewise for t.
+    """
+    for keep, x0 in ((0, 1234577), (1, 7654337)):
+        fa, fb = _fp_image(a, keep, x0), _fp_image(b, keep, x0)
+        if not fa[-1] or not fb[-1] or _fp_gcd_degree(fa, fb) > 0:
             return False
-        qc, r = divmod(rem[da], lc)
-        if r:
-            return False
-        for e, v in c.items():
-            k = e + da - dc
-            s = rem.get(k, 0) - v * qc
-            if s:
-                rem[k] = s
-            else:
-                rem.pop(k, None)
     return True
-
-
-def _heu_gcd_uni(a: dict, b: dict):
-    """Heuristic GCD in Z[q] by integer evaluation; None on failure."""
-    ca = abs(_content(a))
-    cb = abs(_content(b))
-    g0 = _int_gcd(ca, cb)
-    a = {e: v // ca for e, v in a.items()}
-    b = {e: v // cb for e, v in b.items()}
-    na = max(abs(v) for v in a.values())
-    nb = max(abs(v) for v in b.values())
-    xi = 2 * min(na, nb) + 2
-    for _ in range(6):
-        ga = sum(v * xi**e for e, v in a.items())
-        gb = sum(v * xi**e for e, v in b.items())
-        g = _int_gcd(ga, gb)
-        if g:
-            cand = {e: d for e, d in enumerate(_balanced_digits(g, xi)) if d}
-            if cand:
-                cc = abs(_content(cand))
-                cand = {e: v // cc for e, v in cand.items()}
-                if _u_divides(cand, a) and _u_divides(cand, b):
-                    return {e: v * g0 for e, v in cand.items()}
-        xi = xi * 2731 // 1000 + 1
-    return None
-
-
-def _divides_bi(c: dict, a: dict) -> bool:
-    try:
-        _i_divexact(a, c)
-        return True
-    except ArithmeticError:
-        return False
-
-
-def _heu_gcd_bi(a: dict, b: dict):
-    """Heuristic GCD in Z[q,t]: evaluate t, recurse in q, reconstruct digits."""
-    ca, cb = abs(_content(a)), abs(_content(b))
-    g0 = _int_gcd(ca, cb)
-    a = {k: v // ca for k, v in a.items()}
-    b = {k: v // cb for k, v in b.items()}
-    na = max(abs(v) for v in a.values())
-    nb = max(abs(v) for v in b.values())
-    xi = 2 * min(na, nb) + 2
-    for _ in range(6):
-        a1: dict = {}
-        for (qe, te), v in a.items():
-            a1[qe] = a1.get(qe, 0) + v * xi**te
-        b1: dict = {}
-        for (qe, te), v in b.items():
-            b1[qe] = b1.get(qe, 0) + v * xi**te
-        a1 = {e: v for e, v in a1.items() if v}
-        b1 = {e: v for e, v in b1.items() if v}
-        if a1 and b1:
-            g1 = _heu_gcd_uni(a1, b1)
-            if g1 is not None:
-                cand: dict = {}
-                for qe, coef in g1.items():
-                    for te, d in enumerate(_balanced_digits(coef, xi)):
-                        if d:
-                            cand[(qe, te)] = d
-                if cand:
-                    cc = abs(_content(cand))
-                    if cc != 1:
-                        cand = {k: v // cc for k, v in cand.items()}
-                    if _divides_bi(cand, a) and _divides_bi(cand, b):
-                        return _sign_norm({k: v * g0 for k, v in cand.items()})
-        xi = xi * 2731 // 1000 + 1
-    return None
-
-
-def _monomial_gcd(mono: dict, other: dict) -> dict:
-    ((qe, te),) = mono
-    c = abs(mono[(qe, te)])
-    mq, mt = qe, te
-    g = 0
-    for (oq, ot), v in other.items():
-        mq, mt = min(mq, oq), min(mt, ot)
-        g = _int_gcd(g, v)
-        if g == 1 and mq == 0 and mt == 0:
-            break
-    return {(mq, mt): _int_gcd(c, g)}
 
 
 def _i_gcd(a: dict, b: dict) -> dict:
@@ -357,13 +288,8 @@ def _i_gcd(a: dict, b: dict) -> dict:
         return _sign_norm(dict(a))
     if a == b:
         return _sign_norm(dict(a))
-    if len(a) == 1:
-        return _monomial_gcd(a, b)
-    if len(b) == 1:
-        return _monomial_gcd(b, a)
-    got = _heu_gcd_bi(a, b)
-    if got is not None:
-        return got
+    if _coprime(a, b):
+        return {(0, 0): _int_gcd(_content(a), _content(b))}
     fa, fb = _rec_q(a), _rec_q(b)
     ca, pa = _Q_cont_prim(fa)
     cb, pb = _Q_cont_prim(fb)
@@ -410,15 +336,343 @@ def _i_divexact(a: dict, b: dict) -> dict:
 _IONE = {(0, 0): 1}
 
 
-def _i_scale_exponents(a: dict, k: int) -> dict:
-    return {(qe * k, te * k): c for (qe, te), c in a.items()}
-
-
 def _i_eval(a: dict, q0: Fraction, t0: Fraction) -> Fraction:
     total = Fraction(0)
     for (qe, te), c in a.items():
         total += c * q0**qe * t0**te
     return total
+
+
+# ---------------------------------------------------------------------------
+# cyclotomic atoms: the irreducible factors of every denominator
+# ---------------------------------------------------------------------------
+
+# An atom is Phi_d(q^a t^b) for a primitive direction (a, b) with a > 0, or
+# (a, b) = (0, 1), times the power of t that clears a negative b; so q - 1,
+# t + 1, q - t, q^2 - t and q^2 + qt + t^2 are atoms.  Each is keyed by
+# (d, a, b).  Every atom is irreducible with content 1 and a positive
+# lex-leading coefficient, and no two are associates.
+
+
+def _u_div_monic(f: list, g: tuple):
+    """Quotient of f by the monic g (coefficient lists, constant first), or None if inexact."""
+    m = len(g) - 1
+    r = list(f)
+    quo = [0] * max(len(r) - m, 0)
+    for k in range(len(r) - 1 - m, -1, -1):
+        c = r[k + m]
+        if c:
+            quo[k] = c
+            for idx, gc in enumerate(g):
+                r[k + idx] -= c * gc
+    return None if any(r[:m]) else quo
+
+
+@lru_cache(maxsize=None)
+def _cyclotomic(d: int) -> tuple:
+    """Coefficients of Phi_d, constant term first."""
+    coeffs = [-1] + [0] * (d - 1) + [1]
+    for e in range(1, d):
+        if d % e == 0:
+            coeffs = _u_div_monic(coeffs, _cyclotomic(e))
+    return tuple(coeffs)
+
+
+@lru_cache(maxsize=None)
+def _totient(d: int) -> int:
+    out, n, p = d, d, 2
+    while p * p <= n:
+        if n % p == 0:
+            while n % p == 0:
+                n //= p
+            out -= out // p
+        p += 1
+    return out - out // n if n > 1 else out
+
+
+def _bezout(a: int, b: int) -> tuple[int, int]:
+    """(u, v) with a*u + b*v = 1, for coprime a, b of any sign."""
+    r0, r1, u0, u1, v0, v1 = a, b, 1, 0, 0, 1
+    while r1:
+        k = r0 // r1
+        r0, r1, u0, u1, v0, v1 = r1, r0 - k * r1, u1, u0 - k * u1, v1, v0 - k * v1
+    return (u0, v0) if r0 == 1 else (-u0, -v0)
+
+
+class _Atom:
+    __slots__ = ("key", "cyc", "shift", "poly", "u", "v")
+
+    def __init__(self, d: int, a: int, b: int):
+        self.key = (d, a, b)
+        self.cyc = _cyclotomic(d)
+        self.shift = -b * (len(self.cyc) - 1) if b < 0 else 0
+        self.poly = {(a * k, b * k + self.shift): c for k, c in enumerate(self.cyc) if c}
+        self.u, self.v = _bezout(a, b)
+
+
+_ATOMS: dict[tuple, _Atom] = {}
+
+
+def _atom(d: int, a: int, b: int) -> tuple:
+    """The key of the atom Phi_d(q^a t^b), (a, b) primitive; registered on first use."""
+    if a < 0 or (a == 0 and b < 0):
+        a, b = -a, -b
+    atom = _ATOMS.get((d, a, b))
+    if atom is None:
+        atom = _ATOMS.setdefault((d, a, b), _Atom(d, a, b))
+    return atom.key
+
+
+def _atom_quotient(n: dict, key: tuple) -> dict | None:
+    """n divided by the atom, or None if the atom does not divide n.
+
+    On the atom's zero curve q^a t^b = z (z a primitive d-th root of unity)
+    put q = z^u s^-b, t = z^v s^a with a*u + b*v = 1.  The term q^i t^j
+    becomes z^k s^-l with k = u i + v j and l = b i - a j, so n splits into
+    one polynomial in z per l, and the atom divides n iff each of those
+    vanishes at z, that is modulo Phi_d.  That evaluation comes first and
+    stops at the first row that does not vanish; only then is each row
+    divided by Phi_d, and (l, k) mapped back to (i, j) = (v l + a k, b k - u l).
+    """
+    d, a, b = key
+    atom = _ATOMS[key]
+    u, v, cyc = atom.u, atom.v, atom.cyc
+    acc: dict = {}
+    if d == 1:  # z = 1
+        for (i, j), c in n.items():
+            l = b * i - a * j
+            acc[l] = acc.get(l, 0) + c
+        if any(acc.values()):
+            return None
+    else:  # slot l*d + (k mod d) holds the coefficient of z^(k mod d) in row l
+        for (i, j), c in n.items():
+            slot = (b * i - a * j) * d + (u * i + v * j) % d
+            acc[slot] = acc.get(slot, 0) + c
+        folded: dict = {}
+        for slot, c in acc.items():
+            if c:
+                folded.setdefault(slot // d, [0] * d)[slot % d] = c
+        if any(_u_div_monic(row, cyc) is None for row in folded.values()):
+            return None
+    rows: dict = {}
+    for (i, j), c in n.items():
+        rows.setdefault(b * i - a * j, {})[u * i + v * j] = c
+    shift = atom.shift
+    out = {}
+    for l, row in rows.items():
+        k0 = min(row)
+        coeffs = [0] * (max(row) - k0 + 1)
+        for k, c in row.items():
+            coeffs[k - k0] = c
+        for k, c in enumerate(_u_div_monic(coeffs, cyc), k0):
+            if c:
+                out[(v * l + a * k, b * k - u * l - shift)] = c
+    return out
+
+
+def _edges(p: dict) -> dict:
+    """{primitive direction: coefficients along the edge} over the edges of p's Newton polygon."""
+    pts = sorted(p)
+    hull: list = []
+    for chain in (pts, pts[::-1]):  # Andrew's monotone chain
+        h: list = []
+        for x, y in chain:
+            while len(h) >= 2 and (
+                (h[-1][0] - h[-2][0]) * (y - h[-2][1]) - (h[-1][1] - h[-2][1]) * (x - h[-2][0]) <= 0
+            ):
+                h.pop()
+            h.append((x, y))
+        hull += h[:-1]
+    out: dict = {}
+    for k, (x0, y0) in enumerate(hull):
+        x1, y1 = hull[k - 1]
+        g = _int_gcd(x1 - x0, y1 - y0)
+        dx, dy = (x1 - x0) // g, (y1 - y0) // g
+        key = (dx, dy) if dx > 0 or (dx == 0 and dy > 0) else (-dx, -dy)
+        if key not in out:
+            out[key] = [p.get((x0 + s * dx, y0 + s * dy), 0) for s in range(g + 1)]
+    return out
+
+
+def _cyclotomic_divisors(coeffs: list) -> list:
+    """Every d with Phi_d dividing the polynomial, repeated by multiplicity."""
+    out = []
+    deg = len(coeffs) - 1
+    d = 1
+    while deg and d <= 2 * deg * deg:  # phi(d) >= sqrt(d/2)
+        if _totient(d) <= deg:
+            while (quo := _u_div_monic(coeffs, _cyclotomic(d))) is not None:
+                coeffs, deg = quo, deg - _totient(d)
+                out.append(d)
+        d += 1
+    return out
+
+
+# A denominator is the tuple (c, i, j, atoms, rest) for c q^i t^j times the
+# product of atom^e over atoms = ((key, e), ...) sorted by key, times rest.
+# rest is None, or the sorted items of a polynomial with no atom, monomial
+# or integer factor; only the generic route below makes one.
+_DONE = (1, 0, 0, (), None)
+
+
+def _rest_key(p: dict):
+    return None if len(p) == 1 else tuple(sorted(p.items()))
+
+
+def _factor(p: dict) -> tuple:
+    """(sign, den) with p = sign * den expanded."""
+    if len(p) == 1:
+        (((i, j), c),) = p.items()
+        return (1 if c > 0 else -1), (abs(c), i, j, (), None)
+    return _factor_items(frozenset(p.items()))
+
+
+@lru_cache(maxsize=4096)
+def _factor_items(items: frozenset) -> tuple:
+    # every atom dividing p is a cyclotomic factor of the edge of p's Newton
+    # polygon in the atom's direction, so the edges name all candidates
+    p = dict(items)
+    i = min(qe for qe, _ in p)
+    j = min(te for _, te in p)
+    sign = 1 if p[max(p)] > 0 else -1
+    c = _content(p)
+    p = {(qe - i, te - j): v // (sign * c) for (qe, te), v in p.items()}
+    atoms: dict = {}
+    for (a, b), coeffs in _edges(p).items():
+        for d in _cyclotomic_divisors(coeffs):
+            key = _atom(d, a, b)
+            quo = _atom_quotient(p, key)
+            if quo is not None:
+                p = quo
+                atoms[key] = atoms.get(key, 0) + 1
+    return sign, (c, i, j, tuple(sorted(atoms.items())), _rest_key(p))
+
+
+@lru_cache(maxsize=2048)
+def _atoms_poly(atoms: tuple) -> dict:
+    """The expanded product of atom powers; callers must not mutate it."""
+    out = _IONE
+    for key, e in atoms:
+        for _ in range(e):
+            out = _i_mul(out, _ATOMS[key].poly)
+    return out
+
+
+def _den_poly(den: tuple) -> dict:
+    """The expanded denominator; callers must not mutate it."""
+    c, i, j, atoms, rest = den
+    out = _atoms_poly(atoms)
+    if rest is not None:
+        out = _i_mul(out, dict(rest))
+    if c != 1 or i or j:
+        out = {(qe + i, te + j): v * c for (qe, te), v in out.items()}
+    return out
+
+
+def _times(p: dict, atoms: list, k: int, di: int, dj: int) -> dict:
+    """p * k q^di t^dj * (product of atoms)."""
+    if k != 1 or di or dj:
+        p = {(qe + di, te + dj): v * k for (qe, te), v in p.items()}
+    return _i_mul(p, _atoms_poly(tuple(sorted(atoms)))) if atoms else p
+
+
+def _cancel(n: dict, den: tuple, test: tuple | None = None) -> tuple[dict, tuple]:
+    """Divide out of n every factor of den that divides it; return (n, den).
+
+    test = (c, i, j, atoms, rest) names the factors worth trying (all of
+    den's by default); a sum passes only those its two terms share, since no
+    other factor can divide it.  A rest is tried through the generic GCD.
+    """
+    c, qe, te, atoms, rest = den
+    tc, tq, tt, tatoms, trest = den if test is None else test
+    if tc != 1:
+        g = _int_gcd(tc, _content(n))
+        if g != 1:
+            n = {k: v // g for k, v in n.items()}
+            c //= g
+    if tq or tt:
+        sq, st = tq, tt
+        for x, y in n:
+            if x < sq:
+                sq = x
+            if y < st:
+                st = y
+        if sq or st:
+            n = {(x - sq, y - st): v for (x, y), v in n.items()}
+            qe, te = qe - sq, te - st
+    if tatoms and len(n) > 1:
+        left = None
+        for key, e in tatoms:
+            k = 0
+            while k < e:
+                quo = _atom_quotient(n, key)
+                if quo is None:
+                    break
+                n, k = quo, k + 1
+            if k:
+                if left is None:
+                    left = dict(atoms)
+                if left[key] == k:
+                    del left[key]
+                else:
+                    left[key] -= k
+        if left is not None:
+            atoms = tuple(sorted(left.items()))
+    if trest is not None:
+        h = _generic_gcd(n, dict(trest))
+        if h != _IONE:
+            n, rest = _i_divexact(n, h), _rest_key(_i_divexact(dict(rest), h))
+    return n, (c, qe, te, atoms, rest)
+
+
+def _den_mul(b: tuple, d: tuple) -> tuple:
+    if d == _DONE:
+        return b
+    if b == _DONE:
+        return d
+    atoms = dict(b[3])
+    for key, e in d[3]:
+        atoms[key] = atoms.get(key, 0) + e
+    rest = b[4] or d[4]
+    if b[4] and d[4]:
+        rest = _rest_key(_i_mul(dict(b[4]), dict(d[4])))
+    return (b[0] * d[0], b[1] + d[1], b[2] + d[2], tuple(sorted(atoms.items())), rest)
+
+
+GENERIC_REDUCTIONS = 0  # content/PRS GCDs taken for non-atom denominator factors
+
+
+def _generic_gcd(a: dict, b: dict) -> dict:
+    """The one generic route: a content/PRS GCD, counted."""
+    global GENERIC_REDUCTIONS
+    GENERIC_REDUCTIONS += 1
+    return _i_gcd(a, b)
+
+
+def _reduce(n: dict, d: dict) -> "QtRational":
+    """n/d in lowest terms: d is factored, then reduced like any sum or product."""
+    if not n:
+        return QTR_ZERO
+    sign, den = _factor(d)
+    return QtRational._make(*_cancel(n if sign > 0 else _i_neg(n), den))
+
+
+def _apply(p: dict, m: tuple) -> dict:
+    """p under the exponent map (i, j) -> (m0 i + m1 j, m2 i + m3 j)."""
+    m0, m1, m2, m3 = m
+    return {(m0 * i + m1 * j, m2 * i + m3 * j): c for (i, j), c in p.items()}
+
+
+def _substitute(r: "QtRational", m: tuple) -> "QtRational":
+    """r under q -> q^k, t -> t^k or the q <-> t swap, given as an exponent map.
+
+    Both keep a reduced fraction reduced (a common factor of the images
+    would vanish on a curve, the image of a curve under a finite map), so
+    only the denominator is factored again.
+    """
+    sign, den = _factor(_apply(_den_poly(r._den), m))
+    n = _apply(r._num, m)
+    return QtRational._make(n if sign > 0 else _i_neg(n), den)
 
 
 # ---------------------------------------------------------------------------
@@ -431,8 +685,10 @@ class QtRational:
 
     Canonical form: numerator and denominator share no polynomial or integer
     factor and the denominator's lex-leading (q then t) coefficient is
-    positive.  Equality and hashing are structural, except that a constant
-    equals (and hashes like) the int or Fraction of the same value.
+    positive.  The numerator is an expanded term dict; the denominator is
+    kept factored (see _DONE).  Equality and hashing are structural, except
+    that a constant equals (and hashes like) the int or Fraction of the same
+    value.
     """
 
     __slots__ = ("_num", "_den")
@@ -441,15 +697,15 @@ class QtRational:
         ni, di = _coerce_ipoly(num), _coerce_ipoly(den)
         if not di:
             raise ZeroDivisionError("QtRational with zero denominator")
-        ni, di = _reduce(ni, di)
-        object.__setattr__(self, "_num", ni)
-        object.__setattr__(self, "_den", di)
+        r = _reduce(*_clear_fractions(ni, di))
+        object.__setattr__(self, "_num", r._num)
+        object.__setattr__(self, "_den", r._den)
 
     def __setattr__(self, *a):  # pragma: no cover - immutability guard
         raise AttributeError("QtRational is immutable")
 
     @classmethod
-    def _make(cls, num: dict, den: dict) -> "QtRational":
+    def _make(cls, num: dict, den: tuple) -> "QtRational":
         """Trusted constructor: arguments must already be canonical."""
         self = object.__new__(cls)
         object.__setattr__(self, "_num", num)
@@ -462,47 +718,63 @@ class QtRational:
         return not self._num
 
     def is_polynomial(self) -> bool:
-        return self._den == _IONE or (len(self._den) == 1 and (0, 0) in self._den)
+        return self._den[1:] == _DONE[1:]
 
     # -- arithmetic
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = qtr(other)
-        if isinstance(other, QtRational):
-            a, b, c, d = self._num, self._den, other._num, other._den
-            if not a:
-                return other
-            if not c:
-                return self
-            if b == d:
-                n = _i_add(a, c)
-                if not n:
-                    return QTR_ZERO
-                g = _i_gcd(n, b)
-                if g == _IONE:
-                    return QtRational._make(n, dict(b))
-                return QtRational._make(_i_divexact(n, g), _i_divexact(b, g))
-            g1 = _i_gcd(b, d)
-            if g1 == _IONE:
-                n = _i_add(_i_mul(a, d), _i_mul(c, b))
-                if not n:
-                    return QTR_ZERO
-                return QtRational._make(n, _i_mul(b, d))
-            bp, dp = _i_divexact(b, g1), _i_divexact(d, g1)
-            n = _i_add(_i_mul(a, dp), _i_mul(c, bp))
-            if not n:
-                return QTR_ZERO
-            g2 = _i_gcd(n, g1)
-            if g2 == _IONE:
-                return QtRational._make(n, _i_mul(b, dp))
-            return QtRational._make(_i_divexact(n, g2), _i_mul(_i_divexact(b, g2), dp))
-        return NotImplemented
+        if not isinstance(other, QtRational):
+            return NotImplemented
+        a, B, c, D = self._num, self._den, other._num, other._den
+        if not a:
+            return other
+        if not c:
+            return self
+        if B == D:
+            n = _i_add(a, c)
+            return QtRational._make(*_cancel(n, B)) if n else QTR_ZERO
+        # over the lcm L of the two denominators: n = a L/B + c L/D
+        cB, iB, jB, AB, rB = B
+        cD, iD, jD, AD, rD = D
+        only_b = dict(AB)
+        lcm = dict(only_b)
+        up_a, up_c, shared = [], [], []
+        for key, e in AD:
+            f = only_b.pop(key, 0)
+            if e > f:
+                lcm[key] = e
+                up_a.append((key, e - f))
+            elif e < f:
+                up_c.append((key, f - e))
+            else:
+                shared.append((key, e))
+        up_c.extend(only_b.items())
+        rest = common = None
+        if rB or rD:  # the rests' lcm; only their common part can divide n
+            rb, rd = dict(rB or _IONE), dict(rD or _IONE)
+            if rB and rD:
+                common = _generic_gcd(rb, rd)
+                rb, rd = _i_divexact(rb, common), _i_divexact(rd, common)
+            a, c = _i_mul(a, rd), _i_mul(c, rb)
+            rest = _rest_key(_i_mul(_i_mul(common or _IONE, rb), rd))
+        g = _int_gcd(cB, cD)
+        cL, iL, jL = cB // g * cD, max(iB, iD), max(jB, jD)
+        n = _i_add(
+            _times(a, up_a, cL // cB, iL - iB, jL - jB),
+            _times(c, up_c, cL // cD, iL - iD, jL - jD),
+        )
+        if not n:
+            return QTR_ZERO
+        den = (cL, iL, jL, tuple(sorted(lcm.items())), rest)
+        test = (g, iL if iB == iD else 0, jL if jB == jD else 0, shared, _rest_key(common or _IONE))
+        return QtRational._make(*_cancel(n, den, test))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QtRational._make(_i_neg(self._num), dict(self._den))
+        return QtRational._make(_i_neg(self._num), self._den)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -517,18 +789,16 @@ class QtRational:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             other = qtr(other)
-        if isinstance(other, QtRational):
-            a, b, c, d = self._num, self._den, other._num, other._den
-            if not a or not c:
-                return QTR_ZERO
-            g1 = _i_gcd(a, d) if d != _IONE else _IONE
-            g2 = _i_gcd(c, b) if b != _IONE else _IONE
-            if g1 != _IONE:
-                a, d = _i_divexact(a, g1), _i_divexact(d, g1)
-            if g2 != _IONE:
-                c, b = _i_divexact(c, g2), _i_divexact(b, g2)
-            return QtRational._make(_i_mul(a, c), _i_mul(b, d))
-        return NotImplemented
+        if not isinstance(other, QtRational):
+            return NotImplemented
+        a, B, c, D = self._num, self._den, other._num, other._den
+        if not a or not c:
+            return QTR_ZERO
+        if D != _DONE:
+            a, D = _cancel(a, D)
+        if B != _DONE:
+            c, B = _cancel(c, B)
+        return QtRational._make(_i_mul(a, c), _den_mul(B, D))
 
     __rmul__ = __mul__
 
@@ -545,10 +815,9 @@ class QtRational:
     def inverse(self) -> "QtRational":
         if not self._num:
             raise ZeroDivisionError("inverse of zero")
-        n, d = dict(self._den), dict(self._num)
-        if d[max(d)] < 0:
-            n, d = _i_neg(n), _i_neg(d)
-        return QtRational._make(n, d)
+        sign, den = _factor(self._num)
+        n = _den_poly(self._den)
+        return QtRational._make(dict(n) if sign > 0 else _i_neg(n), den)
 
     def __pow__(self, n: int) -> "QtRational":
         if n == 0:
@@ -572,10 +841,10 @@ class QtRational:
 
     def __hash__(self) -> int:
         num, den = self._num, self._den
-        if num.keys() <= {(0, 0)} and den.keys() == {(0, 0)}:
+        if num.keys() <= {(0, 0)} and den[1:] == _DONE[1:]:
             # a constant equals an int / Fraction, so it must hash like one
-            return hash(Fraction(num.get((0, 0), 0), den[(0, 0)]))
-        return hash((frozenset(num.items()), frozenset(den.items())))
+            return hash(Fraction(num.get((0, 0), 0), den[0]))
+        return hash((frozenset(num.items()), den))
 
     def __bool__(self) -> bool:
         return bool(self._num)
@@ -588,14 +857,11 @@ class QtRational:
             return self
         if k < 1:
             raise ValueError("frobenius scale requires k >= 1")
-        n = _i_scale_exponents(self._num, k)
-        d = _i_scale_exponents(self._den, k)
-        n, d = _reduce(n, d)
-        return QtRational._make(n, d)
+        return _substitute(self, (k, 0, 0, k))
 
     def evaluate(self, q0, t0) -> Fraction:
         q0, t0 = Fraction(q0), Fraction(t0)
-        dv = _i_eval(self._den, q0, t0)
+        dv = _i_eval(_den_poly(self._den), q0, t0)
         if dv == 0:
             raise ZeroDivisionError(f"pole: denominator vanishes at (q,t)=({q0},{t0})")
         return _i_eval(self._num, q0, t0) / dv
@@ -603,7 +869,7 @@ class QtRational:
     # -- rendering
 
     def canonical(self) -> str:
-        return _poly_canonical_str(self._num) + "|" + _poly_canonical_str(self._den)
+        return _poly_canonical_str(self._num) + "|" + _poly_canonical_str(_den_poly(self._den))
 
     def display(self, style: str = "plain") -> str:
         return render_display(self, style)
@@ -618,7 +884,7 @@ def _coerce_ipoly(x) -> dict:
         if not x.is_polynomial():
             raise ValueError("cannot use a non-polynomial QtRational here")
         num = dict(x._num)
-        d = x._den.get((0, 0), 1)
+        d = x._den[0]
         return num if d == 1 else {k: Fraction(v, d) for k, v in num.items()}
     if isinstance(x, (int, Fraction)):
         return {(0, 0): x} if x else {}
@@ -630,27 +896,13 @@ def _coerce_ipoly(x) -> dict:
     raise TypeError(f"cannot coerce {type(x).__name__} to a q,t-polynomial")
 
 
-def _reduce(ni: dict, di: dict) -> tuple[dict, dict]:
-    """Full canonicalization of a numerator/denominator pair."""
-    # clear rational coefficients to integers (same scalar on both sides)
+def _clear_fractions(ni: dict, di: dict) -> tuple[dict, dict]:
+    """Scale both sides by one integer so every coefficient is an int."""
     lcm = 1
     for v in list(ni.values()) + list(di.values()):
         if isinstance(v, Fraction):
             lcm = lcm * v.denominator // _int_gcd(lcm, v.denominator)
-    if lcm != 1:
-        ni = {k: int(v * lcm) for k, v in ni.items()}
-        di = {k: int(v * lcm) for k, v in di.items()}
-    else:
-        ni = {k: int(v) for k, v in ni.items()}
-        di = {k: int(v) for k, v in di.items()}
-    if not ni:
-        return {}, dict(_IONE)
-    g = _i_gcd(ni, di)
-    if g != _IONE:
-        ni, di = _i_divexact(ni, g), _i_divexact(di, g)
-    if di[max(di)] < 0:
-        ni, di = _i_neg(ni), _i_neg(di)
-    return ni, di
+    return {k: int(v * lcm) for k, v in ni.items()}, {k: int(v * lcm) for k, v in di.items()}
 
 
 def qtr(x) -> QtRational:
@@ -658,18 +910,18 @@ def qtr(x) -> QtRational:
     if isinstance(x, QtRational):
         return x
     if isinstance(x, int):
-        return QtRational._make({(0, 0): x} if x else {}, dict(_IONE))
+        return QtRational._make({(0, 0): x} if x else {}, _DONE)
     if isinstance(x, Fraction):
         if not x:
             return QTR_ZERO
-        return QtRational._make({(0, 0): x.numerator}, {(0, 0): x.denominator})
+        return QtRational._make({(0, 0): x.numerator}, (x.denominator, 0, 0, (), None))
     raise TypeError(f"cannot coerce {type(x).__name__} to QtRational")
 
 
-QTR_ZERO = QtRational._make({}, dict(_IONE))
-QTR_ONE = QtRational._make(dict(_IONE), dict(_IONE))
-Q = QtRational._make({(1, 0): 1}, dict(_IONE))
-T = QtRational._make({(0, 1): 1}, dict(_IONE))
+QTR_ZERO = QtRational._make({}, _DONE)
+QTR_ONE = QtRational._make(dict(_IONE), _DONE)
+Q = QtRational._make({(1, 0): 1}, _DONE)
+T = QtRational._make({(0, 1): 1}, _DONE)
 
 
 # ---------------------------------------------------------------------------
@@ -679,10 +931,7 @@ T = QtRational._make({(0, 1): 1}, dict(_IONE))
 
 def swap_qt(r: QtRational) -> QtRational:
     """Exchange the roles of q and t."""
-    num = {(te, qe): c for (qe, te), c in r._num.items()}
-    den = {(te, qe): c for (qe, te), c in r._den.items()}
-    return QtRational(num, den)
-
+    return _substitute(r, (0, 1, 1, 0))
 
 # ---------------------------------------------------------------------------
 # ZLaurent
@@ -867,8 +1116,9 @@ def _poly_display(ip: dict, style: str) -> str:
 
 
 def render_display(r: QtRational, style: str = "plain") -> str:
-    if r._den == _IONE:
+    if r._den == _DONE:
         return _poly_display(r._num, style)
+    den = _poly_display(_den_poly(r._den), style)
     if style == "latex":
-        return r"\frac{%s}{%s}" % (_poly_display(r._num, style), _poly_display(r._den, style))
-    return f"({_poly_display(r._num, style)})/({_poly_display(r._den, style)})"
+        return r"\frac{%s}{%s}" % (_poly_display(r._num, style), den)
+    return f"({_poly_display(r._num, style)})/({den})"

@@ -8,6 +8,9 @@ import sys
 import pytest
 
 from qtshuffle.cli import (
+    CaseResult,
+    _Case,
+    _run_case,
     build_cases,
     cmd_build_cache,
     main,
@@ -224,3 +227,28 @@ def test_bad_abc_is_the_same_usage_error(command, abc, capsys):
     assert captured.out == ""
     a, b, c = abc.split(",")
     assert captured.err == f"usage error: (a,b,c)=({a},{b},{c}) must be nonnegative and sum to 5\n"
+
+
+def test_verify_cache_must_be_a_directory(tmp_path, capsys):
+    missing = str(tmp_path / "no" / "such" / "dir")
+    a_file = tmp_path / "file"
+    a_file.write_text("")
+    for path in (missing, str(a_file)):
+        assert main(["verify", "macdonald", "--n-max", "1", "--cache", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"usage error: --cache {path} is not a directory\n"
+    assert not os.path.exists(missing)
+
+
+def _raise_in_helper():
+    return 1 // 0  # the innermost frame
+
+
+def test_error_case_names_where_it_was_raised(capsys):
+    line = _raise_in_helper.__code__.co_firstlineno + 1
+    result = _run_case(_Case("boom[k=1]", "k=1", lambda: (_raise_in_helper(), "", "")))
+    assert isinstance(result, CaseResult) and result.status == "error"
+    assert result.lhs == "ZeroDivisionError: integer division or modulo by zero"
+    assert result.rhs == ""
+    assert capsys.readouterr().err == f"error: boom[k=1]: ZeroDivisionError at {__file__}:{line}\n"

@@ -313,6 +313,25 @@ def test_failed_identity_reports_both_sides():
     assert rep.lhs == rep.rhs != ""
 
 
+def test_broken_pieri_relation_is_a_fail_with_both_sides(monkeypatch):
+    # pieri-rel reads the raw c and d coefficients, so a broken relation is a
+    # failed case with both sides, not an error raised by pieri()'s own check
+    import qtshuffle.macdonald as mac
+    from qtshuffle.cli import _ident_case, _run_case
+
+    good = check_identity("pieri-rel", mu=(2, 1))
+    assert good.passed
+    d_coeff = mac._d_coeff
+    monkeypatch.setattr(mac, "_d_coeff", lambda mu, nu: 2 * d_coeff(mu, nu))
+    rep = check_identity("pieri-rel", mu=(2, 1))
+    assert not rep.passed
+    assert rep.rhs == good.rhs and rep.lhs != good.lhs
+    assert rep.lhs.count("; ") == 1  # one pair per removable corner
+    result = _run_case(_ident_case("pieri-rel", mu=(2,)))
+    assert result.status == "fail"
+    assert result.lhs and result.rhs
+
+
 def test_thm21_small_grid():
     # thm21 and the corner-sum expansions it rests on: lemma31, lemma32,
     # prop31, thm31, thm32

@@ -241,15 +241,10 @@ _ipoly = st.dictionaries(
 ).map(lambda d: {k: v for k, v in d.items() if v}).filter(bool)
 
 
-@pytest.mark.parametrize("path", ["heuristic", "prs-fallback"])
 @settings(max_examples=100, deadline=None)
 @given(_ipoly, _ipoly, _ipoly)
-def test_gcd_kernel_matches_sympy(path, a, b, g):
-    """_i_gcd, _i_divexact and reduction agree with sympy on A = a*g, B = b*g.
-
-    The prs-fallback run disables the evaluation heuristic, so every
-    non-monomial GCD goes through the content/PRS route.
-    """
+def test_gcd_kernel_matches_sympy(a, b, g):
+    """_i_gcd (content/PRS), _i_divexact and reduction agree with sympy on A = a*g, B = b*g."""
     sympy = pytest.importorskip("sympy")
     q, t = sympy.symbols("q t")
 
@@ -263,9 +258,140 @@ def test_gcd_kernel_matches_sympy(path, a, b, g):
     want = to_sympy(A).gcd(to_sympy(B))
     if want.LC() < 0:  # lex-leading, as in the kernel
         want = -want
-    with pytest.MonkeyPatch.context() as mp:
-        if path == "prs-fallback":
-            mp.setattr(qtfield, "_heu_gcd_bi", lambda x, y: None)
-        assert qtfield._i_gcd(A, B) == from_sympy(want)
-        assert qtfield._i_divexact(A, g) == from_sympy(to_sympy(A).exquo(to_sympy(g)))
-        assert QtRational(A, B) == QtRational(a, b)
+    assert qtfield._i_gcd(A, B) == from_sympy(want)
+    assert qtfield._i_divexact(A, g) == from_sympy(to_sympy(A).exquo(to_sympy(g)))
+    assert QtRational(A, B) == QtRational(a, b)
+
+
+# -- the atom path against sympy ------------------------------------------------
+
+# sympy's own field Q(q,t) (sparse polynomials over ZZ, reduced by its GCD) is
+# the oracle; the repo's kernel builds no GCD on the atom path.
+
+
+def _sympy_field():
+    sympy = pytest.importorskip("sympy")
+    return sympy.field("q,t", sympy.ZZ)[0]
+
+
+def _sympy_canonical(v):
+    """The repo's `num|den` string of a sympy field element."""
+    import sympy
+
+    num, den = v.numer, v.denom
+    if not num:
+        return "0|1*q^0*t^0"
+    g = sympy.gcd(num.content(), den.content())
+    num, den = num.quo_ground(g), den.quo_ground(g)
+    if den.LC < 0:  # lex-leading, q before t
+        num, den = -num, -den
+
+    def text(p):
+        terms = sorted(p.terms(), key=lambda mc: (-mc[0][0], -mc[0][1]))
+        return " + ".join(f"{c}*q^{i}*t^{j}" for (i, j), c in terms)
+
+    return f"{text(num)}|{text(den)}"
+
+
+def _sympy_atom(K, d, a, b):
+    """Phi_d(q^a t^b) times the power of t that clears a negative b."""
+    import sympy
+
+    coeffs = sympy.cyclotomic_poly(d, polys=True).all_coeffs()[::-1]
+    shift = -b * (len(coeffs) - 1) if b < 0 else 0
+    return K.ring.from_dict({(a * k, b * k + shift): int(c) for k, c in enumerate(coeffs) if c})
+
+
+def _sympy_substitute(K, v, fn):
+    """v with fn applied to every exponent pair of its numerator and denominator."""
+    def image(p):
+        return K(K.ring.from_dict({fn(i, j): c for (i, j), c in p.terms()}))
+
+    return image(v.numer) / image(v.denom)
+
+
+_atoms = st.tuples(
+    st.integers(1, 6),
+    st.sampled_from([(1, 0), (0, 1), (1, 1), (2, 1), (1, 2), (1, -1), (2, -1), (1, -2), (3, -2)]),
+).map(lambda x: (x[0],) + x[1])
+_small_poly = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2)), st.integers(-3, 3), min_size=1, max_size=3
+).map(lambda d: {k: v for k, v in d.items() if v}).filter(bool)
+
+
+@st.composite
+def _atom_fractions(draw, K, generic):
+    """(num, den) sympy polynomials: den a product of atoms, a monomial and an
+    integer (and 1 + q + t when generic); num shares some of den's atoms."""
+    R = K.ring
+    q, t = R.gens
+    den = draw(st.integers(1, 4)) * q ** draw(st.integers(0, 2)) * t ** draw(st.integers(0, 1))
+    atoms = draw(st.lists(_atoms, min_size=1, max_size=3))
+    for key in atoms:
+        den *= _sympy_atom(K, *key) ** draw(st.integers(1, 2))
+    if generic:
+        den *= 1 + q + t
+    num = R.from_dict(draw(_small_poly)) * q ** draw(st.integers(0, 1))
+    for key in draw(st.lists(st.sampled_from(atoms), max_size=2)):
+        num *= _sympy_atom(K, *key)
+    return num, den
+
+
+_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(["add", "sub", "mul", "div", "inverse", "frobenius", "swap"]),
+        st.integers(0, 9),
+        st.integers(0, 9),
+        st.integers(2, 3),
+    ),
+    min_size=3,
+    max_size=6,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.booleans(), st.data())
+def test_atom_path_matches_sympy(generic, data):
+    """Every result of + - * / inverse frobenius swap_qt on atom denominators
+    has sympy's canonical bytes; a non-atom factor (1 + q + t) takes the one
+    generic route, which moves its counter."""
+    K = _sympy_field()
+    before = qtfield.GENERIC_REDUCTIONS
+    fracs = [data.draw(_atom_fractions(K, generic and i == 0)) for i in range(3)]
+    mine = [QtRational(dict(n.terms()), dict(d.terms())) for n, d in fracs]
+    theirs = [K(n) / K(d) for n, d in fracs]
+    ops = data.draw(_OPS)
+    for op, i, j, k in ops:
+        x, y = mine[i % len(mine)], mine[j % len(mine)]
+        sx, sy = theirs[i % len(mine)], theirs[j % len(mine)]
+        if op in ("div", "inverse") and (y if op == "div" else x).is_zero():
+            continue
+        mine.append({
+            "add": lambda: x + y, "sub": lambda: x - y, "mul": lambda: x * y,
+            "div": lambda: x / y, "inverse": x.inverse,
+            "frobenius": lambda: x.frobenius(k), "swap": lambda: swap_qt(x),
+        }[op]())
+        theirs.append({
+            "add": lambda: sx + sy, "sub": lambda: sx - sy, "mul": lambda: sx * sy,
+            "div": lambda: sx / sy, "inverse": lambda: 1 / sx,
+            "frobenius": lambda: _sympy_substitute(K, sx, lambda a, b: (k * a, k * b)),
+            "swap": lambda: _sympy_substitute(K, sx, lambda a, b: (b, a)),
+        }[op]())
+    for r, s in zip(mine, theirs):
+        assert r.canonical() == _sympy_canonical(s)
+        assert parse_rational(r.canonical()) == r
+    moved = qtfield.GENERIC_REDUCTIONS > before
+    if generic:
+        assert moved
+    elif not any(op in ("div", "inverse") for op, *_ in ops):
+        assert not moved  # a random numerator turned denominator may hold a non-atom
+
+
+def test_registry_and_main_grid_take_no_generic_route():
+    from qtshuffle.cli import build_cases
+
+    before = qtfield.GENERIC_REDUCTIONS
+    for suite, n_max in (("operators", 3), ("main-theorem", 4)):
+        for case in build_cases(suite, n_max):
+            assert case.run()[0], case.case_id
+    assert qtfield.GENERIC_REDUCTIONS == before
