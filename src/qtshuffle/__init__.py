@@ -7,7 +7,7 @@ with shuffle filters).  Every identity the library relies on is re-checkable
 through `qtshuffle verify`.
 """
 
-from .qtfield import QtRational, ZLaurent
+from .qtfield import QtRational
 from .shapes import partition_invariants
 from .symfunc import SymFunc, fundamental_expand, hall_inner, plethysm, star_inner
 from .macdonald import build_htilde, c_word, check_identity, lhs_inner, nabla, op_B, op_C
@@ -15,7 +15,6 @@ from .parking import ParkingFunction, pi_poly, validate_pf, verify_recursion
 
 __all__ = [
     "QtRational",
-    "ZLaurent",
     "partition_invariants",
     "SymFunc",
     "plethysm",

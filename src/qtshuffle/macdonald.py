@@ -14,6 +14,10 @@ computes and checks against d_{mu,nu} = M c_{mu,nu} w_nu / w_mu.  The rec-m and
 rec-1 identities apply shapes.recursion_rhs to lhs_inner; the parking side
 applies the same formula to its own counts.
 
+The creation operators op_C, op_B and their star-adjoints op_C_star, op_B_star
+are each one symfunc.extract_z call with their own shift and Omega kernel, as is
+the a + b < 0 side of the commutator identity (with the empty kernel).
+
 Lemma 3.1, Lemma 3.2, Proposition 3.1 and Theorems 3.1-3.2 expand over the
 same corners: an outer sum over r <= a, s <= b, nu |- r+s (_corner_sum) of an
 inner sum over u that depends only on (kind, m, n, nu) (_corner_block, cached).
@@ -35,7 +39,6 @@ from .qtfield import (
     QTR_ZERO,
     QtRational,
     T,
-    ZLaurent,
     parse_rational,
     qtr,
 )
@@ -60,7 +63,6 @@ from .symfunc import (
     h_,
     hall_inner,
     omega_involution,
-    omega_series,
     plethysm,
     plethysm_eval,
     skew_by_e1,
@@ -336,40 +338,33 @@ def _pieri_sum(shape: Partition, direction: str, power: int) -> QtRational:
 
 
 def op_C(a: int, P: SymFunc) -> SymFunc:
-    """Composition creation operator; raises the degree by a (a >= 1)."""
+    """C_a P = (-1/q)^(a-1) P[X - (1-1/q)/z] Omega[zX] |_(z^a); raises the degree by a >= 1."""
     if a < 1:
         raise ValueError("op_C is defined here for a >= 1 only")
-    shift = Alphabet.X() + Alphabet.scalar(ZLaurent({-1: Q.inverse() - 1}))
-    om = omega_series(Alphabet.X(ZLaurent({1: QTR_ONE})), P.max_degree() + a)
-    res = extract_z(plethysm(P, shift) * om, a)
-    return res.scale((-Q.inverse()) ** (a - 1)).demote()
+    shift = Alphabet.X() + Alphabet.scalar(Q.inverse() - 1)
+    return extract_z(P, shift, Alphabet.X(), a).scale((-Q.inverse()) ** (a - 1))
 
 
 def op_B(a: int, P: SymFunc) -> SymFunc:
-    """The companion creation operator; a may be zero or negative."""
-    shift = Alphabet.X() + Alphabet.scalar(ZLaurent({-1: 1 - Q}), eps=True)
-    om = omega_series(-Alphabet.X(ZLaurent({1: QTR_ONE}), eps=True), P.max_degree() + max(a, 0))
-    return extract_z(plethysm(P, shift) * om, a).demote()
+    """B_a P = P[X + eps(1-q)/z] Omega[-eps zX] |_(z^a); a may be zero or negative."""
+    shift = Alphabet.X() + Alphabet.scalar(1 - Q, eps=True)
+    return extract_z(P, shift, -Alphabet.X(eps=True), a)
 
 
 def op_C_star(a: int, P: SymFunc) -> SymFunc:
-    """Star-adjoint of op_C; lowers the degree by a."""
+    """Star-adjoint of op_C, (-1/q)^(a-1) P[X - eps M/z] Omega[-eps zX/(q(1-t))] |_(z^-a);
+    lowers the degree by a >= 1."""
     if a < 1:
         raise ValueError("op_C_star is defined here for a >= 1 only")
-    M = capital_m()
-    shift = Alphabet.X() + Alphabet.scalar(ZLaurent({-1: -M}), eps=True)
-    om_mult = ZLaurent({1: -(Q * (1 - T)).inverse()})
-    om = omega_series(Alphabet.X(om_mult, eps=True), max(P.max_degree() - a, 0))
-    res = extract_z(plethysm(P, shift) * om, -a)
-    return res.scale((-Q.inverse()) ** (a - 1)).demote()
+    shift = Alphabet.X() - Alphabet.scalar(capital_m(), eps=True)
+    kernel = Alphabet.X(-(Q * (1 - T)).inverse(), eps=True)
+    return extract_z(P, shift, kernel, -a).scale((-Q.inverse()) ** (a - 1))
 
 
 def op_B_star(a: int, P: SymFunc) -> SymFunc:
-    """Star-adjoint of op_B."""
-    M = capital_m()
-    shift = Alphabet.X() + Alphabet.scalar(ZLaurent({-1: M}))
-    om = omega_series(Alphabet.X(ZLaurent({1: -(1 - T).inverse()})), max(P.max_degree() - a, 0))
-    return extract_z(plethysm(P, shift) * om, -a).demote()
+    """Star-adjoint of op_B, P[X + M/z] Omega[-zX/(1-t)] |_(z^-a)."""
+    shift = Alphabet.X() + Alphabet.scalar(capital_m())
+    return extract_z(P, shift, Alphabet.X(-(1 - T).inverse()), -a)
 
 
 def c_word(alpha: Composition) -> SymFunc:
@@ -423,7 +418,7 @@ def _scalar_pleth(base, k: int, v: QtRational) -> QtRational:
 @lru_cache(maxsize=None)
 def _x_pleth(base, k: int, v: QtRational) -> SymFunc:
     """base(k)[X v] for base e_ or h_ and a scalar v; zero for k < 0."""
-    return plethysm(base(k), Alphabet.X(ZLaurent({0: v})))
+    return plethysm(base(k), Alphabet.X(v))
 
 
 @lru_cache(maxsize=None)
@@ -460,9 +455,7 @@ class IdentityReport:
 
 
 def _sym_canonical(f: SymFunc) -> str:
-    fp = f.to_power().demote()
-    if fp.has_z():
-        raise ValueError("cannot canonicalize a symmetric function with live z")
+    fp = f.to_power()
     items = sorted(fp.coeffs.items())
     return "; ".join(f"p{list(lam)}={c.canonical()}" for lam, c in items) or "0"
 
@@ -594,8 +587,7 @@ def _check_reproducing(fname: str, r: int, lam: Partition | None, n: int) -> Ide
     # omega composes with f before the substitution: (omega f)[(X-eps)/M]
     inner = plethysm(
         omega_involution(f),
-        Alphabet.X(ZLaurent({0: M.inverse()}))
-        + Alphabet.scalar(ZLaurent({0: -M.inverse()}), eps=True),
+        Alphabet.X(M.inverse()) - Alphabet.scalar(M.inverse(), eps=True),
     )
     # nabla^{-1} then X -> D_mu, carried out on the eigenbasis expansion
     expansion = [
@@ -633,8 +625,8 @@ def _check_commutator(a: int, b: int, P: SymFunc, tag: str) -> IdentityReport:
     elif a + b == 0:
         rhs = P.scale(pref)
     else:
-        shift = Alphabet.X() + Alphabet.scalar(ZLaurent({-1: Q.inverse() - Q}))
-        rhs = extract_z(plethysm(P, shift), a + b).scale(pref)
+        shift = Alphabet.X() + Alphabet.scalar(Q.inverse() - Q)
+        rhs = extract_z(P, shift, Alphabet(), a + b).scale(pref)
     return _report("commutator", {"a": a, "b": b, "P": tag}, lhs, rhs)
 
 

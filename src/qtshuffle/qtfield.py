@@ -1,4 +1,4 @@
-"""Exact arithmetic in Q(q,t), plus a Laurent layer in one auxiliary variable z.
+"""Exact arithmetic in Q(q,t) and the canonical string format of its elements.
 
 Polynomials are sparse dicts mapping (q-exponent, t-exponent) to coefficients.
 A rational is kept fully reduced, so equality is a structural comparison: the
@@ -932,114 +932,6 @@ T = QtRational._make({(0, 1): 1}, _DONE)
 def swap_qt(r: QtRational) -> QtRational:
     """Exchange the roles of q and t."""
     return _substitute(r, (0, 1, 1, 0))
-
-# ---------------------------------------------------------------------------
-# ZLaurent
-# ---------------------------------------------------------------------------
-
-
-class ZLaurent:
-    """Finite Laurent polynomial in z with QtRational coefficients."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict | None = None):
-        clean: dict[int, QtRational] = {}
-        if terms:
-            for e, c in terms.items():
-                c = qtr(c) if not isinstance(c, QtRational) else c
-                if not c.is_zero():
-                    clean[int(e)] = c
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, *a):  # pragma: no cover - immutability guard
-        raise AttributeError("ZLaurent is immutable")
-
-    def __add__(self, other):
-        other = _as_zlaurent(other)
-        if other is None:
-            return NotImplemented
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, QTR_ZERO) + c
-            if s.is_zero():
-                out.pop(e, None)
-            else:
-                out[e] = s
-        return ZLaurent(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return ZLaurent({e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        other = _as_zlaurent(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return _as_zlaurent(other) + (-self)
-
-    def __mul__(self, other):
-        other = _as_zlaurent(other)
-        if other is None:
-            return NotImplemented
-        out: dict = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                e = ea + eb
-                s = out.get(e, QTR_ZERO) + ca * cb
-                if s.is_zero():
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        return ZLaurent(out)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        other = _as_zlaurent(other)
-        if other is None:
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def extract(self, a: int) -> QtRational:
-        return self.terms.get(a, QTR_ZERO)
-
-    def frobenius(self, k: int) -> "ZLaurent":
-        """z -> z^k alongside q -> q^k, t -> t^k."""
-        return ZLaurent({e * k: c.frobenius(k) for e, c in self.terms.items()})
-
-    def constant_or_none(self) -> QtRational | None:
-        """The value as a plain QtRational when no nonzero z-power is present."""
-        if not self.terms:
-            return QTR_ZERO
-        if set(self.terms) == {0}:
-            return self.terms[0]
-        return None
-
-    def __repr__(self) -> str:
-        body = ", ".join(f"z^{e}: {c.canonical()}" for e, c in sorted(self.terms.items()))
-        return f"ZLaurent({{{body}}})"
-
-
-def _as_zlaurent(x) -> ZLaurent | None:
-    if isinstance(x, ZLaurent):
-        return x
-    if isinstance(x, (int, Fraction, QtRational)):
-        return ZLaurent({0: qtr(x) if not isinstance(x, QtRational) else x})
-    return None
 
 
 # ---------------------------------------------------------------------------

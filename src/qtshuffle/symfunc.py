@@ -6,6 +6,11 @@ elementary, homogeneous, monomial and Schur bases go through per-degree
 transition matrices (Schur via Murnaghan-Nakayama characters).  One matrix is
 inverted per degree, h -> p; the elementary matrices follow from e = omega h
 and the monomial ones from the Hall duality <h_lam, m_mu> = delta.
+
+Coefficients are QtRational.  The creation operators' [z^a] P[X + S/z] Omega[zK]
+(extract_z) needs no variable z: the power of z each term carries is fixed by
+its degree, so extract_z pairs homogeneous components of P[X + S] and of
+omega_series(K) by degree.
 """
 
 from __future__ import annotations
@@ -14,13 +19,7 @@ import threading
 from fractions import Fraction
 from functools import lru_cache
 
-from .qtfield import (
-    QTR_ONE,
-    QTR_ZERO,
-    QtRational,
-    ZLaurent,
-    qtr,
-)
+from .qtfield import QTR_ONE, QTR_ZERO, QtRational, qtr
 from .shapes import Partition, partitions_of, zmu
 
 BASES = ("power", "elementary", "homogeneous", "monomial", "schur")
@@ -199,14 +198,8 @@ def _transform(coeffs: dict, matrix) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _coerce_coeff(c):
-    if isinstance(c, (QtRational, ZLaurent)):
-        return c
-    return qtr(c if isinstance(c, (int, Fraction)) else Fraction(c))
-
-
 class SymFunc:
-    """Graded symmetric function; coefficients QtRational or ZLaurent."""
+    """Graded symmetric function with QtRational coefficients."""
 
     __slots__ = ("basis", "coeffs")
 
@@ -219,7 +212,7 @@ class SymFunc:
             lam = tuple(int(p) for p in lam)
             if any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)) or any(p < 1 for p in lam):
                 raise ValueError(f"invalid partition key {lam}")
-            c = _coerce_coeff(c)
+            c = qtr(c)
             if not c.is_zero():
                 clean[lam] = c
         object.__setattr__(self, "basis", basis)
@@ -261,20 +254,6 @@ class SymFunc:
 
     def map_coeffs(self, fn) -> "SymFunc":
         return SymFunc(self.basis, {lam: fn(c) for lam, c in self.coeffs.items()})
-
-    def has_z(self) -> bool:
-        return any(isinstance(c, ZLaurent) for c in self.coeffs.values())
-
-    def demote(self) -> "SymFunc":
-        """Collapse ZLaurent coefficients supported on z^0 back to QtRational."""
-        out = {}
-        for lam, c in self.coeffs.items():
-            if isinstance(c, ZLaurent):
-                flat = c.constant_or_none()
-                out[lam] = flat if flat is not None else c
-            else:
-                out[lam] = c
-        return SymFunc(self.basis, out)
 
     # -- basis conversion
 
@@ -334,28 +313,25 @@ class SymFunc:
             if c == 0:
                 return SymFunc(self.basis, {})
             return SymFunc(self.basis, {lam: v * c for lam, v in self.coeffs.items()})
-        c = _coerce_coeff(c)
+        c = qtr(c)
         return SymFunc(self.basis, {lam: v * c for lam, v in self.coeffs.items()})
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SymFunc):
             return NotImplemented
-        a, b = self.to_power().demote(), other.to_power().demote()
+        a, b = self.to_power(), other.to_power()
         if set(a.coeffs) != set(b.coeffs):
             return False
         return all(a.coeffs[k] == b.coeffs[k] for k in a.coeffs)
 
     def __hash__(self) -> int:
-        f = self.to_power().demote()
+        f = self.to_power()
         return hash(frozenset(f.coeffs.items()))
 
     def __repr__(self) -> str:
         if not self.coeffs:
             return "SymFunc(0)"
-        body = ", ".join(
-            f"{lam}: {c.canonical() if isinstance(c, QtRational) else c!r}"
-            for lam, c in sorted(self.coeffs.items())
-        )
+        body = ", ".join(f"{lam}: {c.canonical()!r}" for lam, c in sorted(self.coeffs.items()))
         return f"SymFunc[{self.basis}]({{{body}}})"
 
 
@@ -385,16 +361,11 @@ def m_(mu) -> SymFunc:
 
 def symfunc_to_json(f: SymFunc) -> dict:
     """JSON form of a homogeneous symmetric function, canonical coefficients."""
-    from .qtfield import QtRational
     from .shapes import partition_str
 
     if not f.is_homogeneous():
         raise ValueError("only homogeneous symmetric functions serialize")
-    coeffs = {}
-    for lam, c in sorted(f.coeffs.items()):
-        if not isinstance(c, QtRational):
-            raise ValueError("coefficients with live z do not serialize")
-        coeffs[partition_str(lam)] = c.canonical()
+    coeffs = {partition_str(lam): c.canonical() for lam, c in sorted(f.coeffs.items())}
     return {"basis": f.basis, "degree": f.max_degree(), "coeffs": coeffs}
 
 
@@ -478,9 +449,9 @@ def skew_by_e1(f: SymFunc) -> SymFunc:
 class Alphabet:
     """Formal plethystic argument: sum of X-terms and scalar terms.
 
-    Each term is (is_x, value, eps) with value a ZLaurent over Q(q,t);
-    p_k sends an X-term to value(q^k,t^k,z^k)*p_k and a scalar term to
-    value(q^k,t^k,z^k), with an extra (-1)^k when the term is eps-marked.
+    Each term is (is_x, value, eps) with value in Q(q,t); p_k sends an X-term
+    to value(q^k,t^k)*p_k and a scalar term to value(q^k,t^k), with an extra
+    (-1)^k when the term is eps-marked.
     """
 
     __slots__ = ("terms",)
@@ -493,13 +464,11 @@ class Alphabet:
 
     @staticmethod
     def X(mult=1, eps: bool = False) -> "Alphabet":
-        m = mult if isinstance(mult, ZLaurent) else ZLaurent({0: mult})
-        return Alphabet(((True, m, eps),))
+        return Alphabet(((True, qtr(mult), eps),))
 
     @staticmethod
     def scalar(value, eps: bool = False) -> "Alphabet":
-        v = value if isinstance(value, ZLaurent) else ZLaurent({0: value})
-        return Alphabet(((False, v, eps),))
+        return Alphabet(((False, qtr(value), eps),))
 
     def __add__(self, other: "Alphabet") -> "Alphabet":
         return Alphabet(self.terms + other.terms)
@@ -510,14 +479,12 @@ class Alphabet:
     def __sub__(self, other: "Alphabet") -> "Alphabet":
         return self + (-other)
 
-    def pk(self, k: int) -> tuple[ZLaurent, ZLaurent]:
+    def pk(self, k: int) -> tuple[QtRational, QtRational]:
         """(multiplier of p_k, scalar part) of p_k applied to this alphabet."""
-        xm = ZLaurent({})
-        sc = ZLaurent({})
-        sign = -1 if k % 2 else 1
+        xm = sc = QTR_ZERO
         for is_x, value, eps in self.terms:
             v = value.frobenius(k)
-            if eps and sign < 0:
+            if eps and k % 2:
                 v = -v
             if is_x:
                 xm = xm + v
@@ -531,7 +498,7 @@ def plethysm(f: SymFunc, A: Alphabet) -> SymFunc:
     fp = f.to_power()
     if not fp.coeffs:
         return SymFunc.zero()
-    pk_cache: dict[int, tuple[ZLaurent, ZLaurent]] = {}
+    pk_cache: dict[int, tuple[QtRational, QtRational]] = {}
 
     def pk(k: int):
         got = pk_cache.get(k)
@@ -542,7 +509,7 @@ def plethysm(f: SymFunc, A: Alphabet) -> SymFunc:
 
     out: dict = {}
     for lam, c in fp.coeffs.items():
-        expanded: dict[Partition, object] = {(): c}
+        expanded: dict[Partition, QtRational] = {(): c}
         for part in lam:
             xm, sc = pk(part)
             nxt: dict = {}
@@ -562,7 +529,7 @@ def plethysm(f: SymFunc, A: Alphabet) -> SymFunc:
         for key, val in expanded.items():
             cur = out.get(key)
             out[key] = val if cur is None else cur + val
-    return SymFunc("power", out).demote()
+    return SymFunc("power", out)
 
 
 def plethysm_eval(f: SymFunc, value: QtRational) -> QtRational:
@@ -574,46 +541,38 @@ def plethysm_eval(f: SymFunc, value: QtRational) -> QtRational:
         for part in lam:
             term = term * value.frobenius(part)
         total = total + term
-    if not isinstance(total, QtRational):
-        raise TypeError("plethysm_eval requires QtRational coefficients")
     return total
 
 
-def extract_z(f: SymFunc, a: int) -> SymFunc:
-    """Coefficient of z^a of every coefficient of f."""
-    out = {}
-    for lam, c in f.coeffs.items():
-        if isinstance(c, ZLaurent):
-            out[lam] = c.extract(a)
-        elif a == 0:
-            out[lam] = c
-    return SymFunc(f.basis, out)
+def extract_z(P: SymFunc, shift: Alphabet, kernel: Alphabet, a: int) -> SymFunc:
+    """[z^a] P[X + S/z] Omega[z K], where shift = X + S and kernel = K is X-only.
 
-
-def omega_series(A: Alphabet, maxdeg: int, z_trunc: int | None = None) -> SymFunc:
-    """The exponential kernel of A, truncated at X-degree maxdeg.
-
-    Scalar terms of A must have strictly positive z-valuation; their
-    exponential is truncated at z-degree z_trunc (defaults to maxdeg).
+    z is never formed: the degree-k part of P_d[X + S] carries z^(k-d) and
+    the degree-m part of Omega[z K] = sum h_m[K] carries z^m, so z^a pairs
+    each degree k of P_d[shift] with degree m = a + d - k of the kernel.
     """
+    omega = omega_series(kernel, max(a + P.max_degree(), 0))
+    out = SymFunc.zero()
+    for d in P.degrees():
+        shifted = plethysm(P.homogeneous_component(d), shift)
+        for k in shifted.degrees():
+            out = out + shifted.homogeneous_component(k) * omega.homogeneous_component(a + d - k)
+    return out
+
+
+def omega_series(A: Alphabet, maxdeg: int) -> SymFunc:
+    """sum over m <= maxdeg of h_m[A], for an alphabet A of X-terms only."""
     if maxdeg < 0:
         raise ValueError("maxdeg must be nonnegative")
+    if not all(is_x for is_x, _, _ in A.terms):
+        raise ValueError("omega_series takes an alphabet of X-terms only")
     check_degree(maxdeg)
-    if z_trunc is None:
-        z_trunc = maxdeg
-    # X part: exp of sum_k xm_k p_k / k
+    # exp of sum_k xm_k p_k / k
     log_x: dict = {}
-    scal_log = ZLaurent({})
-    kmax = max(maxdeg, z_trunc if any(not t[0] for t in A.terms) else 0)
-    for k in range(1, kmax + 1):
-        xm, sc = A.pk(k)
-        if k <= maxdeg and not xm.is_zero():
+    for k in range(1, maxdeg + 1):
+        xm = A.pk(k)[0]
+        if not xm.is_zero():
             log_x[(k,)] = xm * Fraction(1, k)
-        if not sc.is_zero():
-            if min(sc.terms) < 1:
-                raise ValueError("scalar part of an omega argument needs positive z-valuation")
-            if k <= z_trunc:
-                scal_log = scal_log + _z_truncate(sc * Fraction(1, k), z_trunc)
     L = SymFunc("power", log_x)
     result = SymFunc.one()
     term = SymFunc.one()
@@ -622,24 +581,11 @@ def omega_series(A: Alphabet, maxdeg: int, z_trunc: int | None = None) -> SymFun
         if term.is_zero():
             break
         result = result + term
-    if not scal_log.is_zero():
-        ez = ZLaurent({0: QTR_ONE})
-        sterm = ZLaurent({0: QTR_ONE})
-        for j in range(1, z_trunc + 1):
-            sterm = _z_truncate(sterm * scal_log, z_trunc) * Fraction(1, j)
-            if sterm.is_zero():
-                break
-            ez = ez + sterm
-        result = result.map_coeffs(lambda c: c * ez)
-    return result.demote()
+    return result
 
 
 def _deg_truncate(f: SymFunc, maxdeg: int) -> SymFunc:
     return SymFunc(f.basis, {lam: c for lam, c in f.coeffs.items() if sum(lam) <= maxdeg})
-
-
-def _z_truncate(L: ZLaurent, zmax: int) -> ZLaurent:
-    return ZLaurent({e: c for e, c in L.terms.items() if e <= zmax})
 
 
 # ---------------------------------------------------------------------------
@@ -658,7 +604,7 @@ class QSymFunc:
             S = frozenset(int(i) for i in S)
             if any(i < 1 or i >= degree for i in S):
                 raise ValueError(f"descent set {set(S)} out of range for degree {degree}")
-            c = _coerce_coeff(c)
+            c = qtr(c)
             if not c.is_zero():
                 clean[S] = c
         object.__setattr__(self, "degree", degree)

@@ -125,15 +125,34 @@ def test_verify_above_degree_cap_is_a_usage_error(tmp_path, capsys):
         assert captured.err == "usage error: degree 13 exceeds the configured cap 12\n"
 
 
+# installs the benchmark's tracer, runs one call of each traced operator and
+# prints the names of the recorded spans
+TRACED_OPERATORS = """
+import json
+from tracing import Tracer
+tracer = Tracer()
+tracer.install()
+import qtshuffle.macdonald as mac
+from qtshuffle.symfunc import p_
+mac.op_C(1, p_((1,)))
+mac.op_C_star(1, p_((2,)))
+mac.op_B_star(1, p_((2,)))
+print(json.dumps(sorted({span[0] for log in tracer._logs for span in log.spans})))
+"""
+
+
 def test_perfbench_tracer_installs():
     # the benchmark's tracer binds functions by name; a renamed or deleted one fails here
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(["src", "perfbench"]))
     proc = subprocess.run(
-        [sys.executable, "-c", "from tracing import Tracer; Tracer().install()"],
+        [sys.executable, "-c", TRACED_OPERATORS],
         cwd=root, env=env, capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
+    names = set(json.loads(proc.stdout))
+    want = {"symfunc.extract_z", "symfunc.omega_series", "operators.op_C", "operators.op_star"}
+    assert want <= names, sorted(names)
 
 
 def test_build_cases_deterministic():

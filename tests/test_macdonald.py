@@ -13,9 +13,11 @@ from qtshuffle.shapes import (
     partitions_of,
 )
 from qtshuffle.symfunc import SymFunc, e_, h_, hall_inner, p_, s_, star_inner
+from qtshuffle.cli import _operator_probes
 from qtshuffle.macdonald import (
     HTildeTable,
     TableInvariantError,
+    _sym_canonical,
     build_htilde,
     c_word,
     check_identity,
@@ -245,14 +247,44 @@ def test_en_decomposition_small():
 
 
 def test_adjoints_are_star_adjoints():
-    # full Gram-matrix check at every degree <= 4 on the high side
-    for a in (1, 2):
-        for d in range(0, 5 - a):
+    # full Gram-matrix check at every degree <= 4 on both sides
+    pairs = [(op_C, op_C_star, a) for a in (1, 2)]
+    pairs += [(op_B, op_B_star, a) for a in (-2, -1, 0, 1, 2)]
+    for op, adjoint, a in pairs:
+        for d in range(max(0, -a), 5 - max(a, 0)):
             for lam in partitions_of(d):
                 for mu in partitions_of(d + a):
                     f, g = p_(lam), p_(mu)
-                    assert star_inner(op_C(a, f), g) == star_inner(f, op_C_star(a, g))
-                    assert star_inner(op_B(a, f), g) == star_inner(f, op_B_star(a, g))
+                    assert star_inner(op(a, f), g) == star_inner(f, adjoint(a, g)), (a, lam, mu)
+    # nonhomogeneous inputs go through extract_z one degree at a time
+    f = p_((2,)) + p_((1,)) + SymFunc.one()
+    g = p_((2, 1)) + p_((3,)) + p_((1, 1))
+    for op, adjoint in ((op_C, op_C_star), (op_B, op_B_star)):
+        for a in (1, 2):
+            assert star_inner(op(a, f), g) == star_inner(f, adjoint(a, g)), a
+
+
+# sha256 of the canonical outputs below, as test_saved_table_bytes_are_pinned
+# does for tables: any change to an output byte of an operator shows here
+OPERATOR_OUTPUT_SHA256 = "4e22a82b864b5b9b233536721a4ef2d579fff23e14e1a48727a2b13b60d0634a"
+
+
+def test_operator_output_is_pinned():
+    lines = []
+    for tag, P in _operator_probes(3):
+        for name, op, avals in (
+            ("op_C", op_C, (1, 2, 3)),
+            ("op_B", op_B, (-2, -1, 0, 1, 2)),
+            ("op_C_star", op_C_star, (1, 2, 3)),
+            ("op_B_star", op_B_star, (-2, -1, 0, 1, 2)),
+        ):
+            for a in avals:
+                lines.append(f"{name}({a},{tag})={_sym_canonical(op(a, P))}")
+        for a, b in ((-3, 1), (-3, 2), (-2, 1)):  # the a + b < 0 branch of the commutator
+            rhs = check_identity("commutator", a=a, b=b, P=P, tag=tag).rhs
+            lines.append(f"commutator({a},{b},{tag})={rhs}")
+    assert len(lines) == 133
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == OPERATOR_OUTPUT_SHA256
 
 
 def test_adjoint_degree_bookkeeping():

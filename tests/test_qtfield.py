@@ -10,7 +10,6 @@ from qtshuffle.qtfield import (
     QTR_ZERO,
     QtRational,
     T,
-    ZLaurent,
     parse_rational,
     qtr,
     swap_qt,
@@ -73,13 +72,6 @@ def test_frobenius_examples():
 def test_frobenius_requires_positive_k():
     with pytest.raises(ValueError):
         Q.frobenius(0)
-
-
-def test_z_extract_examples():
-    L = ZLaurent({0: qtr(1), 1: 3 * Q, -2: T})
-    assert L.extract(-2) == T
-    assert ZLaurent({0: qtr(1), 1: 3 * Q}).extract(5) == QTR_ZERO
-    assert ZLaurent({-2: T}).extract(0) == QTR_ZERO
 
 
 def test_eval_numeric_examples():
@@ -146,17 +138,6 @@ def test_qtrational_rejects_negative_exponents():
             QtRational(1, terms)
 
 
-def test_zlaurent_arithmetic():
-    a = ZLaurent({1: Q, -1: T})
-    b = ZLaurent({0: qtr(2), 1: -Q})
-    assert (a + b).extract(1) == QTR_ZERO
-    prod = a * b
-    assert prod.extract(2) == -(Q**2)
-    assert prod.extract(0) == -Q * T
-    assert prod.extract(-1) == 2 * T
-    assert a.frobenius(2) == ZLaurent({2: Q**2, -2: T**2})
-
-
 # -- randomized laws --------------------------------------------------------
 
 _coef = st.integers(min_value=-4, max_value=4)
@@ -213,14 +194,6 @@ def test_normalize_cancels_common_factor(a, b, c):
 def test_frobenius_is_ring_hom(a, b, k):
     assert (a * b).frobenius(k) == a.frobenius(k) * b.frobenius(k)
     assert (a + b).frobenius(k) == a.frobenius(k) + b.frobenius(k)
-
-
-@settings(max_examples=30, deadline=None)
-@given(rationals(), rationals(), st.integers(min_value=-2, max_value=2))
-def test_z_extract_linear(a, b, e):
-    L1 = ZLaurent({0: a, e: b})
-    L2 = ZLaurent({e: a, 1: b})
-    assert (L1 + L2).extract(e) == L1.extract(e) + L2.extract(e)
 
 
 def test_hash_agrees_with_equality_for_constants():
