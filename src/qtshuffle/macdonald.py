@@ -8,11 +8,15 @@ w_mu, <H~_mu, h_n> = 1) before use; a table that fails raises
 TableInvariantError.  A table loaded from a cache file is verified once, on
 load; install_table does not repeat the check.
 
-Each coefficient on the H~ basis is <f, H~_mu>_* / w_mu (_htilde_coeff): the
-expansion behind nabla and both Pieri directions, which one loop in pieri()
-computes and checks against d_{mu,nu} = M c_{mu,nu} w_nu / w_mu.  The rec-m and
-rec-1 identities apply shapes.recursion_rhs to lhs_inner; the parking side
-applies the same formula to its own counts.
+Each coefficient on the H~ basis is <f, H~_mu>_* / w_mu (HTildeTable.coeff):
+the expansion behind both Pieri directions, which one loop in pieri() computes
+and checks against d_{mu,nu} = M c_{mu,nu} w_nu / w_mu.  nabla is one Schur-basis
+matrix per table: row lam, the Schur coefficients of nabla^sign s_lam (in Z[q,t]
+for sign +1), is summed from the Schur entries of the table on first use, never
+on build, load or install.  nabla(f) converts f to Schur, takes one sparse
+product with those rows and returns power sums.  The rec-m and rec-1 identities
+apply shapes.recursion_rhs to lhs_inner; the parking side applies the same
+formula to its own counts.
 
 The creation operators op_C, op_B and their star-adjoints op_C_star, op_B_star
 are each one symfunc.extract_z call with their own shift and Omega kernel, as is
@@ -88,9 +92,26 @@ class HTildeTable:
         self.power = {mu: f.to_power() for mu, f in entries.items()}
         self.invariants = {mu: partition_invariants(mu) for mu in entries}
         self.verified = False
+        self.nabla_rows: dict[tuple[Partition, int], SymFunc] = {}  # filled by nabla_row
 
     def __getitem__(self, mu: Partition) -> SymFunc:
         return self.entries[tuple(mu)]
+
+    def coeff(self, f: SymFunc, mu: Partition) -> QtRational:
+        """Coefficient of H~_mu in f: <f, H~_mu>_* / w_mu."""
+        return star_inner(f, self.power[mu]) / self.invariants[mu].w
+
+    def nabla_row(self, lam: Partition, sign: int) -> SymFunc:
+        """nabla^sign s_lam in the Schur basis, the sum over mu of
+        <s_lam, H~_mu>_* / w_mu T_mu^sign H~_mu; built on first use."""
+        row = self.nabla_rows.get((lam, sign))
+        if row is None:
+            s_lam = SymFunc("schur", {lam: QTR_ONE}).to_power()
+            row = SymFunc("schur", {})
+            for mu, h in self.entries.items():
+                row = row + h.scale(self.coeff(s_lam, mu) * self.invariants[mu].T ** sign)
+            self.nabla_rows[lam, sign] = row
+        return row
 
     def verify(self) -> None:
         """Assert star-orthogonality with norms w_mu and <.,h_n> = 1."""
@@ -245,21 +266,22 @@ def htilde_expand(f: SymFunc) -> dict:
 
 
 def _htilde_coeff(f: SymFunc, mu: Partition) -> QtRational:
-    """Coefficient of H~_mu in f: <f, H~_mu>_* / w_mu."""
-    table = build_htilde(sum(mu))
-    return star_inner(f, table.power[mu]) / table.invariants[mu].w
+    """Coefficient of H~_mu in f, read off the installed table."""
+    return build_htilde(sum(mu)).coeff(f, mu)
 
 
 def nabla(f: SymFunc, sign: int = 1) -> SymFunc:
-    """The Macdonald eigenoperator (sign=-1 gives its inverse)."""
+    """The Macdonald eigenoperator (sign=-1 gives its inverse), as one sparse
+    product of f's Schur coefficients with the table rows nabla^sign s_lam."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    out = SymFunc.zero()
-    for mu, c in htilde_expand(f).items():
-        tbl = build_htilde(sum(mu))
-        eig = tbl.invariants[mu].T ** sign
-        out = out + tbl.power[mu].scale(c * eig)
-    return out
+    out: dict = {}
+    for lam, c in f.convert("schur").coeffs.items():
+        for nu, x in build_htilde(sum(lam)).nabla_row(lam, sign).coeffs.items():
+            term = c * x
+            cur = out.get(nu)
+            out[nu] = term if cur is None else cur + term
+    return SymFunc("schur", out).to_power()
 
 
 # ---------------------------------------------------------------------------

@@ -567,8 +567,15 @@ def omega_series(A: Alphabet, maxdeg: int) -> SymFunc:
     if not all(is_x for is_x, _, _ in A.terms):
         raise ValueError("omega_series takes an alphabet of X-terms only")
     check_degree(maxdeg)
+    return _omega_series(A.terms, maxdeg)
+
+
+@lru_cache(maxsize=None)
+def _omega_series(terms: tuple, maxdeg: int) -> SymFunc:
+    """omega_series, cached per kernel: the operators use only a handful."""
     # exp of sum_k xm_k p_k / k
     log_x: dict = {}
+    A = Alphabet(terms)
     for k in range(1, maxdeg + 1):
         xm = A.pk(k)[0]
         if not xm.is_zero():

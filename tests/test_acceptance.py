@@ -70,15 +70,15 @@ def test_criterion_02_main_theorem_n_le_6():
     _ok(2, f"main identity on {checked} (composition, a,b,c) instances, n <= 6")
 
 
-def test_criterion_03_shuffle_qsym_n_le_5():
+def test_criterion_03_shuffle_qsym_n_le_6():
     checked = 0
-    for n in range(1, 6):
+    for n in range(1, 7):
         for p in compositions_of(n):
             lhs = fundamental_expand(nabla(c_word(p)))
             rhs = rhs_quasisym(p)
             assert lhs == rhs, p
             checked += 1
-    _ok(3, f"quasisymmetric refinement on {checked} compositions, n <= 5")
+    _ok(3, f"quasisymmetric refinement on {checked} compositions, n <= 6")
 
 
 def test_criterion_04_en_decomposition_n_le_7():

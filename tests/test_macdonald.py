@@ -14,6 +14,7 @@ from qtshuffle.shapes import (
 )
 from qtshuffle.symfunc import SymFunc, e_, h_, hall_inner, p_, s_, star_inner
 from qtshuffle.cli import _operator_probes
+import qtshuffle.macdonald as mac
 from qtshuffle.macdonald import (
     HTildeTable,
     TableInvariantError,
@@ -21,6 +22,7 @@ from qtshuffle.macdonald import (
     build_htilde,
     c_word,
     check_identity,
+    htilde_expand,
     identity_ids,
     install_table,
     lhs_inner,
@@ -169,6 +171,39 @@ def test_nabla_is_linear():
     f, g = e_(3), s_((2, 1))
     assert nabla(f + g) == nabla(f) + nabla(g)
     assert nabla(f.scale(Q)) == nabla(f).scale(Q)
+
+
+def _eigenbasis_nabla(lam, sign):
+    """nabla^sign s_lam summed over the H~ expansion, without the table rows."""
+    out = SymFunc.zero()
+    for mu, c in htilde_expand(s_(lam)).items():
+        table = build_htilde(sum(mu))
+        out = out + table.power[mu].scale(c * table.invariants[mu].T ** sign)
+    return out
+
+
+@pytest.mark.parametrize("sign", (1, -1))
+def test_nabla_rows_match_the_eigenbasis_expansion(sign):
+    for n in range(0, 7):
+        table = build_htilde(n)
+        for lam in partitions_of(n):
+            row = table.nabla_row(lam, sign)
+            assert row.basis == "schur" and row == _eigenbasis_nabla(lam, sign), lam
+            if sign == 1:  # nabla s_lam has Schur coefficients in Z[q,t]
+                for nu, c in row.coeffs.items():
+                    assert c.canonical().split("|")[1] == "1*q^0*t^0", (lam, nu)
+
+
+def test_nabla_reads_the_rows_of_the_installed_table(monkeypatch):
+    old = build_htilde(3)
+    want = nabla(s_((2, 1)))
+    monkeypatch.setitem(mac._tables, 3, old)  # put the original back afterwards
+    fresh = HTildeTable.from_json(old.to_json())
+    install_table(fresh)
+    assert not fresh.nabla_rows  # rows are built on first use, not on load or install
+    monkeypatch.setitem(old.nabla_rows, ((2, 1), 1), s_((3,)))  # stale
+    assert nabla(s_((2, 1))) == want
+    assert set(fresh.nabla_rows) == {((2, 1), 1)}
 
 
 # -- Pieri ------------------------------------------------------------------------

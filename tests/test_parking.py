@@ -1,11 +1,12 @@
+import random
 from itertools import permutations
 
 import pytest
 
 from qtshuffle.qtfield import Q, QTR_ONE, QTR_ZERO, QtRational, T
-from qtshuffle.shapes import compositions_of
-from qtshuffle.symfunc import QSymFunc
-from qtshuffle.macdonald import lhs_inner
+from qtshuffle.shapes import compositions_of, partitions_of
+from qtshuffle.symfunc import QSymFunc, SymFunc, e_, fundamental_expand, h_, hall_inner
+from qtshuffle.macdonald import c_word, lhs_inner, nabla
 from qtshuffle.parking import (
     FiveStepPath,
     InvalidParkingFunction,
@@ -158,6 +159,30 @@ def test_ides_rule_matches_shuffle_definition():
             for a, b, c in _abc_triples(n):
                 assert _ides_fits(ides, a, b) == is_triple_shuffle(sigma, a, b, c), (
                     sigma, (a, b, c))
+
+
+def test_ides_rule_matches_the_hall_pairing():
+    # for symmetric f = sum c_S F_S, <f, e_a h_b h_c> is the sum of the c_S whose
+    # S passes _ides_fits(S, a, b); no parking function is enumerated here
+    rng = random.Random(2012)
+    fs = [nabla(c_word(p)) for n in range(1, 6) for p in compositions_of(n)]
+    for n in range(1, 7):
+        for _ in range(3):
+            coeffs = {
+                lam: Q ** rng.randrange(3) * T ** rng.randrange(3) * rng.randint(-3, 3)
+                for lam in partitions_of(n)
+            }
+            fs.append(SymFunc("schur", coeffs))
+    for f in fs:
+        n = f.max_degree()
+        fq = fundamental_expand(f)
+        for a, b, c in _abc_triples(n):
+            want = hall_inner(f, e_(a) * h_(b) * h_(c))
+            got = QTR_ZERO
+            for S, coeff in fq.coeffs.items():
+                if _ides_fits(S, a, b):
+                    got = got + coeff
+            assert got == want, (f, a, b, c)
 
 
 def test_ides_index_matches_brute_force():
