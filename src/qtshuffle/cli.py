@@ -367,6 +367,8 @@ def cmd_build_cache(n_max: int, cache_dir: str) -> int:
         if n_max < 0:  # building nothing proves nothing
             raise ValueError(f"build-cache has no tables to build at --n-max {n_max}")
         check_degree(n_max)
+        if os.path.exists(cache_dir) and not os.path.isdir(cache_dir):
+            raise ValueError(f"--cache {cache_dir} is not a directory")
     except ValueError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 2

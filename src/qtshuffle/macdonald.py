@@ -66,6 +66,7 @@ from .symfunc import (
     extract_z,
     h_,
     hall_inner,
+    linear_map,
     omega_involution,
     plethysm,
     plethysm_eval,
@@ -88,8 +89,11 @@ class HTildeTable:
 
     def __init__(self, degree: int, entries: dict):
         self.degree = degree
-        self.entries = {mu: f.convert("schur") for mu, f in entries.items()}
         self.power = {mu: f.to_power() for mu, f in entries.items()}
+        # a built table arrives in monomials, a loaded one already in Schur
+        self.entries = {
+            mu: f if f.basis == "schur" else self.power[mu].convert("schur") for mu, f in entries.items()
+        }
         self.invariants = {mu: partition_invariants(mu) for mu in entries}
         self.verified = False
         self.nabla_rows: dict[tuple[Partition, int], SymFunc] = {}  # filled by nabla_row
@@ -107,9 +111,8 @@ class HTildeTable:
         row = self.nabla_rows.get((lam, sign))
         if row is None:
             s_lam = SymFunc("schur", {lam: QTR_ONE}).to_power()
-            row = SymFunc("schur", {})
-            for mu, h in self.entries.items():
-                row = row + h.scale(self.coeff(s_lam, mu) * self.invariants[mu].T ** sign)
+            coeffs = {mu: self.coeff(s_lam, mu) * self.invariants[mu].T ** sign for mu in self.entries}
+            row = SymFunc("schur", linear_map(coeffs, lambda mu: self.entries[mu].coeffs))
             self.nabla_rows[lam, sign] = row
         return row
 
@@ -275,12 +278,8 @@ def nabla(f: SymFunc, sign: int = 1) -> SymFunc:
     product of f's Schur coefficients with the table rows nabla^sign s_lam."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    out: dict = {}
-    for lam, c in f.convert("schur").coeffs.items():
-        for nu, x in build_htilde(sum(lam)).nabla_row(lam, sign).coeffs.items():
-            term = c * x
-            cur = out.get(nu)
-            out[nu] = term if cur is None else cur + term
+    schur = f.convert("schur").coeffs
+    out = linear_map(schur, lambda lam: build_htilde(sum(lam)).nabla_row(lam, sign).coeffs)
     return SymFunc("schur", out).to_power()
 
 

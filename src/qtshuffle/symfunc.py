@@ -3,9 +3,13 @@
 The internal canonical basis is the power-sum basis, where plethysm is
 diagonal and both scalar products are diagonal; conversions to the
 elementary, homogeneous, monomial and Schur bases go through per-degree
-transition matrices (Schur via Murnaghan-Nakayama characters).  One matrix is
-inverted per degree, h -> p; the elementary matrices follow from e = omega h
-and the monomial ones from the Hall duality <h_lam, m_mu> = delta.
+transition matrices (Schur via Murnaghan-Nakayama characters).  h -> p and
+p -> h are products of Newton's identities, which write h_k in the p_i and p_k
+in the h_i; nothing is inverted.  The elementary matrices follow from
+e = omega h and the monomial ones from the Hall duality <h_lam, m_mu> = delta.
+Every change of basis, skew_by_e1, nabla and the fundamental expansion are one
+sparse linear map (linear_map), each with its own rows.  omega_series is sum h_m[K] and
+plethysm_eval the constant term of a plethysm, both through plethysm.
 
 Coefficients are QtRational.  The creation operators' [z^a] P[X + S/z] Omega[zK]
 (extract_z) needs no variable z: the power of z each term carries is fixed by
@@ -71,6 +75,7 @@ def _merge_part(lam: Partition, k: int) -> Partition:
 
 @lru_cache(maxsize=None)
 def _h_in_p(k: int) -> dict:
+    """h_k on the power sums, by Newton's identity k h_k = sum_{i<=k} p_i h_{k-i}."""
     if k == 0:
         return {(): Fraction(1)}
     out: dict = {}
@@ -81,7 +86,19 @@ def _h_in_p(k: int) -> dict:
     return {kk: v for kk, v in out.items() if v}
 
 
-def _prod_in_p(factors) -> dict:
+@lru_cache(maxsize=None)
+def _p_in_h(k: int) -> dict:
+    """p_k on the h basis, by Newton's identity p_k = k h_k - sum_{i<k} h_{k-i} p_i."""
+    out: dict = {(k,): Fraction(k)}
+    for i in range(1, k):
+        for lam, c in _p_in_h(i).items():
+            key = _merge_part(lam, k - i)
+            out[key] = out.get(key, Fraction(0)) - c
+    return {kk: v for kk, v in out.items() if v}
+
+
+def _product(factors) -> dict:
+    """Product of factors on a multiplicative basis (p or h): partitions merge."""
     out = {(): Fraction(1)}
     for f in factors:
         nxt: dict = {}
@@ -93,34 +110,6 @@ def _prod_in_p(factors) -> dict:
     return out
 
 
-def _invert(parts, mat: dict) -> dict:
-    """Invert {row: {col: Fraction}} over the given index set."""
-    n = len(parts)
-    idx = {p: i for i, p in enumerate(parts)}
-    a = [[Fraction(0)] * n for _ in range(n)]
-    for r, row in mat.items():
-        for c, v in row.items():
-            a[idx[r]][idx[c]] = v
-    inv = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if a[r][col])
-        a[col], a[piv] = a[piv], a[col]
-        inv[col], inv[piv] = inv[piv], inv[col]
-        pv = a[col][col]
-        a[col] = [x / pv for x in a[col]]
-        inv[col] = [x / pv for x in inv[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-                inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
-    out: dict = {}
-    for i, p in enumerate(parts):
-        row = {parts[j]: inv[i][j] for j in range(n) if inv[i][j]}
-        out[p] = row
-    return out
-
-
 def _omega_sign(lam: Partition) -> int:
     """omega p_lam = (-1)^(|lam| - len(lam)) p_lam."""
     return -1 if (sum(lam) - len(lam)) % 2 else 1
@@ -129,15 +118,16 @@ def _omega_sign(lam: Partition) -> int:
 class _BasisData:
     """Per-degree transition matrices between the classical bases and power.
 
-    Only h -> p is inverted.  e = omega h signs each power sum p_rho by
-    (-1)^(|rho|-len(rho)); <h_lam, m_mu> = delta makes m -> p the transpose of
-    p -> h over z_rho, and p -> m the transpose of h -> p times z_rho.
+    h -> p and p -> h are products of Newton's identities.  e = omega h signs
+    each power sum p_rho by (-1)^(|rho|-len(rho)); <h_lam, m_mu> = delta makes
+    m -> p the transpose of p -> h over z_rho, and p -> m the transpose of
+    h -> p times z_rho.
     """
 
     def __init__(self, n: int):
         parts = partitions_of(n)
-        h_to_p = {lam: _prod_in_p([_h_in_p(k) for k in lam]) for lam in parts}
-        p_to_h = _invert(parts, h_to_p)
+        h_to_p = {lam: _product([_h_in_p(k) for k in lam]) for lam in parts}
+        p_to_h = {rho: _product([_p_in_h(k) for k in rho]) for rho in parts}
         self.to_p = {
             "homogeneous": h_to_p,
             "elementary": {
@@ -182,14 +172,14 @@ def _basis_data(n: int) -> _BasisData:
     return data
 
 
-def _transform(coeffs: dict, matrix) -> dict:
-    """sum over lam of coeffs[lam] times row lam of matrix(|lam|), a transition matrix."""
+def linear_map(coeffs: dict, row) -> dict:
+    """sum over lam of coeffs[lam] times row(lam), a sparse dict {key: coefficient}."""
     out: dict = {}
     for lam, c in coeffs.items():
-        for mu, f in matrix(sum(lam))[lam].items():
+        for key, f in row(lam).items():
             term = c * f
-            cur = out.get(mu)
-            out[mu] = term if cur is None else cur + term
+            cur = out.get(key)
+            out[key] = term if cur is None else cur + term
     return out
 
 
@@ -260,7 +250,9 @@ class SymFunc:
     def to_power(self) -> "SymFunc":
         if self.basis == "power":
             return self
-        return SymFunc("power", _transform(self.coeffs, lambda d: _basis_data(d).to_p[self.basis]))
+        return SymFunc(
+            "power", linear_map(self.coeffs, lambda lam: _basis_data(sum(lam)).to_p[self.basis][lam])
+        )
 
     def convert(self, target: str) -> "SymFunc":
         target = _BASIS_ALIAS.get(target, target)
@@ -271,7 +263,9 @@ class SymFunc:
         f = self.to_power()
         if target == "power":
             return f
-        return SymFunc(target, _transform(f.coeffs, lambda d: _basis_data(d).from_p[target]))
+        return SymFunc(
+            target, linear_map(f.coeffs, lambda lam: _basis_data(sum(lam)).from_p[target][lam])
+        )
 
     # -- arithmetic
 
@@ -309,10 +303,6 @@ class SymFunc:
     __rmul__ = __mul__
 
     def scale(self, c) -> "SymFunc":
-        if isinstance(c, (int, Fraction)):
-            if c == 0:
-                return SymFunc(self.basis, {})
-            return SymFunc(self.basis, {lam: v * c for lam, v in self.coeffs.items()})
         c = qtr(c)
         return SymFunc(self.basis, {lam: v * c for lam, v in self.coeffs.items()})
 
@@ -357,29 +347,6 @@ def s_(mu) -> SymFunc:
 
 def m_(mu) -> SymFunc:
     return SymFunc("monomial", {tuple(sorted(mu, reverse=True)): QTR_ONE})
-
-
-def symfunc_to_json(f: SymFunc) -> dict:
-    """JSON form of a homogeneous symmetric function, canonical coefficients."""
-    from .shapes import partition_str
-
-    if not f.is_homogeneous():
-        raise ValueError("only homogeneous symmetric functions serialize")
-    coeffs = {partition_str(lam): c.canonical() for lam, c in sorted(f.coeffs.items())}
-    return {"basis": f.basis, "degree": f.max_degree(), "coeffs": coeffs}
-
-
-def symfunc_from_json(data: dict) -> SymFunc:
-    from .qtfield import parse_rational
-    from .shapes import parse_partition
-
-    coeffs = {
-        parse_partition(lam): parse_rational(c) for lam, c in data["coeffs"].items()
-    }
-    f = SymFunc(data["basis"], coeffs)
-    if f.coeffs and f.max_degree() != data["degree"]:
-        raise ValueError("degree field does not match the coefficients")
-    return f
 
 
 # ---------------------------------------------------------------------------
@@ -429,15 +396,8 @@ def omega_involution(f: SymFunc) -> SymFunc:
 def skew_by_e1(f: SymFunc) -> SymFunc:
     """Hall-adjoint of multiplication by e_1 (d/dp_1 on the power basis)."""
     fp = f.to_power()
-    out: dict = {}
-    for lam, c in fp.coeffs.items():
-        m1 = lam.count(1)
-        if not m1:
-            continue
-        key = lam[:-1]  # partitions are sorted decreasing, so 1s sit at the end
-        term = c * m1
-        cur = out.get(key)
-        out[key] = term if cur is None else cur + term
+    # partitions are sorted decreasing, so the 1s sit at the end
+    out = linear_map(fp.coeffs, lambda lam: {lam[:-1]: lam.count(1)} if lam[-1:] == (1,) else {})
     return SymFunc("power", out)
 
 
@@ -534,14 +494,7 @@ def plethysm(f: SymFunc, A: Alphabet) -> SymFunc:
 
 def plethysm_eval(f: SymFunc, value: QtRational) -> QtRational:
     """f[value] for a pure q,t-scalar alphabet; returns the scalar result."""
-    fp = f.to_power()
-    total = QTR_ZERO
-    for lam, c in fp.coeffs.items():
-        term = c
-        for part in lam:
-            term = term * value.frobenius(part)
-        total = total + term
-    return total
+    return plethysm(f, Alphabet.scalar(value)).coeffs.get((), QTR_ZERO)
 
 
 def extract_z(P: SymFunc, shift: Alphabet, kernel: Alphabet, a: int) -> SymFunc:
@@ -573,26 +526,11 @@ def omega_series(A: Alphabet, maxdeg: int) -> SymFunc:
 @lru_cache(maxsize=None)
 def _omega_series(terms: tuple, maxdeg: int) -> SymFunc:
     """omega_series, cached per kernel: the operators use only a handful."""
-    # exp of sum_k xm_k p_k / k
-    log_x: dict = {}
     A = Alphabet(terms)
-    for k in range(1, maxdeg + 1):
-        xm = A.pk(k)[0]
-        if not xm.is_zero():
-            log_x[(k,)] = xm * Fraction(1, k)
-    L = SymFunc("power", log_x)
-    result = SymFunc.one()
-    term = SymFunc.one()
-    for j in range(1, maxdeg + 1):
-        term = _deg_truncate(term * L, maxdeg).scale(Fraction(1, j))
-        if term.is_zero():
-            break
-        result = result + term
-    return result
-
-
-def _deg_truncate(f: SymFunc, maxdeg: int) -> SymFunc:
-    return SymFunc(f.basis, {lam: c for lam, c in f.coeffs.items() if sum(lam) <= maxdeg})
+    out = SymFunc.zero()
+    for m in range(maxdeg + 1):
+        out = out + plethysm(h_(m), A)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -658,8 +596,8 @@ class QSymFunc:
 
 
 @lru_cache(maxsize=None)
-def _syt_descent_counts(lam: Partition) -> tuple[tuple[frozenset, int], ...]:
-    """Multiset of descent sets over standard tableaux of shape lam."""
+def _syt_descent_counts(lam: Partition) -> dict[frozenset, int]:
+    """Multiset of descent sets over standard tableaux of shape lam (cached: read only)."""
     n = sum(lam)
     counts: dict[frozenset, int] = {}
     rows = len(lam)
@@ -679,7 +617,7 @@ def _syt_descent_counts(lam: Partition) -> tuple[tuple[frozenset, int], ...]:
                 fill[r] -= 1
 
     place(1)
-    return tuple(sorted(counts.items(), key=lambda x: sorted(x[0])))
+    return dict(sorted(counts.items(), key=lambda x: sorted(x[0])))
 
 
 def fundamental_expand(f: SymFunc) -> QSymFunc:
@@ -688,15 +626,8 @@ def fundamental_expand(f: SymFunc) -> QSymFunc:
         return QSymFunc(0, {})
     if not f.is_homogeneous():
         raise ValueError("fundamental expansion needs a homogeneous input")
-    n = f.max_degree()
-    fs = f.convert("schur")
-    out: dict = {}
-    for lam, c in fs.coeffs.items():
-        for des, mult in _syt_descent_counts(lam):
-            cur = out.get(des)
-            term = c * mult
-            out[des] = term if cur is None else cur + term
-    return QSymFunc(n, out)
+    schur = f.convert("schur").coeffs
+    return QSymFunc(f.max_degree(), linear_map(schur, _syt_descent_counts))
 
 
 @lru_cache(maxsize=None)

@@ -260,6 +260,27 @@ def test_verify_cache_must_be_a_directory(tmp_path, capsys):
     assert not os.path.exists(missing)
 
 
+def test_build_cache_path_must_not_be_a_file(tmp_path, capsys):
+    a_file = tmp_path / "file"
+    a_file.write_text("")
+    assert main(["build-cache", "--n-max", "1", "--cache", str(a_file)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""  # refused before any table is built
+    assert captured.err == f"usage error: --cache {a_file} is not a directory\n"
+    assert a_file.read_text() == ""
+
+
+def test_benchmark_case_ids_match_the_reference():
+    # perfbench keys its digests by case id; a changed id reads as a digest failure there
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "perfbench", "reference.json")) as fh:
+        reference = json.load(fh)
+    for workload, suite, n_max in (("registry", "operators", 5), ("main-grid", "main-theorem", 6)):
+        ids = [case.case_id for case in build_cases(suite, n_max)]
+        assert len(ids) == len(set(ids)) == reference[workload]["count"][str(n_max)]
+        assert set(ids) == set(reference[workload]["cases"])
+
+
 def _raise_in_helper():
     return 1 // 0  # the innermost frame
 

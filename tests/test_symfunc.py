@@ -42,6 +42,23 @@ def test_s21_in_homogeneous():
     assert s_((2, 1)).convert("homogeneous") == h_(2) * h_(1) - h_(3)
 
 
+def test_newton_matrices_are_inverse():
+    # h -> p and p -> h are built separately from Newton's identities; their
+    # product is the identity in every degree up to the cap
+    from qtshuffle.symfunc import _DEGREE_CAP, _basis_data
+
+    for n in range(_DEGREE_CAP + 1):
+        data = _basis_data(n)
+        h_to_p, p_to_h = data.to_p["homogeneous"], data.from_p["homogeneous"]
+        for first, second in ((h_to_p, p_to_h), (p_to_h, h_to_p)):
+            for lam, row in first.items():
+                prod: dict = {}
+                for rho, c in row.items():
+                    for mu, d in second[rho].items():
+                        prod[mu] = prod.get(mu, 0) + c * d
+                assert {mu: v for mu, v in prod.items() if v} == {lam: 1}
+
+
 def test_round_trip_all_bases():
     f = s_((2, 1)) + h_(3).scale(Q) - e_(2).scale(T) * e_(1)
     ref = f.convert("power")
@@ -176,6 +193,23 @@ def test_omega_series_elementary_kernel():
         assert om.homogeneous_component(m) == e_(m).to_power()
 
 
+@pytest.mark.parametrize(
+    "kernel",
+    [
+        Alphabet.X(),
+        -Alphabet.X(eps=True),
+        Alphabet.X(-(Q * (1 - T)).inverse(), eps=True),
+        Alphabet.X(-(1 - T).inverse()),
+    ],
+    ids=["X", "-eps X", "-eps X/(q(1-t))", "-X/(1-t)"],
+)
+def test_omega_series_times_its_negative_is_one(kernel):
+    # the four creation-operator kernels: Omega[K] Omega[-K] = 1 through degree 5
+    prod = omega_series(kernel, 5) * omega_series(-kernel, 5)
+    for m in range(6):
+        assert prod.homogeneous_component(m) == (SymFunc.one() if m == 0 else SymFunc.zero())
+
+
 def test_omega_series_takes_x_terms_only():
     with pytest.raises(ValueError):
         omega_series(Alphabet.X() + Alphabet.scalar(Q), 2)
@@ -254,18 +288,6 @@ def test_fundamental_matches_monomial_restriction():
 def test_fundamental_requires_homogeneous():
     with pytest.raises(ValueError):
         fundamental_expand(h_(1) + h_(2))
-
-
-def test_symfunc_json_round_trip():
-    from qtshuffle.symfunc import symfunc_from_json, symfunc_to_json
-
-    f = SymFunc("schur", {(2, 1): Q, (1, 1, 1): (1 - T) / (1 - Q)})
-    data = symfunc_to_json(f)
-    assert data["basis"] == "schur" and data["degree"] == 3
-    assert set(data["coeffs"]) == {"[2,1]", "[1,1,1]"}
-    assert symfunc_from_json(data) == f
-    with pytest.raises(ValueError):
-        symfunc_to_json(h_(1) + h_(2))
 
 
 # -- randomized laws ------------------------------------------------------------------
