@@ -345,8 +345,13 @@ def run_suite(suite: str, n_max: int) -> VerificationReport:
 # -- commands ---------------------------------------------------------------
 
 
-def _cache_dir(arg: str | None) -> str:
-    return arg or os.environ.get(ENV_CACHE) or os.path.join(os.getcwd(), "qtshuffle-cache")
+def _cache_dir(arg: str | None) -> tuple[str, str]:
+    """The build-cache directory and where it came from, for messages."""
+    if arg:
+        return arg, "--cache"
+    if os.environ.get(ENV_CACHE):
+        return os.environ[ENV_CACHE], f"${ENV_CACHE}"
+    return os.path.join(os.getcwd(), "qtshuffle-cache"), "default cache directory"
 
 
 def _load_cached_table(path: str, n: int) -> bool:
@@ -362,13 +367,13 @@ def _load_cached_table(path: str, n: int) -> bool:
     return True
 
 
-def cmd_build_cache(n_max: int, cache_dir: str) -> int:
+def cmd_build_cache(n_max: int, cache_dir: str, source: str = "--cache") -> int:
     try:
         if n_max < 0:  # building nothing proves nothing
             raise ValueError(f"build-cache has no tables to build at --n-max {n_max}")
         check_degree(n_max)
         if os.path.exists(cache_dir) and not os.path.isdir(cache_dir):
-            raise ValueError(f"--cache {cache_dir} is not a directory")
+            raise ValueError(f"{source} {cache_dir} is not a directory")
     except ValueError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 2
@@ -536,7 +541,7 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     if args.command == "build-cache":
-        return cmd_build_cache(args.n_max, _cache_dir(args.cache))
+        return cmd_build_cache(args.n_max, *_cache_dir(args.cache))
     if args.command == "verify":
         return cmd_verify(args.suite, args.n_max, args.format, args.cache)
     try:

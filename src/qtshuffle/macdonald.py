@@ -8,6 +8,19 @@ w_mu, <H~_mu, h_n> = 1) before use; a table that fails raises
 TableInvariantError.  A table loaded from a cache file is verified once, on
 load; install_table does not repeat the check.
 
+verify() checks those invariants on plain integers, exactly.  Each power-sum
+coefficient, scaled by z_rho, must be an integer polynomial A_mu,rho; then n!
+times a Gram entry is sum_rho A_lam,rho A_mu,rho W_rho with W_rho =
+(n!/z_rho^2) <p_rho, p_rho>_* in Z[q,t].  Every polynomial is evaluated at
+q = 2^k, t = 2^(kD) (Kronecker substitution), a ring homomorphism that is
+injective on polynomials of q-degree below D with coefficients below 2^(k-1)
+in absolute value.  D is one more than the largest q-degree a Gram entry or
+its expected value can have, and k comes from a proven bound on the
+coefficients of got - want (the sum over rho of the products of the 1-norms,
+plus the 1-norm of n! w_mu), so each entry is one comparison of Python ints
+and no check is probabilistic.  star_inner stays for coeff(), nabla_row and
+the tests.
+
 Each coefficient on the H~ basis is <f, H~_mu>_* / w_mu (HTildeTable.coeff):
 the expansion behind both Pieri directions, which one loop in pieri() computes
 and checks against d_{mu,nu} = M c_{mu,nu} w_nu / w_mu.  nabla is one Schur-basis
@@ -34,8 +47,10 @@ import os
 import tempfile
 import threading
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
+from math import factorial
 
 from .qtfield import (
     Q,
@@ -43,6 +58,8 @@ from .qtfield import (
     QTR_ZERO,
     QtRational,
     T,
+    int_poly,
+    kronecker,
     parse_rational,
     qtr,
 )
@@ -58,6 +75,7 @@ from .shapes import (
     parse_partition,
     partitions_of,
     recursion_rhs,
+    zmu,
 )
 from .symfunc import (
     Alphabet,
@@ -72,6 +90,7 @@ from .symfunc import (
     plethysm_eval,
     skew_by_e1,
     star_inner,
+    star_z,
 )
 
 
@@ -117,20 +136,77 @@ class HTildeTable:
         return row
 
     def verify(self) -> None:
-        """Assert star-orthogonality with norms w_mu and <.,h_n> = 1."""
+        """Assert the support (one homogeneous entry per mu |- n), <H~_mu, h_n> = 1
+        and <H~_lam, H~_mu>_* = delta w_mu for lam >= mu, exactly; each check is
+        one comparison of Python ints (see packed_gram)."""
         parts = partitions_of(self.degree)
-        if set(self.entries) != set(parts):
+        degrees = {sum(rho) for f in self.power.values() for rho in f.coeffs}
+        if set(self.entries) != set(parts) or degrees - {self.degree}:
             raise TableInvariantError(f"degree {self.degree} table has wrong support")
-        hn = h_(self.degree).to_power()
+        nfact = factorial(self.degree)
+        k, D, normal, gram = self.packed_gram()
         for i, mu in enumerate(parts):
-            if hall_inner(self.power[mu], hn) != QTR_ONE:
+            if normal[mu] != nfact:
                 raise TableInvariantError(f"normalization failed for {mu}")
             for lam in parts[i:]:
-                got = star_inner(self.power[lam], self.power[mu])
-                want = self.invariants[mu].w if lam == mu else QTR_ZERO
-                if got != want:
+                want = kronecker(int_poly(self.invariants[mu].w, nfact), k, D) if lam == mu else 0
+                if gram[lam, mu] != want:
                     raise TableInvariantError(f"orthogonality failed at ({lam}, {mu})")
         self.verified = True
+
+    def packed_gram(self) -> tuple[int, int, dict, dict]:
+        """(k, D, normal, gram): normal[mu] = n! <H~_mu, h_n> and gram[lam, mu] =
+        n! <H~_lam, H~_mu>_* for lam >= mu, each at q = 2^k, t = 2^(kD).
+
+        A_mu,rho = z_rho [p_rho]H~_mu must be an integer polynomial (for the
+        true table it is sum_lam K~_lam,mu chi^lam(rho)), or TableInvariantError.
+        With W_rho = (n!/z_rho^2) <p_rho, p_rho>_*, n! <H~_lam, H~_mu>_* is
+        sum_rho A_lam,rho A_mu,rho W_rho and n! <H~_mu, h_n> is sum_rho
+        A_mu,rho n!/z_rho.  qtfield.kronecker is a ring homomorphism, injective
+        on polynomials of q-degree below D with coefficients below 2^(k-1) in
+        absolute value, so verify's comparisons are exact when D and k cover
+        every got - want: D exceeds its q-degree, and 2^(k-1) exceeds the bound
+        sum_rho a_rho^2 |W_rho|_1 + max_mu |n! w_mu|_1 on its coefficients,
+        a_rho the largest |A_mu,rho|_1 over mu (the normalization's bound, sum_rho
+        |A_mu,rho|_1 n!/z_rho + n!, is no larger).
+        """
+        parts = partitions_of(self.degree)
+        nfact = factorial(self.degree)
+        scaled = {mu: {} for mu in parts}
+        for mu in parts:
+            for rho, c in self.power[mu].coeffs.items():
+                a = int_poly(c, zmu(rho))
+                if a is None:
+                    raise TableInvariantError(
+                        f"integrality failed at ({mu}, {rho}): z_rho [p_rho]H~_mu is no integer polynomial"
+                    )
+                scaled[mu][rho] = a
+        weight = {rho: int_poly(star_z(rho), Fraction(nfact, zmu(rho) ** 2)) for rho in parts}
+        norms = [int_poly(self.invariants[mu].w, nfact) for mu in parts]
+
+        def size(p: dict) -> int:
+            return sum(map(abs, p.values()))
+
+        def q_degree(polys) -> int:
+            return max((i for p in polys for i, _ in p), default=0)
+
+        largest = {rho: max(size(scaled[mu].get(rho, {})) for mu in parts) for rho in parts}
+        bound = sum(largest[rho] ** 2 * size(weight[rho]) for rho in parts) + max(map(size, norms))
+        k = bound.bit_length() + 1
+        D = 1 + max(
+            2 * q_degree(p for row in scaled.values() for p in row.values()) + q_degree(weight.values()),
+            q_degree(norms),
+        )
+        packed = {mu: {rho: kronecker(p, k, D) for rho, p in row.items()} for mu, row in scaled.items()}
+        packed_weight = {rho: kronecker(p, k, D) for rho, p in weight.items()}
+        normal, gram = {}, {}
+        for i, mu in enumerate(parts):
+            row = packed[mu]
+            normal[mu] = sum(x * (nfact // zmu(rho)) for rho, x in row.items())
+            row = {rho: x * packed_weight[rho] for rho, x in row.items()}
+            for lam in parts[i:]:
+                gram[lam, mu] = sum(x * row[rho] for rho, x in packed[lam].items() if rho in row)
+        return k, D, normal, gram
 
     # -- cache file round trip
 

@@ -935,6 +935,38 @@ def swap_qt(r: QtRational) -> QtRational:
 
 
 # ---------------------------------------------------------------------------
+# integer polynomials as plain ints (exact batched checks)
+# ---------------------------------------------------------------------------
+
+
+def int_poly(r: QtRational, scale=1) -> dict | None:
+    """scale * r as an integer polynomial {(q-exp, t-exp): int}, or None when
+    it is not one; scale is an int or a Fraction."""
+    if r._den[1:] != _DONE[1:]:
+        return None
+    s = Fraction(scale, r._den[0])
+    out = {}
+    for key, v in r._num.items():
+        c, rem = divmod(v * s.numerator, s.denominator)
+        if rem:
+            return None
+        out[key] = c
+    return out
+
+
+def kronecker(p: dict, k: int, D: int) -> int:
+    """The integer polynomial p at q = 2^k, t = 2^(kD).
+
+    A ring homomorphism Z[q,t] -> Z, injective on the polynomials of q-degree
+    below D whose coefficients are below 2^(k-1) in absolute value: term
+    q^i t^j lands in slot i + D j, and the difference of two such polynomials
+    has coefficients below 2^k, so its lowest nonzero term c 2^(ke) fixes the
+    value modulo 2^(k(e+1)) to a nonzero residue.
+    """
+    return sum(c << k * (i + D * j) for (i, j), c in p.items())
+
+
+# ---------------------------------------------------------------------------
 # canonical string format (cache files, reports) and display rendering
 # ---------------------------------------------------------------------------
 

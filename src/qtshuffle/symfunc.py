@@ -355,7 +355,7 @@ def m_(mu) -> SymFunc:
 
 
 @lru_cache(maxsize=None)
-def _star_z(lam: Partition) -> QtRational:
+def star_z(lam: Partition) -> QtRational:
     """<p_lam, p_lam>_*: (-1)^(|lam|-len(lam)) z_lam prod over parts k of (1-q^k)(1-t^k)."""
     w = QTR_ONE
     for part in lam:
@@ -382,7 +382,7 @@ def hall_inner(f: SymFunc, g: SymFunc):
 
 def star_inner(f: SymFunc, g: SymFunc):
     """Deformed (star) scalar product."""
-    return _diagonal_pairing(f, g, _star_z)
+    return _diagonal_pairing(f, g, star_z)
 
 
 def omega_involution(f: SymFunc) -> SymFunc:

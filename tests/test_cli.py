@@ -260,7 +260,7 @@ def test_verify_cache_must_be_a_directory(tmp_path, capsys):
     assert not os.path.exists(missing)
 
 
-def test_build_cache_path_must_not_be_a_file(tmp_path, capsys):
+def test_build_cache_path_must_not_be_a_file(tmp_path, monkeypatch, capsys):
     a_file = tmp_path / "file"
     a_file.write_text("")
     assert main(["build-cache", "--n-max", "1", "--cache", str(a_file)]) == 2
@@ -268,6 +268,39 @@ def test_build_cache_path_must_not_be_a_file(tmp_path, capsys):
     assert captured.out == ""  # refused before any table is built
     assert captured.err == f"usage error: --cache {a_file} is not a directory\n"
     assert a_file.read_text() == ""
+    # the message names where the path came from
+    monkeypatch.setenv("QTSHUFFLE_CACHE", str(a_file))
+    assert main(["build-cache", "--n-max", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"usage error: $QTSHUFFLE_CACHE {a_file} is not a directory\n"
+    monkeypatch.delenv("QTSHUFFLE_CACHE")
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "qtshuffle-cache").write_text("")
+    assert main(["build-cache", "--n-max", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    default = tmp_path / "qtshuffle-cache"
+    assert captured.err == f"usage error: default cache directory {default} is not a directory\n"
+    assert a_file.read_text() == "" and default.read_text() == ""
+    assert sorted(os.listdir(tmp_path)) == ["file", "qtshuffle-cache"]
+
+
+@pytest.mark.parametrize("coeff", ["1*q^0*t^0|1*q^1*t^0 + -1*q^0*t^0", "1*q^0*t^0|2*q^0*t^0"])
+def test_cache_with_a_non_polynomial_coefficient_fails_validation(tmp_path, coeff, capsys):
+    cache = str(tmp_path / "cache")
+    assert cmd_build_cache(2, cache) == 0
+    capsys.readouterr()
+    path = os.path.join(cache, "htilde-2.json")
+    data = json.loads(open(path).read())
+    data["entries"]["[2]"]["[2]"] = coeff
+    open(path, "w").write(json.dumps(data))
+    for run in (lambda: cmd_build_cache(2, cache),
+                lambda: main(["verify", "macdonald", "--n-max", "2", "--cache", cache])):
+        assert run() == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cache file {path} failed validation: integrality failed at ((2,), ")
+        assert err.count("\n") == 1
 
 
 def test_benchmark_case_ids_match_the_reference():

@@ -1,9 +1,11 @@
 import hashlib
 import json
+import re
+from math import factorial
 
 import pytest
 
-from qtshuffle.qtfield import Q, QTR_ONE, QTR_ZERO, T, qtr, swap_qt
+from qtshuffle.qtfield import Q, QTR_ONE, QTR_ZERO, T, int_poly, kronecker, qtr, swap_qt
 from qtshuffle.shapes import (
     capital_m,
     compositions_of,
@@ -149,6 +151,107 @@ def test_install_table_verifies_each_table_once(tmp_path, monkeypatch):
     with pytest.raises(TableInvariantError):
         install_table(bad)
     assert len(calls) == 2
+
+
+def _star_route(table):
+    """The invariants through star_inner and hall_inner in Q(q,t): the oracle."""
+    parts = partitions_of(table.degree)
+    for i, mu in enumerate(parts):
+        if hall_inner(table.power[mu], h_(table.degree).to_power()) != QTR_ONE:
+            raise TableInvariantError(f"normalization failed for {mu}")
+        for lam in parts[i:]:
+            want = partition_invariants(mu).w if lam == mu else QTR_ZERO
+            if star_inner(table.power[lam], table.power[mu]) != want:
+                raise TableInvariantError(f"orthogonality failed at ({lam}, {mu})")
+
+
+def _assert_packed_gram_is_exact(table):
+    """Every packed entry is n! times its hall_inner / star_inner value, packed,
+    and every got - want that verify() compares lies where packing is injective."""
+    n, parts = table.degree, partitions_of(table.degree)
+    nfact = factorial(n)
+    k, D, normal, gram = table.packed_gram()
+    entries = []  # (packed, got, want)
+    for i, mu in enumerate(parts):
+        entries.append((normal[mu], hall_inner(table.power[mu], h_(n).to_power()), QTR_ONE))
+        for lam in parts[i:]:
+            want = partition_invariants(mu).w if lam == mu else QTR_ZERO
+            entries.append((gram[lam, mu], star_inner(table.power[lam], table.power[mu]), want))
+    for packed, got, want in entries:
+        assert packed == kronecker(int_poly(got, nfact), k, D)
+        diff = int_poly(got - want, nfact)
+        assert all(i < D and abs(c) < 2 ** (k - 1) for (i, _), c in diff.items())
+    return k, D
+
+
+@pytest.mark.parametrize("n", range(0, 6))
+def test_packed_gram_matches_star_inner(n):
+    table = build_htilde(n)
+    _assert_packed_gram_is_exact(table)
+    _star_route(table)
+    table.verify()
+
+
+def _perturbed(table, mu, lam, change):
+    entries = {nu: table[nu] for nu in table.entries}
+    coeffs = dict(entries[mu].coeffs)
+    coeffs[lam] = change(coeffs.get(lam, QTR_ZERO))
+    entries[mu] = SymFunc("schur", coeffs)
+    return HTildeTable(table.degree, entries)
+
+
+def test_perturbed_tables_fail_both_routes():
+    table = build_htilde(4)
+    k0, D0 = _assert_packed_gram_is_exact(table)
+    swapped = {nu: table[nu] for nu in table.entries}
+    swapped[(3, 1)], swapped[(2, 1, 1)] = swapped[(2, 1, 1)], swapped[(3, 1)]
+    bad = {
+        "q^a t^b": _perturbed(table, (2, 2), (2, 1, 1), lambda c: c + Q**2 * T),
+        "2^200": _perturbed(table, (3, 1), (2, 2), lambda c: qtr(2**200)),
+        "q^60": _perturbed(table, (2, 1, 1), (3, 1), lambda c: c + Q**60),
+        "swap": HTildeTable(4, swapped),
+    }
+    for name, copy in bad.items():
+        k, D = _assert_packed_gram_is_exact(copy)
+        if name == "2^200":
+            assert k > k0 + 200, k  # a wider slot
+        if name == "q^60":
+            assert D > 2 * 60 > D0, D  # a larger q-degree bound
+        for route in (_star_route, HTildeTable.verify):
+            with pytest.raises(TableInvariantError, match=r"^(orthogonality|normalization) failed"):
+                route(copy)
+    # a perturbed s_(n) coefficient breaks the normalization first, on both routes
+    copy = _perturbed(table, (4,), (4,), lambda c: c + T)
+    for route in (_star_route, HTildeTable.verify):
+        with pytest.raises(TableInvariantError, match=r"^normalization failed for \(4,\)$"):
+            route(copy)
+
+
+@pytest.mark.parametrize("coeff", ["1*q^0*t^0|1*q^1*t^0 + -1*q^0*t^0", "1*q^0*t^0|2*q^0*t^0"])
+def test_non_polynomial_table_fails_integrality(tmp_path, coeff):
+    path = tmp_path / "htilde-3.json"
+    build_htilde(3).save(str(path))
+    data = json.loads(path.read_text())
+    data["entries"]["[2,1]"]["[3]"] = coeff
+    path.write_text(json.dumps(data))
+    with pytest.raises(TableInvariantError) as err:
+        HTildeTable.load(str(path))
+    message = str(err.value)
+    assert re.fullmatch(r"integrality failed at \(\(2, 1\), \([0-9, ]+\)\): .*", message), message
+    assert "\n" not in message
+
+
+def test_wrong_degree_term_is_a_support_failure():
+    table = build_htilde(3)
+    copy = _perturbed(table, (2, 1), (2,), lambda c: QTR_ONE)
+    with pytest.raises(TableInvariantError, match=r"^degree 3 table has wrong support$"):
+        copy.verify()
+
+
+def test_degree_seven_table_passes_verify():
+    table = HTildeTable(7, {mu: mac._hhl_monomial(mu) for mu in partitions_of(7)})
+    table.verify()
+    assert table.verified
 
 
 # -- nabla ---------------------------------------------------------------------

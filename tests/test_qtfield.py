@@ -196,6 +196,43 @@ def test_frobenius_is_ring_hom(a, b, k):
     assert (a + b).frobenius(k) == a.frobenius(k) + b.frobenius(k)
 
 
+def test_int_poly_is_the_integer_polynomial_or_none():
+    assert qtfield.int_poly(Q * T - 3) == {(1, 1): 1, (0, 0): -3}
+    half = qtr(Fraction(1, 2))
+    assert qtfield.int_poly(half * Q) is None
+    assert qtfield.int_poly(half * Q, 4) == {(1, 0): 2}
+    assert qtfield.int_poly(qtr(6) * T, Fraction(1, 3)) == {(0, 1): 2}
+    assert qtfield.int_poly(qtr(3) * T, Fraction(1, 2)) is None
+    assert qtfield.int_poly(QTR_ONE / (1 - Q)) is None
+    assert qtfield.int_poly(QTR_ONE / Q, 2) is None
+    assert qtfield.int_poly(QTR_ZERO) == {}
+
+
+@settings(max_examples=40, deadline=None)
+@given(rationals(), rationals())
+def test_kronecker_is_a_ring_hom_and_injective_within_its_slots(a, b):
+    (an, _), (bn, _) = num_den(a), num_den(b)
+    pa, pb = qtfield.int_poly(an), qtfield.int_poly(bn)
+    size = max(map(abs, list(pa.values()) + list(pb.values()) + [0]))
+    k = (size * size * (len(pa) + 1)).bit_length() + 1
+    D = 2 * max([i for i, _ in list(pa) + list(pb)] + [0]) + 1
+
+    def pack(x):
+        return qtfield.kronecker(qtfield.int_poly(x), k, D)
+
+    assert pack(an * bn) == pack(an) * pack(bn)
+    assert pack(an + bn) == pack(an) + pack(bn)
+    for x, y in ((an, bn), (an * bn, an + bn)):
+        assert (pack(x) == pack(y)) == (x == y)
+
+
+def test_kronecker_slots_collide_past_their_bounds():
+    # q^D lands on t, and a coefficient of 2^k carries into the next slot
+    assert qtfield.kronecker({(5, 0): 1}, 8, 5) == qtfield.kronecker({(0, 1): 1}, 8, 5)
+    assert qtfield.kronecker({(0, 0): 2**8}, 8, 5) == qtfield.kronecker({(1, 0): 1}, 8, 5)
+    assert qtfield.kronecker({(0, 0): -1, (1, 0): 1}, 8, 5) == 255
+
+
 def test_hash_agrees_with_equality_for_constants():
     half = qtr(Fraction(1, 2))
     assert half == Fraction(1, 2) and hash(half) == hash(Fraction(1, 2))
