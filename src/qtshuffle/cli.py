@@ -13,6 +13,7 @@ import csv
 import io
 import json
 import os
+import re
 import sys
 import time
 import traceback
@@ -34,6 +35,7 @@ from .parking import (
     rhs_quasisym,
     verify_recursion,
 )
+from .qtfield import QTR_ZERO, parse_rational
 from .shapes import (
     composition_str,
     compositions_of,
@@ -52,6 +54,7 @@ class CaseResult:
     lhs: str = ""
     rhs: str = ""
     seconds: float = 0.0
+    detail: str = ""  # where a fail case's sides first differ; csv and stderr only
 
 
 @dataclass
@@ -92,9 +95,9 @@ class VerificationReport:
     def to_csv(self) -> str:
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["suite", "case-id", "params", "status", "seconds"])
+        writer.writerow(["suite", "case-id", "params", "status", "seconds", "detail"])
         for c in self.cases:
-            writer.writerow([self.suite, c.case_id, c.params, c.status, f"{c.seconds:.3f}"])
+            writer.writerow([self.suite, c.case_id, c.params, c.status, f"{c.seconds:.3f}", c.detail])
         return out.getvalue()
 
     def to_plain(self) -> str:
@@ -321,11 +324,56 @@ def build_cases(suite: str, n_max: int) -> list:
     return builder(n_max)
 
 
+_POWER_TERM = re.compile(r"p(\[[0-9, ]*\])=(.+)")
+
+
+def _power_terms(text: str) -> dict | None:
+    """{partition: canonical coefficient} of a side written by _sym_canonical,
+    or None when the text is no such side."""
+    if text == "0":
+        return {}
+    out = {}
+    for item in text.split("; "):
+        m = _POWER_TERM.fullmatch(item)
+        if m is None:
+            return None
+        out[tuple(json.loads(m[1]))] = m[2]
+    return out
+
+
+def _first_difference(lhs: str, rhs: str) -> str:
+    """Where the two canonical sides of a fail case first differ: for two
+    scalars, the leading term of the reduced lhs - rhs; for two symmetric
+    functions in power sums, the first partition (sorted) whose coefficients
+    differ, with both; "" for any other report."""
+    try:
+        diff = parse_rational(lhs) - parse_rational(rhs)
+    except ValueError:
+        pass
+    else:
+        num, den = diff.canonical().split("|")
+        return f"lhs - rhs leads with {num.split(' + ')[0]} (denominator {den})"
+    a, b = _power_terms(lhs), _power_terms(rhs)
+    if a is None or b is None:
+        return ""
+    zero = QTR_ZERO.canonical()
+    for lam in sorted(a.keys() | b.keys()):
+        x, y = a.get(lam, zero), b.get(lam, zero)
+        if x != y:
+            return f"p{list(lam)}: lhs {x} rhs {y}"
+    return ""
+
+
 def _run_case(case: _Case) -> CaseResult:
     t0 = time.perf_counter()
+    detail = ""
     try:
         ok, lhs, rhs = case.run()
         status = "pass" if ok else "fail"
+        if not ok:
+            detail = _first_difference(lhs, rhs)
+            if detail:
+                print(f"fail: {case.case_id}: {detail}", file=sys.stderr)
     except Exception as err:  # a math bug must surface, not crash the grid
         status, lhs, rhs = "error", f"{type(err).__name__}: {err}", ""
         frame = traceback.extract_tb(err.__traceback__)[-1]
@@ -333,7 +381,7 @@ def _run_case(case: _Case) -> CaseResult:
             f"error: {case.case_id}: {type(err).__name__} at {frame.filename}:{frame.lineno}",
             file=sys.stderr,
         )
-    return CaseResult(case.case_id, case.params, status, lhs, rhs, time.perf_counter() - t0)
+    return CaseResult(case.case_id, case.params, status, lhs, rhs, time.perf_counter() - t0, detail)
 
 
 def run_suite(suite: str, n_max: int) -> VerificationReport:

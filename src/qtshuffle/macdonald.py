@@ -18,18 +18,23 @@ in absolute value.  D is one more than the largest q-degree a Gram entry or
 its expected value can have, and k comes from a proven bound on the
 coefficients of got - want (the sum over rho of the products of the 1-norms,
 plus the 1-norm of n! w_mu), so each entry is one comparison of Python ints
-and no check is probabilistic.  star_inner stays for coeff(), nabla_row and
-the tests.
+and no check is probabilistic.  star_inner stays for coeff() and the tests.
 
 Each coefficient on the H~ basis is <f, H~_mu>_* / w_mu (HTildeTable.coeff):
 the expansion behind both Pieri directions, which one loop in pieri() computes
-and checks against d_{mu,nu} = M c_{mu,nu} w_nu / w_mu.  nabla is one Schur-basis
-matrix per table: row lam, the Schur coefficients of nabla^sign s_lam (in Z[q,t]
-for sign +1), is summed from the Schur entries of the table on first use, never
-on build, load or install.  nabla(f) converts f to Schur, takes one sparse
-product with those rows and returns power sums.  The rec-m and rec-1 identities
-apply shapes.recursion_rhs to lhs_inner; the parking side applies the same
-formula to its own counts.
+and checks against d_{mu,nu} = M c_{mu,nu} w_nu / w_mu.
+
+nabla is one Schur-basis matrix per table and sign, R = K~^-1 diag(T_mu^sign) K~
+(K~ the Schur coefficients of the table), built by HTildeTable.nabla_matrix on
+first use, never on build, load or install, with the packed integers of
+verify(): R is guessed at one point and certified by K~ R = diag(T_mu^sign) K~
+at a second point whose D and k exceed the proven degree and coefficient
+bounds of both sides; the verified K~ is invertible, so the rows are exact.
+nabla(f) converts f to Schur, takes one sparse product with those rows and
+returns power sums.
+
+The rec-m and rec-1 identities apply shapes.recursion_rhs to lhs_inner; the
+parking side applies the same formula to its own counts.
 
 The creation operators op_C, op_B and their star-adjoints op_C_star, op_B_star
 are each one symfunc.extract_z call with their own shift and Omega kernel, as is
@@ -50,7 +55,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
-from math import factorial
+from math import factorial, lcm
 
 from .qtfield import (
     Q,
@@ -62,6 +67,7 @@ from .qtfield import (
     kronecker,
     parse_rational,
     qtr,
+    unkronecker,
 )
 from .shapes import (
     Composition,
@@ -80,6 +86,7 @@ from .shapes import (
 from .symfunc import (
     Alphabet,
     SymFunc,
+    character,
     e_,
     extract_z,
     h_,
@@ -115,7 +122,7 @@ class HTildeTable:
         }
         self.invariants = {mu: partition_invariants(mu) for mu in entries}
         self.verified = False
-        self.nabla_rows: dict[tuple[Partition, int], SymFunc] = {}  # filled by nabla_row
+        self.nabla_rows: dict[int, dict[Partition, SymFunc]] = {}  # sign -> rows, filled by nabla_row
 
     def __getitem__(self, mu: Partition) -> SymFunc:
         return self.entries[tuple(mu)]
@@ -125,15 +132,95 @@ class HTildeTable:
         return star_inner(f, self.power[mu]) / self.invariants[mu].w
 
     def nabla_row(self, lam: Partition, sign: int) -> SymFunc:
-        """nabla^sign s_lam in the Schur basis, the sum over mu of
-        <s_lam, H~_mu>_* / w_mu T_mu^sign H~_mu; built on first use."""
-        row = self.nabla_rows.get((lam, sign))
-        if row is None:
-            s_lam = SymFunc("schur", {lam: QTR_ONE}).to_power()
-            coeffs = {mu: self.coeff(s_lam, mu) * self.invariants[mu].T ** sign for mu in self.entries}
-            row = SymFunc("schur", linear_map(coeffs, lambda mu: self.entries[mu].coeffs))
-            self.nabla_rows[lam, sign] = row
-        return row
+        """nabla^sign s_lam in the Schur basis; the first call for a sign fills
+        every row of that sign (nabla_matrix)."""
+        rows = self.nabla_rows.get(sign)
+        if rows is None:
+            rows = self.nabla_rows[sign] = self.nabla_matrix(sign)
+        return rows[lam]
+
+    def nabla_matrix(self, sign: int) -> dict[Partition, SymFunc]:
+        """{lam: nabla^sign s_lam in the Schur basis}, exact, from packed integers.
+
+        Write H~_mu = sum_nu K~_mu,nu s_nu and S_lam,mu = <s_lam, H~_mu>_*.  Then
+        s_lam = sum_mu S_lam,mu / w_mu H~_mu, so the rows form the matrix
+        R = K~^-1 diag(T_mu^sign) K~ with (K~^-1)_lam,mu = S_lam,mu / w_mu.  Both
+        signs compute R^ = K~^-1 diag(T^_mu) K~, T^_mu = T_mu for sign +1 and
+        T_max / T_mu for sign -1 (T_max = (q t)^(n choose 2)); then R = R^ / T_max.
+
+        Guess (_guess_rows): at q = 2^k, t = 2^(kD), R^_lam,nu is one integer
+        over a common denominator, read back by qtfield.unkronecker.
+
+        Certificate (_eigen_certified): sum_lam K~_mu,lam R^_lam,nu = T^_mu K~_mu,nu
+        for all mu, nu, as polynomials.  verify() showed that the Gram matrix
+        <H~_lam, H~_mu>_* is diag(w_mu) with every w_mu nonzero, so K~ is
+        invertible and that identity leaves R^ one value: the rows are exact,
+        not probable.  A guess that is no integer or fails the certificate
+        doubles k and D and tries again; after _ROW_ATTEMPTS tries the table
+        raises TableInvariantError (on the tables of degree <= 8 the first
+        guess holds).  The table is verified first if it was not yet.
+        """
+        if not self.verified:
+            self.verify()
+        n, parts = self.degree, partitions_of(self.degree)
+        top = n * (n - 1) // 2  # the q- and t-degree of T_max, and the q-degree of K~
+        shift = {}  # mu -> the exponents of the monomial T^_mu
+        for mu in parts:
+            inv = self.invariants[mu]
+            shift[mu] = (inv.nmu_conj, inv.nmu) if sign == 1 else (top - inv.nmu_conj, top - inv.nmu)
+        kostka = {mu: {nu: int_poly(c) for nu, c in self.entries[mu].coeffs.items()} for mu in parts}
+        k = _row_start(max(_size(p) for row in kostka.values() for p in row.values()))
+        D = 1 + top  # at least n, so no w_mu vanishes at the point
+        for _ in range(_ROW_ATTEMPTS):
+            rows = self._guess_rows(kostka, shift, k, D)
+            if rows is not None and _eigen_certified(kostka, shift, rows):
+                den = {(top, top) if sign == -1 else (0, 0): 1}
+                return {
+                    lam: SymFunc("schur", {nu: QtRational(p, den) for nu, p in row.items()})
+                    for lam, row in rows.items()
+                }
+            k, D = 2 * k, 2 * D
+        raise TableInvariantError(f"nabla rows of degree {n} (sign {sign}) failed their certificate")
+
+    def _guess_rows(self, kostka: dict, shift: dict, k: int, D: int) -> dict | None:
+        """{lam: {nu: R^_lam,nu}} read off the value of R^ at q = 2^k, t = 2^(kD),
+        or None when a value is no integer.
+
+        With A and W from _integers, n! S_lam,mu = sum_rho chi^lam(rho) A_mu,rho
+        W_rho, so R^_lam,nu = sum_mu (n! S_lam,mu) T^_mu K~_mu,nu / (n! w_mu): one
+        integer sum over the lcm of the n! w_mu at the point, then one exact
+        division.  No w_mu vanishes there when D >= n: a factor q^a - t^(l+1)
+        or t^l - q^(a+1) of w_mu is zero only if a = D(l+1) or Dl = a+1, and
+        a + l < n.
+        """
+        parts = partitions_of(self.degree)
+        scaled, weight, norms = self._integers()
+        packed_norm = {mu: kronecker(norms[mu], k, D) for mu in parts}
+        common = lcm(*packed_norm.values())
+        packed_weight = {rho: kronecker(p, k, D) for rho, p in weight.items()}
+        aw = {}  # A_mu,rho W_rho at the point
+        for mu, row in scaled.items():
+            aw[mu] = {rho: kronecker(p, k, D) * packed_weight[rho] for rho, p in row.items()}
+        # column mu of K~^-1 diag(T^): n! S_lam,mu times this, over common
+        col = {mu: (common // packed_norm[mu]) << k * (a + D * b) for mu, (a, b) in shift.items()}
+        packed_kostka = {mu: {nu: kronecker(p, k, D) for nu, p in row.items()} for mu, row in kostka.items()}
+        rows = {}
+        for lam in parts:
+            total: dict[Partition, int] = {}
+            for mu in parts:
+                x = sum(character(lam, rho) * y for rho, y in aw[mu].items()) * col[mu]
+                for nu, y in packed_kostka[mu].items():
+                    total[nu] = total.get(nu, 0) + x * y
+            row = {}
+            for nu, x in total.items():
+                value, rem = divmod(x, common)
+                if rem:
+                    return None
+                p = unkronecker(value, k, D)
+                if p:
+                    row[nu] = p
+            rows[lam] = row
+        return rows
 
     def verify(self) -> None:
         """Assert the support (one homogeneous entry per mu |- n), <H~_mu, h_n> = 1
@@ -172,30 +259,13 @@ class HTildeTable:
         """
         parts = partitions_of(self.degree)
         nfact = factorial(self.degree)
-        scaled = {mu: {} for mu in parts}
-        for mu in parts:
-            for rho, c in self.power[mu].coeffs.items():
-                a = int_poly(c, zmu(rho))
-                if a is None:
-                    raise TableInvariantError(
-                        f"integrality failed at ({mu}, {rho}): z_rho [p_rho]H~_mu is no integer polynomial"
-                    )
-                scaled[mu][rho] = a
-        weight = {rho: int_poly(star_z(rho), Fraction(nfact, zmu(rho) ** 2)) for rho in parts}
-        norms = [int_poly(self.invariants[mu].w, nfact) for mu in parts]
-
-        def size(p: dict) -> int:
-            return sum(map(abs, p.values()))
-
-        def q_degree(polys) -> int:
-            return max((i for p in polys for i, _ in p), default=0)
-
-        largest = {rho: max(size(scaled[mu].get(rho, {})) for mu in parts) for rho in parts}
-        bound = sum(largest[rho] ** 2 * size(weight[rho]) for rho in parts) + max(map(size, norms))
+        scaled, weight, norms = self._integers()
+        largest = {rho: max(_size(scaled[mu].get(rho, {})) for mu in parts) for rho in parts}
+        bound = sum(largest[rho] ** 2 * _size(weight[rho]) for rho in parts) + max(map(_size, norms.values()))
         k = bound.bit_length() + 1
         D = 1 + max(
-            2 * q_degree(p for row in scaled.values() for p in row.values()) + q_degree(weight.values()),
-            q_degree(norms),
+            2 * _q_degree(p for row in scaled.values() for p in row.values()) + _q_degree(weight.values()),
+            _q_degree(norms.values()),
         )
         packed = {mu: {rho: kronecker(p, k, D) for rho, p in row.items()} for mu, row in scaled.items()}
         packed_weight = {rho: kronecker(p, k, D) for rho, p in weight.items()}
@@ -207,6 +277,25 @@ class HTildeTable:
             for lam in parts[i:]:
                 gram[lam, mu] = sum(x * row[rho] for rho, x in packed[lam].items() if rho in row)
         return k, D, normal, gram
+
+    def _integers(self) -> tuple[dict, dict, dict]:
+        """(A, W, N) as integer polynomials: A[mu][rho] = z_rho [p_rho]H~_mu (or
+        TableInvariantError), W[rho] = (n!/z_rho^2) <p_rho, p_rho>_* and
+        N[mu] = n! w_mu."""
+        parts = partitions_of(self.degree)
+        nfact = factorial(self.degree)
+        scaled = {mu: {} for mu in parts}
+        for mu in parts:
+            for rho, c in self.power[mu].coeffs.items():
+                a = int_poly(c, zmu(rho))
+                if a is None:
+                    raise TableInvariantError(
+                        f"integrality failed at ({mu}, {rho}): z_rho [p_rho]H~_mu is no integer polynomial"
+                    )
+                scaled[mu][rho] = a
+        weight = {rho: int_poly(star_z(rho), Fraction(nfact, zmu(rho) ** 2)) for rho in parts}
+        norms = {mu: int_poly(self.invariants[mu].w, nfact) for mu in parts}
+        return scaled, weight, norms
 
     # -- cache file round trip
 
@@ -251,6 +340,57 @@ class HTildeTable:
     def load(cls, path: str) -> "HTildeTable":
         with open(path) as fh:
             return cls.from_json(json.load(fh))
+
+
+def _size(p: dict) -> int:
+    """The 1-norm of an integer polynomial."""
+    return sum(map(abs, p.values()))
+
+
+def _q_degree(polys) -> int:
+    return max((i for p in polys for i, _ in p), default=0)
+
+
+_ROW_ATTEMPTS = 4  # nabla_matrix widens its point three times at most
+
+
+def _row_start(norm: int) -> int:
+    """Bits per slot of nabla_matrix's first guess, norm the largest |K~_mu,nu|_1."""
+    return norm.bit_length() + 2
+
+
+def _eigen_certified(kostka: dict, shift: dict, rows: dict) -> bool:
+    """Whether sum_lam K~_mu,lam R^_lam,nu == T^_mu K~_mu,nu for all mu, nu, as
+    polynomials (kostka[mu][nu] = K~_mu,nu, rows[lam][nu] = R^_lam,nu, shift[mu]
+    the exponents of T^_mu).
+
+    Both sides are packed by qtfield.kronecker at one point: D exceeds the
+    q-degree of either side, and 2^(k-1) exceeds sum_lam |K~_mu,lam|_1
+    |R^_lam,nu|_1 + |K~_mu,nu|_1, a bound on every coefficient of their
+    difference, so equal packed values mean equal polynomials.
+    """
+    D = 1 + _q_degree(p for row in kostka.values() for p in row.values())
+    D += max(_q_degree(p for row in rows.values() for p in row.values()), max(a for a, _ in shift.values()))
+    ksize = {mu: {lam: _size(p) for lam, p in row.items()} for mu, row in kostka.items()}
+    rsize = {lam: {nu: _size(p) for nu, p in row.items()} for lam, row in rows.items()}
+    bound = max(
+        sum(x * rsize[lam].get(nu, 0) for lam, x in ksize[mu].items()) + ksize[mu].get(nu, 0)
+        for mu in kostka
+        for nu in kostka
+    )
+    k = bound.bit_length() + 1
+    packed_rows = {lam: {nu: kronecker(p, k, D) for nu, p in row.items()} for lam, row in rows.items()}
+    for mu, row in kostka.items():
+        row = {lam: kronecker(p, k, D) for lam, p in row.items()}
+        lhs: dict[Partition, int] = {}
+        for lam, x in row.items():
+            for nu, y in packed_rows[lam].items():
+                lhs[nu] = lhs.get(nu, 0) + x * y
+        a, b = shift[mu]
+        rhs = {nu: x << k * (a + D * b) for nu, x in row.items()}
+        if any(lhs.get(nu, 0) != rhs.get(nu, 0) for nu in lhs.keys() | rhs.keys()):
+            return False
+    return True
 
 
 _tables: dict[int, HTildeTable] = {}

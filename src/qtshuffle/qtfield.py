@@ -966,6 +966,29 @@ def kronecker(p: dict, k: int, D: int) -> int:
     return sum(c << k * (i + D * j) for (i, j), c in p.items())
 
 
+def unkronecker(x: int, k: int, D: int) -> dict:
+    """The integer polynomial p with kronecker(p, k, D) == x whose coefficients
+    lie in [-2^(k-1), 2^(k-1)) and whose q-degree is below D: x in signed
+    k-bit digits, slot s read as q^(s mod D) t^(s div D).
+
+    For k >= 2 every x has exactly one such p, so unkronecker inverts
+    kronecker on the range where kronecker is injective (coefficients below
+    2^(k-1) in absolute value, q-degree below D).
+    """
+    half = 1 << (k - 1)
+    slots = abs(x).bit_length() // k + 2  # |x| < 2^(k (slots - 1))
+    # adding half to every digit makes each one a plain k-bit field
+    digits = format(x + half * (((1 << k * slots) - 1) // ((1 << k) - 1)), "b").zfill(k * slots)
+    zero = format(half, "b")  # the field of a zero coefficient
+    out = {}
+    for s in range(slots):
+        field = digits[len(digits) - k * (s + 1) : len(digits) - k * s]
+        if field != zero:
+            j, i = divmod(s, D)
+            out[i, j] = int(field, 2) - half
+    return out
+
+
 # ---------------------------------------------------------------------------
 # canonical string format (cache files, reports) and display rendering
 # ---------------------------------------------------------------------------

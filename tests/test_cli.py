@@ -89,15 +89,16 @@ def test_verify_csv_columns(capsys):
     assert main(["verify", "shuffle-qsym", "--n-max", "2", "--format", "csv"]) == 0
     out = capsys.readouterr().out
     header = out.splitlines()[0]
-    assert header == "suite,case-id,params,status,seconds"
+    assert header == "suite,case-id,params,status,seconds,detail"
 
 
 def test_verify_csv_quotes_fields(capsys):
     # case ids such as commutator[a=-1,b=1,P=...] carry commas
     assert main(["verify", "operators", "--n-max", "1", "--format", "csv"]) == 0
     rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
-    assert rows[0] == ["suite", "case-id", "params", "status", "seconds"]
-    assert len(rows) > 1 and all(len(row) == 5 for row in rows)
+    assert rows[0] == ["suite", "case-id", "params", "status", "seconds", "detail"]
+    assert len(rows) > 1 and all(len(row) == 6 for row in rows)
+    assert all(row[5] == "" for row in rows[1:])  # a pass row has no detail
     assert any("," in row[1] for row in rows[1:])
 
 
@@ -325,3 +326,44 @@ def test_error_case_names_where_it_was_raised(capsys):
     assert result.lhs == "ZeroDivisionError: integer division or modulo by zero"
     assert result.rhs == ""
     assert capsys.readouterr().err == f"error: boom[k=1]: ZeroDivisionError at {__file__}:{line}\n"
+
+
+def _report_lines(capsys, argv):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    return captured.out, captured.err.splitlines()
+
+
+def test_fail_rows_name_the_first_difference(capsys, monkeypatch):
+    import qtshuffle.cli as cli
+    import qtshuffle.macdonald as mac
+    from qtshuffle.qtfield import T
+    from qtshuffle.symfunc import e_, p_
+
+    # a symmetric-function identity: the coefficients of p_(n) and p_(1^n) off by t
+    def wrong(n):
+        lhs = e_(n) + (p_((n,)) + p_((1,) * n)).scale(T)
+        return mac._report("en-decomp", {"n": n}, lhs, e_(n).to_power())
+
+    monkeypatch.setitem(mac._REGISTRY, "en-decomp", wrong)
+    json_out, _ = _report_lines(capsys, ["verify", "operators", "--n-max", "2", "--format", "json"])
+    out, err = _report_lines(capsys, ["verify", "operators", "--n-max", "2", "--format", "csv"])
+    failed = [row for row in csv.reader(io.StringIO(out)) if row[3] == "fail"]
+    assert [row[1] for row in failed] == ["en-decomp[n=1]", "en-decomp[n=2]"]
+    one = "1*q^0*t^0"
+    assert failed[0][5] == f"p[1]: lhs 2*q^0*t^1 + 1*q^0*t^0|{one} rhs {one}|{one}"
+    # the first of the two differing partitions, in sorted order
+    assert failed[1][5] == "p[1, 1]: lhs 2*q^0*t^1 + 1*q^0*t^0|2*q^0*t^0 rhs 1*q^0*t^0|2*q^0*t^0"
+    assert err == [f"fail: {row[1]}: {row[5]}" for row in failed]
+    # the JSON report carries no detail
+    cases = json.loads(json_out)["cases"]
+    assert all(set(case) <= {"id", "params", "status", "lhs", "rhs"} for case in cases)
+
+    # a scalar case: the leading term of lhs - rhs
+    pi_poly = cli.pi_poly
+    monkeypatch.setattr(cli, "pi_poly", lambda *args: pi_poly(*args) + T**2 + T)
+    out, err = _report_lines(capsys, ["verify", "main-theorem", "--n-max", "2", "--format", "csv"])
+    rows = list(csv.reader(io.StringIO(out)))[1:]
+    assert rows and all(row[3] == "fail" for row in rows)
+    assert {row[5] for row in rows} == {f"lhs - rhs leads with -1*q^0*t^2 (denominator {one})"}
+    assert err == [f"fail: {row[1]}: {row[5]}" for row in rows]

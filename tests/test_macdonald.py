@@ -304,9 +304,66 @@ def test_nabla_reads_the_rows_of_the_installed_table(monkeypatch):
     fresh = HTildeTable.from_json(old.to_json())
     install_table(fresh)
     assert not fresh.nabla_rows  # rows are built on first use, not on load or install
-    monkeypatch.setitem(old.nabla_rows, ((2, 1), 1), s_((3,)))  # stale
+    monkeypatch.setitem(old.nabla_rows, 1, {**old.nabla_rows[1], (2, 1): s_((3,))})  # stale
     assert nabla(s_((2, 1))) == want
-    assert set(fresh.nabla_rows) == {((2, 1), 1)}
+    # the first use fills every sign +1 row of the fresh table, and nothing else
+    assert list(fresh.nabla_rows) == [1] and set(fresh.nabla_rows[1]) == set(partitions_of(3))
+
+
+def _row_integers(table, sign):
+    """(kostka, shift, rows) for mac._eigen_certified, as the table's integer polynomials."""
+    n = table.degree
+    top = n * (n - 1) // 2
+    kostka = {mu: {nu: int_poly(c) for nu, c in f.coeffs.items()} for mu, f in table.entries.items()}
+    shift, rows = {}, {}
+    for mu, inv in table.invariants.items():
+        shift[mu] = (inv.nmu_conj, inv.nmu) if sign == 1 else (top - inv.nmu_conj, top - inv.nmu)
+    scale = QTR_ONE if sign == 1 else (Q * T) ** top
+    for lam in partitions_of(n):
+        rows[lam] = {nu: int_poly(c * scale) for nu, c in table.nabla_row(lam, sign).coeffs.items()}
+    return kostka, shift, rows
+
+
+@pytest.mark.parametrize("sign", (1, -1))
+def test_eigen_certificate_rejects_a_perturbed_row(sign):
+    kostka, shift, rows = _row_integers(build_htilde(5), sign)
+    assert mac._eigen_certified(kostka, shift, rows)
+    for lam, nu, key in (((3, 2), (2, 2, 1), (2, 1)), ((5,), (1, 1, 1, 1, 1), (0, 0))):
+        bad = {mu: dict(row) for mu, row in rows.items()}
+        poly = dict(bad[lam].get(nu, {}))
+        poly[key] = poly.get(key, 0) + 1
+        bad[lam][nu] = poly
+        assert not mac._eigen_certified(kostka, shift, bad), (lam, nu, key)
+
+
+def test_too_narrow_first_guess_is_retried(monkeypatch):
+    table = build_htilde(6)
+    want = {sign: {lam: table.nabla_row(lam, sign) for lam in partitions_of(6)} for sign in (1, -1)}
+    verdicts = []
+    certify = mac._eigen_certified
+    monkeypatch.setattr(mac, "_eigen_certified", lambda *a: verdicts.append(certify(*a)) or verdicts[-1])
+    monkeypatch.setattr(mac, "_row_start", lambda norm: 2)  # coefficients reach 14 in degree 6
+    for sign in (1, -1):
+        verdicts.clear()
+        fresh = HTildeTable.from_json(table.to_json())
+        assert fresh.nabla_matrix(sign) == want[sign]
+        assert verdicts == [False, False, True]  # 2, 4, then 8 bits per slot
+    # past the last attempt the table gives up loudly
+    monkeypatch.setattr(mac, "_ROW_ATTEMPTS", 2)
+    message = r"^nabla rows of degree 6 \(sign 1\) failed their certificate$"
+    with pytest.raises(TableInvariantError, match=message):
+        HTildeTable.from_json(table.to_json()).nabla_matrix(1)
+
+
+def test_degree_seven_rows_match_the_eigenbasis_expansion():
+    table = build_htilde(7)
+    for lam in ((4, 2, 1), (2, 2, 1, 1, 1)):
+        expansion = htilde_expand(s_(lam))
+        for sign in (1, -1):
+            want = SymFunc.zero()
+            for mu, c in expansion.items():
+                want = want + table.power[mu].scale(c * table.invariants[mu].T ** sign)
+            assert table.nabla_row(lam, sign) == want, (lam, sign)
 
 
 # -- Pieri ------------------------------------------------------------------------

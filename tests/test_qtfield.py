@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -231,6 +232,27 @@ def test_kronecker_slots_collide_past_their_bounds():
     assert qtfield.kronecker({(5, 0): 1}, 8, 5) == qtfield.kronecker({(0, 1): 1}, 8, 5)
     assert qtfield.kronecker({(0, 0): 2**8}, 8, 5) == qtfield.kronecker({(1, 0): 1}, 8, 5)
     assert qtfield.kronecker({(0, 0): -1, (1, 0): 1}, 8, 5) == 255
+
+
+def test_unkronecker_inverts_kronecker_within_its_slots():
+    rng = random.Random(20121)
+    for _ in range(300):
+        k, D = rng.randint(2, 12), rng.randint(1, 6)
+        top = 2 ** (k - 1) - 1
+        p = {}
+        for _ in range(rng.randint(0, 8)):
+            p[rng.randrange(D), rng.randint(0, 5)] = rng.choice((top, -top, rng.randint(-top, top)))
+        p = {key: c for key, c in p.items() if c}
+        assert qtfield.unkronecker(qtfield.kronecker(p, k, D), k, D) == p, (p, k, D)
+    assert qtfield.unkronecker(0, 5, 3) == {}
+    # extreme coefficients next to each other, and t-degree above 0
+    for k in (2, 3, 8, 31):
+        top = 2 ** (k - 1) - 1
+        p = {(0, 0): top, (1, 0): -top, (0, 1): -top, (2, 3): top, (0, 4): 1}
+        assert qtfield.unkronecker(qtfield.kronecker(p, k, 3), k, 3) == p
+    # past the range the digits are the signed ones, not p
+    assert qtfield.unkronecker(qtfield.kronecker({(0, 0): 2**7}, 8, 5), 8, 5) == {(0, 0): -(2**7), (1, 0): 1}
+    assert qtfield.unkronecker(qtfield.kronecker({(5, 0): 1}, 8, 5), 8, 5) == {(0, 1): 1}
 
 
 def test_hash_agrees_with_equality_for_constants():
