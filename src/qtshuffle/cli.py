@@ -341,26 +341,37 @@ def _power_terms(text: str) -> dict | None:
     return out
 
 
+def _scalar_difference(lhs: str, rhs: str) -> str:
+    """The leading term of the reduced lhs - rhs, or "" unless both are canonical scalars."""
+    try:
+        diff = parse_rational(lhs) - parse_rational(rhs)
+    except ValueError:
+        return ""
+    num, den = diff.canonical().split("|")
+    return f"lhs - rhs leads with {num.split(' + ')[0]} (denominator {den})"
+
+
 def _first_difference(lhs: str, rhs: str) -> str:
     """Where the two canonical sides of a fail case first differ: for two
     scalars, the leading term of the reduced lhs - rhs; for two symmetric
     functions in power sums, the first partition (sorted) whose coefficients
-    differ, with both; "" for any other report."""
-    try:
-        diff = parse_rational(lhs) - parse_rational(rhs)
-    except ValueError:
-        pass
-    else:
-        num, den = diff.canonical().split("|")
-        return f"lhs - rhs leads with {num.split(' + ')[0]} (denominator {den})"
+    differ, with both; for two '; '-joined lists of as many scalars (the
+    pairs of _report_pairs), the first differing position and its scalar
+    difference; "" for any other report."""
     a, b = _power_terms(lhs), _power_terms(rhs)
-    if a is None or b is None:
+    if a is not None and b is not None:
+        zero = QTR_ZERO.canonical()
+        for lam in sorted(a.keys() | b.keys()):
+            x, y = a.get(lam, zero), b.get(lam, zero)
+            if x != y:
+                return f"p{list(lam)}: lhs {x} rhs {y}"
         return ""
-    zero = QTR_ZERO.canonical()
-    for lam in sorted(a.keys() | b.keys()):
-        x, y = a.get(lam, zero), b.get(lam, zero)
-        if x != y:
-            return f"p{list(lam)}: lhs {x} rhs {y}"
+    xs, ys = lhs.split("; "), rhs.split("; ")
+    pairs = [_scalar_difference(x, y) for x, y in zip(xs, ys)]
+    if len(xs) == len(ys) and all(pairs):
+        for i, (x, y) in enumerate(zip(xs, ys)):
+            if x != y:
+                return pairs[i] if len(xs) == 1 else f"pair {i}: {pairs[i]}"
     return ""
 
 

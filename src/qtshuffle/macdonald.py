@@ -8,28 +8,22 @@ w_mu, <H~_mu, h_n> = 1) before use; a table that fails raises
 TableInvariantError.  A table loaded from a cache file is verified once, on
 load; install_table does not repeat the check.
 
-verify() checks those invariants on plain integers, exactly.  Each power-sum
-coefficient, scaled by z_rho, must be an integer polynomial A_mu,rho; then n!
-times a Gram entry is sum_rho A_lam,rho A_mu,rho W_rho with W_rho =
-(n!/z_rho^2) <p_rho, p_rho>_* in Z[q,t].  Every polynomial is evaluated at
-q = 2^k, t = 2^(kD) (Kronecker substitution), a ring homomorphism that is
-injective on polynomials of q-degree below D with coefficients below 2^(k-1)
-in absolute value.  D is one more than the largest q-degree a Gram entry or
-its expected value can have, and k comes from a proven bound on the
-coefficients of got - want (the sum over rho of the products of the 1-norms,
-plus the 1-norm of n! w_mu), so each entry is one comparison of Python ints
-and no check is probabilistic.  star_inner stays for coeff() and the tests.
+verify() works on two integer-polynomial matrices: K~, the table's Schur
+coefficients, and G_n = (<s_lam, s_nu>_*), one per degree (_star_gram).
+<H~_mu, h_n> is the lookup K~_mu,(n), and the Gram matrix <H~_lam, H~_mu>_*
+is K~ G_n K~^T, compared with diag(w_mu) as one _packed_product: a product
+of integer-polynomial matrices at q = 2^k, t = 2^(kD), with D and k from one
+proven degree and coefficient bound, so each entry is one exact comparison
+of Python ints.
 
 Each coefficient on the H~ basis is <f, H~_mu>_* / w_mu (HTildeTable.coeff):
 the expansion behind both Pieri directions, which one loop in pieri() computes
 and checks against d_{mu,nu} = M c_{mu,nu} w_nu / w_mu.
 
-nabla is one Schur-basis matrix per table and sign, R = K~^-1 diag(T_mu^sign) K~
-(K~ the Schur coefficients of the table), built by HTildeTable.nabla_matrix on
-first use, never on build, load or install, with the packed integers of
-verify(): R is guessed at one point and certified by K~ R = diag(T_mu^sign) K~
-at a second point whose D and k exceed the proven degree and coefficient
-bounds of both sides; the verified K~ is invertible, so the rows are exact.
+nabla is one Schur-basis matrix per table and sign, R = K~^-1 diag(T_mu^sign) K~,
+built by HTildeTable.nabla_matrix on first use, never on build, load or
+install: verify() gives K~^-1 = G_n K~^T diag(1/w_mu), R is guessed at one
+point and certified by K~ R = diag(T_mu^sign) K~ with _packed_product.
 nabla(f) converts f to Schur, takes one sparse product with those rows and
 returns power sums.
 
@@ -53,7 +47,7 @@ import tempfile
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import permutations
 from math import factorial, lcm
 
@@ -87,6 +81,7 @@ from .symfunc import (
     Alphabet,
     SymFunc,
     character,
+    check_degree,
     e_,
     extract_z,
     h_,
@@ -122,6 +117,7 @@ class HTildeTable:
         }
         self.invariants = {mu: partition_invariants(mu) for mu in entries}
         self.verified = False
+        self.kostka: dict = {}  # mu -> {lam: K~_mu,lam as an integer polynomial}, filled by verify()
         self.nabla_rows: dict[int, dict[Partition, SymFunc]] = {}  # sign -> rows, filled by nabla_row
 
     def __getitem__(self, mu: Partition) -> SymFunc:
@@ -142,19 +138,12 @@ class HTildeTable:
     def nabla_matrix(self, sign: int) -> dict[Partition, SymFunc]:
         """{lam: nabla^sign s_lam in the Schur basis}, exact, from packed integers.
 
-        Write H~_mu = sum_nu K~_mu,nu s_nu and S_lam,mu = <s_lam, H~_mu>_*.  Then
-        s_lam = sum_mu S_lam,mu / w_mu H~_mu, so the rows form the matrix
-        R = K~^-1 diag(T_mu^sign) K~ with (K~^-1)_lam,mu = S_lam,mu / w_mu.  Both
-        signs compute R^ = K~^-1 diag(T^_mu) K~, T^_mu = T_mu for sign +1 and
-        T_max / T_mu for sign -1 (T_max = (q t)^(n choose 2)); then R = R^ / T_max.
-
-        Guess (_guess_rows): at q = 2^k, t = 2^(kD), R^_lam,nu is one integer
-        over a common denominator, read back by qtfield.unkronecker.
-
-        Certificate (_eigen_certified): sum_lam K~_mu,lam R^_lam,nu = T^_mu K~_mu,nu
-        for all mu, nu, as polynomials.  verify() showed that the Gram matrix
-        <H~_lam, H~_mu>_* is diag(w_mu) with every w_mu nonzero, so K~ is
-        invertible and that identity leaves R^ one value: the rows are exact,
+        The rows form R = K~^-1 diag(T_mu^sign) K~ (K~ the Schur coefficients).
+        Both signs compute R^ = K~^-1 diag(T^_mu) K~, T^_mu = T_mu for sign +1
+        and T_max / T_mu for sign -1 (T_max = (q t)^(n choose 2)); then
+        R = R^ / T_max.  _guess_rows reads R^ off one point, and the
+        certificate K~ R^ = diag(T^_mu) K~, one _packed_product, leaves it one
+        value, since verify() showed that K~ is invertible: the rows are exact,
         not probable.  A guess that is no integer or fails the certificate
         doubles k and D and tries again; after _ROW_ATTEMPTS tries the table
         raises TableInvariantError (on the tables of degree <= 8 the first
@@ -164,138 +153,51 @@ class HTildeTable:
             self.verify()
         n, parts = self.degree, partitions_of(self.degree)
         top = n * (n - 1) // 2  # the q- and t-degree of T_max, and the q-degree of K~
-        shift = {}  # mu -> the exponents of the monomial T^_mu
+        kostka = self.kostka
+        shift, eigen = {}, {}  # mu -> the exponents of the monomial T^_mu, and row mu of diag(T^) K~
         for mu in parts:
             inv = self.invariants[mu]
-            shift[mu] = (inv.nmu_conj, inv.nmu) if sign == 1 else (top - inv.nmu_conj, top - inv.nmu)
-        kostka = {mu: {nu: int_poly(c) for nu, c in self.entries[mu].coeffs.items()} for mu in parts}
+            a, b = shift[mu] = (inv.nmu_conj, inv.nmu) if sign == 1 else (top - inv.nmu_conj, top - inv.nmu)
+            eigen[mu] = {nu: {(i + a, j + b): c for (i, j), c in p.items()} for nu, p in kostka[mu].items()}
         k = _row_start(max(_size(p) for row in kostka.values() for p in row.values()))
         D = 1 + top  # at least n, so no w_mu vanishes at the point
         for _ in range(_ROW_ATTEMPTS):
-            rows = self._guess_rows(kostka, shift, k, D)
-            if rows is not None and _eigen_certified(kostka, shift, rows):
-                den = {(top, top) if sign == -1 else (0, 0): 1}
-                return {
-                    lam: SymFunc("schur", {nu: QtRational(p, den) for nu, p in row.items()})
-                    for lam, row in rows.items()
-                }
+            rows = _guess_rows(kostka, _star_gram(n), shift, k, D)
+            if rows is not None:
+                _, _, got, want = _packed_product([kostka, rows], eigen)
+                if got == want:
+                    den = {(top, top) if sign == -1 else (0, 0): 1}
+                    return {
+                        lam: SymFunc("schur", {nu: QtRational(p, den) for nu, p in row.items()})
+                        for lam, row in rows.items()
+                    }
             k, D = 2 * k, 2 * D
         raise TableInvariantError(f"nabla rows of degree {n} (sign {sign}) failed their certificate")
 
-    def _guess_rows(self, kostka: dict, shift: dict, k: int, D: int) -> dict | None:
-        """{lam: {nu: R^_lam,nu}} read off the value of R^ at q = 2^k, t = 2^(kD),
-        or None when a value is no integer.
-
-        With A and W from _integers, n! S_lam,mu = sum_rho chi^lam(rho) A_mu,rho
-        W_rho, so R^_lam,nu = sum_mu (n! S_lam,mu) T^_mu K~_mu,nu / (n! w_mu): one
-        integer sum over the lcm of the n! w_mu at the point, then one exact
-        division.  No w_mu vanishes there when D >= n: a factor q^a - t^(l+1)
-        or t^l - q^(a+1) of w_mu is zero only if a = D(l+1) or Dl = a+1, and
-        a + l < n.
-        """
-        parts = partitions_of(self.degree)
-        scaled, weight, norms = self._integers()
-        packed_norm = {mu: kronecker(norms[mu], k, D) for mu in parts}
-        common = lcm(*packed_norm.values())
-        packed_weight = {rho: kronecker(p, k, D) for rho, p in weight.items()}
-        aw = {}  # A_mu,rho W_rho at the point
-        for mu, row in scaled.items():
-            aw[mu] = {rho: kronecker(p, k, D) * packed_weight[rho] for rho, p in row.items()}
-        # column mu of K~^-1 diag(T^): n! S_lam,mu times this, over common
-        col = {mu: (common // packed_norm[mu]) << k * (a + D * b) for mu, (a, b) in shift.items()}
-        packed_kostka = {mu: {nu: kronecker(p, k, D) for nu, p in row.items()} for mu, row in kostka.items()}
-        rows = {}
-        for lam in parts:
-            total: dict[Partition, int] = {}
-            for mu in parts:
-                x = sum(character(lam, rho) * y for rho, y in aw[mu].items()) * col[mu]
-                for nu, y in packed_kostka[mu].items():
-                    total[nu] = total.get(nu, 0) + x * y
-            row = {}
-            for nu, x in total.items():
-                value, rem = divmod(x, common)
-                if rem:
-                    return None
-                p = unkronecker(value, k, D)
-                if p:
-                    row[nu] = p
-            rows[lam] = row
-        return rows
-
     def verify(self) -> None:
-        """Assert the support (one homogeneous entry per mu |- n), <H~_mu, h_n> = 1
-        and <H~_lam, H~_mu>_* = delta w_mu for lam >= mu, exactly; each check is
-        one comparison of Python ints (see packed_gram)."""
+        """Assert the support (one entry per mu |- n, each Schur term of degree
+        n), an integer polynomial K~_mu,lam for every Schur coefficient,
+        <H~_mu, h_n> = K~_mu,(n) = 1 and <H~_lam, H~_mu>_* = (K~ G_n K~^T)_lam,mu
+        = delta w_mu for lam >= mu, exactly, as one _packed_product."""
         parts = partitions_of(self.degree)
-        degrees = {sum(rho) for f in self.power.values() for rho in f.coeffs}
+        degrees = {sum(lam) for f in self.entries.values() for lam in f.coeffs}
         if set(self.entries) != set(parts) or degrees - {self.degree}:
             raise TableInvariantError(f"degree {self.degree} table has wrong support")
-        nfact = factorial(self.degree)
-        k, D, normal, gram = self.packed_gram()
+        kostka = self.kostka = {mu: {} for mu in parts}
+        for mu, f in self.entries.items():
+            for lam, c in f.coeffs.items():
+                if (p := int_poly(c)) is None:  # the true K~_mu,lam lie in N[q,t] (Haiman)
+                    raise TableInvariantError(f"integrality failed at ({mu}, {lam}): K~_mu,lam not in Z[q,t]")
+                kostka[mu][lam] = p
+        norms = {mu: {mu: int_poly(self.invariants[mu].w)} for mu in parts}
+        _, _, gram, want = _packed_product([kostka, _star_gram(self.degree), _transpose(kostka)], norms)
         for i, mu in enumerate(parts):
-            if normal[mu] != nfact:
+            if kostka[mu].get(parts[0]) != {(0, 0): 1}:  # parts[0] is (n), or () in degree 0
                 raise TableInvariantError(f"normalization failed for {mu}")
             for lam in parts[i:]:
-                want = kronecker(int_poly(self.invariants[mu].w, nfact), k, D) if lam == mu else 0
-                if gram[lam, mu] != want:
+                if gram[lam].get(mu, 0) != want[lam].get(mu, 0):
                     raise TableInvariantError(f"orthogonality failed at ({lam}, {mu})")
         self.verified = True
-
-    def packed_gram(self) -> tuple[int, int, dict, dict]:
-        """(k, D, normal, gram): normal[mu] = n! <H~_mu, h_n> and gram[lam, mu] =
-        n! <H~_lam, H~_mu>_* for lam >= mu, each at q = 2^k, t = 2^(kD).
-
-        A_mu,rho = z_rho [p_rho]H~_mu must be an integer polynomial (for the
-        true table it is sum_lam K~_lam,mu chi^lam(rho)), or TableInvariantError.
-        With W_rho = (n!/z_rho^2) <p_rho, p_rho>_*, n! <H~_lam, H~_mu>_* is
-        sum_rho A_lam,rho A_mu,rho W_rho and n! <H~_mu, h_n> is sum_rho
-        A_mu,rho n!/z_rho.  qtfield.kronecker is a ring homomorphism, injective
-        on polynomials of q-degree below D with coefficients below 2^(k-1) in
-        absolute value, so verify's comparisons are exact when D and k cover
-        every got - want: D exceeds its q-degree, and 2^(k-1) exceeds the bound
-        sum_rho a_rho^2 |W_rho|_1 + max_mu |n! w_mu|_1 on its coefficients,
-        a_rho the largest |A_mu,rho|_1 over mu (the normalization's bound, sum_rho
-        |A_mu,rho|_1 n!/z_rho + n!, is no larger).
-        """
-        parts = partitions_of(self.degree)
-        nfact = factorial(self.degree)
-        scaled, weight, norms = self._integers()
-        largest = {rho: max(_size(scaled[mu].get(rho, {})) for mu in parts) for rho in parts}
-        bound = sum(largest[rho] ** 2 * _size(weight[rho]) for rho in parts) + max(map(_size, norms.values()))
-        k = bound.bit_length() + 1
-        D = 1 + max(
-            2 * _q_degree(p for row in scaled.values() for p in row.values()) + _q_degree(weight.values()),
-            _q_degree(norms.values()),
-        )
-        packed = {mu: {rho: kronecker(p, k, D) for rho, p in row.items()} for mu, row in scaled.items()}
-        packed_weight = {rho: kronecker(p, k, D) for rho, p in weight.items()}
-        normal, gram = {}, {}
-        for i, mu in enumerate(parts):
-            row = packed[mu]
-            normal[mu] = sum(x * (nfact // zmu(rho)) for rho, x in row.items())
-            row = {rho: x * packed_weight[rho] for rho, x in row.items()}
-            for lam in parts[i:]:
-                gram[lam, mu] = sum(x * row[rho] for rho, x in packed[lam].items() if rho in row)
-        return k, D, normal, gram
-
-    def _integers(self) -> tuple[dict, dict, dict]:
-        """(A, W, N) as integer polynomials: A[mu][rho] = z_rho [p_rho]H~_mu (or
-        TableInvariantError), W[rho] = (n!/z_rho^2) <p_rho, p_rho>_* and
-        N[mu] = n! w_mu."""
-        parts = partitions_of(self.degree)
-        nfact = factorial(self.degree)
-        scaled = {mu: {} for mu in parts}
-        for mu in parts:
-            for rho, c in self.power[mu].coeffs.items():
-                a = int_poly(c, zmu(rho))
-                if a is None:
-                    raise TableInvariantError(
-                        f"integrality failed at ({mu}, {rho}): z_rho [p_rho]H~_mu is no integer polynomial"
-                    )
-                scaled[mu][rho] = a
-        weight = {rho: int_poly(star_z(rho), Fraction(nfact, zmu(rho) ** 2)) for rho in parts}
-        norms = {mu: int_poly(self.invariants[mu].w, nfact) for mu in parts}
-        return scaled, weight, norms
 
     # -- cache file round trip
 
@@ -351,6 +253,74 @@ def _q_degree(polys) -> int:
     return max((i for p in polys for i, _ in p), default=0)
 
 
+def _transpose(m: dict) -> dict:
+    out: dict = {}
+    for i, row in m.items():
+        for j, x in row.items():
+            out.setdefault(j, {})[i] = x
+    return out
+
+
+def _matmul(a: dict, b: dict) -> dict:
+    """The product of two sparse int matrices {row: {col: int}}, zeros left out."""
+    out = {}
+    for i, row in a.items():
+        acc: dict = {}
+        for j, x in row.items():
+            for l, y in b.get(j, {}).items():
+                acc[l] = acc.get(l, 0) + x * y
+        out[i] = {l: x for l, x in acc.items() if x}
+    return out
+
+
+def _pack(m: dict, k: int, D: int) -> dict:
+    return {i: {j: x for j, p in row.items() if (x := kronecker(p, k, D))} for i, row in m.items()}
+
+
+def _packed_product(factors: list, want: dict) -> tuple[int, int, dict, dict]:
+    """(k, D, got, wanted): the product of the integer-polynomial matrices in
+    factors ({row: {col: poly}} each) and the matrix want, both packed by
+    qtfield.kronecker at q = 2^k, t = 2^(kD), zero entries left out, where
+    got[i][j] == wanted[i][j] exactly when the two polynomials are equal.
+
+    kronecker is a ring homomorphism, injective on polynomials of q-degree
+    below D with coefficients below 2^(k-1) in absolute value, so got is the
+    product of the packed factors.  An entry of the product has q-degree at
+    most the sum of the factors' largest q-degrees, and no coefficient above
+    the matching entry of the product of the factors' 1-norm matrices
+    (|f g|_1 <= |f|_1 |g|_1).  D exceeds that sum and the q-degree of want,
+    and 2^(k-1) exceeds the largest entry of the 1-norm product plus the
+    largest |want|_1, so every got - want lies where kronecker is injective.
+    """
+    degree = sum(_q_degree(p for row in f.values() for p in row.values()) for f in factors)
+    D = 1 + max(degree, _q_degree(p for row in want.values() for p in row.values()))
+    norms = [{i: {j: _size(p) for j, p in row.items()} for i, row in f.items()} for f in factors]
+    bound = max((x for row in reduce(_matmul, norms).values() for x in row.values()), default=0)
+    bound += max((_size(p) for row in want.values() for p in row.values()), default=0)
+    k = bound.bit_length() + 1
+    return k, D, reduce(_matmul, [_pack(f, k, D) for f in factors]), _pack(want, k, D)
+
+
+@lru_cache(maxsize=None)
+def _star_gram(n: int) -> dict:
+    """G_n = {lam: {nu: <s_lam, s_nu>_*}} as integer polynomials, one matrix
+    for every table of degree n: the sum over rho of chi^lam(rho) chi^nu(rho)
+    W_rho / n!, W_rho = (n!/z_rho^2) <p_rho, p_rho>_* in Z[q,t].  The division
+    is exact, as <s_lam, s_nu>_* = <s_lam, omega s_nu[(1-q)(1-t)X]> in Z[q,t]."""
+    parts, nfact = partitions_of(n), factorial(n)
+    weight = {rho: int_poly(star_z(rho), Fraction(nfact, zmu(rho) ** 2)) for rho in parts}
+    gram: dict = {lam: {} for lam in parts}
+    for i, lam in enumerate(parts):
+        for nu in parts[i:]:
+            total: dict = {}
+            for rho, w in weight.items():
+                c = character(lam, rho) * character(nu, rho)
+                for key, x in w.items():
+                    total[key] = total.get(key, 0) + c * x
+            gram[lam][nu] = gram[nu][lam] = {key: x // nfact for key, x in total.items() if x}
+    return gram
+
+
 _ROW_ATTEMPTS = 4  # nabla_matrix widens its point three times at most
 
 
@@ -359,38 +329,31 @@ def _row_start(norm: int) -> int:
     return norm.bit_length() + 2
 
 
-def _eigen_certified(kostka: dict, shift: dict, rows: dict) -> bool:
-    """Whether sum_lam K~_mu,lam R^_lam,nu == T^_mu K~_mu,nu for all mu, nu, as
-    polynomials (kostka[mu][nu] = K~_mu,nu, rows[lam][nu] = R^_lam,nu, shift[mu]
-    the exponents of T^_mu).
+def _guess_rows(kostka: dict, gram: dict, shift: dict, k: int, D: int) -> dict | None:
+    """{lam: {nu: R^_lam,nu}} read off R^ = K~^-1 diag(T^_mu) K~ at q = 2^k,
+    t = 2^(kD), or None when a value is no integer (shift[mu] the exponents of
+    T^_mu).
 
-    Both sides are packed by qtfield.kronecker at one point: D exceeds the
-    q-degree of either side, and 2^(k-1) exceeds sum_lam |K~_mu,lam|_1
-    |R^_lam,nu|_1 + |K~_mu,nu|_1, a bound on every coefficient of their
-    difference, so equal packed values mean equal polynomials.
+    verify() showed K~ G K~^T = diag(w_mu), so K~^-1 = G K~^T diag(1/w_mu); with
+    common the lcm of the w_mu at the point, common R^ = G K~^T diag(T^_mu
+    common / w_mu) K~ is one integer product, then one division per entry.  No w_mu
+    vanishes there when D >= n: a factor q^a - t^(l+1) or t^l - q^(a+1) of
+    w_mu is zero only if a = D(l+1) or Dl = a+1, and a + l < n.
     """
-    D = 1 + _q_degree(p for row in kostka.values() for p in row.values())
-    D += max(_q_degree(p for row in rows.values() for p in row.values()), max(a for a, _ in shift.values()))
-    ksize = {mu: {lam: _size(p) for lam, p in row.items()} for mu, row in kostka.items()}
-    rsize = {lam: {nu: _size(p) for nu, p in row.items()} for lam, row in rows.items()}
-    bound = max(
-        sum(x * rsize[lam].get(nu, 0) for lam, x in ksize[mu].items()) + ksize[mu].get(nu, 0)
-        for mu in kostka
-        for nu in kostka
-    )
-    k = bound.bit_length() + 1
-    packed_rows = {lam: {nu: kronecker(p, k, D) for nu, p in row.items()} for lam, row in rows.items()}
-    for mu, row in kostka.items():
-        row = {lam: kronecker(p, k, D) for lam, p in row.items()}
-        lhs: dict[Partition, int] = {}
-        for lam, x in row.items():
-            for nu, y in packed_rows[lam].items():
-                lhs[nu] = lhs.get(nu, 0) + x * y
-        a, b = shift[mu]
-        rhs = {nu: x << k * (a + D * b) for nu, x in row.items()}
-        if any(lhs.get(nu, 0) != rhs.get(nu, 0) for nu in lhs.keys() | rhs.keys()):
-            return False
-    return True
+    packed_norm = {mu: kronecker(int_poly(partition_invariants(mu).w), k, D) for mu in kostka}
+    common = lcm(*packed_norm.values())
+    packed = _pack(kostka, k, D)
+    inverse = _matmul(_pack(gram, k, D), _transpose(packed))  # K~^-1 diag(w_mu) at the point
+    for row in inverse.values():
+        for mu, x in row.items():
+            a, b = shift[mu]
+            row[mu] = x * (common // packed_norm[mu]) << k * (a + D * b)
+    product = _matmul(inverse, packed)
+    if any(x % common for row in product.values() for x in row.values()):
+        return None
+    return {
+        lam: {nu: unkronecker(x // common, k, D) for nu, x in row.items()} for lam, row in product.items()
+    }
 
 
 _tables: dict[int, HTildeTable] = {}
@@ -449,6 +412,7 @@ def build_htilde(n: int) -> HTildeTable:
     """Build (or fetch) the degree-n table; invariants asserted before return."""
     if n < 0:
         raise ValueError("degree must be nonnegative")
+    check_degree(n)  # before the n! fillings per partition, not after
     table = _tables.get(n)
     if table is not None:
         return table

@@ -19,9 +19,9 @@ from qtshuffle.macdonald import (
     nabla,
 )
 from qtshuffle.parking import (
+    _ides_fits,
     enumerate_by_comp,
     enumerate_family,
-    is_triple_shuffle,
     m1_split,
     pf_to_path,
     phi_inverse,
@@ -183,27 +183,40 @@ def test_criterion_07_recursions_four_way():
     _ok(7, f"both recursions, symbolic and combinatorial, {checked} instances")
 
 
+def _by_ides(pfs):
+    """{iDes: [parking functions]}: a class grouped once, so that each (a, b, c)
+    filter reads _ides_fits per group (tests/test_parking.py checks it against
+    is_triple_shuffle) instead of one word scan per parking function."""
+    groups = {}
+    for pf in pfs:
+        groups.setdefault(pf.stats.ides, []).append(pf)
+    return groups
+
+
+def _fitting(groups, a, b, c):
+    if min(a, b, c) < 0:
+        return []
+    return [pf for ides, pfs in groups.items() if _ides_fits(ides, a, b) for pf in pfs]
+
+
 def test_criterion_08_phi_bijection_and_sieve():
     small_classes = {
-        alpha: tuple(enumerate_by_comp(alpha))
+        alpha: _by_ides(enumerate_by_comp(alpha))
         for d in range(0, 7)
         for alpha in compositions_of(d)
     }
 
     def members(alpha, a, b, c):
-        if min(a, b, c) < 0:
-            return []
         cls = small_classes.get(alpha)
-        pfs = cls if cls is not None else tuple(enumerate_by_comp(alpha))
-        return [pf for pf in pfs if is_triple_shuffle(pf.stats.sigma, a, b, c)]
+        return _fitting(cls if cls is not None else _by_ides(enumerate_by_comp(alpha)), a, b, c)
 
     bijections = 0
     for n in range(2, 8):
         for m in range(2, n + 1):
             for alpha in compositions_of(n - m):
-                source = tuple(enumerate_by_comp((m,) + alpha))
+                source = _by_ides(enumerate_by_comp((m,) + alpha))
                 for a, b, c in _abc_triples(n):
-                    mem = [pf for pf in source if is_triple_shuffle(pf.stats.sigma, a, b, c)]
+                    mem = _fitting(source, a, b, c)
                     imgs_short, imgs_long = [], []
                     for pf in mem:
                         img = phi_map(pf, a, b, c)
@@ -234,7 +247,7 @@ def test_criterion_08_phi_bijection_and_sieve():
                 if b < 1:
                     continue
                 for pf in source:
-                    if pf.cars[0] != a + b or not is_triple_shuffle(pf.stats.sigma, a, b, c):
+                    if pf.cars[0] != a + b or not _ides_fits(pf.stats.ides, a, b):
                         continue
                     tag, img = m1_split(pf, a, b, c)
                     assert tag == "M"

@@ -367,3 +367,24 @@ def test_fail_rows_name_the_first_difference(capsys, monkeypatch):
     assert rows and all(row[3] == "fail" for row in rows)
     assert {row[5] for row in rows} == {f"lhs - rhs leads with -1*q^0*t^2 (denominator {one})"}
     assert err == [f"fail: {row[1]}: {row[5]}" for row in rows]
+
+
+def test_fail_rows_name_the_first_differing_pair(capsys, monkeypatch):
+    import qtshuffle.macdonald as mac
+    from qtshuffle.qtfield import T
+    from qtshuffle.shapes import corners
+
+    # pieri-rel sides are '; '-joined scalars, one per pair: a second pair off by t^2
+    def wrong(mu):
+        d = mac._d_coeff(mu, sorted(corners(mu)[0])[0])
+        return mac._report_pairs("pieri-rel", {"mu": mu}, [(d, d), (d + T**2, d)])
+
+    monkeypatch.setitem(mac._REGISTRY, "pieri-rel", wrong)
+    json_out, _ = _report_lines(capsys, ["verify", "macdonald", "--n-max", "2", "--format", "json"])
+    out, err = _report_lines(capsys, ["verify", "macdonald", "--n-max", "2", "--format", "csv"])
+    failed = [row for row in csv.reader(io.StringIO(out)) if row[3] == "fail"]
+    assert [row[1].split("[")[0] for row in failed] == ["pieri-rel"] * 3
+    assert {row[5] for row in failed} == {"pair 1: lhs - rhs leads with 1*q^0*t^2 (denominator 1*q^0*t^0)"}
+    assert sorted(err) == sorted(f"fail: {row[1]}: {row[5]}" for row in failed)  # stderr in run order
+    cases = json.loads(json_out)["cases"]
+    assert all(set(case) <= {"id", "params", "status", "lhs", "rhs"} for case in cases)

@@ -1,7 +1,6 @@
 import hashlib
 import json
 import re
-from math import factorial
 
 import pytest
 
@@ -165,23 +164,45 @@ def _star_route(table):
                 raise TableInvariantError(f"orthogonality failed at ({lam}, {mu})")
 
 
+def _verify_product(table):
+    """(k, D, got, want) of the one _packed_product that verify() computes."""
+    calls = []
+    product = mac._packed_product
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mac, "_packed_product", lambda *args: calls.append(product(*args)) or calls[-1])
+        try:
+            table.verify()
+        except TableInvariantError:
+            pass
+    (result,) = calls
+    return result
+
+
 def _assert_packed_gram_is_exact(table):
-    """Every packed entry is n! times its hall_inner / star_inner value, packed,
-    and every got - want that verify() compares lies where packing is injective."""
+    """Every packed entry verify() compares is its star_inner value, packed,
+    every got - want lies where packing is injective, and the normalization
+    lookup K~_mu,(n) is the hall_inner value <H~_mu, h_n>."""
     n, parts = table.degree, partitions_of(table.degree)
-    nfact = factorial(n)
-    k, D, normal, gram = table.packed_gram()
-    entries = []  # (packed, got, want)
+    k, D, gram, packed_want = _verify_product(table)
     for i, mu in enumerate(parts):
-        entries.append((normal[mu], hall_inner(table.power[mu], h_(n).to_power()), QTR_ONE))
+        assert table[mu].coeffs.get(parts[0]) == hall_inner(table.power[mu], h_(n).to_power())
         for lam in parts[i:]:
+            got = star_inner(table.power[lam], table.power[mu])
             want = partition_invariants(mu).w if lam == mu else QTR_ZERO
-            entries.append((gram[lam, mu], star_inner(table.power[lam], table.power[mu]), want))
-    for packed, got, want in entries:
-        assert packed == kronecker(int_poly(got, nfact), k, D)
-        diff = int_poly(got - want, nfact)
-        assert all(i < D and abs(c) < 2 ** (k - 1) for (i, _), c in diff.items())
+            assert gram[lam].get(mu, 0) == kronecker(int_poly(got), k, D)
+            assert packed_want[lam].get(mu, 0) == kronecker(int_poly(want), k, D)
+            diff = int_poly(got - want)
+            assert all(i < D and abs(c) < 2 ** (k - 1) for (i, _), c in diff.items())
     return k, D
+
+
+def test_star_gram_matches_star_inner():
+    # G_n, summed on plain ints, against the Q(q,t) star product of Schur functions
+    for n in range(0, 7):
+        gram = mac._star_gram(n)
+        for lam in partitions_of(n):
+            for nu in partitions_of(n):
+                assert gram[lam].get(nu, {}) == int_poly(star_inner(s_(lam), s_(nu))), (lam, nu)
 
 
 @pytest.mark.parametrize("n", range(0, 6))
@@ -254,6 +275,15 @@ def test_degree_seven_table_passes_verify():
     assert table.verified
 
 
+def test_build_above_the_degree_cap_fails_before_any_filling(monkeypatch):
+    def no_filling(mu):
+        raise AssertionError(f"enumerated the fillings of {mu}")
+
+    monkeypatch.setattr(mac, "_hhl_monomial", no_filling)
+    with pytest.raises(ValueError, match=r"^degree 13 exceeds the configured cap 12$"):
+        build_htilde(13)
+
+
 # -- nabla ---------------------------------------------------------------------
 
 
@@ -311,41 +341,54 @@ def test_nabla_reads_the_rows_of_the_installed_table(monkeypatch):
 
 
 def _row_integers(table, sign):
-    """(kostka, shift, rows) for mac._eigen_certified, as the table's integer polynomials."""
+    """(kostka, eigen, rows) for the certificate K~ R^ == diag(T^_mu) K~, as the
+    table's integer polynomials (eigen the right side)."""
     n = table.degree
     top = n * (n - 1) // 2
     kostka = {mu: {nu: int_poly(c) for nu, c in f.coeffs.items()} for mu, f in table.entries.items()}
-    shift, rows = {}, {}
+    eigen, rows = {}, {}
     for mu, inv in table.invariants.items():
-        shift[mu] = (inv.nmu_conj, inv.nmu) if sign == 1 else (top - inv.nmu_conj, top - inv.nmu)
+        a, b = (inv.nmu_conj, inv.nmu) if sign == 1 else (top - inv.nmu_conj, top - inv.nmu)
+        eigen[mu] = {nu: {(i + a, j + b): c for (i, j), c in p.items()} for nu, p in kostka[mu].items()}
     scale = QTR_ONE if sign == 1 else (Q * T) ** top
     for lam in partitions_of(n):
         rows[lam] = {nu: int_poly(c * scale) for nu, c in table.nabla_row(lam, sign).coeffs.items()}
-    return kostka, shift, rows
+    return kostka, eigen, rows
+
+
+def _certified(kostka, eigen, rows):
+    _, _, got, want = mac._packed_product([kostka, rows], eigen)
+    return got == want
 
 
 @pytest.mark.parametrize("sign", (1, -1))
 def test_eigen_certificate_rejects_a_perturbed_row(sign):
-    kostka, shift, rows = _row_integers(build_htilde(5), sign)
-    assert mac._eigen_certified(kostka, shift, rows)
+    kostka, eigen, rows = _row_integers(build_htilde(5), sign)
+    assert _certified(kostka, eigen, rows)
     for lam, nu, key in (((3, 2), (2, 2, 1), (2, 1)), ((5,), (1, 1, 1, 1, 1), (0, 0))):
         bad = {mu: dict(row) for mu, row in rows.items()}
         poly = dict(bad[lam].get(nu, {}))
         poly[key] = poly.get(key, 0) + 1
         bad[lam][nu] = poly
-        assert not mac._eigen_certified(kostka, shift, bad), (lam, nu, key)
+        assert not _certified(kostka, eigen, bad), (lam, nu, key)
 
 
 def test_too_narrow_first_guess_is_retried(monkeypatch):
     table = build_htilde(6)
     want = {sign: {lam: table.nabla_row(lam, sign) for lam in partitions_of(6)} for sign in (1, -1)}
     verdicts = []
-    certify = mac._eigen_certified
-    monkeypatch.setattr(mac, "_eigen_certified", lambda *a: verdicts.append(certify(*a)) or verdicts[-1])
+    product = mac._packed_product
+
+    def recorded(*args):
+        k, D, got, packed_want = product(*args)
+        verdicts.append(got == packed_want)
+        return k, D, got, packed_want
+
+    monkeypatch.setattr(mac, "_packed_product", recorded)
     monkeypatch.setattr(mac, "_row_start", lambda norm: 2)  # coefficients reach 14 in degree 6
     for sign in (1, -1):
-        verdicts.clear()
         fresh = HTildeTable.from_json(table.to_json())
+        verdicts.clear()  # drop the verdict of verify() on load
         assert fresh.nabla_matrix(sign) == want[sign]
         assert verdicts == [False, False, True]  # 2, 4, then 8 bits per slot
     # past the last attempt the table gives up loudly
