@@ -325,6 +325,9 @@ def build_cases(suite: str, n_max: int) -> list:
 
 
 _POWER_TERM = re.compile(r"p(\[[0-9, ]*\])=(.+)")
+_QSYM = re.compile(r"QSymFunc\(deg=\d+, \{(.*)\}\)")  # a side written by QSymFunc.__repr__
+_QSYM_TERM = re.compile(r"(\[[0-9, ]*\]): ([^,]+)")
+_HALVES = re.compile(r"(\w):(.*) (\w):(.*)")  # two labelled halves, as thm32 and sym-ab write them
 
 
 def _power_terms(text: str) -> dict | None:
@@ -351,20 +354,38 @@ def _scalar_difference(lhs: str, rhs: str) -> str:
     return f"lhs - rhs leads with {num.split(' + ')[0]} (denominator {den})"
 
 
+def _first_key_difference(prefix: str, a: dict, b: dict) -> str:
+    """The first key (sorted) whose canonical coefficients differ, with both."""
+    zero = QTR_ZERO.canonical()
+    for key in sorted(a.keys() | b.keys()):
+        x, y = a.get(key, zero), b.get(key, zero)
+        if x != y:
+            return f"{prefix}{list(key)}: lhs {x} rhs {y}"
+    return ""
+
+
 def _first_difference(lhs: str, rhs: str) -> str:
     """Where the two canonical sides of a fail case first differ: for two
     scalars, the leading term of the reduced lhs - rhs; for two symmetric
     functions in power sums, the first partition (sorted) whose coefficients
-    differ, with both; for two '; '-joined lists of as many scalars (the
-    pairs of _report_pairs), the first differing position and its scalar
+    differ, with both; for two quasisymmetric functions, the first descent
+    set likewise; for two sides of two labelled halves (thm32's '1:' and
+    '2:', sym-ab's 'a:' and 'b:'), the first half that differs and where;
+    for two '; '-joined lists of as many scalars (the pairs of
+    _report_pairs), the first differing position and its scalar
     difference; "" for any other report."""
     a, b = _power_terms(lhs), _power_terms(rhs)
     if a is not None and b is not None:
-        zero = QTR_ZERO.canonical()
-        for lam in sorted(a.keys() | b.keys()):
-            x, y = a.get(lam, zero), b.get(lam, zero)
+        return _first_key_difference("p", a, b)
+    qa, qb = _QSYM.fullmatch(lhs), _QSYM.fullmatch(rhs)
+    if qa and qb:
+        a, b = ({tuple(json.loads(S)): c for S, c in _QSYM_TERM.findall(m[1])} for m in (qa, qb))
+        return _first_key_difference("F", a, b)
+    ha, hb = _HALVES.fullmatch(lhs), _HALVES.fullmatch(rhs)
+    if ha and hb and (ha[1], ha[3]) == (hb[1], hb[3]):
+        for label, x, y in ((ha[1], ha[2], hb[2]), (ha[3], ha[4], hb[4])):
             if x != y:
-                return f"p{list(lam)}: lhs {x} rhs {y}"
+                return f"{label}: {_first_difference(x, y)}"
         return ""
     xs, ys = lhs.split("; "), rhs.split("; ")
     pairs = [_scalar_difference(x, y) for x, y in zip(xs, ys)]

@@ -25,10 +25,16 @@ built by HTildeTable.nabla_matrix on first use, never on build, load or
 install: verify() gives K~^-1 = G_n K~^T diag(1/w_mu), R is guessed at one
 point and certified by K~ R = diag(T_mu^sign) K~ with _packed_product.
 nabla(f) converts f to Schur, takes one sparse product with those rows and
-returns power sums.
+returns power sums.  A table converts its Schur entries to power sums
+(HTildeTable.power) only when something first reads them.
 
-The rec-m and rec-1 identities apply shapes.recursion_rhs to lhs_inner; the
-parking side applies the same formula to its own counts.
+lhs_inner(alpha, a, b, c) = <nabla C_alpha 1, e_a h_b h_c> stays in the Schur
+basis, which is orthonormal: nabla C_alpha 1 is cached per composition in
+Schur coefficients, e_a h_b h_c per triple as integers, and the pairing is
+their dot product.  c_word builds C_alpha 1 as C_{alpha_1} applied to the
+cached word of alpha[1:].  The rec-m and rec-1 identities apply
+shapes.recursion_rhs to lhs_inner; the parking side applies the same formula
+to its own counts.
 
 The creation operators op_C, op_B and their star-adjoints op_C_star, op_B_star
 are each one symfunc.extract_z call with their own shift and Omega kernel, as is
@@ -47,7 +53,7 @@ import tempfile
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from itertools import permutations
 from math import factorial, lcm
 
@@ -110,11 +116,8 @@ class HTildeTable:
 
     def __init__(self, degree: int, entries: dict):
         self.degree = degree
-        self.power = {mu: f.to_power() for mu, f in entries.items()}
         # a built table arrives in monomials, a loaded one already in Schur
-        self.entries = {
-            mu: f if f.basis == "schur" else self.power[mu].convert("schur") for mu, f in entries.items()
-        }
+        self.entries = {mu: f.convert("schur") for mu, f in entries.items()}
         self.invariants = {mu: partition_invariants(mu) for mu in entries}
         self.verified = False
         self.kostka: dict = {}  # mu -> {lam: K~_mu,lam as an integer polynomial}, filled by verify()
@@ -122,6 +125,12 @@ class HTildeTable:
 
     def __getitem__(self, mu: Partition) -> SymFunc:
         return self.entries[tuple(mu)]
+
+    @cached_property
+    def power(self) -> dict[Partition, SymFunc]:
+        """mu -> H~_mu in power sums, converted on first use (verify() and the
+        nabla rows read the Schur entries only)."""
+        return {mu: f.to_power() for mu, f in self.entries.items()}
 
     def coeff(self, f: SymFunc, mu: Partition) -> QtRational:
         """Coefficient of H~_mu in f: <f, H~_mu>_* / w_mu."""
@@ -454,13 +463,17 @@ def _htilde_coeff(f: SymFunc, mu: Partition) -> QtRational:
 
 
 def nabla(f: SymFunc, sign: int = 1) -> SymFunc:
-    """The Macdonald eigenoperator (sign=-1 gives its inverse), as one sparse
-    product of f's Schur coefficients with the table rows nabla^sign s_lam."""
+    """The Macdonald eigenoperator (sign=-1 gives its inverse), in power sums."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
+    return _nabla_schur(f, sign).to_power()
+
+
+def _nabla_schur(f: SymFunc, sign: int) -> SymFunc:
+    """nabla^sign f in the Schur basis: one sparse product of f's Schur
+    coefficients with the table rows nabla^sign s_lam."""
     schur = f.convert("schur").coeffs
-    out = linear_map(schur, lambda lam: build_htilde(sum(lam)).nabla_row(lam, sign).coeffs)
-    return SymFunc("schur", out).to_power()
+    return SymFunc("schur", linear_map(schur, lambda lam: build_htilde(sum(lam)).nabla_row(lam, sign).coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -570,24 +583,32 @@ def op_B_star(a: int, P: SymFunc) -> SymFunc:
 
 def c_word(alpha: Composition) -> SymFunc:
     """C_{alpha_1} ... C_{alpha_l} applied to 1, right to left."""
-    f = SymFunc.one()
-    for part in reversed(tuple(alpha)):
-        f = op_C(part, f)
-    return f
+    return _c_word(tuple(alpha))
+
+
+@lru_cache(maxsize=None)
+def _c_word(alpha: Composition) -> SymFunc:
+    """C_{alpha_1} applied to the cached word of alpha[1:], so each suffix is
+    built once however many words share it."""
+    return op_C(alpha[0], _c_word(alpha[1:])) if alpha else SymFunc.one()
 
 
 @lru_cache(maxsize=None)
 def _nabla_c_word(alpha: Composition) -> SymFunc:
-    return nabla(c_word(alpha))
+    """nabla C_alpha 1 in the Schur basis."""
+    return _nabla_schur(c_word(alpha), 1)
 
 
 @lru_cache(maxsize=None)
-def eh_target(a: int, b: int, c: int) -> SymFunc:
-    return e_(a) * h_(b) * h_(c)
+def _eh_schur(a: int, b: int, c: int) -> dict[Partition, int]:
+    """{lam: [s_lam] e_a h_b h_c}, each a nonnegative integer."""
+    return {lam: int_poly(x)[0, 0] for lam, x in (e_(a) * h_(b) * h_(c)).convert("schur").coeffs.items()}
 
 
 def lhs_inner(alpha: Composition, a: int, b: int, c: int) -> QtRational:
-    """Hall pairing of nabla C_alpha 1 with e_a h_b h_c."""
+    """Hall pairing of nabla C_alpha 1 with e_a h_b h_c: the Schur basis is
+    orthonormal, so it is sum over lam of [s_lam] nabla C_alpha 1 times
+    [s_lam] e_a h_b h_c."""
     alpha = tuple(alpha)
     if a + b + c != sum(alpha):
         raise ValueError(f"(a,b,c)={(a, b, c)} must sum to |alpha|={sum(alpha)}")
@@ -598,7 +619,13 @@ def lhs_inner(alpha: Composition, a: int, b: int, c: int) -> QtRational:
 
 @lru_cache(maxsize=None)
 def _lhs_inner_cached(alpha: Composition, a: int, b: int, c: int) -> QtRational:
-    return hall_inner(_nabla_c_word(alpha), eh_target(a, b, c))
+    f = _nabla_c_word(alpha).coeffs
+    total = QTR_ZERO
+    for lam, k in _eh_schur(a, b, c).items():
+        x = f.get(lam)
+        if x is not None:
+            total = total + x * k
+    return total
 
 
 # ---------------------------------------------------------------------------

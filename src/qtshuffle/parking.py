@@ -3,6 +3,11 @@ enumeration by diagonal composition, the triple-shuffle filter and the
 inverse-descent index that answers it for every (a, b, c), the
 section-cycling bijection with its sieve bookkeeping, and the 5-step
 lattice path conversion.
+
+The index (_ides_index) counts (iDes, dinv, area) straight from the car
+fillings of each diagonal vector, whose area, reading order and dinv pairs
+it finds once; it builds no ParkingFunction.  enumerate_by_comp,
+enumerate_family and _compute_stats stay the independent per-object route.
 """
 
 from __future__ import annotations
@@ -275,20 +280,70 @@ def enumerate_family(alpha: Composition, a: int, b: int, c: int):
             yield pf
 
 
+def _filling_counts(diags: tuple[int, ...]) -> dict:
+    """{(iDes bitmask, dinv): count} over the car fillings of one diagonal vector.
+
+    The reading ranks and the position pairs that can add dinv depend on the
+    diagonals alone, so they are found once; the fillings are then placed
+    left to right as in _fill_cars, each placement adding its dinv pairs with
+    the cars before it and its inverse descents with the car values next to
+    it that are already placed (bit i: i + 1 is read before i).
+    """
+    n = len(diags)
+    rank = [0] * n  # the reading order of _compute_stats: top diagonal first, each right to left
+    for k, i in enumerate(sorted(range(n), key=lambda j: (-diags[j], -j))):
+        rank[i] = k
+    same = [[i for i in range(j) if diags[i] == diags[j]] for j in range(n)]
+    above = [[i for i in range(j) if diags[i] == diags[j] + 1] for j in range(n)]
+    cars = [0] * n
+    read = [-1] * (n + 2)  # car value -> reading rank, -1 while unplaced
+    counts: dict = {}
+
+    def place(j: int, mask: int, dinv: int) -> None:
+        if j == n:
+            counts[mask, dinv] = counts.get((mask, dinv), 0) + 1
+            return
+        r = rank[j]
+        lo = cars[j - 1] + 1 if j and diags[j] == diags[j - 1] + 1 else 1
+        for v in range(lo, n + 1):
+            if read[v] >= 0:
+                continue
+            d = dinv
+            for i in same[j]:
+                d += cars[i] < v
+            for i in above[j]:
+                d += cars[i] > v
+            m = mask
+            if read[v - 1] > r:
+                m |= 1 << (v - 1)
+            if 0 <= read[v + 1] < r:
+                m |= 1 << v
+            cars[j], read[v] = v, r
+            place(j + 1, m, d)
+            read[v] = -1
+
+    place(0, 0, 0)
+    return counts
+
+
 @lru_cache(maxsize=None)
 def _ides_index(alpha: Composition) -> dict:
     """{ides: {(dinv, area): count}} over the class, built in one pass; read-only.
 
     The triple-shuffle filter sees a reading word only through its inverse
     descent set, so this index answers every (a, b, c) and the fundamental
-    expansion without enumerating the class again.
+    expansion without enumerating the class again.  It is counted per
+    diagonal vector (_filling_counts) and builds no ParkingFunction;
+    enumerate_by_comp with _compute_stats stays the independent route.
     """
+    if any(p < 1 for p in alpha):
+        raise ValueError(f"composition parts must be >= 1: {alpha}")
     index: dict = {}
-    for pf in enumerate_by_comp(alpha):
-        st = pf.stats
-        bucket = index.setdefault(st.ides, {})
-        key = (st.dinv, st.area)
-        bucket[key] = bucket.get(key, 0) + 1
+    for diags in _diag_vectors(alpha):
+        area = sum(diags)
+        for (mask, dinv), count in _filling_counts(diags).items():
+            bucket = index.setdefault(frozenset(i for i in range(len(diags)) if mask >> i & 1), {})
+            bucket[dinv, area] = bucket.get((dinv, area), 0) + count
     return index
 
 

@@ -369,6 +369,31 @@ def test_fail_rows_name_the_first_difference(capsys, monkeypatch):
     assert err == [f"fail: {row[1]}: {row[5]}" for row in rows]
 
 
+def test_first_difference_names_the_descent_set_and_the_half():
+    from qtshuffle.cli import _first_difference
+    from qtshuffle.macdonald import _sym_canonical
+    from qtshuffle.parking import rhs_quasisym
+    from qtshuffle.qtfield import T
+    from qtshuffle.symfunc import QSymFunc, e_, p_
+
+    one = "1*q^0*t^0"
+    # shuffle-qsym: the first descent set, in the order the repr sorts them
+    f = rhs_quasisym((2, 1))
+    g = f + QSymFunc(3, {frozenset({2}): T, frozenset(): T})
+    assert _first_difference(repr(f), repr(g)) == f"F[]: lhs 0|{one} rhs 1*q^0*t^1|{one}"
+    assert _first_difference(repr(f), repr(f)) == ""
+    # thm32: which half, then its first power-sum partition
+    x, y = _sym_canonical(e_(2)), _sym_canonical(e_(2) + p_((2,)).scale(T))
+    assert _first_difference(f"1:{x} 2:{x}", f"1:{x} 2:{y}") == (
+        "2: p[2]: lhs -1*q^0*t^0|2*q^0*t^0 rhs 2*q^0*t^1 + -1*q^0*t^0|2*q^0*t^0"
+    )
+    assert _first_difference(f"1:{y} 2:0", f"1:{x} 2:0").startswith("1: p[2]: lhs 2*q^0*t^1")
+    # sym-ab writes two scalars the same way
+    assert _first_difference(f"a:1*q^0*t^1|{one} b:0|{one}", f"a:1*q^0*t^1|{one} b:{one}|{one}") == (
+        f"b: lhs - rhs leads with -1*q^0*t^0 (denominator {one})"
+    )
+
+
 def test_fail_rows_name_the_first_differing_pair(capsys, monkeypatch):
     import qtshuffle.macdonald as mac
     from qtshuffle.qtfield import T

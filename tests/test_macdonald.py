@@ -123,6 +123,17 @@ def test_table_json_round_trip(tmp_path):
     assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
 
 
+def test_power_entries_are_built_on_first_use(tmp_path):
+    # a load verifies the table without its power sums; the first read builds them
+    path = tmp_path / "htilde-4.json"
+    build_htilde(4).save(str(path))
+    loaded = HTildeTable.load(str(path))
+    assert loaded.verified and "power" not in vars(loaded)
+    assert loaded.power == {mu: f.to_power() for mu, f in loaded.entries.items()}
+    assert loaded.power == build_htilde(4).power
+    assert loaded.power is loaded.power
+
+
 def test_corrupted_cache_fails_loudly(tmp_path):
     table = build_htilde(2)
     path = tmp_path / "htilde-2.json"
@@ -476,6 +487,16 @@ def test_c_word_examples():
     assert c_word((2,)) == h_(2).scale(-Q.inverse())
 
 
+def test_c_word_accepts_a_list_and_shares_suffixes():
+    # the cached word of each suffix is the right-to-left product of op_C
+    for n in range(6):
+        for alpha in compositions_of(n):
+            want = SymFunc.one()
+            for part in reversed(alpha):
+                want = op_C(part, want)
+            assert c_word(list(alpha)) == c_word(tuple(alpha)) == want, alpha
+
+
 def test_en_decomposition_small():
     for n in (1, 2, 3):
         total = SymFunc.zero()
@@ -538,6 +559,18 @@ def test_lhs_inner_examples():
     assert lhs_inner((1, 1), 0, 1, 1) == 1 + Q
     want = T**4 * Q**2 + T**3 * (Q**4 + 2 * Q**3 + 2 * Q**2)
     assert lhs_inner((3, 2), 1, 2, 2) == want
+
+
+def test_lhs_inner_matches_the_power_sum_pairing():
+    # the Schur-basis sum against hall_inner on nabla's power sums, |alpha| <= 5
+    for n in range(6):
+        for alpha in compositions_of(n):
+            f = nabla(c_word(alpha))
+            for a in range(n + 1):
+                for b in range(n + 1 - a):
+                    c = n - a - b
+                    want = hall_inner(f, e_(a) * h_(b) * h_(c))
+                    assert lhs_inner(alpha, a, b, c) == want, (alpha, a, b, c)
 
 
 def test_lhs_inner_size_mismatch():

@@ -13,6 +13,7 @@ from qtshuffle.parking import (
     ParkingFunction,
     PFStats,
     _ides_fits,
+    _ides_index,
     enumerate_by_comp,
     enumerate_family,
     is_triple_shuffle,
@@ -201,6 +202,22 @@ def test_ides_index_matches_brute_force():
             for pf in enumerate_by_comp(alpha):
                 coeffs[pf.stats.ides] = coeffs.get(pf.stats.ides, QTR_ZERO) + pf.weight()
             assert rhs_quasisym(alpha) == QSymFunc(n, coeffs), alpha
+
+
+def test_ides_index_matches_the_parking_function_stats():
+    # the per-diagonal-vector counts against enumerate_by_comp and PFStats, |alpha| <= 6
+    for n in range(7):
+        for alpha in compositions_of(n):
+            want = {}
+            for pf in enumerate_by_comp(alpha):
+                bucket = want.setdefault(pf.stats.ides, {})
+                key = (pf.stats.dinv, pf.stats.area)
+                bucket[key] = bucket.get(key, 0) + 1
+            got = _ides_index(alpha)
+            assert got == want, alpha
+            assert all(type(ides) is frozenset for ides in got), alpha
+    with pytest.raises(ValueError, match="parts must be >= 1"):
+        _ides_index((0, 2))
 
 
 def test_both_sides_reject_a_bad_sum_before_a_negative_index():
