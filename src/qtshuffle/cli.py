@@ -1,9 +1,13 @@
 """Command-line front end: cache management, verification suites, reports.
 
 Suites aggregate the identity registry, the combinatorial recursions, and
-the cross-checks between the symbolic and enumeration pipelines.  Reports
-are deterministic: case order is fixed by case id, and the canonical JSON
-form carries no timings, so every run of a suite prints the same bytes.
+the cross-checks between the symbolic and enumeration pipelines.  Each case
+returns the values it compares, as (label, lhs, rhs) triples; its verdict,
+its two side texts (macdonald.side_text) and, on a fail, where the sides
+first differ (macdonald.first_difference) are all read off those values.
+Reports are deterministic: case order is fixed by case id, and the
+canonical JSON form carries no timings, so every run of a suite prints the
+same bytes.
 """
 
 from __future__ import annotations
@@ -13,33 +17,36 @@ import csv
 import io
 import json
 import os
-import re
 import sys
 import time
 import traceback
 from dataclasses import dataclass, field
+from functools import cache
 
 from .macdonald import (
     HTildeTable,
     build_htilde,
     check_identity,
     c_word,
+    first_difference,
     install_table,
     lhs_inner,
     nabla,
+    side_text,
 )
 from .parking import (
+    enumerate_by_comp,
     enumerate_family,
+    is_triple_shuffle,
     pf_to_path,
     pi_poly,
     rhs_quasisym,
-    verify_recursion,
 )
-from .qtfield import QTR_ZERO, parse_rational
 from .shapes import (
     composition_str,
     compositions_of,
     partitions_of,
+    recursion_rhs,
 )
 from .symfunc import SymFunc, check_degree, fundamental_expand, p_
 
@@ -115,21 +122,29 @@ class VerificationReport:
         return "\n".join(lines)
 
 
+def _verdict(sides: list) -> tuple[bool, str, str]:
+    """(all triples equal, lhs text, rhs text) of a case's (label, lhs, rhs) triples."""
+    return all(x == y for _, x, y in sides), side_text(sides, 1), side_text(sides, 2)
+
+
 @dataclass(frozen=True)
 class _Case:
     case_id: str
     params: str
-    run: object  # () -> tuple[bool, str, str]
+    sides: object  # () -> list of (label, lhs, rhs): the values this case compares
+    run: object = None  # () -> tuple[bool, str, str]; _verdict of sides() unless given
+
+    def __post_init__(self):
+        if self.run is None:
+            object.__setattr__(self, "run", self._run_sides)
+
+    def _run_sides(self) -> tuple[bool, str, str]:
+        return _verdict(self.sides())
 
 
 def _ident_case(ident: str, **params) -> _Case:
     pstr = ",".join(f"{k}={v}" for k, v in params.items())
-
-    def run():
-        rep = check_identity(ident, **params)
-        return rep.passed, rep.lhs, rep.rhs
-
-    return _Case(f"{ident}[{pstr}]", pstr, run)
+    return _Case(f"{ident}[{pstr}]", pstr, lambda: check_identity(ident, **params).sides)
 
 
 def _abc_triples(n: int):
@@ -144,11 +159,11 @@ def _abc_triples(n: int):
 def _cases_macdonald(n_max: int) -> list:
     cases = []
     for n in range(0, n_max + 1):
-        def run(n=n):
-            build_htilde(n).verify()
-            return True, "invariants hold", "invariants hold"
+        def sides(n=n):
+            build_htilde(n).verify()  # raises TableInvariantError unless they hold
+            return [(None, "invariants hold", "invariants hold")]
 
-        cases.append(_Case(f"htilde-invariants[n={n}]", f"n={n}", run))
+        cases.append(_Case(f"htilde-invariants[n={n}]", f"n={n}", sides))
     for n in range(1, min(n_max, 4) + 1):
         cases.append(_ident_case("cauchy", n=n))
     shapes4 = [mu for d in range(1, min(n_max, 4) + 1) for mu in partitions_of(d)]
@@ -220,17 +235,19 @@ def _cases_operators(n_max: int) -> list:
 def _recursion_case(m, alpha, a, b, c) -> _Case:
     pstr = f"m={m},alpha={composition_str(alpha)},a={a},b={b},c={c}"
 
-    def run():
-        sym = check_identity("rec-m" if m > 1 else "rec-1", **(
+    def sides():
+        ((_, sym, sym_rhs),) = check_identity("rec-m" if m > 1 else "rec-1", **(
             {"m": m, "alpha": alpha, "a": a, "b": b, "c": c} if m > 1
             else {"alpha": alpha, "a": a, "b": b, "c": c}
-        ))
-        comb = verify_recursion(m, alpha, a, b, c)
-        bridge = lhs_inner((m,) + alpha, a, b, c).canonical() == comb.lhs
-        ok = sym.passed and comb.passed and bridge
-        return ok, f"sym:{sym.lhs} comb:{comb.lhs}", f"sym:{sym.rhs} comb:{comb.rhs}"
+        )).sides
+        comb = pi_poly((m,) + alpha, a, b, c)
+        return [
+            ("sym", sym, sym_rhs),
+            ("comb", comb, recursion_rhs(pi_poly, m, alpha, a, b, c)),
+            ("bridge", sym, comb),
+        ]
 
-    return _Case(f"recursion[{pstr}]", pstr, run)
+    return _Case(f"recursion[{pstr}]", pstr, sides)
 
 
 def _cases_recursion(n_max: int) -> list:
@@ -246,12 +263,10 @@ def _cases_recursion(n_max: int) -> list:
 def _main_theorem_case(alpha, a, b, c) -> _Case:
     pstr = f"alpha={composition_str(alpha)},a={a},b={b},c={c}"
 
-    def run():
-        lhs = lhs_inner(alpha, a, b, c)
-        rhs = pi_poly(alpha, a, b, c)
-        return lhs == rhs, lhs.canonical(), rhs.canonical()
+    def sides():
+        return [(None, lhs_inner(alpha, a, b, c), pi_poly(alpha, a, b, c))]
 
-    return _Case(f"main-theorem[{pstr}]", pstr, run)
+    return _Case(f"main-theorem[{pstr}]", pstr, sides)
 
 
 def _cases_main_theorem(n_max: int) -> list:
@@ -269,38 +284,39 @@ def _cases_shuffle_qsym(n_max: int) -> list:
         for p in compositions_of(n):
             pstr = f"p={composition_str(p)}"
 
-            def run(p=p):
-                lhs = fundamental_expand(nabla(c_word(p)))
-                rhs = rhs_quasisym(p)
-                return lhs == rhs, repr(lhs), repr(rhs)
+            def sides(p=p):
+                return [(None, fundamental_expand(nabla(c_word(p))), rhs_quasisym(p))]
 
-            cases.append(_Case(f"shuffle-qsym[{pstr}]", pstr, run))
+            cases.append(_Case(f"shuffle-qsym[{pstr}]", pstr, sides))
     return cases
 
 
-def _paths_case(alpha, a, b, c) -> _Case:
+def _paths_case(alpha, a, b, c, members) -> _Case:
+    """members() is the class of alpha, enumerated once for all its triples."""
     pstr = f"alpha={composition_str(alpha)},a={a},b={b},c={c}"
 
-    def run():
-        fam = list(enumerate_family(alpha, a, b, c))
+    def sides():
+        fam = [pf for pf in members() if is_triple_shuffle(pf.stats.sigma, a, b, c)]
         paths = {pf_to_path(pf, a, b, c).steps for pf in fam}
-        injective = len(paths) == len(fam)
-        expected = lhs_inner(alpha, a, b, c).evaluate(1, 1)
-        return (
-            injective and len(paths) == expected,
-            f"paths={len(paths)} injective={injective}",
-            f"inner(q=t=1)={expected}",
-        )
+        # distinct paths against the family (injective), then against the count
+        return [
+            ("family", len(paths), len(fam)),
+            ("inner(q=t=1)", len(paths), lhs_inner(alpha, a, b, c).evaluate(1, 1)),
+        ]
 
-    return _Case(f"paths[{pstr}]", pstr, run)
+    return _Case(f"paths[{pstr}]", pstr, sides)
 
 
 def _cases_paths(n_max: int) -> list:
     cases = []
     for n in range(1, min(n_max, 6) + 1):
         for alpha in compositions_of(n):
+            @cache
+            def members(alpha=alpha):
+                return list(enumerate_by_comp(alpha))
+
             for a, b, c in _abc_triples(n):
-                cases.append(_paths_case(alpha, a, b, c))
+                cases.append(_paths_case(alpha, a, b, c, members))
     return cases
 
 
@@ -324,88 +340,16 @@ def build_cases(suite: str, n_max: int) -> list:
     return builder(n_max)
 
 
-_POWER_TERM = re.compile(r"p(\[[0-9, ]*\])=(.+)")
-_QSYM = re.compile(r"QSymFunc\(deg=\d+, \{(.*)\}\)")  # a side written by QSymFunc.__repr__
-_QSYM_TERM = re.compile(r"(\[[0-9, ]*\]): ([^,]+)")
-_HALVES = re.compile(r"(\w):(.*) (\w):(.*)")  # two labelled halves, as thm32 and sym-ab write them
-
-
-def _power_terms(text: str) -> dict | None:
-    """{partition: canonical coefficient} of a side written by _sym_canonical,
-    or None when the text is no such side."""
-    if text == "0":
-        return {}
-    out = {}
-    for item in text.split("; "):
-        m = _POWER_TERM.fullmatch(item)
-        if m is None:
-            return None
-        out[tuple(json.loads(m[1]))] = m[2]
-    return out
-
-
-def _scalar_difference(lhs: str, rhs: str) -> str:
-    """The leading term of the reduced lhs - rhs, or "" unless both are canonical scalars."""
-    try:
-        diff = parse_rational(lhs) - parse_rational(rhs)
-    except ValueError:
-        return ""
-    num, den = diff.canonical().split("|")
-    return f"lhs - rhs leads with {num.split(' + ')[0]} (denominator {den})"
-
-
-def _first_key_difference(prefix: str, a: dict, b: dict) -> str:
-    """The first key (sorted) whose canonical coefficients differ, with both."""
-    zero = QTR_ZERO.canonical()
-    for key in sorted(a.keys() | b.keys()):
-        x, y = a.get(key, zero), b.get(key, zero)
-        if x != y:
-            return f"{prefix}{list(key)}: lhs {x} rhs {y}"
-    return ""
-
-
-def _first_difference(lhs: str, rhs: str) -> str:
-    """Where the two canonical sides of a fail case first differ: for two
-    scalars, the leading term of the reduced lhs - rhs; for two symmetric
-    functions in power sums, the first partition (sorted) whose coefficients
-    differ, with both; for two quasisymmetric functions, the first descent
-    set likewise; for two sides of two labelled halves (thm32's '1:' and
-    '2:', sym-ab's 'a:' and 'b:'), the first half that differs and where;
-    for two '; '-joined lists of as many scalars (the pairs of
-    _report_pairs), the first differing position and its scalar
-    difference; "" for any other report."""
-    a, b = _power_terms(lhs), _power_terms(rhs)
-    if a is not None and b is not None:
-        return _first_key_difference("p", a, b)
-    qa, qb = _QSYM.fullmatch(lhs), _QSYM.fullmatch(rhs)
-    if qa and qb:
-        a, b = ({tuple(json.loads(S)): c for S, c in _QSYM_TERM.findall(m[1])} for m in (qa, qb))
-        return _first_key_difference("F", a, b)
-    ha, hb = _HALVES.fullmatch(lhs), _HALVES.fullmatch(rhs)
-    if ha and hb and (ha[1], ha[3]) == (hb[1], hb[3]):
-        for label, x, y in ((ha[1], ha[2], hb[2]), (ha[3], ha[4], hb[4])):
-            if x != y:
-                return f"{label}: {_first_difference(x, y)}"
-        return ""
-    xs, ys = lhs.split("; "), rhs.split("; ")
-    pairs = [_scalar_difference(x, y) for x, y in zip(xs, ys)]
-    if len(xs) == len(ys) and all(pairs):
-        for i, (x, y) in enumerate(zip(xs, ys)):
-            if x != y:
-                return pairs[i] if len(xs) == 1 else f"pair {i}: {pairs[i]}"
-    return ""
-
-
 def _run_case(case: _Case) -> CaseResult:
     t0 = time.perf_counter()
     detail = ""
     try:
-        ok, lhs, rhs = case.run()
+        sides = case.sides()
+        ok, lhs, rhs = _verdict(sides)
         status = "pass" if ok else "fail"
         if not ok:
-            detail = _first_difference(lhs, rhs)
-            if detail:
-                print(f"fail: {case.case_id}: {detail}", file=sys.stderr)
+            detail = first_difference(sides)
+            print(f"fail: {case.case_id}: {detail}", file=sys.stderr)
     except Exception as err:  # a math bug must surface, not crash the grid
         status, lhs, rhs = "error", f"{type(err).__name__}: {err}", ""
         frame = traceback.extract_tb(err.__traceback__)[-1]

@@ -43,6 +43,11 @@ the a + b < 0 side of the commutator identity (with the empty kernel).
 Lemma 3.1, Lemma 3.2, Proposition 3.1 and Theorems 3.1-3.2 expand over the
 same corners: an outer sum over r <= a, s <= b, nu |- r+s (_corner_sum) of an
 inner sum over u that depends only on (kind, m, n, nu) (_corner_block, cached).
+
+Each identity returns the values it compares, as the (label, lhs, rhs)
+triples of an IdentityReport.  Its verdict, its two side texts (side_text)
+and, on a fail, where the sides first differ (first_difference) are read off
+those values; no report text is parsed back.
 """
 
 from __future__ import annotations
@@ -85,6 +90,7 @@ from .shapes import (
 )
 from .symfunc import (
     Alphabet,
+    QSymFunc,
     SymFunc,
     character,
     check_degree,
@@ -481,13 +487,6 @@ def _nabla_schur(f: SymFunc, sign: int) -> SymFunc:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PieriData:
-    shape: Partition
-    direction: str  # "add" (d coefficients) or "remove" (c coefficients)
-    coeffs: dict
-
-
 def _d_coeff(mu: Partition, nu: Partition) -> QtRational:
     """d_{mu,nu}: coefficient of H~_mu in e_1 H~_nu."""
     return _htilde_coeff(e_(1) * build_htilde(sum(nu)).power[nu], mu)
@@ -501,8 +500,8 @@ def _c_coeff(mu: Partition, nu: Partition) -> QtRational:
 _PIERI_ARROWS = {"add": "<-", "remove": "->"}
 
 
-def pieri(shape: Partition, direction: str) -> PieriData:
-    """The d_{mu,shape} over mu = shape plus a box ("add"), or the c_{shape,nu}
+def pieri(shape: Partition, direction: str) -> dict[Partition, QtRational]:
+    """{mu: d_{mu,shape}} over mu = shape plus a box ("add"), or {nu: c_{shape,nu}}
     over nu = shape minus a box ("remove").  Each is checked against the other
     direction by d_{mu,nu} = M c_{mu,nu} w_nu / w_mu, and every other shape of
     the neighbouring degree must get coefficient zero."""
@@ -526,12 +525,12 @@ def pieri(shape: Partition, direction: str) -> PieriData:
                 raise TableInvariantError(f"Pieri relation failed at {mu} {arrow} {nu}")
         elif not x.is_zero():
             raise TableInvariantError(f"spurious Pieri support {mu} {arrow} {nu}")
-    return PieriData(shape, direction, coeffs)
+    return coeffs
 
 
 @lru_cache(maxsize=None)
 def _pieri(shape: Partition, direction: str) -> tuple[tuple[Partition, QtRational], ...]:
-    return tuple(sorted(pieri(shape, direction).coeffs.items()))
+    return tuple(sorted(pieri(shape, direction).items()))
 
 
 @lru_cache(maxsize=None)
@@ -675,11 +674,25 @@ def _sign(k: int) -> int:
 
 @dataclass
 class IdentityReport:
+    """The values an identity compares: sides is a list of (label, lhs, rhs),
+    the label None unless the sides are named (thm32's "1"/"2", sym-ab's
+    "a"/"b").  The verdict and both side texts are read off these values."""
+
     ident: str
     params: dict
-    passed: bool
-    lhs: str
-    rhs: str
+    sides: list
+
+    @property
+    def passed(self) -> bool:
+        return all(x == y for _, x, y in self.sides)
+
+    @property
+    def lhs(self) -> str:
+        return side_text(self.sides, 1)
+
+    @property
+    def rhs(self) -> str:
+        return side_text(self.sides, 2)
 
 
 def _sym_canonical(f: SymFunc) -> str:
@@ -688,17 +701,62 @@ def _sym_canonical(f: SymFunc) -> str:
     return "; ".join(f"p{list(lam)}={c.canonical()}" for lam, c in items) or "0"
 
 
+def _value_text(x) -> str:
+    """A compared value as report text: a symmetric function by its power-sum
+    coefficients, a scalar canonically, a two-alphabet tensor (cauchy's
+    {(lam, rho): coefficient}) key by key, anything else by str()."""
+    if isinstance(x, SymFunc):
+        return _sym_canonical(x)
+    if isinstance(x, QtRational):
+        return x.canonical()
+    if isinstance(x, dict):
+        return "; ".join(f"{k}={v.canonical()}" for k, v in sorted(x.items())) or "0"
+    return str(x)
+
+
+def side_text(sides: list, k: int) -> str:
+    """Side k (1 for lhs, 2 for rhs) of (label, lhs, rhs) triples: named values
+    as label:text joined by spaces, unnamed ones joined by '; ' ("0" if none)."""
+    if sides and sides[0][0] is not None:
+        return " ".join(f"{side[0]}:{_value_text(side[k])}" for side in sides)
+    return "; ".join(_value_text(side[k]) for side in sides) or "0"
+
+
+def _value_difference(x, y) -> str:
+    """Where two unequal values differ: for two scalars the leading term of the
+    reduced x - y; for two symmetric functions the first power-sum partition
+    (sorted) whose coefficients differ, and for two quasisymmetric functions
+    the first descent set, with both coefficients; otherwise both values."""
+    if isinstance(x, QtRational) and isinstance(y, QtRational):
+        num, den = (x - y).canonical().split("|")
+        return f"lhs - rhs leads with {num.split(' + ')[0]} (denominator {den})"
+    if isinstance(x, SymFunc) and isinstance(y, SymFunc):
+        letter, a, b = "p", x.to_power().coeffs, y.to_power().coeffs
+    elif isinstance(x, QSymFunc) and isinstance(y, QSymFunc):
+        letter, (a, b) = "F", ({tuple(sorted(S)): c for S, c in f.coeffs.items()} for f in (x, y))
+    else:
+        a = b = {}
+    for key in sorted(a.keys() | b.keys()):
+        u, v = a.get(key, QTR_ZERO), b.get(key, QTR_ZERO)
+        if u != v:
+            return f"{letter}{list(key)}: lhs {u.canonical()} rhs {v.canonical()}"
+    return f"lhs {_value_text(x)} rhs {_value_text(y)}"
+
+
+def first_difference(sides: list) -> str:
+    """Where a fail case's sides first differ: the first unequal triple, named
+    by its label (or pair <i> when unnamed and not alone), then where its two
+    values differ; "" when every triple is equal."""
+    for i, (label, x, y) in enumerate(sides):
+        if x != y:
+            where = label if label is not None else f"pair {i}" if len(sides) > 1 else None
+            diff = _value_difference(x, y)
+            return diff if where is None else f"{where}: {diff}"
+    return ""
+
+
 def _report(ident, params, lhs, rhs) -> IdentityReport:
-    if isinstance(lhs, SymFunc) or isinstance(rhs, SymFunc):
-        passed = lhs == rhs
-        return IdentityReport(ident, params, passed, _sym_canonical(lhs), _sym_canonical(rhs))
-    if isinstance(lhs, QtRational):
-        return IdentityReport(ident, params, lhs == rhs, lhs.canonical(), rhs.canonical())
-    return IdentityReport(ident, params, lhs == rhs, repr(lhs), repr(rhs))
-
-
-def _tensor_canonical(d: dict) -> str:
-    return "; ".join(f"{k}={v.canonical()}" for k, v in sorted(d.items())) or "0"
+    return IdentityReport(ident, params, [(None, lhs, rhs)])
 
 
 def _check_cauchy(n: int) -> IdentityReport:
@@ -722,8 +780,7 @@ def _check_cauchy(n: int) -> IdentityReport:
                     rhs.pop(key, None)
                 else:
                     rhs[key] = cur
-    passed = lhs == rhs
-    return IdentityReport("cauchy", {"n": n}, passed, _tensor_canonical(lhs), _tensor_canonical(rhs))
+    return _report("cauchy", {"n": n}, lhs, rhs)
 
 
 def _check_sym_ab(alpha: Partition, beta: Partition) -> IdentityReport:
@@ -735,24 +792,8 @@ def _check_sym_ab(alpha: Partition, beta: Partition) -> IdentityReport:
     rhs_a = plethysm_eval(hb, M * ia.B) / ib.Pi
     lhs_b = plethysm_eval(ha, ib.D) / ia.T * _sign(sum(alpha))
     rhs_b = plethysm_eval(hb, ia.D) / ib.T * _sign(sum(beta))
-    passed = lhs_a == rhs_a and lhs_b == rhs_b
     return IdentityReport(
-        "sym-ab",
-        {"alpha": alpha, "beta": beta},
-        passed,
-        f"a:{lhs_a.canonical()} b:{lhs_b.canonical()}",
-        f"a:{rhs_a.canonical()} b:{rhs_b.canonical()}",
-    )
-
-
-def _report_pairs(ident, params, pairs) -> IdentityReport:
-    """One report over several scalar (lhs, rhs) pairs, each side joined by '; '."""
-    return IdentityReport(
-        ident,
-        params,
-        all(lhs == rhs for lhs, rhs in pairs),
-        "; ".join(lhs.canonical() for lhs, _ in pairs) or "0",
-        "; ".join(rhs.canonical() for _, rhs in pairs) or "0",
+        "sym-ab", {"alpha": alpha, "beta": beta}, [("a", lhs_a, rhs_a), ("b", lhs_b, rhs_b)]
     )
 
 
@@ -761,10 +802,10 @@ def _check_pieri_rel(mu: Partition) -> IdentityReport:
     wm = partition_invariants(mu).w
     # the raw coefficients: pieri() asserts this same relation and would raise
     pairs = [
-        (_d_coeff(mu, nu), M * _c_coeff(mu, nu) * partition_invariants(nu).w / wm)
+        (None, _d_coeff(mu, nu), M * _c_coeff(mu, nu) * partition_invariants(nu).w / wm)
         for nu in sorted(corners(mu)[0])
     ]
-    return _report_pairs("pieri-rel", {"mu": mu}, pairs)
+    return IdentityReport("pieri-rel", {"mu": mu}, pairs)
 
 
 def _check_sum_c(mu: Partition, k: int) -> IdentityReport:
@@ -828,8 +869,8 @@ def _check_reproducing(fname: str, r: int, lam: Partition | None, n: int) -> Ide
         rhs = QTR_ZERO
         for nu, c in expansion:
             rhs = rhs + c * _htilde_at_d(nu, mu)
-        pairs.append((lhs, rhs))
-    return _report_pairs("reproducing", {"f": fname, "r": r, "lam": lam, "n": n}, pairs)
+        pairs.append((None, lhs, rhs))
+    return IdentityReport("reproducing", {"f": fname, "r": r, "lam": lam, "n": n}, pairs)
 
 
 def _check_erh(mu: Partition, r: int) -> IdentityReport:
@@ -943,18 +984,10 @@ def _check_thm31(m: int, a: int, b: int, n: int) -> IdentityReport:
 
 def _check_thm32(m: int, a: int, b: int, n: int) -> IdentityReport:
     c = n - a - b
-    lhs1 = _phi1(m, a, b, n)
-    rhs1 = _adjoint_nabla_hee(op_B_star, m - 1, a - 1, b, c)
-    lhs2 = _phi2(m, a, b, n)
-    rhs2 = _adjoint_nabla_hee(op_B_star, m - 2, a, b - 1, c - 1)
-    passed = lhs1 == rhs1 and lhs2 == rhs2
-    return IdentityReport(
-        "thm32",
-        {"m": m, "a": a, "b": b, "n": n},
-        passed,
-        f"1:{_sym_canonical(lhs1)} 2:{_sym_canonical(lhs2)}",
-        f"1:{_sym_canonical(rhs1)} 2:{_sym_canonical(rhs2)}",
-    )
+    return IdentityReport("thm32", {"m": m, "a": a, "b": b, "n": n}, [
+        ("1", _phi1(m, a, b, n), _adjoint_nabla_hee(op_B_star, m - 1, a - 1, b, c)),
+        ("2", _phi2(m, a, b, n), _adjoint_nabla_hee(op_B_star, m - 2, a, b - 1, c - 1)),
+    ])
 
 
 def _check_thm21(m: int, a: int, b: int, c: int) -> IdentityReport:

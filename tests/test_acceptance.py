@@ -22,6 +22,7 @@ from qtshuffle.parking import (
     _ides_fits,
     enumerate_by_comp,
     enumerate_family,
+    is_triple_shuffle,
     m1_split,
     pf_to_path,
     phi_inverse,
@@ -308,8 +309,9 @@ def test_criterion_10_path_conversion_n_le_6():
     grids = 0
     for n in range(1, 7):
         for alpha in compositions_of(n):
+            members = list(enumerate_by_comp(alpha))  # the class, read once for every triple
             for a, b, c in _abc_triples(n):
-                fam = list(enumerate_family(alpha, a, b, c))
+                fam = [pf for pf in members if is_triple_shuffle(pf.stats.sigma, a, b, c)]
                 paths = {pf_to_path(pf, a, b, c).steps for pf in fam}
                 assert len(paths) == len(fam), (alpha, a, b, c)
                 expected = lhs_inner(alpha, a, b, c).evaluate(1, 1)

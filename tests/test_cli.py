@@ -1,9 +1,11 @@
 import csv
+import hashlib
 import io
 import json
 import os
 import subprocess
 import sys
+import types
 
 import pytest
 
@@ -315,13 +317,28 @@ def test_benchmark_case_ids_match_the_reference():
         assert set(ids) == set(reference[workload]["cases"])
 
 
+def test_benchmark_side_digests_match_the_reference():
+    # perfbench checks sha256(f"{lhs}|{rhs}")[:16] of every case against these digests
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "perfbench", "reference.json")) as fh:
+        reference = json.load(fh)
+    for workload, suite, n_max in (("registry", "operators", 4), ("main-grid", "main-theorem", 6)):
+        digests = reference[workload]["cases"]
+        mismatched = []
+        for case in build_cases(suite, n_max):
+            ok, lhs, rhs = case.run()
+            if not ok or hashlib.sha256(f"{lhs}|{rhs}".encode()).hexdigest()[:16] != digests[case.case_id]:
+                mismatched.append(case.case_id)
+        assert mismatched == [], (workload, len(mismatched), mismatched[:3])
+
+
 def _raise_in_helper():
     return 1 // 0  # the innermost frame
 
 
 def test_error_case_names_where_it_was_raised(capsys):
     line = _raise_in_helper.__code__.co_firstlineno + 1
-    result = _run_case(_Case("boom[k=1]", "k=1", lambda: (_raise_in_helper(), "", "")))
+    result = _run_case(_Case("boom[k=1]", "k=1", lambda: [(None, _raise_in_helper(), "")]))
     assert isinstance(result, CaseResult) and result.status == "error"
     assert result.lhs == "ZeroDivisionError: integer division or modulo by zero"
     assert result.rhs == ""
@@ -370,26 +387,26 @@ def test_fail_rows_name_the_first_difference(capsys, monkeypatch):
 
 
 def test_first_difference_names_the_descent_set_and_the_half():
-    from qtshuffle.cli import _first_difference
-    from qtshuffle.macdonald import _sym_canonical
+    from qtshuffle.macdonald import first_difference
     from qtshuffle.parking import rhs_quasisym
-    from qtshuffle.qtfield import T
-    from qtshuffle.symfunc import QSymFunc, e_, p_
+    from qtshuffle.qtfield import QTR_ONE, QTR_ZERO, T
+    from qtshuffle.symfunc import QSymFunc, SymFunc, e_, p_
 
     one = "1*q^0*t^0"
-    # shuffle-qsym: the first descent set, in the order the repr sorts them
+    # shuffle-qsym: the first descent set, in sorted order
     f = rhs_quasisym((2, 1))
     g = f + QSymFunc(3, {frozenset({2}): T, frozenset(): T})
-    assert _first_difference(repr(f), repr(g)) == f"F[]: lhs 0|{one} rhs 1*q^0*t^1|{one}"
-    assert _first_difference(repr(f), repr(f)) == ""
+    assert first_difference([(None, f, g)]) == f"F[]: lhs 0|{one} rhs 1*q^0*t^1|{one}"
+    assert first_difference([(None, f, f)]) == ""
     # thm32: which half, then its first power-sum partition
-    x, y = _sym_canonical(e_(2)), _sym_canonical(e_(2) + p_((2,)).scale(T))
-    assert _first_difference(f"1:{x} 2:{x}", f"1:{x} 2:{y}") == (
+    x, y = e_(2), e_(2) + p_((2,)).scale(T)
+    assert first_difference([("1", x, x), ("2", x, y)]) == (
         "2: p[2]: lhs -1*q^0*t^0|2*q^0*t^0 rhs 2*q^0*t^1 + -1*q^0*t^0|2*q^0*t^0"
     )
-    assert _first_difference(f"1:{y} 2:0", f"1:{x} 2:0").startswith("1: p[2]: lhs 2*q^0*t^1")
-    # sym-ab writes two scalars the same way
-    assert _first_difference(f"a:1*q^0*t^1|{one} b:0|{one}", f"a:1*q^0*t^1|{one} b:{one}|{one}") == (
+    zero = SymFunc.zero()
+    assert first_difference([("1", y, x), ("2", zero, zero)]).startswith("1: p[2]: lhs 2*q^0*t^1")
+    # sym-ab names its two scalars the same way
+    assert first_difference([("a", T, T), ("b", QTR_ZERO, QTR_ONE)]) == (
         f"b: lhs - rhs leads with -1*q^0*t^0 (denominator {one})"
     )
 
@@ -402,7 +419,7 @@ def test_fail_rows_name_the_first_differing_pair(capsys, monkeypatch):
     # pieri-rel sides are '; '-joined scalars, one per pair: a second pair off by t^2
     def wrong(mu):
         d = mac._d_coeff(mu, sorted(corners(mu)[0])[0])
-        return mac._report_pairs("pieri-rel", {"mu": mu}, [(d, d), (d + T**2, d)])
+        return mac.IdentityReport("pieri-rel", {"mu": mu}, [(None, d, d), (None, d + T**2, d)])
 
     monkeypatch.setitem(mac._REGISTRY, "pieri-rel", wrong)
     json_out, _ = _report_lines(capsys, ["verify", "macdonald", "--n-max", "2", "--format", "json"])
@@ -413,3 +430,85 @@ def test_fail_rows_name_the_first_differing_pair(capsys, monkeypatch):
     assert sorted(err) == sorted(f"fail: {row[1]}: {row[5]}" for row in failed)  # stderr in run order
     cases = json.loads(json_out)["cases"]
     assert all(set(case) <= {"id", "params", "status", "lhs", "rhs"} for case in cases)
+
+
+def _failed_rows(capsys, argv):
+    """The fail rows of a csv report and the fail cases of its JSON twin, by case id."""
+    json_out, _ = _report_lines(capsys, argv + ["--format", "json"])
+    out, err = _report_lines(capsys, argv + ["--format", "csv"])
+    failed = [row for row in csv.reader(io.StringIO(out)) if row[3] == "fail"]
+    assert failed and sorted(err) == sorted(f"fail: {row[1]}: {row[5]}" for row in failed)
+    cases = {case["id"]: case for case in json.loads(json_out)["cases"] if case["status"] == "fail"}
+    assert sorted(cases) == sorted(row[1] for row in failed)
+    return failed, cases
+
+
+def test_recursion_fail_rows_name_the_differing_pipeline(capsys, monkeypatch):
+    import qtshuffle.cli as cli
+    from qtshuffle.qtfield import T
+
+    # the combinatorial recursion off by t: the symbolic one and the bridge still agree
+    recursion_rhs = cli.recursion_rhs
+    monkeypatch.setattr(cli, "recursion_rhs", lambda *args: recursion_rhs(*args) + T)
+    failed, cases = _failed_rows(capsys, ["verify", "recursion", "--n-max", "2"])
+    assert len(failed) == len(build_cases("recursion", 2))
+    assert {row[5] for row in failed} == {"comb: lhs - rhs leads with -1*q^0*t^1 (denominator 1*q^0*t^0)"}
+    for case in cases.values():
+        assert case["lhs"].startswith("sym:") and " comb:" in case["lhs"] and " bridge:" in case["lhs"]
+
+
+def test_paths_fail_rows_name_the_differing_count(capsys, monkeypatch):
+    import qtshuffle.cli as cli
+
+    # every class of size 1 has one parking function; the count at q = t = 1 is made 2
+    lhs_inner = cli.lhs_inner
+    monkeypatch.setattr(cli, "lhs_inner", lambda *args: lhs_inner(*args) + 1)
+    failed, cases = _failed_rows(capsys, ["verify", "paths", "--n-max", "1"])
+    assert len(failed) == 3
+    assert {row[5] for row in failed} == {"inner(q=t=1): lhs 1 rhs 2"}
+    assert {(case["lhs"], case["rhs"]) for case in cases.values()} == {
+        ("family:1 inner(q=t=1):1", "family:1 inner(q=t=1):2")
+    }
+
+    # a path map that is not injective: every family of two or more shares one path
+    monkeypatch.setattr(cli, "lhs_inner", lhs_inner)
+    monkeypatch.setattr(cli, "pf_to_path", lambda *args: types.SimpleNamespace(steps=()))
+    failed, _ = _failed_rows(capsys, ["verify", "paths", "--n-max", "2"])
+    assert {row[5] for row in failed} == {"family: lhs 1 rhs 2"}
+
+
+def test_cauchy_fail_rows_show_both_tensors(capsys, monkeypatch):
+    import qtshuffle.macdonald as mac
+    from qtshuffle.qtfield import T
+
+    good = mac._REGISTRY["cauchy"]
+
+    def wrong(n):
+        ((_, lhs, rhs),) = good(n).sides
+        key = min(lhs)
+        return mac._report("cauchy", {"n": n}, {**lhs, key: lhs[key] + T}, rhs)
+
+    monkeypatch.setitem(mac._REGISTRY, "cauchy", wrong)
+    failed, cases = _failed_rows(capsys, ["verify", "macdonald", "--n-max", "2"])
+    assert [row[1] for row in failed] == ["cauchy[n=1]", "cauchy[n=2]"]
+    for row in failed:
+        case = cases[row[1]]
+        assert row[5] == f"lhs {case['lhs']} rhs {case['rhs']}"
+
+
+def test_sym_ab_fail_rows_name_the_half(capsys, monkeypatch):
+    import qtshuffle.macdonald as mac
+    from qtshuffle.qtfield import T
+
+    good = mac._REGISTRY["sym-ab"]
+
+    def wrong(alpha, beta):
+        half_a, (label, lhs, rhs) = good(alpha, beta).sides
+        return mac.IdentityReport("sym-ab", {"alpha": alpha, "beta": beta}, [half_a, (label, lhs + T, rhs)])
+
+    monkeypatch.setitem(mac._REGISTRY, "sym-ab", wrong)
+    failed, cases = _failed_rows(capsys, ["verify", "macdonald", "--n-max", "1"])
+    assert [row[1] for row in failed] == ["sym-ab[alpha=(1,),beta=(1,)]"]
+    assert failed[0][5] == "b: lhs - rhs leads with 1*q^0*t^1 (denominator 1*q^0*t^0)"
+    case = cases[failed[0][1]]
+    assert case["lhs"].startswith("a:") and " b:" in case["lhs"]
