@@ -332,12 +332,14 @@ SUITES = (*_SUITE_BUILDERS, "all")
 
 
 def build_cases(suite: str, n_max: int) -> list:
-    if suite == "all":
-        return [case for builder in _SUITE_BUILDERS.values() for case in builder(n_max)]
-    builder = _SUITE_BUILDERS.get(suite)
-    if builder is None:
+    """Every case of the suite up to degree n_max; none for a negative n_max,
+    as every grid starts at degree 0."""
+    if suite != "all" and suite not in _SUITE_BUILDERS:
         raise ValueError(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}")
-    return builder(n_max)
+    if n_max < 0:
+        return []
+    builders = _SUITE_BUILDERS.values() if suite == "all" else [_SUITE_BUILDERS[suite]]
+    return [case for builder in builders for case in builder(n_max)]
 
 
 def _run_case(case: _Case) -> CaseResult:

@@ -23,9 +23,12 @@ and checks against d_{mu,nu} = M c_{mu,nu} w_nu / w_mu.
 nabla is one Schur-basis matrix per table and sign, R = K~^-1 diag(T_mu^sign) K~,
 built by HTildeTable.nabla_matrix on first use, never on build, load or
 install: verify() gives K~^-1 = G_n K~^T diag(1/w_mu), R is guessed at one
-point and certified by K~ R = diag(T_mu^sign) K~ with _packed_product.
-nabla(f) converts f to Schur, takes one sparse product with those rows and
-returns power sums.  A table converts its Schur entries to power sums
+point and certified by K~ R = diag(T_mu^sign) K~ with _packed_product.  The
+power-sum rows nabla^sign p_rho (HTildeTable.nabla_power_row) are derived from
+those Schur rows once per table and sign.  nabla(f) takes one sparse product
+of f's power-sum coefficients with them, unless f has Laurent-polynomial
+coefficients, which go through the Schur rows (_nabla_schur, also the main
+grid's route).  A table converts its Schur entries to power sums
 (HTildeTable.power) only when something first reads them.
 
 lhs_inner(alpha, a, b, c) = <nabla C_alpha 1, e_a h_b h_c> stays in the Schur
@@ -40,9 +43,14 @@ The creation operators op_C, op_B and their star-adjoints op_C_star, op_B_star
 are each one symfunc.extract_z call with their own shift and Omega kernel, as is
 the a + b < 0 side of the commutator identity (with the empty kernel).
 
-Lemma 3.1, Lemma 3.2, Proposition 3.1 and Theorems 3.1-3.2 expand over the
-same corners: an outer sum over r <= a, s <= b, nu |- r+s (_corner_sum) of an
-inner sum over u that depends only on (kind, m, n, nu) (_corner_block, cached).
+Lemma 3.1, Proposition 3.1 and Theorems 3.1-3.2 expand over the same corners:
+a sum over r <= a, s <= b, nu |- r+s of scalars times a block(nu) that depends
+only on the key of the family, ("lemma31", n), ("gamma", m, n) or
+("phi1" | "phi2", m, n); Lemma 3.2 checks the gamma block itself
+(_corner_block).  Each key has one cached table of its corner sums for every
+a + b <= N (_corner_table), built in three stages that share the inner
+nu-sums: A(r, d) over nu |- d, their s-partial sums G(r, b), then the entries.
+_corner_sum reads an entry off it.
 
 Each identity returns the values it compares, as the (label, lhs, rhs)
 triples of an IdentityReport.  Its verdict, its two side texts (side_text)
@@ -100,6 +108,7 @@ from .symfunc import (
     hall_inner,
     linear_map,
     omega_involution,
+    p_,
     plethysm,
     plethysm_eval,
     skew_by_e1,
@@ -128,6 +137,7 @@ class HTildeTable:
         self.verified = False
         self.kostka: dict = {}  # mu -> {lam: K~_mu,lam as an integer polynomial}, filled by verify()
         self.nabla_rows: dict[int, dict[Partition, SymFunc]] = {}  # sign -> rows, filled by nabla_row
+        self.nabla_power_rows: dict[int, dict[Partition, dict]] = {}  # sign -> rows, filled by nabla_power_row
 
     def __getitem__(self, mu: Partition) -> SymFunc:
         return self.entries[tuple(mu)]
@@ -150,6 +160,16 @@ class HTildeTable:
             rows = self.nabla_rows[sign] = self.nabla_matrix(sign)
         return rows[lam]
 
+    def nabla_power_row(self, rho: Partition, sign: int) -> dict:
+        """nabla^sign p_rho as power-sum coefficients; the first call for a sign
+        derives every row of that sign from the Schur rows, p_rho being
+        sum over lam of chi^lam(rho) s_lam."""
+        rows = self.nabla_power_rows.get(sign)
+        if rows is None:
+            parts = partitions_of(self.degree)
+            rows = self.nabla_power_rows[sign] = {r: _nabla_schur(p_(r), sign).to_power().coeffs for r in parts}
+        return rows[rho]
+
     def nabla_matrix(self, sign: int) -> dict[Partition, SymFunc]:
         """{lam: nabla^sign s_lam in the Schur basis}, exact, from packed integers.
 
@@ -160,9 +180,10 @@ class HTildeTable:
         certificate K~ R^ = diag(T^_mu) K~, one _packed_product, leaves it one
         value, since verify() showed that K~ is invertible: the rows are exact,
         not probable.  A guess that is no integer or fails the certificate
-        doubles k and D and tries again; after _ROW_ATTEMPTS tries the table
-        raises TableInvariantError (on the tables of degree <= 8 the first
-        guess holds).  The table is verified first if it was not yet.
+        doubles k and tries again; D = 1 + C(n,2) stays, as it already exceeds
+        the q-degree of every row.  After _ROW_ATTEMPTS tries the table raises
+        TableInvariantError (on the tables of degree <= 8 the first guess
+        holds).  The table is verified first if it was not yet.
         """
         if not self.verified:
             self.verify()
@@ -186,7 +207,7 @@ class HTildeTable:
                         lam: SymFunc("schur", {nu: QtRational(p, den) for nu, p in row.items()})
                         for lam, row in rows.items()
                     }
-            k, D = 2 * k, 2 * D
+            k *= 2
         raise TableInvariantError(f"nabla rows of degree {n} (sign {sign}) failed their certificate")
 
     def verify(self) -> None:
@@ -205,7 +226,8 @@ class HTildeTable:
                     raise TableInvariantError(f"integrality failed at ({mu}, {lam}): K~_mu,lam not in Z[q,t]")
                 kostka[mu][lam] = p
         norms = {mu: {mu: int_poly(self.invariants[mu].w)} for mu in parts}
-        _, _, gram, want = _packed_product([kostka, _star_gram(self.degree), _transpose(kostka)], norms)
+        read = {lam: parts[: i + 1] for i, lam in enumerate(parts)}  # (lam, mu) for lam >= mu
+        _, _, gram, want = _packed_product([kostka, _star_gram(self.degree), _transpose(kostka)], norms, read)
         for i, mu in enumerate(parts):
             if kostka[mu].get(parts[0]) != {(0, 0): 1}:  # parts[0] is (n), or () in degree 0
                 raise TableInvariantError(f"normalization failed for {mu}")
@@ -292,11 +314,13 @@ def _pack(m: dict, k: int, D: int) -> dict:
     return {i: {j: x for j, p in row.items() if (x := kronecker(p, k, D))} for i, row in m.items()}
 
 
-def _packed_product(factors: list, want: dict) -> tuple[int, int, dict, dict]:
+def _packed_product(factors: list, want: dict, entries: dict | None = None) -> tuple[int, int, dict, dict]:
     """(k, D, got, wanted): the product of the integer-polynomial matrices in
     factors ({row: {col: poly}} each) and the matrix want, both packed by
     qtfield.kronecker at q = 2^k, t = 2^(kD), zero entries left out, where
     got[i][j] == wanted[i][j] exactly when the two polynomials are equal.
+    entries ({row: cols}), when given, names the entries the caller reads;
+    the last stage of the product computes only those.
 
     kronecker is a ring homomorphism, injective on polynomials of q-degree
     below D with coefficients below 2^(k-1) in absolute value, so got is the
@@ -313,7 +337,18 @@ def _packed_product(factors: list, want: dict) -> tuple[int, int, dict, dict]:
     bound = max((x for row in reduce(_matmul, norms).values() for x in row.values()), default=0)
     bound += max((_size(p) for row in want.values() for p in row.values()), default=0)
     k = bound.bit_length() + 1
-    return k, D, reduce(_matmul, [_pack(f, k, D) for f in factors]), _pack(want, k, D)
+    packed = [_pack(f, k, D) for f in factors]
+    if entries is None:
+        return k, D, reduce(_matmul, packed), _pack(want, k, D)
+    head, last = reduce(_matmul, packed[:-1]), _transpose(packed[-1])
+    got = {i: {j: x for j in cols if (x := _dot(head.get(i, {}), last.get(j, {})))} for i, cols in entries.items()}
+    return k, D, got, _pack(want, k, D)
+
+
+def _dot(u: dict, v: dict) -> int:
+    if len(v) < len(u):
+        u, v = v, u
+    return sum(x * v[j] for j, x in u.items() if j in v)
 
 
 @lru_cache(maxsize=None)
@@ -469,10 +504,20 @@ def _htilde_coeff(f: SymFunc, mu: Partition) -> QtRational:
 
 
 def nabla(f: SymFunc, sign: int = 1) -> SymFunc:
-    """The Macdonald eigenoperator (sign=-1 gives its inverse), in power sums."""
+    """The Macdonald eigenoperator (sign=-1 gives its inverse), in power sums.
+
+    f with denominators in q and t (h_a[X/M] e_b[X/M] e_c[X/M], say) takes one
+    sparse product with the power-sum rows nabla^sign p_rho, which spares the
+    sums of unlike denominators that converting f to Schur would take.  f with
+    Laurent-polynomial coefficients (a creation word) takes the Schur rows
+    (_nabla_schur), where it is sparse and its coefficients stay small.
+    """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    return _nabla_schur(f, sign).to_power()
+    power = f.to_power()
+    if all(c.is_laurent() for c in power.coeffs.values()):
+        return _nabla_schur(power, sign).to_power()
+    return SymFunc("power", linear_map(power.coeffs, lambda rho: build_htilde(sum(rho)).nabla_power_row(rho, sign)))
 
 
 def _nabla_schur(f: SymFunc, sign: int) -> SymFunc:
@@ -899,26 +944,6 @@ def _check_commutator(a: int, b: int, P: SymFunc, tag: str) -> IdentityReport:
     return _report("commutator", {"a": a, "b": b, "P": tag}, lhs, rhs)
 
 
-def _corner_sum(a: int, b: int, n: int, block) -> SymFunc:
-    """sum over r <= a, s <= b, nu |- r+s of
-    e_{a-r}[1/M] h_{b-s}[1/M] (-1)^(n-r-s) e_r[B_nu] / w_nu * block(nu)."""
-    out = SymFunc.zero()
-    for r in range(a + 1):
-        for s in range(b + 1):
-            pref = _scalar_pleth(e_, a - r, _INV_M) * _scalar_pleth(h_, b - s, _INV_M)
-            pref = pref * _sign(n - r - s)
-            if pref.is_zero():
-                continue
-            acc = SymFunc.zero()
-            for nu in partitions_of(r + s):
-                inv = partition_invariants(nu)
-                coeff = _scalar_pleth(e_, r, inv.B) / inv.w
-                if not coeff.is_zero():
-                    acc = acc + block(nu).scale(coeff)
-            out = out + acc.scale(pref)
-    return out
-
-
 _BLOCK_WEIGHTS = {
     "gamma": lambda nu, u: T ** (u - 1) * capital_m() * _pieri_sum(nu, "remove", u - 1),
     "phi1": lambda nu, u: _scalar_pleth(e_, u - 1, partition_invariants(nu).D) * _sign(u - 1),
@@ -926,7 +951,6 @@ _BLOCK_WEIGHTS = {
 }
 
 
-@lru_cache(maxsize=None)
 def _corner_block(kind: str, m: int, n: int, nu: Partition) -> SymFunc:
     """(-1)^(m-1) sum over m <= u <= n of weight(nu, u) e_{n-u}[X D_nu/M] e_{u-m}[X/(1-t)]."""
     weight = _BLOCK_WEIGHTS[kind]
@@ -939,9 +963,71 @@ def _corner_block(kind: str, m: int, n: int, nu: Partition) -> SymFunc:
     return out.scale(_sign(m - 1))
 
 
+def _corner_spec(key: tuple) -> tuple:
+    """(N, block) of a corner table: ("lemma31", n) has block(nu) = e_n[X D_nu/M]
+    and N = n; ("gamma", m, n) has N = n and ("phi1" | "phi2", m, n) has
+    N = n - 1, with block(nu) = _corner_block(kind, m, n, nu)."""
+    if key[0] == "lemma31":
+        n = key[1]
+        return n, lambda nu: _x_pleth(e_, n, partition_invariants(nu).D / capital_m())
+    kind, m, n = key
+    return (n if kind == "gamma" else n - 1), lambda nu: _corner_block(kind, m, n, nu)
+
+
+def _combine(weights: dict, row) -> SymFunc:
+    """sum over the keys i of weights of weights[i] row(i), zero weights skipped."""
+    return SymFunc("power", linear_map({i: c for i, c in weights.items() if not c.is_zero()}, row))
+
+
+@lru_cache(maxsize=None)
+def _corner_table(key: tuple) -> dict:
+    """{(a, b): (-1)^N times the corner sum} for every a, b >= 0 with a + b <= N,
+    (N, block) = _corner_spec(key), in three stages that share the inner sums:
+    A(r, d) = sum over nu |- d of e_r[B_nu] / w_nu block(nu), then
+    G(r, b) = sum over s <= b of h_{b-s}[1/M] (-1)^s A(r, r+s), then
+    the entry (a, b) = sum over r <= a of e_{a-r}[1/M] (-1)^r G(r, b).
+    Only the entries are kept."""
+    size, block = _corner_spec(key)
+    inner = {}
+    for d in range(size + 1):
+        blocks = {nu: block(nu).to_power().coeffs for nu in partitions_of(d)}
+        invs = {nu: partition_invariants(nu) for nu in blocks}
+        for r in range(d + 1):
+            weights = {nu: _scalar_pleth(e_, r, inv.B) / inv.w for nu, inv in invs.items()}
+            inner[r, d] = _combine(weights, blocks.__getitem__)
+    partial = {
+        (r, b): _combine(
+            {s: _scalar_pleth(h_, b - s, _INV_M) * _sign(s) for s in range(b + 1)},
+            lambda s: inner[r, r + s].coeffs,
+        )
+        for r in range(size + 1)
+        for b in range(size - r + 1)
+    }
+    return {
+        (a, b): _combine(
+            {r: _scalar_pleth(e_, a - r, _INV_M) * _sign(r) for r in range(a + 1)},
+            lambda r: partial[r, b].coeffs,
+        )
+        for a in range(size + 1)
+        for b in range(size - a + 1)
+    }
+
+
+def _corner_sum(key: tuple, a: int, b: int) -> SymFunc:
+    """sum over r <= a, s <= b, nu |- r+s of
+    e_{a-r}[1/M] h_{b-s}[1/M] (-1)^(N-r-s) e_r[B_nu] / w_nu * block(nu),
+    read off key's corner table; zero when a < 0 or b < 0."""
+    if a < 0 or b < 0:
+        return SymFunc.zero()
+    size, _ = _corner_spec(key)
+    if a + b > size:
+        raise ValueError(f"the corner sums of {key} need a + b <= {size}, got a={a}, b={b}")
+    f = _corner_table(key)[a, b]
+    return -f if size % 2 else f
+
+
 def _check_lemma31(a: int, b: int, c: int) -> IdentityReport:
-    n, M = a + b + c, capital_m()
-    rhs = _corner_sum(a, b, n, lambda nu: _x_pleth(e_, n, partition_invariants(nu).D / M))
+    rhs = _corner_sum(("lemma31", a + b + c), a, b)
     return _report("lemma31", {"a": a, "b": b, "c": c}, _nabla_hee(a, b, c), rhs)
 
 
@@ -957,20 +1043,18 @@ def _check_lemma32(m: int, nu: Partition, n: int) -> IdentityReport:
 def _check_prop31(m: int, a: int, b: int, n: int) -> IdentityReport:
     c = n - a - b
     lhs = _adjoint_nabla_hee(op_C_star, m, a, b, c)
-    rhs = _corner_sum(a, b, n, lambda nu: _corner_block("gamma", m, n, nu))
+    rhs = _corner_sum(("gamma", m, n), a, b)
     if m == 1:
         rhs = rhs + _nabla_hee(a, b, c - 1)
     return _report("prop31", {"m": m, "a": a, "b": b, "n": n}, lhs, rhs)
 
 
-@lru_cache(maxsize=None)
 def _phi1(m: int, a: int, b: int, n: int) -> SymFunc:
-    return _corner_sum(a - 1, b, n - 1, lambda tau: _corner_block("phi1", m, n, tau))
+    return _corner_sum(("phi1", m, n), a - 1, b)
 
 
-@lru_cache(maxsize=None)
 def _phi2(m: int, a: int, b: int, n: int) -> SymFunc:
-    return _corner_sum(a, b - 1, n - 1, lambda tau: _corner_block("phi2", m, n, tau))
+    return _corner_sum(("phi2", m, n), a, b - 1)
 
 
 def _check_thm31(m: int, a: int, b: int, n: int) -> IdentityReport:

@@ -433,6 +433,7 @@ def _atom_quotient(n: dict, key: tuple) -> dict | None:
     vanishes at z, that is modulo Phi_d.  That evaluation comes first and
     stops at the first row that does not vanish; only then is each row
     divided by Phi_d, and (l, k) mapped back to (i, j) = (v l + a k, b k - u l).
+    For d = 1 the quotient of a row by z - 1 is its negated running sum.
     """
     d, a, b = key
     atom = _ATOMS[key]
@@ -461,10 +462,17 @@ def _atom_quotient(n: dict, key: tuple) -> dict | None:
     out = {}
     for l, row in rows.items():
         k0 = min(row)
-        coeffs = [0] * (max(row) - k0 + 1)
-        for k, c in row.items():
-            coeffs[k - k0] = c
-        for k, c in enumerate(_u_div_monic(coeffs, cyc), k0):
+        if d == 1:
+            quo, run = [], 0
+            for k in range(k0, max(row)):
+                run -= row.get(k, 0)
+                quo.append(run)
+        else:
+            coeffs = [0] * (max(row) - k0 + 1)
+            for k, c in row.items():
+                coeffs[k - k0] = c
+            quo = _u_div_monic(coeffs, cyc)
+        for k, c in enumerate(quo, k0):
             if c:
                 out[(v * l + a * k, b * k - u * l - shift)] = c
     return out
@@ -719,6 +727,10 @@ class QtRational:
 
     def is_polynomial(self) -> bool:
         return self._den[1:] == _DONE[1:]
+
+    def is_laurent(self) -> bool:
+        """True when the denominator is an integer times a monomial."""
+        return self._den[3:] == _DONE[3:]
 
     # -- arithmetic
 

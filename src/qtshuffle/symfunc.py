@@ -455,9 +455,20 @@ class Alphabet:
 
 def plethysm(f: SymFunc, A: Alphabet) -> SymFunc:
     """f[A]: substitute the alphabet into every power sum of f."""
+    return _plethysm(f, A, None)
+
+
+def _plethysm(f: SymFunc, A: Alphabet, cap: int | None) -> SymFunc:
+    """f[A] without its terms of degree above cap (None keeps every term).
+
+    A term's degree never falls as the parts of p_lam are substituted one by
+    one, so a term above the cap is dropped as soon as it appears.
+    """
     fp = f.to_power()
     if not fp.coeffs:
         return SymFunc.zero()
+    if cap is not None and cap >= fp.max_degree():
+        cap = None  # no term of f[A] lies above it
     pk_cache: dict[int, tuple[QtRational, QtRational]] = {}
 
     def pk(k: int):
@@ -474,7 +485,7 @@ def plethysm(f: SymFunc, A: Alphabet) -> SymFunc:
             xm, sc = pk(part)
             nxt: dict = {}
             for key, val in expanded.items():
-                if not xm.is_zero():
+                if not xm.is_zero() and (cap is None or sum(key) + part <= cap):
                     nk = tuple(sorted(key + (part,), reverse=True))
                     term = val * xm
                     cur = nxt.get(nk)
@@ -503,11 +514,15 @@ def extract_z(P: SymFunc, shift: Alphabet, kernel: Alphabet, a: int) -> SymFunc:
     z is never formed: the degree-k part of P_d[X + S] carries z^(k-d) and
     the degree-m part of Omega[z K] = sum h_m[K] carries z^m, so z^a pairs
     each degree k of P_d[shift] with degree m = a + d - k of the kernel.
+    Only the degrees k <= a + d of P_d[shift] pair with a kernel degree, so
+    the plethysm drops the rest as it expands, and skips d when a + d < 0.
     """
     omega = omega_series(kernel, max(a + P.max_degree(), 0))
     out = SymFunc.zero()
     for d in P.degrees():
-        shifted = plethysm(P.homogeneous_component(d), shift)
+        if a + d < 0:
+            continue
+        shifted = _plethysm(P.homogeneous_component(d), shift, a + d)
         for k in shifted.degrees():
             out = out + shifted.homogeneous_component(k) * omega.homogeneous_component(a + d - k)
     return out

@@ -226,6 +226,18 @@ def test_verify_empty_grid_is_a_usage_error(suite, n_max, capsys):
     assert captured.err == f"usage error: suite {suite} has no cases at --n-max {n_max}\n"
 
 
+@pytest.mark.parametrize("suite", ["macdonald", "operators", "recursion", "main-theorem",
+                                   "shuffle-qsym", "paths", "all"])
+def test_verify_negative_n_max_is_a_usage_error(suite, capsys):
+    # the degree-0 operator probes once ran, and passed, at any negative --n-max
+    for n_max in ("-1", "-5"):
+        assert main(["verify", suite, "--n-max", n_max, "--format", "json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"usage error: suite {suite} has no cases at --n-max {n_max}\n"
+    assert build_cases(suite, -1) == []
+
+
 def test_build_cache_negative_n_max_is_a_usage_error(tmp_path, capsys):
     cache = tmp_path / "cache"
     assert main(["build-cache", "--n-max", "-1", "--cache", str(cache)]) == 2

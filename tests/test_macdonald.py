@@ -13,7 +13,19 @@ from qtshuffle.shapes import (
     partition_invariants,
     partitions_of,
 )
-from qtshuffle.symfunc import SymFunc, e_, h_, hall_inner, p_, s_, star_inner
+from qtshuffle.symfunc import (
+    Alphabet,
+    SymFunc,
+    e_,
+    h_,
+    hall_inner,
+    omega_series,
+    p_,
+    plethysm,
+    plethysm_eval,
+    s_,
+    star_inner,
+)
 from qtshuffle.cli import _operator_probes
 import qtshuffle.macdonald as mac
 from qtshuffle.macdonald import (
@@ -409,6 +421,40 @@ def test_too_narrow_first_guess_is_retried(monkeypatch):
         HTildeTable.from_json(table.to_json()).nabla_matrix(1)
 
 
+def test_failing_certificate_widens_only_k(monkeypatch):
+    # every guess is wrong in one coefficient, so no certificate can pass: each
+    # retry doubles the bits per slot k and keeps the slot stride D = 1 + C(n,2)
+    table = build_htilde(5)
+    calls = []
+    guess = mac._guess_rows
+
+    def wrong(kostka, gram, shift, k, D):
+        calls.append((k, D))
+        rows = guess(kostka, gram, shift, k, D)
+        poly = rows[(5,)][(5,)]
+        rows[(5,)][(5,)] = {**poly, (0, 0): poly.get((0, 0), 0) + 1}
+        return rows
+
+    monkeypatch.setattr(mac, "_guess_rows", wrong)
+    message = r"^nabla rows of degree 5 \(sign -1\) failed their certificate$"
+    with pytest.raises(TableInvariantError, match=message):
+        HTildeTable.from_json(table.to_json()).nabla_matrix(-1)
+    k = calls[0][0]
+    assert calls == [(k << i, 11) for i in range(mac._ROW_ATTEMPTS)]
+
+
+@pytest.mark.parametrize("sign", (1, -1))
+def test_power_sum_nabla_rows_match_the_schur_route(sign):
+    # nabla reads rows nabla^sign p_rho; the main grid's _nabla_schur reads the
+    # Schur rows; both agree on the registry's inputs h_a^* e_b^* e_c^*
+    star = Alphabet.X(M.inverse())
+    for n in range(0, 6):
+        for a in range(0, n + 1):
+            for b in range(0, n - a + 1):
+                f = plethysm(h_(a), star) * plethysm(e_(b), star) * plethysm(e_(n - a - b), star)
+                assert nabla(f, sign) == mac._nabla_schur(f, sign).to_power(), (a, b, n)
+
+
 def test_degree_seven_rows_match_the_eigenbasis_expansion():
     table = build_htilde(7)
     for lam in ((4, 2, 1), (2, 2, 1, 1, 1)):
@@ -546,6 +592,28 @@ def test_operator_output_is_pinned():
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == OPERATOR_OUTPUT_SHA256
 
 
+def _uncapped_extract_z(P, shift, kernel, a):
+    """[z^a] P[X + S/z] Omega[z K] from the whole plethysm P_d[X + S]."""
+    omega = omega_series(kernel, max(a + P.max_degree(), 0))
+    out = SymFunc.zero()
+    for d in P.degrees():
+        shifted = plethysm(P.homogeneous_component(d), shift)
+        for k in shifted.degrees():
+            out = out + shifted.homogeneous_component(k) * omega.homogeneous_component(a + d - k)
+    return out
+
+
+def test_degree_capped_extract_z_matches_the_whole_plethysm(monkeypatch):
+    probes = [P for _, P in _operator_probes(4)] + [p_((2,)) + p_((1,)) + SymFunc.one()]
+    calls = [(op_C, a) for a in (1, 2)] + [(op_C_star, a) for a in (1, 2, 3)]
+    calls += [(op_B, a) for a in (-4, -3, -2, -1, 0, 1)] + [(op_B_star, a) for a in (-1, 0, 1, 2)]
+    capped = [op(a, P) for op, a in calls for P in probes]
+    commutator = [check_identity("commutator", a=-3, b=b, P=P, tag="").rhs for b in (1, 2) for P in probes]
+    monkeypatch.setattr(mac, "extract_z", _uncapped_extract_z)
+    assert capped == [op(a, P) for op, a in calls for P in probes]
+    assert commutator == [check_identity("commutator", a=-3, b=b, P=P, tag="").rhs for b in (1, 2) for P in probes]
+
+
 def test_adjoint_degree_bookkeeping():
     out = op_C_star(2, h_(2))
     assert out.degrees() in ((), (0,))
@@ -654,6 +722,37 @@ def test_thm21_small_grid():
                     for ident in ("prop31", "thm31", "thm32"):
                         rep = check_identity(ident, m=m, a=a, b=b, n=N)
                         assert rep.passed, rep
+
+
+def _direct_corner_sum(a, b, size, block):
+    """The corner sum as the triple loop over r <= a, s <= b, nu |- r+s."""
+    out = SymFunc.zero()
+    for r in range(a + 1):
+        for s in range(b + 1):
+            pref = plethysm_eval(e_(a - r), M.inverse()) * plethysm_eval(h_(b - s), M.inverse())
+            for nu in partitions_of(r + s):
+                inv = partition_invariants(nu)
+                coeff = pref * plethysm_eval(e_(r), inv.B) / inv.w * (-1) ** (size - r - s)
+                out = out + block(nu).scale(coeff)
+    return out
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_corner_tables_match_the_direct_triple_loop(n):
+    def lemma31_block(nu):
+        return plethysm(e_(n), Alphabet.X(partition_invariants(nu).D / M))
+
+    kinds = [(("lemma31", n), n, lemma31_block)]
+    for kind in ("gamma", "phi1", "phi2"):
+        for m in range(1, n + 1):
+            block = lambda nu, kind=kind, m=m: mac._corner_block(kind, m, n, nu)
+            kinds.append(((kind, m, n), n if kind == "gamma" else n - 1, block))
+    for key, size, block in kinds:
+        for a in range(-1, size + 1):
+            for b in range(-1, size - a + 1):
+                assert mac._corner_sum(key, a, b) == _direct_corner_sum(a, b, size, block), (key, a, b)
+        with pytest.raises(ValueError, match=r"need a \+ b <= "):
+            mac._corner_sum(key, size, 1)
 
 
 def test_recursion_identities_small():

@@ -427,3 +427,62 @@ def test_registry_and_main_grid_take_no_generic_route():
         for case in build_cases(suite, n_max):
             assert case.run()[0], case.case_id
     assert qtfield.GENERIC_REDUCTIONS == before
+
+
+def _row_quotient(n, key):
+    """The atom quotient for d = 1 by the coefficient-list route: each row of
+    the zero-curve split is divided by z - 1 through _u_div_monic."""
+    d, a, b = key
+    atom = qtfield._ATOMS[key]
+    rows: dict = {}
+    for (i, j), c in n.items():
+        rows.setdefault(b * i - a * j, {})[atom.u * i + atom.v * j] = c
+    out = {}
+    for l, row in rows.items():
+        k0 = min(row)
+        coeffs = [0] * (max(row) - k0 + 1)
+        for k, c in row.items():
+            coeffs[k - k0] = c
+        quo = qtfield._u_div_monic(coeffs, atom.cyc)
+        if quo is None:
+            return None
+        for k, c in enumerate(quo, k0):
+            if c:
+                out[(atom.v * l + a * k, b * k - atom.u * l - atom.shift)] = c
+    return out
+
+
+def test_is_laurent_means_no_atom_in_the_denominator():
+    assert (Q ** -2 * T / 6).is_laurent() and QTR_ZERO.is_laurent()
+    assert not M.inverse().is_laurent() and not (Q / (Q - T)).is_laurent()
+
+
+def test_phi1_running_sum_matches_the_monic_division():
+    """Dividing by a Phi_1 atom through running sums agrees with the
+    coefficient-list division on products with the atom, sparse rows, and
+    inputs the atom does not divide (directions with b < 0 included)."""
+    rng = random.Random(16)
+    directions = [(1, 0), (0, 1), (1, 1), (1, -1), (2, -1), (1, -2), (3, 2), (2, -3)]
+    divided = refused = 0
+    for trial in range(400):
+        key = qtfield._atom(1, *rng.choice(directions))
+        atom = qtfield._ATOMS[key]
+        spread = 3 if trial % 2 else 12  # every other draw has sparse, far-apart terms
+        g = {}
+        for _ in range(rng.randint(1, 5)):
+            g[rng.randint(0, spread), rng.randint(0, spread)] = rng.choice([-3, -2, -1, 1, 2, 3])
+        n = qtfield._i_mul(g, atom.poly)
+        if trial % 3 == 0:
+            n = qtfield._i_mul(n, atom.poly)
+        if trial % 4 == 1:  # perturbed: the atom no longer divides it
+            n = qtfield._i_add(n, {(rng.randint(0, spread), rng.randint(0, spread)): 1})
+        if not n:
+            continue
+        got = qtfield._atom_quotient(n, key)
+        assert got == _row_quotient(n, key), (key, n)
+        if got is None:
+            refused += 1
+        else:
+            divided += 1
+            assert qtfield._i_mul(got, atom.poly) == n
+    assert divided > 100 and refused > 50
