@@ -23,13 +23,19 @@ and checks against d_{mu,nu} = M c_{mu,nu} w_nu / w_mu.
 nabla is one Schur-basis matrix per table and sign, R = K~^-1 diag(T_mu^sign) K~,
 built by HTildeTable.nabla_matrix on first use, never on build, load or
 install: verify() gives K~^-1 = G_n K~^T diag(1/w_mu), R is guessed at one
-point and certified by K~ R = diag(T_mu^sign) K~ with _packed_product.  The
-power-sum rows nabla^sign p_rho (HTildeTable.nabla_power_row) are derived from
-those Schur rows once per table and sign.  nabla(f) takes one sparse product
-of f's power-sum coefficients with them, unless f has Laurent-polynomial
-coefficients, which go through the Schur rows (_nabla_schur, also the main
-grid's route).  A table converts its Schur entries to power sums
-(HTildeTable.power) only when something first reads them.
+point and certified by K~ R = diag(T_mu^sign) K~ with _packed_product.
+nabla(f) is one sparse product of f's Schur coefficients with those rows
+(_nabla_schur, also the main grid's route).  A table converts its Schur
+entries to power sums (HTildeTable.power) only when something first reads
+them.
+
+The registry's nabla(h_a^* e_b^* e_c^*) and its star-adjoints are computed in
+the frame S f = f[MX], where they are integer polynomials: the table's frame
+rows R_S = S^-1 R S (HTildeTable.frame_rows, sign +1, certified by S R_S = R S)
+combined by the integer Schur coefficients of S(h_a^* e_b^* e_c^*) = h_a e_b e_c,
+then C*_m or B*_m in the frame as one extract_z with a Laurent-polynomial
+shift and kernel, and mapped back by one division per power-sum coefficient
+(_unframe).  op_C_star and op_B_star stay the usual-frame operators.
 
 lhs_inner(alpha, a, b, c) = <nabla C_alpha 1, e_a h_b h_c> stays in the Schur
 basis, which is orthonormal: nabla C_alpha 1 is cached per composition in
@@ -50,7 +56,8 @@ only on the key of the family, ("lemma31", n), ("gamma", m, n) or
 (_corner_block).  Each key has one cached table of its corner sums for every
 a + b <= N (_corner_table), built in three stages that share the inner
 nu-sums: A(r, d) over nu |- d, their s-partial sums G(r, b), then the entries.
-_corner_sum reads an entry off it.
+_corner_sum reads an entry off it; the weights e_r[B_nu]/w_nu are cached per
+(r, nu) for all tables (_corner_weight).
 
 Each identity returns the values it compares, as the (label, lhs, rhs)
 triples of an IdentityReport.  Its verdict, its two side texts (side_text)
@@ -68,7 +75,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
 from itertools import permutations
-from math import factorial, lcm
+from math import factorial, lcm, prod
 
 from .qtfield import (
     Q,
@@ -88,6 +95,7 @@ from .shapes import (
     capital_m,
     cell_stats,
     compositions_of,
+    conjugate,
     corners,
     partition_invariants,
     partition_str,
@@ -108,7 +116,6 @@ from .symfunc import (
     hall_inner,
     linear_map,
     omega_involution,
-    p_,
     plethysm,
     plethysm_eval,
     skew_by_e1,
@@ -137,7 +144,6 @@ class HTildeTable:
         self.verified = False
         self.kostka: dict = {}  # mu -> {lam: K~_mu,lam as an integer polynomial}, filled by verify()
         self.nabla_rows: dict[int, dict[Partition, SymFunc]] = {}  # sign -> rows, filled by nabla_row
-        self.nabla_power_rows: dict[int, dict[Partition, dict]] = {}  # sign -> rows, filled by nabla_power_row
 
     def __getitem__(self, mu: Partition) -> SymFunc:
         return self.entries[tuple(mu)]
@@ -159,16 +165,6 @@ class HTildeTable:
         if rows is None:
             rows = self.nabla_rows[sign] = self.nabla_matrix(sign)
         return rows[lam]
-
-    def nabla_power_row(self, rho: Partition, sign: int) -> dict:
-        """nabla^sign p_rho as power-sum coefficients; the first call for a sign
-        derives every row of that sign from the Schur rows, p_rho being
-        sum over lam of chi^lam(rho) s_lam."""
-        rows = self.nabla_power_rows.get(sign)
-        if rows is None:
-            parts = partitions_of(self.degree)
-            rows = self.nabla_power_rows[sign] = {r: _nabla_schur(p_(r), sign).to_power().coeffs for r in parts}
-        return rows[rho]
 
     def nabla_matrix(self, sign: int) -> dict[Partition, SymFunc]:
         """{lam: nabla^sign s_lam in the Schur basis}, exact, from packed integers.
@@ -200,7 +196,7 @@ class HTildeTable:
         for _ in range(_ROW_ATTEMPTS):
             rows = _guess_rows(kostka, _star_gram(n), shift, k, D)
             if rows is not None:
-                _, _, got, want = _packed_product([kostka, rows], eigen)
+                _, _, got, want = _packed_product([kostka, rows], [eigen])
                 if got == want:
                     den = {(top, top) if sign == -1 else (0, 0): 1}
                     return {
@@ -209,6 +205,36 @@ class HTildeTable:
                     }
             k *= 2
         raise TableInvariantError(f"nabla rows of degree {n} (sign {sign}) failed their certificate")
+
+    @cached_property
+    def frame_rows(self) -> dict[Partition, dict[Partition, QtRational]]:
+        """{lam: {nu: [s_nu] S nabla S^-1 s_lam}} with S f = f[MX], exact, from
+        packed integers.
+
+        In the row convention this is R_S = S^-1 R S, R the sign +1 Schur rows
+        (nabla_row) and S[lam][nu] = [s_nu] s_lam[MX] = G_n[lam][nu'] (G_n the
+        star Gram matrix, nu' the conjugate of nu): every entry is an integer
+        polynomial.  _guess_frame_rows reads R_S off one point, and the
+        certificate S R_S = R S, one _packed_product, leaves it one value, as S
+        is invertible: the rows are exact, not probable.  A guess that is no
+        integer or fails the certificate doubles k and D and tries again; after
+        _ROW_ATTEMPTS tries the table raises TableInvariantError (on the tables
+        of degree <= 7 the first guess holds).
+        """
+        n, parts = self.degree, partitions_of(self.degree)
+        nabla = {lam: {nu: int_poly(c) for nu, c in self.nabla_row(lam, 1).coeffs.items()} for lam in parts}
+        gram = _star_gram(n)
+        frame = {lam: {nu: p for nu in parts if (p := gram[lam].get(conjugate(nu)))} for lam in parts}
+        k = _row_start(max(_size(p) for row in nabla.values() for p in row.values()))
+        D = 1 + n * (n - 1) // 2  # above the q-degree of every R_S entry of degree <= 7
+        for _ in range(_ROW_ATTEMPTS):
+            rows = _guess_frame_rows(nabla, frame, k, D)
+            if rows is not None:
+                _, _, got, want = _packed_product([frame, rows], [nabla, frame])
+                if got == want:
+                    return {lam: {nu: QtRational(p) for nu, p in row.items()} for lam, row in rows.items()}
+            k, D = 2 * k, 2 * D
+        raise TableInvariantError(f"frame rows of degree {n} failed their certificate")
 
     def verify(self) -> None:
         """Assert the support (one entry per mu |- n, each Schur term of degree
@@ -227,7 +253,7 @@ class HTildeTable:
                 kostka[mu][lam] = p
         norms = {mu: {mu: int_poly(self.invariants[mu].w)} for mu in parts}
         read = {lam: parts[: i + 1] for i, lam in enumerate(parts)}  # (lam, mu) for lam >= mu
-        _, _, gram, want = _packed_product([kostka, _star_gram(self.degree), _transpose(kostka)], norms, read)
+        _, _, gram, want = _packed_product([kostka, _star_gram(self.degree), _transpose(kostka)], [norms], read)
         for i, mu in enumerate(parts):
             if kostka[mu].get(parts[0]) != {(0, 0): 1}:  # parts[0] is (n), or () in degree 0
                 raise TableInvariantError(f"normalization failed for {mu}")
@@ -314,35 +340,36 @@ def _pack(m: dict, k: int, D: int) -> dict:
     return {i: {j: x for j, p in row.items() if (x := kronecker(p, k, D))} for i, row in m.items()}
 
 
-def _packed_product(factors: list, want: dict, entries: dict | None = None) -> tuple[int, int, dict, dict]:
-    """(k, D, got, wanted): the product of the integer-polynomial matrices in
-    factors ({row: {col: poly}} each) and the matrix want, both packed by
+def _packed_product(factors: list, wants: list, entries: dict | None = None) -> tuple[int, int, dict, dict]:
+    """(k, D, got, wanted): the products of the integer-polynomial matrices in
+    factors and in wants ({row: {col: poly}} each), both packed by
     qtfield.kronecker at q = 2^k, t = 2^(kD), zero entries left out, where
     got[i][j] == wanted[i][j] exactly when the two polynomials are equal.
     entries ({row: cols}), when given, names the entries the caller reads;
-    the last stage of the product computes only those.
+    the last stage of the factors' product computes only those.
 
     kronecker is a ring homomorphism, injective on polynomials of q-degree
-    below D with coefficients below 2^(k-1) in absolute value, so got is the
-    product of the packed factors.  An entry of the product has q-degree at
-    most the sum of the factors' largest q-degrees, and no coefficient above
-    the matching entry of the product of the factors' 1-norm matrices
-    (|f g|_1 <= |f|_1 |g|_1).  D exceeds that sum and the q-degree of want,
-    and 2^(k-1) exceeds the largest entry of the 1-norm product plus the
-    largest |want|_1, so every got - want lies where kronecker is injective.
+    below D with coefficients below 2^(k-1) in absolute value, so got and
+    wanted are the products of the packed matrices.  An entry of a product has
+    q-degree at most the sum of its factors' largest q-degrees, and no
+    coefficient above the matching entry of the product of the factors'
+    1-norm matrices (|f g|_1 <= |f|_1 |g|_1).  D exceeds both degree sums,
+    and 2^(k-1) exceeds the sum of the two largest 1-norm entries, so every
+    got - wanted lies where kronecker is injective.
     """
-    degree = sum(_q_degree(p for row in f.values() for p in row.values()) for f in factors)
-    D = 1 + max(degree, _q_degree(p for row in want.values() for p in row.values()))
-    norms = [{i: {j: _size(p) for j, p in row.items()} for i, row in f.items()} for f in factors]
-    bound = max((x for row in reduce(_matmul, norms).values() for x in row.values()), default=0)
-    bound += max((_size(p) for row in want.values() for p in row.values()), default=0)
-    k = bound.bit_length() + 1
+    degree, bound = 0, 0
+    for side in (factors, wants):
+        degree = max(degree, sum(_q_degree(p for row in f.values() for p in row.values()) for f in side))
+        norms = [{i: {j: _size(p) for j, p in row.items()} for i, row in f.items()} for f in side]
+        bound += max((x for row in reduce(_matmul, norms).values() for x in row.values()), default=0)
+    D, k = 1 + degree, bound.bit_length() + 1
     packed = [_pack(f, k, D) for f in factors]
+    wanted = reduce(_matmul, [_pack(f, k, D) for f in wants])
     if entries is None:
-        return k, D, reduce(_matmul, packed), _pack(want, k, D)
+        return k, D, reduce(_matmul, packed), wanted
     head, last = reduce(_matmul, packed[:-1]), _transpose(packed[-1])
     got = {i: {j: x for j in cols if (x := _dot(head.get(i, {}), last.get(j, {})))} for i, cols in entries.items()}
-    return k, D, got, _pack(want, k, D)
+    return k, D, got, wanted
 
 
 def _dot(u: dict, v: dict) -> int:
@@ -398,12 +425,37 @@ def _guess_rows(kostka: dict, gram: dict, shift: dict, k: int, D: int) -> dict |
         for mu, x in row.items():
             a, b = shift[mu]
             row[mu] = x * (common // packed_norm[mu]) << k * (a + D * b)
-    product = _matmul(inverse, packed)
+    return _divide_rows(_matmul(inverse, packed), common, k, D)
+
+
+def _divide_rows(product: dict, common: int, k: int, D: int) -> dict | None:
+    """{lam: {nu: poly}} unpacked from product / common at q = 2^k, t = 2^(kD),
+    or None when common does not divide every entry."""
     if any(x % common for row in product.values() for x in row.values()):
         return None
     return {
         lam: {nu: unkronecker(x // common, k, D) for nu, x in row.items()} for lam, row in product.items()
     }
+
+
+def _guess_frame_rows(nabla: dict, frame: dict, k: int, D: int) -> dict | None:
+    """{lam: {nu: poly}} read off R_S = S^-1 R S at q = 2^k, t = 2^(kD), or None
+    when a value is no integer (nabla = R, frame = S, both integer-polynomial).
+
+    S is diagonal on the power sums with p_rho[M] = prod over parts j of
+    (1 - q^j)(1 - t^j), so S^-1[lam][nu] = sum over rho of chi^lam(rho)
+    chi^nu(rho) / (z_rho p_rho[M]).  None of these vanishes at the point;
+    with common the lcm of the z_rho p_rho[M] there, common R_S is one
+    integer product, then one division per entry.
+    """
+    parts = tuple(frame)
+    at = {rho: zmu(rho) * prod((1 - (1 << k * j)) * (1 - (1 << k * D * j)) for j in rho) for rho in parts}
+    common = lcm(*at.values())
+    inverse = {
+        lam: {nu: sum(character(lam, rho) * character(nu, rho) * (common // x) for rho, x in at.items()) for nu in parts}
+        for lam in parts
+    }
+    return _divide_rows(reduce(_matmul, [inverse, _pack(nabla, k, D), _pack(frame, k, D)]), common, k, D)
 
 
 _tables: dict[int, HTildeTable] = {}
@@ -504,20 +556,11 @@ def _htilde_coeff(f: SymFunc, mu: Partition) -> QtRational:
 
 
 def nabla(f: SymFunc, sign: int = 1) -> SymFunc:
-    """The Macdonald eigenoperator (sign=-1 gives its inverse), in power sums.
-
-    f with denominators in q and t (h_a[X/M] e_b[X/M] e_c[X/M], say) takes one
-    sparse product with the power-sum rows nabla^sign p_rho, which spares the
-    sums of unlike denominators that converting f to Schur would take.  f with
-    Laurent-polynomial coefficients (a creation word) takes the Schur rows
-    (_nabla_schur), where it is sparse and its coefficients stay small.
-    """
+    """The Macdonald eigenoperator (sign=-1 gives its inverse), in power sums,
+    through the Schur rows (_nabla_schur)."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    power = f.to_power()
-    if all(c.is_laurent() for c in power.coeffs.values()):
-        return _nabla_schur(power, sign).to_power()
-    return SymFunc("power", linear_map(power.coeffs, lambda rho: build_htilde(sum(rho)).nabla_power_row(rho, sign)))
+    return _nabla_schur(f, sign).to_power()
 
 
 def _nabla_schur(f: SymFunc, sign: int) -> SymFunc:
@@ -694,18 +737,56 @@ def _x_pleth(base, k: int, v: QtRational) -> SymFunc:
 
 
 @lru_cache(maxsize=None)
-def _nabla_hee(a: int, b: int, c: int) -> SymFunc:
-    """nabla (h_a^* e_b^* e_c^*)."""
-    if min(a, b, c) < 0:
-        return SymFunc.zero()
-    f = _x_pleth(h_, a, _INV_M) * _x_pleth(e_, b, _INV_M) * _x_pleth(e_, c, _INV_M)
-    return nabla(f)
+def _unframe_factor(rho: Partition) -> QtRational:
+    """1 / p_rho[M], p_rho[M] = prod over parts j of (1 - q^j)(1 - t^j)."""
+    return prod((capital_m().frobenius(j) for j in rho), start=QTR_ONE).inverse()
+
+
+def _unframe(f: SymFunc) -> SymFunc:
+    """S^-1 f = f[X/M]: one division of each p_rho coefficient by p_rho[M]."""
+    return SymFunc("power", {rho: c * _unframe_factor(rho) for rho, c in f.to_power().coeffs.items()})
 
 
 @lru_cache(maxsize=None)
-def _adjoint_nabla_hee(adjoint, m: int, a: int, b: int, c: int) -> SymFunc:
-    """adjoint(m, nabla (h_a^* e_b^* e_c^*)), adjoint being op_C_star or op_B_star."""
-    return adjoint(m, _nabla_hee(a, b, c))
+def _framed_nabla_hee(a: int, b: int, c: int) -> SymFunc:
+    """S nabla (h_a^* e_b^* e_c^*), S f = f[MX], in power sums.
+
+    S(h_a^* e_b^* e_c^*) = h_a e_b e_c, whose Schur coefficients are those of
+    e_a h_b h_c at the conjugate shapes, so this is their integer combination
+    of the table's frame rows S nabla S^-1 s_lam."""
+    if min(a, b, c) < 0:
+        return SymFunc.zero()
+    rows = build_htilde(a + b + c).frame_rows
+    weights = {conjugate(lam): qtr(k) for lam, k in _eh_schur(a, b, c).items()}
+    return SymFunc("schur", linear_map(weights, rows.__getitem__)).to_power()
+
+
+@lru_cache(maxsize=None)
+def _nabla_hee(a: int, b: int, c: int) -> SymFunc:
+    """nabla (h_a^* e_b^* e_c^*), unframed."""
+    return _unframe(_framed_nabla_hee(a, b, c))
+
+
+# The star-adjoints in the frame, S C*_m S^-1 and S B*_a S^-1: the shift and
+# kernel of op_C_star and op_B_star under X -> MX, where M/(1-t) = 1-q, so
+#   S C*_m P = (-1/q)^(m-1) (SP)[X - eps/z] Omega[-eps z X (1-q)/q] |_(z^-m),
+#   S B*_a P = (SP)[X + 1/z] Omega[-z X (1-q)] |_(z^-a).
+_FRAMED_STAR = {
+    "C": (Alphabet.X() - Alphabet.scalar(1, eps=True), Alphabet.X(1 - Q.inverse(), eps=True)),
+    "B": (Alphabet.X() + Alphabet.scalar(1), Alphabet.X(Q - 1)),
+}
+
+
+@lru_cache(maxsize=None)
+def _adjoint_nabla_hee(kind: str, m: int, a: int, b: int, c: int) -> SymFunc:
+    """C*_m (kind "C") or B*_m (kind "B") of nabla (h_a^* e_b^* e_c^*): the
+    framed adjoint of the framed nabla, unframed once; equal to op_C_star or
+    op_B_star of _nabla_hee(a, b, c)."""
+    shift, kernel = _FRAMED_STAR[kind]
+    framed = extract_z(_framed_nabla_hee(a, b, c), shift, kernel, -m)
+    if kind == "C":
+        framed = framed.scale((-Q.inverse()) ** (m - 1))
+    return _unframe(framed)
 
 
 def _sign(k: int) -> int:
@@ -976,7 +1057,14 @@ def _corner_spec(key: tuple) -> tuple:
 
 def _combine(weights: dict, row) -> SymFunc:
     """sum over the keys i of weights of weights[i] row(i), zero weights skipped."""
-    return SymFunc("power", linear_map({i: c for i, c in weights.items() if not c.is_zero()}, row))
+    return SymFunc._make("power", linear_map({i: c for i, c in weights.items() if not c.is_zero()}, row))
+
+
+@lru_cache(maxsize=None)
+def _corner_weight(r: int, nu: Partition) -> QtRational:
+    """e_r[B_nu] / w_nu, shared by every corner table."""
+    inv = partition_invariants(nu)
+    return _scalar_pleth(e_, r, inv.B) / inv.w
 
 
 @lru_cache(maxsize=None)
@@ -991,10 +1079,8 @@ def _corner_table(key: tuple) -> dict:
     inner = {}
     for d in range(size + 1):
         blocks = {nu: block(nu).to_power().coeffs for nu in partitions_of(d)}
-        invs = {nu: partition_invariants(nu) for nu in blocks}
         for r in range(d + 1):
-            weights = {nu: _scalar_pleth(e_, r, inv.B) / inv.w for nu, inv in invs.items()}
-            inner[r, d] = _combine(weights, blocks.__getitem__)
+            inner[r, d] = _combine({nu: _corner_weight(r, nu) for nu in blocks}, blocks.__getitem__)
     partial = {
         (r, b): _combine(
             {s: _scalar_pleth(h_, b - s, _INV_M) * _sign(s) for s in range(b + 1)},
@@ -1042,7 +1128,7 @@ def _check_lemma32(m: int, nu: Partition, n: int) -> IdentityReport:
 
 def _check_prop31(m: int, a: int, b: int, n: int) -> IdentityReport:
     c = n - a - b
-    lhs = _adjoint_nabla_hee(op_C_star, m, a, b, c)
+    lhs = _adjoint_nabla_hee("C", m, a, b, c)
     rhs = _corner_sum(("gamma", m, n), a, b)
     if m == 1:
         rhs = rhs + _nabla_hee(a, b, c - 1)
@@ -1059,7 +1145,7 @@ def _phi2(m: int, a: int, b: int, n: int) -> SymFunc:
 
 def _check_thm31(m: int, a: int, b: int, n: int) -> IdentityReport:
     c = n - a - b
-    lhs = _adjoint_nabla_hee(op_C_star, m, a, b, c)
+    lhs = _adjoint_nabla_hee("C", m, a, b, c)
     rhs = (_phi1(m, a, b, n) + _phi2(m, a, b, n)).scale(T ** (m - 1))
     if m == 1:
         rhs = rhs + _nabla_hee(a, b, c - 1) + _nabla_hee(a, b - 1, c)
@@ -1069,16 +1155,16 @@ def _check_thm31(m: int, a: int, b: int, n: int) -> IdentityReport:
 def _check_thm32(m: int, a: int, b: int, n: int) -> IdentityReport:
     c = n - a - b
     return IdentityReport("thm32", {"m": m, "a": a, "b": b, "n": n}, [
-        ("1", _phi1(m, a, b, n), _adjoint_nabla_hee(op_B_star, m - 1, a - 1, b, c)),
-        ("2", _phi2(m, a, b, n), _adjoint_nabla_hee(op_B_star, m - 2, a, b - 1, c - 1)),
+        ("1", _phi1(m, a, b, n), _adjoint_nabla_hee("B", m - 1, a - 1, b, c)),
+        ("2", _phi2(m, a, b, n), _adjoint_nabla_hee("B", m - 2, a, b - 1, c - 1)),
     ])
 
 
 def _check_thm21(m: int, a: int, b: int, c: int) -> IdentityReport:
-    lhs = _adjoint_nabla_hee(op_C_star, m, a, b, c)
+    lhs = _adjoint_nabla_hee("C", m, a, b, c)
     tm = T ** (m - 1)
-    rhs = _adjoint_nabla_hee(op_B_star, m - 1, a - 1, b, c).scale(tm)
-    rhs = rhs + _adjoint_nabla_hee(op_B_star, m - 2, a, b - 1, c - 1).scale(tm)
+    rhs = _adjoint_nabla_hee("B", m - 1, a - 1, b, c).scale(tm)
+    rhs = rhs + _adjoint_nabla_hee("B", m - 2, a, b - 1, c - 1).scale(tm)
     if m == 1:
         rhs = rhs + _nabla_hee(a, b - 1, c) + _nabla_hee(a, b, c - 1)
     return _report("thm21", {"m": m, "a": a, "b": b, "c": c}, lhs, rhs)

@@ -728,10 +728,6 @@ class QtRational:
     def is_polynomial(self) -> bool:
         return self._den[1:] == _DONE[1:]
 
-    def is_laurent(self) -> bool:
-        """True when the denominator is an integer times a monomial."""
-        return self._den[3:] == _DONE[3:]
-
     # -- arithmetic
 
     def __add__(self, other):

@@ -208,6 +208,15 @@ class SymFunc:
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "coeffs", clean)
 
+    @classmethod
+    def _make(cls, basis: str, coeffs: dict) -> "SymFunc":
+        """Trusted constructor: basis a name from BASES, keys partitions and
+        values QtRational; only the zero coefficients are dropped."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "coeffs", {lam: c for lam, c in coeffs.items() if not c.is_zero()})
+        return self
+
     def __setattr__(self, *a):  # pragma: no cover - immutability guard
         raise AttributeError("SymFunc is immutable")
 
@@ -234,7 +243,7 @@ class SymFunc:
         return max((sum(lam) for lam in self.coeffs), default=0)
 
     def homogeneous_component(self, d: int) -> "SymFunc":
-        return SymFunc(self.basis, {lam: c for lam, c in self.coeffs.items() if sum(lam) == d})
+        return SymFunc._make(self.basis, {lam: c for lam, c in self.coeffs.items() if sum(lam) == d})
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -250,7 +259,7 @@ class SymFunc:
     def to_power(self) -> "SymFunc":
         if self.basis == "power":
             return self
-        return SymFunc(
+        return SymFunc._make(
             "power", linear_map(self.coeffs, lambda lam: _basis_data(sum(lam)).to_p[self.basis][lam])
         )
 
@@ -263,7 +272,7 @@ class SymFunc:
         f = self.to_power()
         if target == "power":
             return f
-        return SymFunc(
+        return SymFunc._make(
             target, linear_map(f.coeffs, lambda lam: _basis_data(sum(lam)).from_p[target][lam])
         )
 
@@ -279,10 +288,10 @@ class SymFunc:
         for lam, c in b.coeffs.items():
             cur = out.get(lam)
             out[lam] = c if cur is None else cur + c
-        return SymFunc(a.basis, out)
+        return SymFunc._make(a.basis, out)
 
     def __neg__(self) -> "SymFunc":
-        return SymFunc(self.basis, {lam: -c for lam, c in self.coeffs.items()})
+        return SymFunc._make(self.basis, {lam: -c for lam, c in self.coeffs.items()})
 
     def __sub__(self, other: "SymFunc") -> "SymFunc":
         return self + (-other)
@@ -297,14 +306,14 @@ class SymFunc:
                     term = c * d
                     cur = out.get(key)
                     out[key] = term if cur is None else cur + term
-            return SymFunc("power", out)
+            return SymFunc._make("power", out)
         return self.scale(other)
 
     __rmul__ = __mul__
 
     def scale(self, c) -> "SymFunc":
         c = qtr(c)
-        return SymFunc(self.basis, {lam: v * c for lam, v in self.coeffs.items()})
+        return SymFunc._make(self.basis, {lam: v * c for lam, v in self.coeffs.items()})
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SymFunc):
@@ -462,32 +471,33 @@ def _plethysm(f: SymFunc, A: Alphabet, cap: int | None) -> SymFunc:
     """f[A] without its terms of degree above cap (None keeps every term).
 
     A term's degree never falls as the parts of p_lam are substituted one by
-    one, so a term above the cap is dropped as soon as it appears.
+    one, so a term above the cap is dropped as soon as it appears.  An X
+    multiplier of 1 (shift alphabets X + S) leaves the term's value as it is.
     """
     fp = f.to_power()
     if not fp.coeffs:
         return SymFunc.zero()
     if cap is not None and cap >= fp.max_degree():
         cap = None  # no term of f[A] lies above it
-    pk_cache: dict[int, tuple[QtRational, QtRational]] = {}
+    pk_cache: dict[int, tuple[QtRational, QtRational, bool]] = {}
 
     def pk(k: int):
         got = pk_cache.get(k)
         if got is None:
-            got = A.pk(k)
-            pk_cache[k] = got
+            xm, sc = A.pk(k)
+            got = pk_cache[k] = (xm, sc, xm == QTR_ONE)
         return got
 
     out: dict = {}
     for lam, c in fp.coeffs.items():
         expanded: dict[Partition, QtRational] = {(): c}
         for part in lam:
-            xm, sc = pk(part)
+            xm, sc, unit = pk(part)
             nxt: dict = {}
             for key, val in expanded.items():
                 if not xm.is_zero() and (cap is None or sum(key) + part <= cap):
                     nk = tuple(sorted(key + (part,), reverse=True))
-                    term = val * xm
+                    term = val if unit else val * xm
                     cur = nxt.get(nk)
                     nxt[nk] = term if cur is None else cur + term
                 if not sc.is_zero():
@@ -500,7 +510,7 @@ def _plethysm(f: SymFunc, A: Alphabet, cap: int | None) -> SymFunc:
         for key, val in expanded.items():
             cur = out.get(key)
             out[key] = val if cur is None else cur + val
-    return SymFunc("power", out)
+    return SymFunc._make("power", out)
 
 
 def plethysm_eval(f: SymFunc, value: QtRational) -> QtRational:

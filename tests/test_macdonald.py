@@ -380,7 +380,7 @@ def _row_integers(table, sign):
 
 
 def _certified(kostka, eigen, rows):
-    _, _, got, want = mac._packed_product([kostka, rows], eigen)
+    _, _, got, want = mac._packed_product([kostka, rows], [eigen])
     return got == want
 
 
@@ -443,16 +443,119 @@ def test_failing_certificate_widens_only_k(monkeypatch):
     assert calls == [(k << i, 11) for i in range(mac._ROW_ATTEMPTS)]
 
 
-@pytest.mark.parametrize("sign", (1, -1))
-def test_power_sum_nabla_rows_match_the_schur_route(sign):
-    # nabla reads rows nabla^sign p_rho; the main grid's _nabla_schur reads the
-    # Schur rows; both agree on the registry's inputs h_a^* e_b^* e_c^*
-    star = Alphabet.X(M.inverse())
-    for n in range(0, 6):
-        for a in range(0, n + 1):
-            for b in range(0, n - a + 1):
-                f = plethysm(h_(a), star) * plethysm(e_(b), star) * plethysm(e_(n - a - b), star)
-                assert nabla(f, sign) == mac._nabla_schur(f, sign).to_power(), (a, b, n)
+def _frame(f):
+    """S f = f[MX], the usual plethysm."""
+    return plethysm(f, Alphabet.X(M))
+
+
+def _star(f):
+    """S^-1 f = f[X/M], the usual plethysm."""
+    return plethysm(f, Alphabet.X(M.inverse()))
+
+
+@pytest.mark.parametrize("n", range(0, 6))
+def test_frame_rows_match_the_usual_route(n):
+    # row lam of R_S is S nabla S^-1 s_lam, and S^-1 s_lam = s_lam[X/M]
+    rows = build_htilde(n).frame_rows
+    assert set(rows) == set(partitions_of(n))
+    for lam in partitions_of(n):
+        got = SymFunc("schur", rows[lam])
+        assert all(c.is_polynomial() for c in rows[lam].values()), lam
+        assert got == _frame(nabla(_star(s_(lam)))), lam
+
+
+def test_frame_matrix_is_the_star_gram_with_conjugate_columns():
+    # [s_nu] s_lam[MX] = <s_lam, s_nu'>_*, for n <= 6
+    for n in range(0, 7):
+        gram = mac._star_gram(n)
+        for lam in partitions_of(n):
+            schur = _frame(s_(lam)).convert("schur").coeffs
+            for nu in partitions_of(n):
+                assert int_poly(schur.get(nu, QTR_ZERO)) == gram[lam].get(conjugate(nu), {}), (lam, nu)
+
+
+def _recorded_frame_guesses(monkeypatch, perturb):
+    calls = []
+    guess = mac._guess_frame_rows
+
+    def recorded(nabla_rows, frame, k, D):
+        calls.append((k, D))
+        rows = guess(nabla_rows, frame, k, D)
+        if perturb and rows is not None:
+            poly = rows[(4,)][(4,)]
+            rows[(4,)][(4,)] = {**poly, (0, 0): poly.get((0, 0), 0) + 1}
+        return rows
+
+    monkeypatch.setattr(mac, "_guess_frame_rows", recorded)
+    return calls
+
+
+def test_failing_frame_certificate_widens_the_point_then_raises(monkeypatch):
+    # every guess is wrong in one coefficient: each retry doubles k and D
+    table = build_htilde(4)
+    calls = _recorded_frame_guesses(monkeypatch, perturb=True)
+    message = r"^frame rows of degree 4 failed their certificate$"
+    with pytest.raises(TableInvariantError, match=message):
+        HTildeTable.from_json(table.to_json()).frame_rows
+    k, D = calls[0]
+    assert D == 7 and calls == [(k << i, D << i) for i in range(mac._ROW_ATTEMPTS)]
+
+
+def test_too_narrow_frame_guess_is_widened(monkeypatch):
+    table = build_htilde(5)
+    want = table.frame_rows
+    calls = _recorded_frame_guesses(monkeypatch, perturb=False)
+    monkeypatch.setattr(mac, "_row_start", lambda norm: 2)  # R_S coefficients reach 5 in degree 5
+    assert HTildeTable.from_json(table.to_json()).frame_rows == want
+    assert calls == [(2, 11), (4, 22)]  # 2 bits per slot fail, 4 hold
+
+
+def _registry_hee_calls(sizes):
+    """The (m, a, b, c) of every C*_m and B*_m of nabla(h_a^* e_b^* e_c^*),
+    and the (a, b, c) of every bare nabla, that prop31, thm31, thm32 and thm21
+    read at the given n."""
+    stars, bare = set(), set()
+    for n in sizes:
+        for m in range(1, n + 1):
+            for a in range(0, n + 1):
+                for b in range(0, n - a + 1):
+                    c = n - a - b
+                    stars |= {("C", m, a, b, c), ("B", m - 1, a - 1, b, c), ("B", m - 2, a, b - 1, c - 1)}
+                    bare |= {(a, b, c), (a, b, c - 1), (a, b - 1, c)}
+    return sorted(stars), sorted(bare)
+
+
+def _usual_nabla_hee(a, b, c):
+    if min(a, b, c) < 0:
+        return SymFunc.zero()
+    return nabla(_star(h_(a)) * _star(e_(b)) * _star(e_(c)))
+
+
+def test_framed_registry_sides_match_the_usual_route():
+    # every star-adjoint and bare nabla of h_a^* e_b^* e_c^* the registry
+    # reads at n <= 4, B* with m <= 0 and the zero sides min(a, b, c) < 0
+    # among them, against nabla, op_C_star and op_B_star in the usual frame
+    stars, bare = _registry_hee_calls(range(1, 5))
+    assert any(m <= 0 for kind, m, *_ in stars if kind == "B")
+    assert any(min(abc) < 0 for abc in bare)
+    for a, b, c in bare:
+        assert mac._nabla_hee(a, b, c) == _usual_nabla_hee(a, b, c), (a, b, c)
+    adjoints = {"C": op_C_star, "B": op_B_star}
+    for kind, m, a, b, c in stars:
+        want = adjoints[kind](m, _usual_nabla_hee(a, b, c))
+        assert mac._adjoint_nabla_hee(kind, m, a, b, c) == want, (kind, m, a, b, c)
+
+
+def test_framed_registry_sides_match_the_usual_route_at_degree_five():
+    stars, bare = _registry_hee_calls([5])
+    sample = stars[::8]  # a fixed sample of both kinds, B* with m <= 0 among them
+    assert {kind for kind, *_ in sample} == {"B", "C"} and any(m <= 0 for _, m, *_ in sample)
+    adjoints = {"C": op_C_star, "B": op_B_star}
+    for kind, m, a, b, c in sample:
+        want = adjoints[kind](m, _usual_nabla_hee(a, b, c))
+        assert mac._adjoint_nabla_hee(kind, m, a, b, c) == want, (kind, m, a, b, c)
+    for a, b, c in bare[::6]:
+        assert mac._nabla_hee(a, b, c) == _usual_nabla_hee(a, b, c), (a, b, c)
 
 
 def test_degree_seven_rows_match_the_eigenbasis_expansion():
@@ -735,6 +838,14 @@ def _direct_corner_sum(a, b, size, block):
                 coeff = pref * plethysm_eval(e_(r), inv.B) / inv.w * (-1) ** (size - r - s)
                 out = out + block(nu).scale(coeff)
     return out
+
+
+def test_corner_weight_is_e_r_at_b_nu_over_w_nu():
+    for d in range(6):
+        for nu in partitions_of(d):
+            inv = partition_invariants(nu)
+            for r in range(d + 1):
+                assert mac._corner_weight(r, nu) == plethysm_eval(e_(r), inv.B) / inv.w, (r, nu)
 
 
 @pytest.mark.parametrize("n", range(1, 5))

@@ -452,11 +452,6 @@ def _row_quotient(n, key):
     return out
 
 
-def test_is_laurent_means_no_atom_in_the_denominator():
-    assert (Q ** -2 * T / 6).is_laurent() and QTR_ZERO.is_laurent()
-    assert not M.inverse().is_laurent() and not (Q / (Q - T)).is_laurent()
-
-
 def test_phi1_running_sum_matches_the_monic_division():
     """Dividing by a Phi_1 atom through running sums agrees with the
     coefficient-list division on products with the atom, sparse rows, and

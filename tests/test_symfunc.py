@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from qtshuffle.qtfield import Q, QTR_ONE, QTR_ZERO, T, qtr
 from qtshuffle.shapes import capital_m, partition_invariants, partitions_of, zmu
 from qtshuffle.symfunc import (
+    BASES,
     Alphabet,
     QSymFunc,
     SymFunc,
@@ -325,3 +326,31 @@ def test_star_phi_inversion(f):
 @given(symfuncs(), symfuncs())
 def test_omega_is_hall_isometry(f, g):
     assert hall_inner(omega_involution(f), omega_involution(g)) == hall_inner(f, g)
+
+
+_probe_shapes = [lam for d in range(5) for lam in partitions_of(d)]
+
+
+@st.composite
+def probes(draw):
+    """Symmetric functions of degree <= 4 in any basis, some coefficients with
+    denominators in q and t."""
+    coeffs = {}
+    for lam in draw(st.lists(st.sampled_from(_probe_shapes), min_size=1, max_size=4)):
+        coeffs[lam] = draw(st.sampled_from([QTR_ONE, Q, T - 2, 1 + Q, Q / (1 - T), M.inverse(), qtr(Fraction(-3, 2))]))
+    return SymFunc(draw(st.sampled_from(BASES)), coeffs)
+
+
+@settings(max_examples=30, deadline=None)
+@given(probes(), probes())
+def test_trusted_results_equal_the_public_constructor(f, g):
+    # results built by the trusted constructor hold what the public one,
+    # which validates keys and coefficients and drops zeros, would hold
+    shift = Alphabet.X() - Alphabet.scalar(1 - Q, eps=True)
+    outputs = [f.to_power(), f * g, f + g, f - f, f.scale(Q / (1 - T)), f.homogeneous_component(2)]
+    outputs += [f.convert(basis) for basis in BASES]
+    outputs += [plethysm(f, A) for A in (Alphabet.X(M), shift, Alphabet.X(-1, eps=True))]
+    outputs += [extract_z(f, shift, kernel, a) for kernel in (Alphabet.X(), Alphabet.X(Q - 1)) for a in (-2, 0, 1)]
+    for out in outputs:
+        public = SymFunc(out.basis, dict(out.coeffs))
+        assert public.basis == out.basis and public.coeffs == out.coeffs
