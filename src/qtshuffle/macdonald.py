@@ -2,9 +2,10 @@
 operators and their star-adjoints, and the registry of checkable identities.
 
 Tables are built per degree from the Haglund-Haiman-Loehr combinatorial
-formula (a sum over fillings of mu, in fundamental quasisymmetric functions),
-then checked against the defining invariants (star-orthogonality with norms
-w_mu, <H~_mu, h_n> = 1) before use; a table that fails raises
+formula (a sum over fillings of mu, in fundamental quasisymmetric functions,
+which shapes.count_fillings counts without listing them), then checked
+against the defining invariants (star-orthogonality with norms w_mu,
+<H~_mu, h_n> = 1) before use; a table that fails raises
 TableInvariantError.  A table loaded from a cache file is verified once, on
 load; install_table does not repeat the check.
 
@@ -74,7 +75,6 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
-from itertools import permutations
 from math import factorial, lcm, prod
 
 from .qtfield import (
@@ -97,6 +97,7 @@ from .shapes import (
     compositions_of,
     conjugate,
     corners,
+    count_fillings,
     partition_invariants,
     partition_str,
     parse_partition,
@@ -471,39 +472,32 @@ def _hhl_monomial(mu: Partition) -> SymFunc:
     maj sums leg+1 over descents.  Two cells attack when they share a row or
     when the lower one is one row down and strictly to the left; inv counts
     attacking pairs read larger value first, minus the arms of the descents.
+    Both are sums over pairs of cells, so shapes.count_fillings counts the
+    fillings by (iDes, inv, maj) without listing the n! of them.
     """
     n = sum(mu)
     order = [(col, row) for row in reversed(range(len(mu))) for col in range(mu[row])]
     at = {cell: k for k, cell in enumerate(order)}
-    attacks = [
-        (at[u], at[v])
+    gain = [
+        (at[u], at[v], 1, 0)
         for u in order
         for v in order
         if at[u] < at[v] and (u[1] == v[1] or (u[1] == v[1] + 1 and v[0] < u[0]))
     ]
-    below = []  # (cell, cell under it, arm, leg + 1)
     for col, row in order:
         if row:
             arm, leg, _, _ = cell_stats(mu, (col, row))
-            below.append((at[col, row], at[col, row - 1], arm, leg + 1))
-    by_ides: dict[int, dict[tuple[int, int], int]] = {}  # iDes bitmask -> q,t terms
-    for w in permutations(range(n)):
-        ides = sum(1 << i for i in range(n - 1) if w.index(i + 1) < w.index(i))
-        inv = sum(w[k] > w[l] for k, l in attacks)
-        maj = 0
-        for k, l, arm, leg1 in below:
-            if w[k] > w[l]:
-                inv -= arm
-                maj += leg1
-        terms = by_ides.setdefault(ides, {})
-        terms[inv, maj] = terms.get((inv, maj), 0) + 1
+            gain.append((at[col, row], at[col, row - 1], -arm, leg + 1))
+    by_ides: dict[frozenset, dict[tuple[int, int], int]] = {}  # iDes -> q,t terms
+    for (ides, inv, maj), c in count_fillings(range(n), gain).items():
+        by_ides.setdefault(ides, {})[inv, maj] = c
     # [m_lam] F_S = 1 exactly when S lies inside the partial sums of lam
     coeffs = {}
     for lam in partitions_of(n):
-        sums = sum(1 << (sum(lam[:i]) - 1) for i in range(1, len(lam)))
+        sums = {sum(lam[:i]) for i in range(1, len(lam))}
         total: dict[tuple[int, int], int] = {}
         for ides, terms in by_ides.items():
-            if not ides & ~sums:
+            if ides <= sums:
                 for key, c in terms.items():
                     total[key] = total.get(key, 0) + c
         coeffs[lam] = QtRational(total)
@@ -514,7 +508,7 @@ def build_htilde(n: int) -> HTildeTable:
     """Build (or fetch) the degree-n table; invariants asserted before return."""
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    check_degree(n)  # before the n! fillings per partition, not after
+    check_degree(n)  # before any filling is counted, not after
     table = _tables.get(n)
     if table is not None:
         return table

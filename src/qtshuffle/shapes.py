@@ -1,5 +1,6 @@
-"""Partitions, compositions, cells, their q,t bookkeeping statistics, and the
-first-section recursion that both sides of the main identity satisfy.
+"""Partitions, compositions, cells, their q,t bookkeeping statistics, the one
+counter of fillings by 1..n (count_fillings), and the first-section recursion
+that both sides of the main identity satisfy.
 
 Shapes are plain tuples of ints: partitions weakly decreasing, compositions
 arbitrary positive parts.  Cells use the French convention, zero-based, as
@@ -60,6 +61,48 @@ def cell_stats(mu: Partition, c: Cell) -> tuple[int, int, int, int]:
     arm = mu[row] - col - 1
     leg = conj[col] - row - 1
     return arm, leg, col, row
+
+
+def count_fillings(rank, gain=(), needs=None) -> dict[tuple[frozenset, int, int], int]:
+    """{(iDes, q-stat, t-stat): count} over the fillings of cells 0..n-1 by
+    1..n, n = len(rank), where cell x is read before y when rank[x] < rank[y]
+    and iDes holds each i with i + 1 read before i.  Each (x, y, dq, dt) in
+    gain (pairs may repeat) adds (dq, dt) when value(x) > value(y); the cells
+    of bitmask needs[x] must hold smaller values than x.  With the values
+    placed in increasing order, a step depends only on the filled cells and
+    on the cell of the previous value: one DP over those states, no listing.
+    """
+    n = len(rank)
+    needs = needs or [0] * n
+    pairs: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+    for x, y, dq, dt in gain:
+        pairs[x].append((y, dq, dt))
+    layer = {(0, -1): {(0, 0, 0): 1}}  # (filled cells, cell of the last value) -> counts
+    for v in range(1, n + 1):
+        nxt: dict = {}
+        for (filled, last), counts in layer.items():
+            for x in range(n):
+                if filled >> x & 1 or needs[x] & ~filled:
+                    continue
+                dq = dt = 0
+                for y, wq, wt in pairs[x]:
+                    if filled >> y & 1:
+                        dq += wq
+                        dt += wt
+                bit = 1 << (v - 1) if last >= 0 and rank[x] < rank[last] else 0
+                out = nxt.setdefault((filled | 1 << x, x), {})
+                for (mask, q, t), c in counts.items():
+                    key = (mask | bit, q + dq, t + dt)
+                    out[key] = out.get(key, 0) + c
+        layer = nxt
+    total: dict = {}
+    for counts in layer.values():
+        for key, c in counts.items():
+            total[key] = total.get(key, 0) + c
+    return {
+        (frozenset(i for i in range(n) if mask >> i & 1), q, t): c
+        for (mask, q, t), c in total.items()
+    }
 
 
 @lru_cache(maxsize=None)

@@ -8,8 +8,10 @@ p -> h are products of Newton's identities, which write h_k in the p_i and p_k
 in the h_i; nothing is inverted.  The elementary matrices follow from
 e = omega h and the monomial ones from the Hall duality <h_lam, m_mu> = delta.
 Every change of basis, skew_by_e1, nabla and the fundamental expansion are one
-sparse linear map (linear_map), each with its own rows.  omega_series is sum h_m[K] and
-plethysm_eval the constant term of a plethysm, both through plethysm.
+sparse linear map (linear_map), each with its own rows; the rows of the
+fundamental expansion are the descent sets of standard tableaux, counted by
+shapes.count_fillings.  omega_series is sum h_m[K] and plethysm_eval the
+constant term of a plethysm, both through plethysm.
 
 Coefficients are QtRational.  The creation operators' [z^a] P[X + S/z] Omega[zK]
 (extract_z) needs no variable z: the power of z each term carries is fixed by
@@ -24,7 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .qtfield import QTR_ONE, QTR_ZERO, QtRational, qtr
-from .shapes import Partition, partitions_of, zmu
+from .shapes import Partition, count_fillings, partitions_of, zmu
 
 BASES = ("power", "elementary", "homogeneous", "monomial", "schur")
 _BASIS_ALIAS = {"p": "power", "e": "elementary", "h": "homogeneous", "m": "monomial", "s": "schur"}
@@ -622,26 +624,21 @@ class QSymFunc:
 
 @lru_cache(maxsize=None)
 def _syt_descent_counts(lam: Partition) -> dict[frozenset, int]:
-    """Multiset of descent sets over standard tableaux of shape lam (cached: read only)."""
-    n = sum(lam)
+    """Multiset of descent sets over standard tableaux of shape lam (cached: read only).
+
+    Each cell's left and lower neighbours hold smaller values.  Read row by
+    row from the top, i + 1 precedes i exactly when it sits in a higher row,
+    so the descent set is the iDes of that reading word.
+    """
+    order = [(col, row) for row in reversed(range(len(lam))) for col in range(lam[row])]
+    at = {cell: k for k, cell in enumerate(order)}
+    needs = [
+        sum(1 << at[nb] for nb in ((col - 1, row), (col, row - 1)) if nb in at)
+        for col, row in order
+    ]
     counts: dict[frozenset, int] = {}
-    rows = len(lam)
-    fill = [0] * rows
-    rowof = [0] * (n + 1)
-
-    def place(k: int):
-        if k > n:
-            des = frozenset(i for i in range(1, n) if rowof[i + 1] > rowof[i])
-            counts[des] = counts.get(des, 0) + 1
-            return
-        for r in range(rows):
-            if fill[r] < lam[r] and (r == 0 or fill[r - 1] > fill[r]):
-                fill[r] += 1
-                rowof[k] = r
-                place(k + 1)
-                fill[r] -= 1
-
-    place(1)
+    for (des, _, _), c in count_fillings(range(sum(lam)), needs=needs).items():
+        counts[des] = counts.get(des, 0) + c
     return dict(sorted(counts.items(), key=lambda x: sorted(x[0])))
 
 

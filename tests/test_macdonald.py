@@ -1,12 +1,14 @@
 import hashlib
 import json
 import re
+from itertools import permutations
 
 import pytest
 
-from qtshuffle.qtfield import Q, QTR_ONE, QTR_ZERO, T, int_poly, kronecker, qtr, swap_qt
+from qtshuffle.qtfield import Q, QTR_ONE, QTR_ZERO, QtRational, T, int_poly, kronecker, qtr, swap_qt
 from qtshuffle.shapes import (
     capital_m,
+    cell_stats,
     compositions_of,
     conjugate,
     corners,
@@ -290,6 +292,51 @@ def test_wrong_degree_term_is_a_support_failure():
     copy = _perturbed(table, (2, 1), (2,), lambda c: QTR_ONE)
     with pytest.raises(TableInvariantError, match=r"^degree 3 table has wrong support$"):
         copy.verify()
+
+
+def _hhl_by_permutations(mu):
+    # the HHL sum over all n! fillings, listed one by one: the reference route
+    n = sum(mu)
+    order = [(col, row) for row in reversed(range(len(mu))) for col in range(mu[row])]
+    at = {cell: k for k, cell in enumerate(order)}
+    attacks = [
+        (at[u], at[v])
+        for u in order
+        for v in order
+        if at[u] < at[v] and (u[1] == v[1] or (u[1] == v[1] + 1 and v[0] < u[0]))
+    ]
+    below = []  # (cell, cell under it, arm, leg + 1)
+    for col, row in order:
+        if row:
+            arm, leg, _, _ = cell_stats(mu, (col, row))
+            below.append((at[col, row], at[col, row - 1], arm, leg + 1))
+    by_ides = {}  # iDes bitmask (bit i: i + 2 read before i + 1) -> q,t terms
+    for w in permutations(range(n)):
+        ides = sum(1 << i for i in range(n - 1) if w.index(i + 1) < w.index(i))
+        inv = sum(w[k] > w[l] for k, l in attacks)
+        maj = 0
+        for k, l, arm, leg1 in below:
+            if w[k] > w[l]:
+                inv -= arm
+                maj += leg1
+        terms = by_ides.setdefault(ides, {})
+        terms[inv, maj] = terms.get((inv, maj), 0) + 1
+    coeffs = {}
+    for lam in partitions_of(n):
+        sums = sum(1 << (sum(lam[:i]) - 1) for i in range(1, len(lam)))
+        total = {}
+        for ides, terms in by_ides.items():
+            if not ides & ~sums:
+                for key, c in terms.items():
+                    total[key] = total.get(key, 0) + c
+        coeffs[lam] = QtRational(total)
+    return SymFunc("monomial", coeffs)
+
+
+def test_hhl_monomial_matches_the_permutation_loop():
+    for n in range(7):
+        for mu in partitions_of(n):
+            assert mac._hhl_monomial(mu) == _hhl_by_permutations(mu), mu
 
 
 def test_degree_seven_table_passes_verify():

@@ -220,6 +220,18 @@ def test_ides_index_matches_the_parking_function_stats():
         _ides_index((0, 2))
 
 
+def test_ides_index_counts_every_parking_function():
+    # the diagonal vectors of size n carry (n + 1)^(n - 1) parking functions
+    for n in range(1, 8):
+        total = sum(
+            count
+            for alpha in compositions_of(n)
+            for bucket in _ides_index(alpha).values()
+            for count in bucket.values()
+        )
+        assert total == (n + 1) ** (n - 1), n
+
+
 def test_both_sides_reject_a_bad_sum_before_a_negative_index():
     # a negative index with the wrong total is a size error on both sides
     want = r"must sum to \|alpha\|=2"

@@ -1,3 +1,6 @@
+from itertools import permutations
+from math import factorial
+
 import pytest
 
 from qtshuffle.qtfield import Q, QTR_ONE, QTR_ZERO, T
@@ -7,6 +10,7 @@ from qtshuffle.shapes import (
     compositions_of,
     conjugate,
     corners,
+    count_fillings,
     parse_composition,
     parse_partition,
     partition_invariants,
@@ -170,3 +174,29 @@ def test_string_round_trips():
     assert parse_partition("[]") == ()
     assert parse_composition("(3,1,2)") == (3, 1, 2)
     assert parse_composition("()") == ()
+
+
+def test_count_fillings_without_constraints_counts_every_permutation():
+    for n in range(7):
+        counts = count_fillings(range(n))
+        assert sum(counts.values()) == factorial(n)
+        assert all(q == t == 0 for _, q, t in counts)
+        # every subset of 1..n-1 is the inverse descent set of some word
+        assert len(counts) == 2 ** max(n - 1, 0)
+
+
+def test_count_fillings_matches_listing_the_fillings():
+    # a scrambled reading order, repeated and negative weights, and two order rules
+    rank = [3, 0, 4, 1, 2]
+    gain = [(0, 1, 1, 0), (2, 0, 0, 2), (2, 0, 1, -1), (4, 3, -2, 1), (1, 4, 1, 1), (3, 2, 0, 1)]
+    needs = [0, 0, 1 << 1, 0, 1 << 0 | 1 << 3]
+    want = {}
+    for value in permutations(range(1, 6)):
+        if any(value[y] > value[x] for x in range(5) for y in range(5) if needs[x] >> y & 1):
+            continue
+        cell = {v: x for x, v in enumerate(value)}
+        ides = frozenset(i for i in range(1, 5) if rank[cell[i + 1]] < rank[cell[i]])
+        q = sum(dq for x, y, dq, _ in gain if value[x] > value[y])
+        t = sum(dt for x, y, _, dt in gain if value[x] > value[y])
+        want[ides, q, t] = want.get((ides, q, t), 0) + 1
+    assert count_fillings(rank, gain, needs) == want

@@ -1,11 +1,14 @@
 from fractions import Fraction
+from itertools import permutations
+from math import factorial, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qtshuffle.qtfield import Q, QTR_ONE, QTR_ZERO, T, qtr
-from qtshuffle.shapes import capital_m, partition_invariants, partitions_of, zmu
+from qtshuffle.shapes import capital_m, cell_stats, cells, partition_invariants, partitions_of, zmu
 from qtshuffle.symfunc import (
+    _syt_descent_counts,
     BASES,
     Alphabet,
     QSymFunc,
@@ -261,6 +264,41 @@ def test_skew_matches_schur_corner_oracle():
 def test_fundamental_single_row_and_column():
     assert fundamental_expand(s_((2,))) == QSymFunc(2, {frozenset(): QTR_ONE})
     assert fundamental_expand(s_((1, 1))) == QSymFunc(2, {frozenset({1}): QTR_ONE})
+
+
+def _syt_descents_by_permutations(lam):
+    # every word of 1..n written row by row from the bottom row, kept when its
+    # rows and columns increase; i is a descent when i + 1 lies in a higher row
+    n = sum(lam)
+    counts = {}
+    for w in permutations(range(1, n + 1)):
+        rows, k = [], 0
+        for part in lam:
+            rows.append(w[k:k + part])
+            k += part
+        if any(row[j] > row[j + 1] for row in rows for j in range(len(row) - 1)):
+            continue
+        if any(rows[r][j] < rows[r - 1][j] for r in range(1, len(rows)) for j in range(len(rows[r]))):
+            continue
+        rowof = {v: r for r, row in enumerate(rows) for v in row}
+        des = frozenset(i for i in range(1, n) if rowof[i + 1] > rowof[i])
+        counts[des] = counts.get(des, 0) + 1
+    return counts
+
+
+def test_syt_descent_counts_match_brute_force():
+    for n in range(8):
+        for lam in partitions_of(n):
+            got = _syt_descent_counts(lam)
+            assert got == _syt_descents_by_permutations(lam), lam
+            assert list(got) == sorted(got, key=sorted), lam
+
+
+def test_syt_counts_match_the_hook_length_formula():
+    for n in range(9):
+        for lam in partitions_of(n):
+            hooks = prod(arm + leg + 1 for arm, leg, _, _ in (cell_stats(lam, c) for c in cells(lam)))
+            assert sum(_syt_descent_counts(lam).values()) == factorial(n) // hooks, lam
 
 
 def test_gessel_examples():
