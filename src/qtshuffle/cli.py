@@ -25,13 +25,12 @@ from functools import cache
 
 from .macdonald import (
     HTildeTable,
+    _nabla_c_word,
     build_htilde,
     check_identity,
-    c_word,
     first_difference,
     install_table,
     lhs_inner,
-    nabla,
     side_text,
 )
 from .parking import (
@@ -284,8 +283,8 @@ def _cases_shuffle_qsym(n_max: int) -> list:
         for p in compositions_of(n):
             pstr = f"p={composition_str(p)}"
 
-            def sides(p=p):
-                return [(None, fundamental_expand(nabla(c_word(p))), rhs_quasisym(p))]
+            def sides(p=p):  # the main grid's cached nabla C_p 1, in the Schur basis
+                return [(None, fundamental_expand(_nabla_c_word(p)), rhs_quasisym(p))]
 
             cases.append(_Case(f"shuffle-qsym[{pstr}]", pstr, sides))
     return cases

@@ -23,20 +23,25 @@ and checks against d_{mu,nu} = M c_{mu,nu} w_nu / w_mu.
 
 nabla is one Schur-basis matrix per table and sign, R = K~^-1 diag(T_mu^sign) K~,
 built by HTildeTable.nabla_matrix on first use, never on build, load or
-install: verify() gives K~^-1 = G_n K~^T diag(1/w_mu), R is guessed at one
-point and certified by K~ R = diag(T_mu^sign) K~ with _packed_product.
-nabla(f) is one sparse product of f's Schur coefficients with those rows
-(_nabla_schur, also the main grid's route).  A table converts its Schur
+install.  nabla(f) is one sparse product of f's Schur coefficients with those
+rows (_nabla_schur, also the main grid's route).  A table converts its Schur
 entries to power sums (HTildeTable.power) only when something first reads
 them.
 
 The registry's nabla(h_a^* e_b^* e_c^*) and its star-adjoints are computed in
 the frame S f = f[MX], where they are integer polynomials: the table's frame
-rows R_S = S^-1 R S (HTildeTable.frame_rows, sign +1, certified by S R_S = R S)
-combined by the integer Schur coefficients of S(h_a^* e_b^* e_c^*) = h_a e_b e_c,
-then C*_m or B*_m in the frame as one extract_z with a Laurent-polynomial
-shift and kernel, and mapped back by one division per power-sum coefficient
-(_unframe).  op_C_star and op_B_star stay the usual-frame operators.
+rows R_S = S^-1 R S (HTildeTable.frame_rows, sign +1) combined by the integer
+Schur coefficients of S(h_a^* e_b^* e_c^*) = h_a e_b e_c, then C*_m or B*_m in
+the frame as one extract_z with a Laurent-polynomial shift and kernel, and
+mapped back by one division per power-sum coefficient (_unframe).  op_C_star
+and op_B_star stay the usual-frame operators.
+
+Both kinds of rows come from one routine, HTildeTable._eigen_rows: the integer
+rows X = K^-1 diag(T^_mu) K for K = K~ B, B the identity for nabla and S for
+the frame rows.  verify() gives K^-1 = L K~^T diag(1/w_mu) with L = B^-1 G_n
+(G_n for nabla, the conjugation permutation for the frame); X is guessed at
+one point (_guess_rows) and certified by K X = diag(T^_mu) K with
+_packed_product.
 
 lhs_inner(alpha, a, b, c) = <nabla C_alpha 1, e_a h_b h_c> stays in the Schur
 basis, which is orthonormal: nabla C_alpha 1 is cached per composition in
@@ -168,74 +173,70 @@ class HTildeTable:
         return rows[lam]
 
     def nabla_matrix(self, sign: int) -> dict[Partition, SymFunc]:
-        """{lam: nabla^sign s_lam in the Schur basis}, exact, from packed integers.
+        """{lam: nabla^sign s_lam in the Schur basis}, exact: the integer rows
+        R^ of _eigen_rows with B the identity, divided by T_max for sign -1."""
+        if sign not in (1, -1):
+            raise ValueError("sign must be +1 or -1")
+        top = self.degree * (self.degree - 1) // 2
+        den = {(top, top) if sign == -1 else (0, 0): 1}
+        return {
+            lam: SymFunc("schur", {nu: QtRational(p, den) for nu, p in row.items()})
+            for lam, row in self._eigen_rows(sign, frame=False).items()
+        }
 
-        The rows form R = K~^-1 diag(T_mu^sign) K~ (K~ the Schur coefficients).
-        Both signs compute R^ = K~^-1 diag(T^_mu) K~, T^_mu = T_mu for sign +1
-        and T_max / T_mu for sign -1 (T_max = (q t)^(n choose 2)); then
-        R = R^ / T_max.  _guess_rows reads R^ off one point, and the
-        certificate K~ R^ = diag(T^_mu) K~, one _packed_product, leaves it one
-        value, since verify() showed that K~ is invertible: the rows are exact,
-        not probable.  A guess that is no integer or fails the certificate
-        doubles k and tries again; D = 1 + C(n,2) stays, as it already exceeds
-        the q-degree of every row.  After _ROW_ATTEMPTS tries the table raises
-        TableInvariantError (on the tables of degree <= 8 the first guess
-        holds).  The table is verified first if it was not yet.
+    @cached_property
+    def frame_rows(self) -> dict[Partition, dict[Partition, QtRational]]:
+        """{lam: {nu: [s_nu] S nabla S^-1 s_lam}} with S f = f[MX], exact: the
+        integer rows R_S = S^-1 R S of _eigen_rows with B = S."""
+        rows = self._eigen_rows(1, frame=True)
+        return {lam: {nu: QtRational(p) for nu, p in row.items()} for lam, row in rows.items()}
+
+    def _eigen_rows(self, sign: int, frame: bool) -> dict[Partition, dict[Partition, dict]]:
+        """{lam: {nu: X_lam,nu}} as integer polynomials, X = K^-1 diag(T^_mu) K
+        for K = K~ B (K~ the Schur coefficients), T^_mu = T_mu for sign +1 and
+        T_max / T_mu for sign -1 (T_max = (q t)^(n choose 2)).
+
+        B is the identity for the nabla rows, so X = R^ = K~^-1 diag(T^_mu) K~.
+        For the frame rows B = S = G_n J, so X = R_S = S^-1 R S (R the sign +1
+        rows): S[lam][nu] = [s_nu] s_lam[MX] = G_n[lam][nu'], G_n the star
+        Gram matrix and J the conjugation permutation (J[lam][lam'] = 1); K is
+        multiplied out once, exactly, by _packed_product.  _guess_rows reads X
+        off one point, and the certificate K X = diag(T^_mu) K, one
+        _packed_product, leaves it one value, since K~ (verify()) and S are
+        invertible: the rows are exact, not probable.  A guess that is no
+        integer or fails the certificate doubles k and D and tries again;
+        after _ROW_ATTEMPTS tries the table raises TableInvariantError (on the
+        tables of degree <= 8 the first guess holds).  The table is verified
+        first if it was not yet.
         """
         if not self.verified:
             self.verify()
         n, parts = self.degree, partitions_of(self.degree)
         top = n * (n - 1) // 2  # the q- and t-degree of T_max, and the q-degree of K~
-        kostka = self.kostka
-        shift, eigen = {}, {}  # mu -> the exponents of the monomial T^_mu, and row mu of diag(T^) K~
+        kostka, gram = self.kostka, _star_gram(n)
+        if frame:  # B = S = G_n J, so L = J; K = K~ S is multiplied out exactly
+            basis = {lam: {nu: p for nu in parts if (p := gram[lam].get(conjugate(nu)))} for lam in parts}
+            k, D, packed, _ = _packed_product([kostka, basis], [{}])  # packed where kronecker is injective
+            right = {mu: {nu: unkronecker(x, k, D) for nu, x in row.items()} for mu, row in packed.items()}
+            left = {lam: {conjugate(lam): {(0, 0): 1}} for lam in parts}
+            what = f"frame rows of degree {n}"
+        else:
+            right, left, what = kostka, gram, f"nabla rows of degree {n} (sign {sign})"
+        shift, eigen = {}, {}  # mu -> the exponents of the monomial T^_mu, and row mu of diag(T^) K
         for mu in parts:
             inv = self.invariants[mu]
             a, b = shift[mu] = (inv.nmu_conj, inv.nmu) if sign == 1 else (top - inv.nmu_conj, top - inv.nmu)
-            eigen[mu] = {nu: {(i + a, j + b): c for (i, j), c in p.items()} for nu, p in kostka[mu].items()}
+            eigen[mu] = {nu: {(i + a, j + b): c for (i, j), c in p.items()} for nu, p in right[mu].items()}
         k = _row_start(max(_size(p) for row in kostka.values() for p in row.values()))
         D = 1 + top  # at least n, so no w_mu vanishes at the point
         for _ in range(_ROW_ATTEMPTS):
-            rows = _guess_rows(kostka, _star_gram(n), shift, k, D)
+            rows = _guess_rows(kostka, left, right, shift, k, D)
             if rows is not None:
-                _, _, got, want = _packed_product([kostka, rows], [eigen])
+                _, _, got, want = _packed_product([right, rows], [eigen])
                 if got == want:
-                    den = {(top, top) if sign == -1 else (0, 0): 1}
-                    return {
-                        lam: SymFunc("schur", {nu: QtRational(p, den) for nu, p in row.items()})
-                        for lam, row in rows.items()
-                    }
-            k *= 2
-        raise TableInvariantError(f"nabla rows of degree {n} (sign {sign}) failed their certificate")
-
-    @cached_property
-    def frame_rows(self) -> dict[Partition, dict[Partition, QtRational]]:
-        """{lam: {nu: [s_nu] S nabla S^-1 s_lam}} with S f = f[MX], exact, from
-        packed integers.
-
-        In the row convention this is R_S = S^-1 R S, R the sign +1 Schur rows
-        (nabla_row) and S[lam][nu] = [s_nu] s_lam[MX] = G_n[lam][nu'] (G_n the
-        star Gram matrix, nu' the conjugate of nu): every entry is an integer
-        polynomial.  _guess_frame_rows reads R_S off one point, and the
-        certificate S R_S = R S, one _packed_product, leaves it one value, as S
-        is invertible: the rows are exact, not probable.  A guess that is no
-        integer or fails the certificate doubles k and D and tries again; after
-        _ROW_ATTEMPTS tries the table raises TableInvariantError (on the tables
-        of degree <= 7 the first guess holds).
-        """
-        n, parts = self.degree, partitions_of(self.degree)
-        nabla = {lam: {nu: int_poly(c) for nu, c in self.nabla_row(lam, 1).coeffs.items()} for lam in parts}
-        gram = _star_gram(n)
-        frame = {lam: {nu: p for nu in parts if (p := gram[lam].get(conjugate(nu)))} for lam in parts}
-        k = _row_start(max(_size(p) for row in nabla.values() for p in row.values()))
-        D = 1 + n * (n - 1) // 2  # above the q-degree of every R_S entry of degree <= 7
-        for _ in range(_ROW_ATTEMPTS):
-            rows = _guess_frame_rows(nabla, frame, k, D)
-            if rows is not None:
-                _, _, got, want = _packed_product([frame, rows], [nabla, frame])
-                if got == want:
-                    return {lam: {nu: QtRational(p) for nu, p in row.items()} for lam, row in rows.items()}
+                    return rows
             k, D = 2 * k, 2 * D
-        raise TableInvariantError(f"frame rows of degree {n} failed their certificate")
+        raise TableInvariantError(f"{what} failed their certificate")
 
     def verify(self) -> None:
         """Assert the support (one entry per mu |- n, each Schur term of degree
@@ -399,64 +400,37 @@ def _star_gram(n: int) -> dict:
     return gram
 
 
-_ROW_ATTEMPTS = 4  # nabla_matrix widens its point three times at most
+_ROW_ATTEMPTS = 4  # _eigen_rows widens its point three times at most
 
 
 def _row_start(norm: int) -> int:
-    """Bits per slot of nabla_matrix's first guess, norm the largest |K~_mu,nu|_1."""
+    """Bits per slot of _eigen_rows' first guess, norm the largest |K~_mu,nu|_1."""
     return norm.bit_length() + 2
 
 
-def _guess_rows(kostka: dict, gram: dict, shift: dict, k: int, D: int) -> dict | None:
-    """{lam: {nu: R^_lam,nu}} read off R^ = K~^-1 diag(T^_mu) K~ at q = 2^k,
-    t = 2^(kD), or None when a value is no integer (shift[mu] the exponents of
-    T^_mu).
+def _guess_rows(kostka: dict, left: dict, right: dict, shift: dict, k: int, D: int) -> dict | None:
+    """{lam: {nu: X_lam,nu}} read off X = K^-1 diag(T^_mu) K at q = 2^k,
+    t = 2^(kD), or None when a value is no integer (right = K = K~ B,
+    left = L = B^-1 G_n, shift[mu] the exponents of T^_mu).
 
-    verify() showed K~ G K~^T = diag(w_mu), so K~^-1 = G K~^T diag(1/w_mu); with
-    common the lcm of the w_mu at the point, common R^ = G K~^T diag(T^_mu
-    common / w_mu) K~ is one integer product, then one division per entry.  No w_mu
-    vanishes there when D >= n: a factor q^a - t^(l+1) or t^l - q^(a+1) of
-    w_mu is zero only if a = D(l+1) or Dl = a+1, and a + l < n.
+    verify() showed K~ G_n K~^T = diag(w_mu), so K^-1 = L K~^T diag(1/w_mu);
+    with common the lcm of the w_mu at the point, common X = L K~^T
+    diag(T^_mu common / w_mu) K is one integer product, then one exact
+    division per entry.  No w_mu vanishes there when D >= n: a factor
+    q^a - t^(l+1) or t^l - q^(a+1) of w_mu is zero only if a = D(l+1) or
+    Dl = a+1, and a + l < n.
     """
     packed_norm = {mu: kronecker(int_poly(partition_invariants(mu).w), k, D) for mu in kostka}
     common = lcm(*packed_norm.values())
-    packed = _pack(kostka, k, D)
-    inverse = _matmul(_pack(gram, k, D), _transpose(packed))  # K~^-1 diag(w_mu) at the point
+    inverse = _matmul(_pack(left, k, D), _transpose(_pack(kostka, k, D)))  # K^-1 diag(w_mu) at the point
     for row in inverse.values():
         for mu, x in row.items():
             a, b = shift[mu]
             row[mu] = x * (common // packed_norm[mu]) << k * (a + D * b)
-    return _divide_rows(_matmul(inverse, packed), common, k, D)
-
-
-def _divide_rows(product: dict, common: int, k: int, D: int) -> dict | None:
-    """{lam: {nu: poly}} unpacked from product / common at q = 2^k, t = 2^(kD),
-    or None when common does not divide every entry."""
+    product = _matmul(inverse, _pack(right, k, D))
     if any(x % common for row in product.values() for x in row.values()):
         return None
-    return {
-        lam: {nu: unkronecker(x // common, k, D) for nu, x in row.items()} for lam, row in product.items()
-    }
-
-
-def _guess_frame_rows(nabla: dict, frame: dict, k: int, D: int) -> dict | None:
-    """{lam: {nu: poly}} read off R_S = S^-1 R S at q = 2^k, t = 2^(kD), or None
-    when a value is no integer (nabla = R, frame = S, both integer-polynomial).
-
-    S is diagonal on the power sums with p_rho[M] = prod over parts j of
-    (1 - q^j)(1 - t^j), so S^-1[lam][nu] = sum over rho of chi^lam(rho)
-    chi^nu(rho) / (z_rho p_rho[M]).  None of these vanishes at the point;
-    with common the lcm of the z_rho p_rho[M] there, common R_S is one
-    integer product, then one division per entry.
-    """
-    parts = tuple(frame)
-    at = {rho: zmu(rho) * prod((1 - (1 << k * j)) * (1 - (1 << k * D * j)) for j in rho) for rho in parts}
-    common = lcm(*at.values())
-    inverse = {
-        lam: {nu: sum(character(lam, rho) * character(nu, rho) * (common // x) for rho, x in at.items()) for nu in parts}
-        for lam in parts
-    }
-    return _divide_rows(reduce(_matmul, [inverse, _pack(nabla, k, D), _pack(frame, k, D)]), common, k, D)
+    return {lam: {nu: unkronecker(x // common, k, D) for nu, x in row.items()} for lam, row in product.items()}
 
 
 _tables: dict[int, HTildeTable] = {}

@@ -2,6 +2,7 @@ import hashlib
 import json
 import re
 from itertools import permutations
+from math import prod
 
 import pytest
 
@@ -14,10 +15,12 @@ from qtshuffle.shapes import (
     corners,
     partition_invariants,
     partitions_of,
+    zmu,
 )
 from qtshuffle.symfunc import (
     Alphabet,
     SymFunc,
+    character,
     e_,
     h_,
     hall_inner,
@@ -411,18 +414,27 @@ def test_nabla_reads_the_rows_of_the_installed_table(monkeypatch):
 
 
 def _row_integers(table, sign):
-    """(kostka, eigen, rows) for the certificate K~ R^ == diag(T^_mu) K~, as the
-    table's integer polynomials (eigen the right side)."""
+    """(K, eigen, rows) for the certificate K X == diag(T^_mu) K, as the
+    table's integer polynomials (eigen the right side): K = K~ and X = R^ for
+    sign +1 and -1, and for "frame" K = K~ S, row mu the Schur coefficients of
+    H~_mu[MX] by plethysm, and X = R_S."""
     n = table.degree
     top = n * (n - 1) // 2
-    kostka = {mu: {nu: int_poly(c) for nu, c in f.coeffs.items()} for mu, f in table.entries.items()}
-    eigen, rows = {}, {}
+    if sign == "frame":
+        entries = {mu: _frame(f).convert("schur") for mu, f in table.power.items()}
+        rows = {lam: {nu: int_poly(c) for nu, c in row.items()} for lam, row in table.frame_rows.items()}
+    else:
+        entries = table.entries
+        scale = QTR_ONE if sign == 1 else (Q * T) ** top
+        rows = {
+            lam: {nu: int_poly(c * scale) for nu, c in table.nabla_row(lam, sign).coeffs.items()}
+            for lam in partitions_of(n)
+        }
+    kostka = {mu: {nu: int_poly(c) for nu, c in f.coeffs.items()} for mu, f in entries.items()}
+    eigen = {}
     for mu, inv in table.invariants.items():
-        a, b = (inv.nmu_conj, inv.nmu) if sign == 1 else (top - inv.nmu_conj, top - inv.nmu)
+        a, b = (inv.nmu_conj, inv.nmu) if sign != -1 else (top - inv.nmu_conj, top - inv.nmu)
         eigen[mu] = {nu: {(i + a, j + b): c for (i, j), c in p.items()} for nu, p in kostka[mu].items()}
-    scale = QTR_ONE if sign == 1 else (Q * T) ** top
-    for lam in partitions_of(n):
-        rows[lam] = {nu: int_poly(c * scale) for nu, c in table.nabla_row(lam, sign).coeffs.items()}
     return kostka, eigen, rows
 
 
@@ -431,7 +443,7 @@ def _certified(kostka, eigen, rows):
     return got == want
 
 
-@pytest.mark.parametrize("sign", (1, -1))
+@pytest.mark.parametrize("sign", (1, -1, "frame"))
 def test_eigen_certificate_rejects_a_perturbed_row(sign):
     kostka, eigen, rows = _row_integers(build_htilde(5), sign)
     assert _certified(kostka, eigen, rows)
@@ -468,26 +480,45 @@ def test_too_narrow_first_guess_is_retried(monkeypatch):
         HTildeTable.from_json(table.to_json()).nabla_matrix(1)
 
 
-def test_failing_certificate_widens_only_k(monkeypatch):
-    # every guess is wrong in one coefficient, so no certificate can pass: each
-    # retry doubles the bits per slot k and keeps the slot stride D = 1 + C(n,2)
-    table = build_htilde(5)
+def _recorded_guesses(monkeypatch, perturb):
+    """The (k, D) of every _guess_rows call, each guess made wrong in one
+    coefficient when perturb is set."""
     calls = []
     guess = mac._guess_rows
 
-    def wrong(kostka, gram, shift, k, D):
-        calls.append((k, D))
-        rows = guess(kostka, gram, shift, k, D)
-        poly = rows[(5,)][(5,)]
-        rows[(5,)][(5,)] = {**poly, (0, 0): poly.get((0, 0), 0) + 1}
+    def recorded(*args):
+        calls.append(args[-2:])
+        rows = guess(*args)
+        if perturb and rows is not None:
+            first = next(iter(rows))
+            poly = rows[first][first]
+            rows[first][first] = {**poly, (0, 0): poly.get((0, 0), 0) + 1}
         return rows
 
-    monkeypatch.setattr(mac, "_guess_rows", wrong)
+    monkeypatch.setattr(mac, "_guess_rows", recorded)
+    return calls
+
+
+def test_failing_nabla_certificate_widens_the_point_then_raises(monkeypatch):
+    # every guess is wrong in one coefficient, so no certificate can pass:
+    # each retry doubles the bits per slot k and the slot stride D
+    table = build_htilde(5)
+    calls = _recorded_guesses(monkeypatch, perturb=True)
     message = r"^nabla rows of degree 5 \(sign -1\) failed their certificate$"
     with pytest.raises(TableInvariantError, match=message):
         HTildeTable.from_json(table.to_json()).nabla_matrix(-1)
     k = calls[0][0]
-    assert calls == [(k << i, 11) for i in range(mac._ROW_ATTEMPTS)]
+    assert calls == [(k << i, 11 << i) for i in range(mac._ROW_ATTEMPTS)]
+
+
+@pytest.mark.parametrize("sign", (0, 2, -2))
+def test_nabla_rows_reject_a_bad_sign(sign):
+    table = HTildeTable.from_json(build_htilde(2).to_json())
+    with pytest.raises(ValueError, match=r"^sign must be \+1 or -1$"):
+        table.nabla_matrix(sign)
+    with pytest.raises(ValueError, match=r"^sign must be \+1 or -1$"):
+        table.nabla_row((2,), sign)
+    assert not table.nabla_rows
 
 
 def _frame(f):
@@ -511,6 +542,33 @@ def test_frame_rows_match_the_usual_route(n):
         assert got == _frame(nabla(_star(s_(lam)))), lam
 
 
+@pytest.mark.parametrize("n", range(0, 7))
+def test_frame_rows_are_the_nabla_rows_conjugated_by_s(n):
+    # R_S = S^-1 R S in Q(q,t), R the sign +1 rows and S[lam][nu] =
+    # G_n[lam][nu'].  S is diagonal on the power sums, so S^-1[lam][nu] = sum
+    # over rho of chi^lam(rho) chi^nu(rho) / (z_rho p_rho[M]), applied here
+    # as a sum over rho of chi^lam(rho) (chi(rho) R S) / (z_rho p_rho[M])
+    table, parts = build_htilde(n), partitions_of(n)
+    gram = mac._star_gram(n)
+    nabla_rows = {lam: table.nabla_row(lam, 1).coeffs for lam in parts}
+    frame = {mu: {nu: QtRational(gram[mu].get(conjugate(nu), {})) for nu in parts} for mu in parts}
+    rs = {
+        lam: {nu: sum((x * frame[mu][nu] for mu, x in row.items()), QTR_ZERO) for nu in parts}
+        for lam, row in nabla_rows.items()
+    }
+    zp = {rho: qtr(zmu(rho)) * prod((M.frobenius(j) for j in rho), start=QTR_ONE) for rho in parts}
+    by_rho = {
+        rho: {nu: sum((qtr(character(lam, rho)) * rs[lam][nu] for lam in parts), QTR_ZERO) / zp[rho] for nu in parts}
+        for rho in parts
+    }
+    rows = table.frame_rows
+    for lam in parts:
+        want = {nu: sum((qtr(character(lam, rho)) * by_rho[rho][nu] for rho in parts), QTR_ZERO) for nu in parts}
+        assert {nu: c for nu, c in want.items() if not c.is_zero()} == rows[lam], lam
+        # nabla is star self-adjoint (R G_n is symmetric), so R_S = J R^T J too
+        assert rows[lam] == {nu: x for nu in parts if (x := nabla_rows[conjugate(nu)].get(conjugate(lam)))}, lam
+
+
 def test_frame_matrix_is_the_star_gram_with_conjugate_columns():
     # [s_nu] s_lam[MX] = <s_lam, s_nu'>_*, for n <= 6
     for n in range(0, 7):
@@ -521,26 +579,10 @@ def test_frame_matrix_is_the_star_gram_with_conjugate_columns():
                 assert int_poly(schur.get(nu, QTR_ZERO)) == gram[lam].get(conjugate(nu), {}), (lam, nu)
 
 
-def _recorded_frame_guesses(monkeypatch, perturb):
-    calls = []
-    guess = mac._guess_frame_rows
-
-    def recorded(nabla_rows, frame, k, D):
-        calls.append((k, D))
-        rows = guess(nabla_rows, frame, k, D)
-        if perturb and rows is not None:
-            poly = rows[(4,)][(4,)]
-            rows[(4,)][(4,)] = {**poly, (0, 0): poly.get((0, 0), 0) + 1}
-        return rows
-
-    monkeypatch.setattr(mac, "_guess_frame_rows", recorded)
-    return calls
-
-
 def test_failing_frame_certificate_widens_the_point_then_raises(monkeypatch):
-    # every guess is wrong in one coefficient: each retry doubles k and D
+    # the frame rows retry as the nabla rows do: each retry doubles k and D
     table = build_htilde(4)
-    calls = _recorded_frame_guesses(monkeypatch, perturb=True)
+    calls = _recorded_guesses(monkeypatch, perturb=True)
     message = r"^frame rows of degree 4 failed their certificate$"
     with pytest.raises(TableInvariantError, match=message):
         HTildeTable.from_json(table.to_json()).frame_rows
@@ -551,7 +593,7 @@ def test_failing_frame_certificate_widens_the_point_then_raises(monkeypatch):
 def test_too_narrow_frame_guess_is_widened(monkeypatch):
     table = build_htilde(5)
     want = table.frame_rows
-    calls = _recorded_frame_guesses(monkeypatch, perturb=False)
+    calls = _recorded_guesses(monkeypatch, perturb=False)
     monkeypatch.setattr(mac, "_row_start", lambda norm: 2)  # R_S coefficients reach 5 in degree 5
     assert HTildeTable.from_json(table.to_json()).frame_rows == want
     assert calls == [(2, 11), (4, 22)]  # 2 bits per slot fail, 4 hold
