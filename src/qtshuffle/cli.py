@@ -279,7 +279,7 @@ def _cases_main_theorem(n_max: int) -> list:
 
 def _cases_shuffle_qsym(n_max: int) -> list:
     cases = []
-    for n in range(1, min(n_max, 6) + 1):
+    for n in range(1, min(n_max, 7) + 1):
         for p in compositions_of(n):
             pstr = f"p={composition_str(p)}"
 

@@ -23,25 +23,21 @@ and checks against d_{mu,nu} = M c_{mu,nu} w_nu / w_mu.
 
 nabla is one Schur-basis matrix per table and sign, R = K~^-1 diag(T_mu^sign) K~,
 built by HTildeTable.nabla_matrix on first use, never on build, load or
-install.  nabla(f) is one sparse product of f's Schur coefficients with those
-rows (_nabla_schur, also the main grid's route).  A table converts its Schur
-entries to power sums (HTildeTable.power) only when something first reads
-them.
+install: verify() gives K~^-1 = G_n K~^T diag(1/w_mu), R is guessed at one
+point (_guess_rows) and certified by K~ R = diag(T_mu^sign) K~ with
+_packed_product.  nabla(f) is one sparse product of f's Schur coefficients
+with those rows (_nabla_schur, also the main grid's route).  A table converts
+its Schur entries to power sums (HTildeTable.power) only when something first
+reads them.
 
 The registry's nabla(h_a^* e_b^* e_c^*) and its star-adjoints are computed in
-the frame S f = f[MX], where they are integer polynomials: the table's frame
-rows R_S = S^-1 R S (HTildeTable.frame_rows, sign +1) combined by the integer
-Schur coefficients of S(h_a^* e_b^* e_c^*) = h_a e_b e_c, then C*_m or B*_m in
-the frame as one extract_z with a Laurent-polynomial shift and kernel, and
-mapped back by one division per power-sum coefficient (_unframe).  op_C_star
-and op_B_star stay the usual-frame operators.
-
-Both kinds of rows come from one routine, HTildeTable._eigen_rows: the integer
-rows X = K^-1 diag(T^_mu) K for K = K~ B, B the identity for nabla and S for
-the frame rows.  verify() gives K^-1 = L K~^T diag(1/w_mu) with L = B^-1 G_n
-(G_n for nabla, the conjugation permutation for the frame); X is guessed at
-one point (_guess_rows) and certified by K X = diag(T^_mu) K with
-_packed_product.
+the frame S f = f[MX], where they are integer polynomials.  nabla is
+self-adjoint for the star product, so the s_nu coefficient of
+S nabla (h_a^* e_b^* e_c^*) is <nabla s_nu', e_a h_b h_c>, read off the sign +1
+rows (_framed_nabla_hee); then C*_m or B*_m in the frame as one extract_z with
+a Laurent-polynomial shift and kernel, mapped back by one division per
+power-sum coefficient (_unframe).  op_C_star and op_B_star stay the
+usual-frame operators.
 
 lhs_inner(alpha, a, b, c) = <nabla C_alpha 1, e_a h_b h_c> stays in the Schur
 basis, which is orthonormal: nabla C_alpha 1 is cached per composition in
@@ -174,69 +170,42 @@ class HTildeTable:
 
     def nabla_matrix(self, sign: int) -> dict[Partition, SymFunc]:
         """{lam: nabla^sign s_lam in the Schur basis}, exact: the integer rows
-        R^ of _eigen_rows with B the identity, divided by T_max for sign -1."""
+        R^ = K~^-1 diag(T^_mu) K~ (K~ the Schur coefficients), T^_mu = T_mu for
+        sign +1 and T_max / T_mu for sign -1, then divided by T_max =
+        (q t)^(n choose 2) for sign -1.
+
+        _guess_rows reads R^ off one point, and the certificate
+        K~ R^ = diag(T^_mu) K~, one _packed_product, fixes it, as K~ is
+        invertible (verify()).  A guess that is no integer or fails doubles k
+        and D; after _ROW_ATTEMPTS tries the table raises TableInvariantError
+        (on the tables of degree <= 8 the first guess holds).
+        """
         if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
-        top = self.degree * (self.degree - 1) // 2
-        den = {(top, top) if sign == -1 else (0, 0): 1}
-        return {
-            lam: SymFunc("schur", {nu: QtRational(p, den) for nu, p in row.items()})
-            for lam, row in self._eigen_rows(sign, frame=False).items()
-        }
-
-    @cached_property
-    def frame_rows(self) -> dict[Partition, dict[Partition, QtRational]]:
-        """{lam: {nu: [s_nu] S nabla S^-1 s_lam}} with S f = f[MX], exact: the
-        integer rows R_S = S^-1 R S of _eigen_rows with B = S."""
-        rows = self._eigen_rows(1, frame=True)
-        return {lam: {nu: QtRational(p) for nu, p in row.items()} for lam, row in rows.items()}
-
-    def _eigen_rows(self, sign: int, frame: bool) -> dict[Partition, dict[Partition, dict]]:
-        """{lam: {nu: X_lam,nu}} as integer polynomials, X = K^-1 diag(T^_mu) K
-        for K = K~ B (K~ the Schur coefficients), T^_mu = T_mu for sign +1 and
-        T_max / T_mu for sign -1 (T_max = (q t)^(n choose 2)).
-
-        B is the identity for the nabla rows, so X = R^ = K~^-1 diag(T^_mu) K~.
-        For the frame rows B = S = G_n J, so X = R_S = S^-1 R S (R the sign +1
-        rows): S[lam][nu] = [s_nu] s_lam[MX] = G_n[lam][nu'], G_n the star
-        Gram matrix and J the conjugation permutation (J[lam][lam'] = 1); K is
-        multiplied out once, exactly, by _packed_product.  _guess_rows reads X
-        off one point, and the certificate K X = diag(T^_mu) K, one
-        _packed_product, leaves it one value, since K~ (verify()) and S are
-        invertible: the rows are exact, not probable.  A guess that is no
-        integer or fails the certificate doubles k and D and tries again;
-        after _ROW_ATTEMPTS tries the table raises TableInvariantError (on the
-        tables of degree <= 8 the first guess holds).  The table is verified
-        first if it was not yet.
-        """
         if not self.verified:
             self.verify()
         n, parts = self.degree, partitions_of(self.degree)
         top = n * (n - 1) // 2  # the q- and t-degree of T_max, and the q-degree of K~
-        kostka, gram = self.kostka, _star_gram(n)
-        if frame:  # B = S = G_n J, so L = J; K = K~ S is multiplied out exactly
-            basis = {lam: {nu: p for nu in parts if (p := gram[lam].get(conjugate(nu)))} for lam in parts}
-            k, D, packed, _ = _packed_product([kostka, basis], [{}])  # packed where kronecker is injective
-            right = {mu: {nu: unkronecker(x, k, D) for nu, x in row.items()} for mu, row in packed.items()}
-            left = {lam: {conjugate(lam): {(0, 0): 1}} for lam in parts}
-            what = f"frame rows of degree {n}"
-        else:
-            right, left, what = kostka, gram, f"nabla rows of degree {n} (sign {sign})"
-        shift, eigen = {}, {}  # mu -> the exponents of the monomial T^_mu, and row mu of diag(T^) K
+        kostka = self.kostka
+        shift, eigen = {}, {}  # mu -> the exponents of the monomial T^_mu, and row mu of diag(T^) K~
         for mu in parts:
             inv = self.invariants[mu]
             a, b = shift[mu] = (inv.nmu_conj, inv.nmu) if sign == 1 else (top - inv.nmu_conj, top - inv.nmu)
-            eigen[mu] = {nu: {(i + a, j + b): c for (i, j), c in p.items()} for nu, p in right[mu].items()}
+            eigen[mu] = {nu: {(i + a, j + b): c for (i, j), c in p.items()} for nu, p in kostka[mu].items()}
         k = _row_start(max(_size(p) for row in kostka.values() for p in row.values()))
         D = 1 + top  # at least n, so no w_mu vanishes at the point
         for _ in range(_ROW_ATTEMPTS):
-            rows = _guess_rows(kostka, left, right, shift, k, D)
+            rows = _guess_rows(kostka, _star_gram(n), shift, k, D)
             if rows is not None:
-                _, _, got, want = _packed_product([right, rows], [eigen])
+                _, _, got, want = _packed_product([kostka, rows], eigen)
                 if got == want:
-                    return rows
+                    den = {(top, top) if sign == -1 else (0, 0): 1}
+                    return {
+                        lam: SymFunc("schur", {nu: QtRational(p, den) for nu, p in row.items()})
+                        for lam, row in rows.items()
+                    }
             k, D = 2 * k, 2 * D
-        raise TableInvariantError(f"{what} failed their certificate")
+        raise TableInvariantError(f"nabla rows of degree {n} (sign {sign}) failed their certificate")
 
     def verify(self) -> None:
         """Assert the support (one entry per mu |- n, each Schur term of degree
@@ -255,7 +224,7 @@ class HTildeTable:
                 kostka[mu][lam] = p
         norms = {mu: {mu: int_poly(self.invariants[mu].w)} for mu in parts}
         read = {lam: parts[: i + 1] for i, lam in enumerate(parts)}  # (lam, mu) for lam >= mu
-        _, _, gram, want = _packed_product([kostka, _star_gram(self.degree), _transpose(kostka)], [norms], read)
+        _, _, gram, want = _packed_product([kostka, _star_gram(self.degree), _transpose(kostka)], norms, read)
         for i, mu in enumerate(parts):
             if kostka[mu].get(parts[0]) != {(0, 0): 1}:  # parts[0] is (n), or () in degree 0
                 raise TableInvariantError(f"normalization failed for {mu}")
@@ -342,31 +311,32 @@ def _pack(m: dict, k: int, D: int) -> dict:
     return {i: {j: x for j, p in row.items() if (x := kronecker(p, k, D))} for i, row in m.items()}
 
 
-def _packed_product(factors: list, wants: list, entries: dict | None = None) -> tuple[int, int, dict, dict]:
-    """(k, D, got, wanted): the products of the integer-polynomial matrices in
-    factors and in wants ({row: {col: poly}} each), both packed by
+def _packed_product(factors: list, want: dict, entries: dict | None = None) -> tuple[int, int, dict, dict]:
+    """(k, D, got, wanted): the product of the integer-polynomial matrices in
+    factors and the matrix want ({row: {col: poly}} each), both packed by
     qtfield.kronecker at q = 2^k, t = 2^(kD), zero entries left out, where
     got[i][j] == wanted[i][j] exactly when the two polynomials are equal.
     entries ({row: cols}), when given, names the entries the caller reads;
     the last stage of the factors' product computes only those.
 
     kronecker is a ring homomorphism, injective on polynomials of q-degree
-    below D with coefficients below 2^(k-1) in absolute value, so got and
-    wanted are the products of the packed matrices.  An entry of a product has
-    q-degree at most the sum of its factors' largest q-degrees, and no
-    coefficient above the matching entry of the product of the factors'
-    1-norm matrices (|f g|_1 <= |f|_1 |g|_1).  D exceeds both degree sums,
-    and 2^(k-1) exceeds the sum of the two largest 1-norm entries, so every
-    got - wanted lies where kronecker is injective.
+    below D with coefficients below 2^(k-1) in absolute value, so got is the
+    product of the packed factors.  An entry of a product has q-degree at
+    most the sum of its factors' largest q-degrees, and no coefficient above
+    the matching entry of the product of the factors' 1-norm matrices
+    (|f g|_1 <= |f|_1 |g|_1).  D exceeds that degree sum and the q-degree of
+    want, and 2^(k-1) exceeds the largest 1-norm entry of that product plus
+    the largest of want, so every got - wanted lies where kronecker is
+    injective.
     """
     degree, bound = 0, 0
-    for side in (factors, wants):
+    for side in (factors, [want]):
         degree = max(degree, sum(_q_degree(p for row in f.values() for p in row.values()) for f in side))
         norms = [{i: {j: _size(p) for j, p in row.items()} for i, row in f.items()} for f in side]
         bound += max((x for row in reduce(_matmul, norms).values() for x in row.values()), default=0)
     D, k = 1 + degree, bound.bit_length() + 1
     packed = [_pack(f, k, D) for f in factors]
-    wanted = reduce(_matmul, [_pack(f, k, D) for f in wants])
+    wanted = _pack(want, k, D)
     if entries is None:
         return k, D, reduce(_matmul, packed), wanted
     head, last = reduce(_matmul, packed[:-1]), _transpose(packed[-1])
@@ -400,34 +370,35 @@ def _star_gram(n: int) -> dict:
     return gram
 
 
-_ROW_ATTEMPTS = 4  # _eigen_rows widens its point three times at most
+_ROW_ATTEMPTS = 4  # nabla_matrix widens its point three times at most
 
 
 def _row_start(norm: int) -> int:
-    """Bits per slot of _eigen_rows' first guess, norm the largest |K~_mu,nu|_1."""
+    """Bits per slot of nabla_matrix's first guess, norm the largest |K~_mu,nu|_1."""
     return norm.bit_length() + 2
 
 
-def _guess_rows(kostka: dict, left: dict, right: dict, shift: dict, k: int, D: int) -> dict | None:
-    """{lam: {nu: X_lam,nu}} read off X = K^-1 diag(T^_mu) K at q = 2^k,
-    t = 2^(kD), or None when a value is no integer (right = K = K~ B,
-    left = L = B^-1 G_n, shift[mu] the exponents of T^_mu).
+def _guess_rows(kostka: dict, gram: dict, shift: dict, k: int, D: int) -> dict | None:
+    """{lam: {nu: R^_lam,nu}} read off R^ = K~^-1 diag(T^_mu) K~ at q = 2^k,
+    t = 2^(kD), or None when a value is no integer (gram = G_n, shift[mu] the
+    exponents of T^_mu).
 
-    verify() showed K~ G_n K~^T = diag(w_mu), so K^-1 = L K~^T diag(1/w_mu);
-    with common the lcm of the w_mu at the point, common X = L K~^T
-    diag(T^_mu common / w_mu) K is one integer product, then one exact
-    division per entry.  No w_mu vanishes there when D >= n: a factor
+    verify() showed K~ G_n K~^T = diag(w_mu), so K~^-1 = G_n K~^T
+    diag(1/w_mu); with common the lcm of the w_mu at the point, common R^ =
+    G_n K~^T diag(T^_mu common / w_mu) K~ is one integer product, then one
+    exact division per entry.  No w_mu vanishes there when D >= n: a factor
     q^a - t^(l+1) or t^l - q^(a+1) of w_mu is zero only if a = D(l+1) or
     Dl = a+1, and a + l < n.
     """
     packed_norm = {mu: kronecker(int_poly(partition_invariants(mu).w), k, D) for mu in kostka}
     common = lcm(*packed_norm.values())
-    inverse = _matmul(_pack(left, k, D), _transpose(_pack(kostka, k, D)))  # K^-1 diag(w_mu) at the point
+    packed = _pack(kostka, k, D)
+    inverse = _matmul(_pack(gram, k, D), _transpose(packed))  # K~^-1 diag(w_mu) at the point
     for row in inverse.values():
         for mu, x in row.items():
             a, b = shift[mu]
             row[mu] = x * (common // packed_norm[mu]) << k * (a + D * b)
-    product = _matmul(inverse, _pack(right, k, D))
+    product = _matmul(inverse, packed)
     if any(x % common for row in product.values() for x in row.values()):
         return None
     return {lam: {nu: unkronecker(x // common, k, D) for nu, x in row.items()} for lam, row in product.items()}
@@ -674,9 +645,14 @@ def lhs_inner(alpha: Composition, a: int, b: int, c: int) -> QtRational:
 
 @lru_cache(maxsize=None)
 def _lhs_inner_cached(alpha: Composition, a: int, b: int, c: int) -> QtRational:
-    f = _nabla_c_word(alpha).coeffs
+    return _schur_pairing(_nabla_c_word(alpha).coeffs, _eh_schur(a, b, c))
+
+
+def _schur_pairing(f: dict, weights: dict) -> QtRational:
+    """sum over lam of f[lam] weights[lam], f and weights Schur coefficients:
+    their Hall pairing, as the Schur basis is orthonormal."""
     total = QTR_ZERO
-    for lam, k in _eh_schur(a, b, c).items():
+    for lam, k in weights.items():
         x = f.get(lam)
         if x is not None:
             total = total + x * k
@@ -717,16 +693,20 @@ def _unframe(f: SymFunc) -> SymFunc:
 
 @lru_cache(maxsize=None)
 def _framed_nabla_hee(a: int, b: int, c: int) -> SymFunc:
-    """S nabla (h_a^* e_b^* e_c^*), S f = f[MX], in power sums.
+    """S nabla (h_a^* e_b^* e_c^*), S f = f[MX], in power sums: its s_nu
+    coefficient is the integer polynomial <nabla s_nu', e_a h_b h_c>.
 
     S(h_a^* e_b^* e_c^*) = h_a e_b e_c, whose Schur coefficients are those of
-    e_a h_b h_c at the conjugate shapes, so this is their integer combination
-    of the table's frame rows S nabla S^-1 s_lam."""
+    e_a h_b h_c at the conjugate shapes, and S nabla S^-1 has the rows
+    S^-1 R S = J R^T J, R the sign +1 nabla rows: with S = G_n J (G_n the star
+    Gram matrix, J the conjugation permutation), R G_n is symmetric, as nabla
+    is self-adjoint for the star product."""
     if min(a, b, c) < 0:
         return SymFunc.zero()
-    rows = build_htilde(a + b + c).frame_rows
-    weights = {conjugate(lam): qtr(k) for lam, k in _eh_schur(a, b, c).items()}
-    return SymFunc("schur", linear_map(weights, rows.__getitem__)).to_power()
+    n = a + b + c
+    table, weights = build_htilde(n), _eh_schur(a, b, c)
+    coeffs = {nu: _schur_pairing(table.nabla_row(conjugate(nu), 1).coeffs, weights) for nu in partitions_of(n)}
+    return SymFunc._make("schur", coeffs).to_power()
 
 
 @lru_cache(maxsize=None)

@@ -119,6 +119,17 @@ def test_report_is_deterministic():
     assert exc.value.code == 2
 
 
+def test_shuffle_qsym_reaches_n_7():
+    # one case per composition of n <= 7, 2^(n-1) of each n; n = 8 adds none
+    cases = build_cases("shuffle-qsym", 7)
+    assert len(cases) == 127 and len(build_cases("shuffle-qsym", 8)) == 127
+    assert [case.case_id for case in cases[:63]] == [case.case_id for case in build_cases("shuffle-qsym", 6)]
+    for case in (cases[63], cases[-1]):
+        assert case.params in ("p=(7)", "p=(1,1,1,1,1,1,1)"), case.params
+        ok, lhs, rhs = case.run()
+        assert ok and lhs == rhs, case.case_id
+
+
 def test_verify_above_degree_cap_is_a_usage_error(tmp_path, capsys):
     # refused before any table is loaded or built
     for extra in ([], ["--cache", str(tmp_path)]):

@@ -414,36 +414,29 @@ def test_nabla_reads_the_rows_of_the_installed_table(monkeypatch):
 
 
 def _row_integers(table, sign):
-    """(K, eigen, rows) for the certificate K X == diag(T^_mu) K, as the
-    table's integer polynomials (eigen the right side): K = K~ and X = R^ for
-    sign +1 and -1, and for "frame" K = K~ S, row mu the Schur coefficients of
-    H~_mu[MX] by plethysm, and X = R_S."""
+    """(K~, eigen, rows) for the certificate K~ R^ == diag(T^_mu) K~, as the
+    table's integer polynomials (eigen the right side)."""
     n = table.degree
     top = n * (n - 1) // 2
-    if sign == "frame":
-        entries = {mu: _frame(f).convert("schur") for mu, f in table.power.items()}
-        rows = {lam: {nu: int_poly(c) for nu, c in row.items()} for lam, row in table.frame_rows.items()}
-    else:
-        entries = table.entries
-        scale = QTR_ONE if sign == 1 else (Q * T) ** top
-        rows = {
-            lam: {nu: int_poly(c * scale) for nu, c in table.nabla_row(lam, sign).coeffs.items()}
-            for lam in partitions_of(n)
-        }
-    kostka = {mu: {nu: int_poly(c) for nu, c in f.coeffs.items()} for mu, f in entries.items()}
+    scale = QTR_ONE if sign == 1 else (Q * T) ** top
+    rows = {
+        lam: {nu: int_poly(c * scale) for nu, c in table.nabla_row(lam, sign).coeffs.items()}
+        for lam in partitions_of(n)
+    }
+    kostka = {mu: {nu: int_poly(c) for nu, c in f.coeffs.items()} for mu, f in table.entries.items()}
     eigen = {}
     for mu, inv in table.invariants.items():
-        a, b = (inv.nmu_conj, inv.nmu) if sign != -1 else (top - inv.nmu_conj, top - inv.nmu)
+        a, b = (inv.nmu_conj, inv.nmu) if sign == 1 else (top - inv.nmu_conj, top - inv.nmu)
         eigen[mu] = {nu: {(i + a, j + b): c for (i, j), c in p.items()} for nu, p in kostka[mu].items()}
     return kostka, eigen, rows
 
 
 def _certified(kostka, eigen, rows):
-    _, _, got, want = mac._packed_product([kostka, rows], [eigen])
+    _, _, got, want = mac._packed_product([kostka, rows], eigen)
     return got == want
 
 
-@pytest.mark.parametrize("sign", (1, -1, "frame"))
+@pytest.mark.parametrize("sign", (1, -1))
 def test_eigen_certificate_rejects_a_perturbed_row(sign):
     kostka, eigen, rows = _row_integers(build_htilde(5), sign)
     assert _certified(kostka, eigen, rows)
@@ -480,16 +473,16 @@ def test_too_narrow_first_guess_is_retried(monkeypatch):
         HTildeTable.from_json(table.to_json()).nabla_matrix(1)
 
 
-def _recorded_guesses(monkeypatch, perturb):
+def _recorded_guesses(monkeypatch):
     """The (k, D) of every _guess_rows call, each guess made wrong in one
-    coefficient when perturb is set."""
+    coefficient."""
     calls = []
     guess = mac._guess_rows
 
     def recorded(*args):
         calls.append(args[-2:])
         rows = guess(*args)
-        if perturb and rows is not None:
+        if rows is not None:
             first = next(iter(rows))
             poly = rows[first][first]
             rows[first][first] = {**poly, (0, 0): poly.get((0, 0), 0) + 1}
@@ -503,7 +496,7 @@ def test_failing_nabla_certificate_widens_the_point_then_raises(monkeypatch):
     # every guess is wrong in one coefficient, so no certificate can pass:
     # each retry doubles the bits per slot k and the slot stride D
     table = build_htilde(5)
-    calls = _recorded_guesses(monkeypatch, perturb=True)
+    calls = _recorded_guesses(monkeypatch)
     message = r"^nabla rows of degree 5 \(sign -1\) failed their certificate$"
     with pytest.raises(TableInvariantError, match=message):
         HTildeTable.from_json(table.to_json()).nabla_matrix(-1)
@@ -531,15 +524,23 @@ def _star(f):
     return plethysm(f, Alphabet.X(M.inverse()))
 
 
+def _usual_nabla_hee(a, b, c):
+    if min(a, b, c) < 0:
+        return SymFunc.zero()
+    return nabla(_star(h_(a)) * _star(e_(b)) * _star(e_(c)))
+
+
+def _triples(n):
+    return [(a, b, n - a - b) for a in range(n + 1) for b in range(n - a + 1)]
+
+
 @pytest.mark.parametrize("n", range(0, 6))
 def test_frame_rows_match_the_usual_route(n):
-    # row lam of R_S is S nabla S^-1 s_lam, and S^-1 s_lam = s_lam[X/M]
-    rows = build_htilde(n).frame_rows
-    assert set(rows) == set(partitions_of(n))
-    for lam in partitions_of(n):
-        got = SymFunc("schur", rows[lam])
-        assert all(c.is_polynomial() for c in rows[lam].values()), lam
-        assert got == _frame(nabla(_star(s_(lam)))), lam
+    # S nabla (h_a^* e_b^* e_c^*) against the usual plethysms, h_a^* = h_a[X/M]
+    for a, b, c in _triples(n):
+        got = mac._framed_nabla_hee(a, b, c)
+        assert all(x.is_polynomial() for x in got.coeffs.values()), (a, b, c)
+        assert got == _frame(_usual_nabla_hee(a, b, c)), (a, b, c)
 
 
 @pytest.mark.parametrize("n", range(0, 7))
@@ -561,12 +562,17 @@ def test_frame_rows_are_the_nabla_rows_conjugated_by_s(n):
         rho: {nu: sum((qtr(character(lam, rho)) * rs[lam][nu] for lam in parts), QTR_ZERO) / zp[rho] for nu in parts}
         for rho in parts
     }
-    rows = table.frame_rows
+    rows = {}
     for lam in parts:
         want = {nu: sum((qtr(character(lam, rho)) * by_rho[rho][nu] for rho in parts), QTR_ZERO) for nu in parts}
-        assert {nu: c for nu, c in want.items() if not c.is_zero()} == rows[lam], lam
-        # nabla is star self-adjoint (R G_n is symmetric), so R_S = J R^T J too
+        rows[lam] = {nu: c for nu, c in want.items() if not c.is_zero()}
+        # nabla is star self-adjoint (R G_n is symmetric), so R_S = J R^T J
         assert rows[lam] == {nu: x for nu in parts if (x := nabla_rows[conjugate(nu)].get(conjugate(lam)))}, lam
+    # row lam of R_S is S nabla S^-1 s_lam, and S(h_a^* e_b^* e_c^*) = h_a e_b e_c
+    for a, b, c in _triples(n)[::3]:
+        weights = (h_(a) * e_(b) * e_(c)).convert("schur").coeffs
+        got = sum((SymFunc("schur", rows[lam]).scale(x) for lam, x in weights.items()), SymFunc.zero())
+        assert got == mac._framed_nabla_hee(a, b, c), (a, b, c)
 
 
 def test_frame_matrix_is_the_star_gram_with_conjugate_columns():
@@ -577,26 +583,6 @@ def test_frame_matrix_is_the_star_gram_with_conjugate_columns():
             schur = _frame(s_(lam)).convert("schur").coeffs
             for nu in partitions_of(n):
                 assert int_poly(schur.get(nu, QTR_ZERO)) == gram[lam].get(conjugate(nu), {}), (lam, nu)
-
-
-def test_failing_frame_certificate_widens_the_point_then_raises(monkeypatch):
-    # the frame rows retry as the nabla rows do: each retry doubles k and D
-    table = build_htilde(4)
-    calls = _recorded_guesses(monkeypatch, perturb=True)
-    message = r"^frame rows of degree 4 failed their certificate$"
-    with pytest.raises(TableInvariantError, match=message):
-        HTildeTable.from_json(table.to_json()).frame_rows
-    k, D = calls[0]
-    assert D == 7 and calls == [(k << i, D << i) for i in range(mac._ROW_ATTEMPTS)]
-
-
-def test_too_narrow_frame_guess_is_widened(monkeypatch):
-    table = build_htilde(5)
-    want = table.frame_rows
-    calls = _recorded_guesses(monkeypatch, perturb=False)
-    monkeypatch.setattr(mac, "_row_start", lambda norm: 2)  # R_S coefficients reach 5 in degree 5
-    assert HTildeTable.from_json(table.to_json()).frame_rows == want
-    assert calls == [(2, 11), (4, 22)]  # 2 bits per slot fail, 4 hold
 
 
 def _registry_hee_calls(sizes):
@@ -612,12 +598,6 @@ def _registry_hee_calls(sizes):
                     stars |= {("C", m, a, b, c), ("B", m - 1, a - 1, b, c), ("B", m - 2, a, b - 1, c - 1)}
                     bare |= {(a, b, c), (a, b, c - 1), (a, b - 1, c)}
     return sorted(stars), sorted(bare)
-
-
-def _usual_nabla_hee(a, b, c):
-    if min(a, b, c) < 0:
-        return SymFunc.zero()
-    return nabla(_star(h_(a)) * _star(e_(b)) * _star(e_(c)))
 
 
 def test_framed_registry_sides_match_the_usual_route():
