@@ -341,6 +341,16 @@ def build_cases(suite: str, n_max: int) -> list:
     return [case for builder in builders for case in builder(n_max)]
 
 
+def _top_degree(suite: str, n_max: int) -> int:
+    """The least degree whose grid has the case ids of the grid at n_max: the
+    highest degree the suite checks, up to n_max."""
+    ids = [case.case_id for case in build_cases(suite, n_max)]
+    top = n_max
+    while top >= 1 and ids and [case.case_id for case in build_cases(suite, top - 1)] == ids:
+        top -= 1
+    return top
+
+
 def _run_case(case: _Case) -> CaseResult:
     t0 = time.perf_counter()
     detail = ""
@@ -473,8 +483,12 @@ def cmd_enumerate(comp, a: int, b: int, c: int, list_flag: bool = False, fmt: st
 def cmd_verify(suite: str, n_max: int, fmt: str = "plain", cache_dir: str | None = None) -> int:
     try:
         check_degree(n_max)
+        top = n_max if suite == "all" else _top_degree(suite, n_max)
     except ValueError as err:
         print(f"usage error: {err}", file=sys.stderr)
+        return 2
+    if top < n_max:  # a report must not claim a degree its grid never reached
+        print(f"usage error: suite {suite} checks nothing above degree {top}", file=sys.stderr)
         return 2
     if cache_dir:
         if not os.path.isdir(cache_dir):
@@ -484,11 +498,7 @@ def cmd_verify(suite: str, n_max: int, fmt: str = "plain", cache_dir: str | None
             path = os.path.join(cache_dir, f"htilde-{n}.json")
             if os.path.exists(path) and not _load_cached_table(path, n):
                 return 1
-    try:
-        report = run_suite(suite, n_max)
-    except ValueError as err:
-        print(f"usage error: {err}", file=sys.stderr)
-        return 2
+    report = run_suite(suite, n_max)
     if not report.cases:  # an empty grid proves nothing
         print(f"usage error: suite {suite} has no cases at --n-max {n_max}", file=sys.stderr)
         return 2

@@ -177,8 +177,9 @@ class HTildeTable:
         _guess_rows reads R^ off one point, and the certificate
         K~ R^ = diag(T^_mu) K~, one _packed_product, fixes it, as K~ is
         invertible (verify()).  A guess that is no integer or fails doubles k
-        and D; after _ROW_ATTEMPTS tries the table raises TableInvariantError
-        (on the tables of degree <= 8 the first guess holds).
+        and keeps D; after _ROW_ATTEMPTS tries the table raises
+        TableInvariantError (the first guess holds up to degree 8; degree 9,
+        sign +1, needs the second).
         """
         if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
@@ -204,7 +205,7 @@ class HTildeTable:
                         lam: SymFunc("schur", {nu: QtRational(p, den) for nu, p in row.items()})
                         for lam, row in rows.items()
                     }
-            k, D = 2 * k, 2 * D
+            k *= 2
         raise TableInvariantError(f"nabla rows of degree {n} (sign {sign}) failed their certificate")
 
     def verify(self) -> None:
@@ -370,11 +371,13 @@ def _star_gram(n: int) -> dict:
     return gram
 
 
-_ROW_ATTEMPTS = 4  # nabla_matrix widens its point three times at most
+_ROW_ATTEMPTS = 4  # nabla_matrix doubles the bits per slot k three times at most
 
 
 def _row_start(norm: int) -> int:
-    """Bits per slot of nabla_matrix's first guess, norm the largest |K~_mu,nu|_1."""
+    """Bits per slot of nabla_matrix's first guess, norm the largest |K~_mu,nu|_1.
+    Each retry doubles it; the slot stride D = 1 + n(n-1)/2 already exceeds
+    every q-degree of the rows, so it stays."""
     return norm.bit_length() + 2
 
 

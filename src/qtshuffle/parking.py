@@ -14,9 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain, product
 
 from .qtfield import QTR_ONE, QTR_ZERO, QtRational
-from .shapes import Composition, count_fillings, recursion_rhs
+from .shapes import Composition, check_composition, count_fillings, recursion_rhs
 
 __all__ = [
     "InvalidParkingFunction",
@@ -62,9 +63,9 @@ class ParkingFunction:
     __slots__ = ("cars", "diags", "_stats")
 
     def __init__(self, cars, diags, _validated: bool = False):
-        cars = tuple(int(v) for v in cars)
-        diags = tuple(int(u) for u in diags)
-        if not _validated:
+        if not _validated:  # else cars and diags are tuples of ints that pass _check_two_line
+            cars = tuple(int(v) for v in cars)
+            diags = tuple(int(u) for u in diags)
             _check_two_line(cars, diags)
         object.__setattr__(self, "cars", cars)
         object.__setattr__(self, "diags", diags)
@@ -181,35 +182,20 @@ def stats(pf: ParkingFunction) -> PFStats:
 
 @lru_cache(maxsize=None)
 def _section_diag_runs(length: int) -> tuple[tuple[int, ...], ...]:
-    """Diagonal runs of one section: 0,1,... with steps <= +1, entries >= 1."""
-    if length == 1:
-        return ((0,),)
-    runs = []
-
-    def extend(run):
-        if len(run) == length:
-            runs.append(tuple(run))
-            return
-        last = run[-1]
-        for nxt in range(1, last + 2):
-            extend(run + [nxt])
-
-    extend([0, 1])
+    """Diagonal runs of one section, in lex order: 0, then entries >= 1 with
+    steps <= +1."""
+    runs = [(0,)]
+    for _ in range(1, length):
+        runs = [run + (d,) for run in runs for d in range(1, run[-1] + 2)]
     return tuple(runs)
 
 
 def _diag_vectors(alpha: Composition):
-    """All diagonal vectors with zeros exactly at the section starts, lex order."""
-
-    def combine(i):
-        if i == len(alpha):
-            yield ()
-            return
-        for head in _section_diag_runs(alpha[i]):
-            for tail in combine(i + 1):
-                yield head + tail
-
-    yield from sorted(combine(0))
+    """All diagonal vectors with zeros exactly at the section starts, in lex
+    order: the runs of one section all have its length, so the product of
+    the sections' lex-ordered runs is already lex-ordered."""
+    for runs in product(*map(_section_diag_runs, alpha)):
+        yield tuple(chain.from_iterable(runs))
 
 
 def _fill_cars(diags):
@@ -235,10 +221,7 @@ def _fill_cars(diags):
 
 def enumerate_by_comp(alpha: Composition):
     """All parking functions with the given diagonal composition, lex on (u, v)."""
-    alpha = tuple(alpha)
-    if any(p < 1 for p in alpha):
-        raise ValueError(f"composition parts must be >= 1: {alpha}")
-    for diags in _diag_vectors(alpha):
+    for diags in _diag_vectors(check_composition(alpha)):
         for cars in _fill_cars(diags):
             yield ParkingFunction(cars, diags, _validated=True)
 
@@ -294,8 +277,7 @@ def _ides_index(alpha: Composition) -> dict:
     building a ParkingFunction.  enumerate_by_comp with _compute_stats stays
     the independent route.
     """
-    if any(p < 1 for p in alpha):
-        raise ValueError(f"composition parts must be >= 1: {alpha}")
+    check_composition(alpha)
     index: dict = {}
     for diags in _diag_vectors(alpha):
         n = len(diags)
@@ -390,50 +372,33 @@ def phi_map(pf: ParkingFunction, a: int, b: int, c: int) -> ParkingFunction:
 def phi_inverse(
     image: ParkingFunction, m: int, alpha: Composition, a: int, b: int, c: int
 ) -> ParkingFunction:
-    """Reconstruct the pre-image of phi_map inside the (m, alpha) family."""
+    """Reconstruct the pre-image of phi_map inside the (m, alpha) family.
+
+    The image is the pre-image's later sections, then the rest of its first
+    section one diagonal lower.  A removed small 1 comes back as car 1.  A
+    removed column, the middle a+b with the big car u on it, is fixed by the
+    image: big cars are read in increasing order, and u (diagonal 1, second
+    position) is read after the other big cars on diagonals >= 1 and before
+    those on the main diagonal, so u = a+b+1 + the number of the former.
+    The pre-image must lie in the family and map back onto the image.
+    """
     alpha = tuple(alpha)
-    n_img = len(image)
-    n = m + sum(alpha)
     rest_len = sum(alpha)
-    beta_len = n_img - rest_len
-    cars, diags = image.cars, image.diags
-    rest_c, rest_d = cars[:rest_len], diags[:rest_len]
-    tail_c, tail_d = cars[rest_len:], [d + 1 for d in diags[rest_len:]]
+    beta_len = len(image) - rest_len
+    cars = image.cars[rest_len:] + image.cars[:rest_len]
+    diags = tuple(d + 1 for d in image.diags[rest_len:]) + image.diags[:rest_len]
     if beta_len == m - 1:
-        # the removed car was the small 1: shift everything back up
-        new_cars = (1,) + tuple(v + 1 for v in tail_c) + tuple(v + 1 for v in rest_c)
-        new_diags = (0,) + tuple(tail_d) + tuple(rest_d)
-        pre = ParkingFunction(new_cars, new_diags)
-        if phi_map(pre, a, b, c) != image:
-            raise ValueError("inverse reconstruction failed")
-        return pre
-    if beta_len != m - 2:
+        pre = ParkingFunction((1,) + tuple(v + 1 for v in cars), (0,) + diags)
+    elif beta_len == m - 2:
+        u = a + b + 1 + sum(1 for v, d in zip(cars, diags) if v >= a + b and d >= 1)
+        cars = tuple(v if v < a + b else v + 1 if v + 1 < u else v + 2 for v in cars)
+        pre = ParkingFunction((a + b, u) + cars, (0, 1) + diags)
+    else:
         raise ValueError("image size is incompatible with (m, alpha)")
-    # the removed column was (a+b) with a big car u above; try each big value
-    candidates = []
-    for u in range(a + b + 1, n + 1):
-        unrel = {}
-        for v in set(cars):
-            if v < a + b:
-                unrel[v] = v
-            else:
-                unrel[v] = v + 1 if v + 1 < u else v + 2
-        new_cars = (a + b, u) + tuple(unrel[v] for v in tail_c) + tuple(unrel[v] for v in rest_c)
-        new_diags = (0, 1) + tuple(tail_d) + tuple(rest_d)
-        try:
-            pre = ParkingFunction(new_cars, new_diags)
-        except InvalidParkingFunction:
-            continue
-        st = pre.stats
-        if st.dcomp != (m,) + alpha:
-            continue
-        if not is_triple_shuffle(st.sigma, a, b, c):
-            continue
-        if phi_map(pre, a, b, c) == image:
-            candidates.append(pre)
-    if len(candidates) != 1:
-        raise ValueError(f"inverse is not unique: {len(candidates)} candidates")
-    return candidates[0]
+    in_family = pre.stats.dcomp == (m,) + alpha and is_triple_shuffle(pre.stats.sigma, a, b, c)
+    if not (in_family and phi_map(pre, a, b, c) == image):
+        raise ValueError("inverse reconstruction failed")
+    return pre
 
 
 # ---------------------------------------------------------------------------

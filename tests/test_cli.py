@@ -249,6 +249,36 @@ def test_verify_negative_n_max_is_a_usage_error(suite, capsys):
     assert build_cases(suite, -1) == []
 
 
+@pytest.mark.parametrize("suite,top", [("operators", 7), ("recursion", 6), ("shuffle-qsym", 7), ("paths", 6)])
+def test_verify_refuses_an_n_max_above_what_the_suite_checks(suite, top, monkeypatch, capsys):
+    # the gate alone: every case is stubbed to pass, so the suite's last
+    # degree exits 0, and any --n-max above it exits 2 before a case runs
+    ran = []
+
+    def passing(case):
+        ran.append(case.case_id)
+        return CaseResult(case.case_id, case.params, "pass")
+
+    monkeypatch.setattr("qtshuffle.cli._run_case", passing)
+    assert main(["verify", suite, "--n-max", str(top), "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["n_max"] == top
+    assert ran == [case.case_id for case in build_cases(suite, top)]
+    ran.clear()
+    for n_max in (top + 1, 12):
+        assert main(["verify", suite, "--n-max", str(n_max), "--format", "json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"usage error: suite {suite} checks nothing above degree {top}\n"
+    assert ran == []
+
+
+@pytest.mark.parametrize("suite", ["macdonald", "main-theorem"])
+def test_uncapped_suites_grow_at_every_degree(suite):
+    for n in range(1, 10):
+        ids = {case.case_id for case in build_cases(suite, n)}
+        assert ids > {case.case_id for case in build_cases(suite, n - 1)}
+
+
 def test_build_cache_negative_n_max_is_a_usage_error(tmp_path, capsys):
     cache = tmp_path / "cache"
     assert main(["build-cache", "--n-max", "-1", "--cache", str(cache)]) == 2

@@ -492,16 +492,16 @@ def _recorded_guesses(monkeypatch):
     return calls
 
 
-def test_failing_nabla_certificate_widens_the_point_then_raises(monkeypatch):
+def test_failing_nabla_certificate_doubles_the_bits_per_slot_then_raises(monkeypatch):
     # every guess is wrong in one coefficient, so no certificate can pass:
-    # each retry doubles the bits per slot k and the slot stride D
+    # each retry doubles the bits per slot k and keeps the slot stride D
     table = build_htilde(5)
     calls = _recorded_guesses(monkeypatch)
     message = r"^nabla rows of degree 5 \(sign -1\) failed their certificate$"
     with pytest.raises(TableInvariantError, match=message):
         HTildeTable.from_json(table.to_json()).nabla_matrix(-1)
     k = calls[0][0]
-    assert calls == [(k << i, 11 << i) for i in range(mac._ROW_ATTEMPTS)]
+    assert calls == [(k << i, 11) for i in range(mac._ROW_ATTEMPTS)]
 
 
 @pytest.mark.parametrize("sign", (0, 2, -2))

@@ -1,5 +1,5 @@
 import random
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
@@ -12,6 +12,7 @@ from qtshuffle.parking import (
     InvalidParkingFunction,
     ParkingFunction,
     PFStats,
+    _diag_vectors,
     _ides_fits,
     _ides_index,
     enumerate_by_comp,
@@ -108,6 +109,23 @@ def test_enumeration_deterministic_and_unique():
     seen = list(enumerate_by_comp((2, 1)))
     assert seen == list(enumerate_by_comp((2, 1)))
     assert len(set(seen)) == len(seen)
+
+
+def test_diag_vectors_match_brute_force():
+    # the filter of {0..n-1}^n: zeros exactly at the section starts, steps <= +1
+    assert list(_diag_vectors(())) == [()]
+    for n in range(1, 8):
+        classes = {}
+        for diags in product(range(n), repeat=n):
+            if diags[0] == 0 and all(y <= x + 1 for x, y in zip(diags, diags[1:])):
+                zeros = [i for i, d in enumerate(diags) if d == 0] + [n]
+                alpha = tuple(j - i for i, j in zip(zeros, zeros[1:]))
+                classes.setdefault(alpha, []).append(diags)
+        for alpha in compositions_of(n):
+            got = list(_diag_vectors(alpha))
+            assert got == classes.pop(alpha, [])  # in lex order, as product yields them
+            assert len(set(got)) == len(got)
+        assert not classes
 
 
 def test_all_diagonal_class():
@@ -274,6 +292,46 @@ def test_phi_bijection_on_worked_family():
     assert set(images) == targets
     for pf in fam:
         assert phi_inverse(phi_map(pf, 1, 2, 2), 3, (2,), 1, 2, 2) == pf
+
+
+def _searched_pre_images(image, m, alpha, a, b, c):
+    """Every pre-image of a column-case image, by trying each big value u of
+    the removed column (phi_inverse's former search)."""
+    rest_len = sum(alpha)
+    cars = image.cars[rest_len:] + image.cars[:rest_len]
+    diags = tuple(d + 1 for d in image.diags[rest_len:]) + image.diags[:rest_len]
+    found = []
+    for u in range(a + b + 1, len(image) + 3):
+        unrel = {v: v if v < a + b else v + 1 if v + 1 < u else v + 2 for v in cars}
+        try:
+            pre = ParkingFunction((a + b, u) + tuple(unrel[v] for v in cars), (0, 1) + diags)
+        except InvalidParkingFunction:
+            continue
+        st = pre.stats
+        if st.dcomp == (m,) + alpha and is_triple_shuffle(st.sigma, a, b, c) and phi_map(pre, a, b, c) == image:
+            found.append(pre)
+    return found
+
+
+def test_phi_inverse_column_case_matches_the_search():
+    # every pre-image whose first car is the middle a+b, n <= 6: the search
+    # finds exactly one candidate, the one phi_inverse computes directly
+    checked = 0
+    for n in range(2, 7):
+        for m in range(2, n + 1):
+            for alpha in compositions_of(n - m):
+                for pf in enumerate_by_comp((m,) + alpha):
+                    top = pf.cars[0]
+                    for a in range(top):
+                        b, c = top - a, n - top
+                        if c < 1 or not is_triple_shuffle(pf.stats.sigma, a, b, c):
+                            continue
+                        image = phi_map(pf, a, b, c)
+                        assert len(image) == n - 2
+                        assert _searched_pre_images(image, m, alpha, a, b, c) == [pf]
+                        assert phi_inverse(image, m, alpha, a, b, c) == pf
+                        checked += 1
+    assert checked == 1587
 
 
 def test_phi_weight_recursion_instance():
