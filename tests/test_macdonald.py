@@ -492,7 +492,7 @@ def _recorded_guesses(monkeypatch):
     return calls
 
 
-def test_failing_nabla_certificate_doubles_the_bits_per_slot_then_raises(monkeypatch):
+def test_failing_nabla_certificate_widens_the_point_then_raises(monkeypatch):
     # every guess is wrong in one coefficient, so no certificate can pass:
     # each retry doubles the bits per slot k and keeps the slot stride D
     table = build_htilde(5)
