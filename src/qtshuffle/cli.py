@@ -483,13 +483,16 @@ def cmd_enumerate(comp, a: int, b: int, c: int, list_flag: bool = False, fmt: st
 def cmd_verify(suite: str, n_max: int, fmt: str = "plain", cache_dir: str | None = None) -> int:
     try:
         check_degree(n_max)
-        top = n_max if suite == "all" else _top_degree(suite, n_max)
+        suites = _SUITE_BUILDERS if suite == "all" else [suite]
+        short = {s: top for s in suites if (top := _top_degree(s, n_max)) < n_max}
     except ValueError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 2
-    if top < n_max:  # a report must not claim a degree its grid never reached
-        print(f"usage error: suite {suite} checks nothing above degree {top}", file=sys.stderr)
+    if suite in short:  # a report must not claim a degree its grid never reached
+        print(f"usage error: suite {suite} checks nothing above degree {short[suite]}", file=sys.stderr)
         return 2
+    for s, top in short.items():  # `all` reports n_max, so name the suites that stop below it
+        print(f"note: suite {s} checks nothing above degree {top}", file=sys.stderr)
     if cache_dir:
         if not os.path.isdir(cache_dir):
             print(f"usage error: --cache {cache_dir} is not a directory", file=sys.stderr)

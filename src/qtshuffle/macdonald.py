@@ -178,8 +178,8 @@ class HTildeTable:
         K~ R^ = diag(T^_mu) K~, one _packed_product, fixes it, as K~ is
         invertible (verify()).  A guess that is no integer or fails doubles k
         and keeps D; after _ROW_ATTEMPTS tries the table raises
-        TableInvariantError (the first guess holds up to degree 8; degree 9,
-        sign +1, needs the second).
+        TableInvariantError (the first guess holds through degree 9, see
+        _row_start).
         """
         if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
@@ -376,9 +376,12 @@ _ROW_ATTEMPTS = 4  # nabla_matrix doubles the bits per slot k three times at mos
 
 def _row_start(norm: int) -> int:
     """Bits per slot of nabla_matrix's first guess, norm the largest |K~_mu,nu|_1.
-    Each retry doubles it; the slot stride D = 1 + n(n-1)/2 already exceeds
-    every q-degree of the rows, so it stays."""
-    return norm.bit_length() + 2
+    The rows outgrow the norms: at degrees 4..9 their largest |coefficient|
+    is 2, 5, 14, 58, 222, 990 (either sign) against norms 3, 6, 16, 35, 90,
+    216, so four bits above the norm's length cover them through degree 9
+    (k = 12 there, 2^11 > 990).  Each retry doubles it; the slot stride
+    D = 1 + n(n-1)/2 already exceeds every q-degree of the rows, so it stays."""
+    return norm.bit_length() + 4
 
 
 def _guess_rows(kostka: dict, gram: dict, shift: dict, k: int, D: int) -> dict | None:

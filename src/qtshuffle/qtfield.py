@@ -12,11 +12,13 @@ tries each atom that could divide the numerator.  That trial is an evaluation
 on the atom's zero curve (see _atom_quotient); the division runs only when
 it succeeds.  A polynomial that becomes a denominator (a constructor argument,
 an inverted numerator) is factored once, from the edges of its Newton
-polygon, and cached.  A factor that is no product of atoms is the one generic
-route: it stays expanded as the denominator's rest and is reduced by a GCD,
-recursive content/primitive-part PRS (polynomials in q over Z[t]) after a
-check modulo a prime that settles the usual coprime case (_coprime);
-GENERIC_REDUCTIONS counts those GCDs.
+polygon, and cached.  A factor that is no product of atoms stays expanded as
+the denominator's rest, and there is no polynomial GCD for it either: a
+reduction against a rest is settled by a proof modulo a prime that the two
+sides are coprime (_coprime) or by an exact division of one side by the
+other (_i_quotient).  Two sides that share a factor only in part are refused
+with a ValueError naming the factor.  GENERIC_REDUCTIONS counts these
+reductions.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from math import gcd as _int_gcd
 # integer polynomial kernels (raw dicts, no classes, hot path)
 # ---------------------------------------------------------------------------
 
-# A "tpoly" is a univariate integer polynomial in t: dict[exp] -> nonzero int.
 # An "ipoly" is an integer polynomial in q,t: dict[(qe, te)] -> nonzero int.
 
 
@@ -70,21 +71,8 @@ def _i_mul(a: dict, b: dict) -> dict:
     return out
 
 
-def _T_mul(a: dict, b: dict) -> dict:
-    out: dict = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            k = ea + eb
-            s = out.get(k, 0) + ca * cb
-            if s:
-                out[k] = s
-            else:
-                del out[k]
-    return out
-
-
 def _content(a: dict) -> int:
-    """GCD of the coefficients of a nonempty term dict (any of the kinds above)."""
+    """GCD of the coefficients of a nonempty term dict."""
     g = 0
     for v in a.values():
         g = _int_gcd(g, v)
@@ -93,151 +81,31 @@ def _content(a: dict) -> int:
     return g
 
 
-def _sign_norm(a: dict) -> dict:
-    """Flip sign so the coefficient at the largest key (lex, q then t) is positive."""
-    if a and a[max(a)] < 0:
-        return _i_neg(a)
-    return a
+def _i_quotient(a: dict, b: dict) -> dict | None:
+    """a / b in Z[q,t] when b divides a exactly, else None.
 
-
-def _T_prim(a: dict) -> dict:
-    """Primitive part with positive leading coefficient."""
-    if not a:
-        return {}
-    c = _content(a)
-    if a[max(a)] < 0:
-        c = -c
-    if c == 1:
-        return a
-    return {e: v // c for e, v in a.items()}
-
-
-def _T_divexact(a: dict, b: dict) -> dict:
-    """Exact division in Z[t]; raises if not exact (internal invariant)."""
-    if not a:
-        return {}
-    out: dict = {}
-    rem = dict(a)
-    db = max(b)
-    lb = b[db]
+    Long division on lex-leading (q then t) terms: the leading term of a
+    product is the product of the leading terms, so while the remainder is a
+    multiple of b its leading term is one of b's.  The leading term falls at
+    every step, and lex order allows no infinite descent.
+    """
+    lead = max(b)
+    (bq, bt), lb = lead, b[lead]
+    rem, out = dict(a), {}
     while rem:
-        da = max(rem)
-        if da < db:
-            raise ArithmeticError("inexact t-poly division")
-        ca, r = divmod(rem[da], lb)
-        if r:
-            raise ArithmeticError("inexact t-poly division")
-        e = da - db
-        out[e] = ca
-        for eb, cb in b.items():
-            k = eb + e
-            s = rem.get(k, 0) - cb * ca
+        top = max(rem)
+        c, r = divmod(rem[top], lb)
+        dq, dt = top[0] - bq, top[1] - bt
+        if r or dq < 0 or dt < 0:
+            return None
+        out[dq, dt] = c
+        for (i, j), v in b.items():
+            k = (i + dq, j + dt)
+            s = rem.get(k, 0) - c * v
             if s:
                 rem[k] = s
             else:
-                rem.pop(k, None)
-    return out
-
-
-def _T_prem_reduce(a: dict, b: dict) -> dict:
-    """Pseudo-remainder of a by b in Z[t], up to an integer factor."""
-    db = max(b)
-    lb = b[db]
-    r = dict(a)
-    while r and max(r) >= db:
-        dr = max(r)
-        lr = r[dr]
-        # r <- lb*r - lr*t^(dr-db)*b
-        nr: dict = {}
-        for e, v in r.items():
-            nr[e] = v * lb
-        for e, v in b.items():
-            k = e + dr - db
-            s = nr.get(k, 0) - v * lr
-            if s:
-                nr[k] = s
-            else:
-                nr.pop(k, None)
-        r = nr
-    return r
-
-
-def _T_gcd(a: dict, b: dict) -> dict:
-    if not a:
-        return _sign_norm(b)
-    if not b:
-        return _sign_norm(a)
-    ca, cb = abs(_content(a)), abs(_content(b))
-    g0 = _int_gcd(ca, cb)
-    pa, pb = _T_prim(a), _T_prim(b)
-    if max(pa) < max(pb):
-        pa, pb = pb, pa
-    while pb:
-        r = _T_prem_reduce(pa, pb)
-        pa, pb = pb, _T_prim(r)
-    out = _T_prim(pa)
-    if g0 != 1:
-        out = {e: v * g0 for e, v in out.items()}
-    return out
-
-
-def _rec_q(a: dict) -> dict:
-    """ipoly -> dict[q-exp] -> tpoly."""
-    out: dict = {}
-    for (qe, te), c in a.items():
-        out.setdefault(qe, {})[te] = c
-    return out
-
-
-def _flat_q(f: dict) -> dict:
-    out: dict = {}
-    for qe, tp in f.items():
-        for te, c in tp.items():
-            out[(qe, te)] = c
-    return out
-
-
-def _Q_cont_prim(f: dict) -> tuple[dict, dict]:
-    """Content (a tpoly) and primitive part of a poly in q over Z[t]."""
-    cont: dict = {}
-    for tp in f.values():
-        cont = _T_gcd(cont, tp)
-        if cont == {0: 1}:
-            break
-    if cont == {0: 1}:
-        return cont, f
-    return cont, {qe: _T_divexact(tp, cont) for qe, tp in f.items()}
-
-
-def _Q_prem_reduce(a: dict, b: dict) -> dict:
-    db = max(b)
-    lb = b[db]
-    r = {qe: dict(tp) for qe, tp in a.items()}
-    while r and max(r) >= db:
-        dr = max(r)
-        lr = r[dr]
-        nr: dict = {}
-        for qe, tp in r.items():
-            nr[qe] = _T_mul(tp, lb)
-        for qe, tp in b.items():
-            k = qe + dr - db
-            s = _i_t_sub(nr.get(k, {}), _T_mul(tp, lr))
-            if s:
-                nr[k] = s
-            else:
-                nr.pop(k, None)
-        r = {qe: tp for qe, tp in nr.items() if tp}
-    return r
-
-
-def _i_t_sub(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for e, v in b.items():
-        s = out.get(e, 0) - v
-        if s:
-            out[e] = s
-        else:
-            out.pop(e, None)
+                del rem[k]
     return out
 
 
@@ -278,59 +146,6 @@ def _coprime(a: dict, b: dict) -> bool:
         if not fa[-1] or not fb[-1] or _fp_gcd_degree(fa, fb) > 0:
             return False
     return True
-
-
-def _i_gcd(a: dict, b: dict) -> dict:
-    """GCD in Z[q,t], positive lex-leading coefficient, includes contents."""
-    if not a:
-        return _sign_norm(dict(b))
-    if not b:
-        return _sign_norm(dict(a))
-    if a == b:
-        return _sign_norm(dict(a))
-    if _coprime(a, b):
-        return {(0, 0): _int_gcd(_content(a), _content(b))}
-    fa, fb = _rec_q(a), _rec_q(b)
-    ca, pa = _Q_cont_prim(fa)
-    cb, pb = _Q_cont_prim(fb)
-    gamma = _T_gcd(ca, cb)
-    if max(pa) < max(pb):
-        pa, pb = pb, pa
-    while pb:
-        r = _Q_prem_reduce(pa, pb)
-        _, pb2 = _Q_cont_prim(r) if r else ({}, {})
-        pa, pb = pb, pb2
-    _, pa = _Q_cont_prim(pa)
-    if gamma != {0: 1}:
-        pa = {qe: _T_mul(tp, gamma) for qe, tp in pa.items()}
-    return _sign_norm(_flat_q(pa))
-
-
-def _i_divexact(a: dict, b: dict) -> dict:
-    """Exact division in Z[q,t]; raises if not exact."""
-    if not a:
-        return {}
-    if b == _IONE:
-        return dict(a)
-    fa, fb = _rec_q(a), _rec_q(b)
-    db = max(fb)
-    lb = fb[db]
-    out: dict = {}
-    while fa:
-        da = max(fa)
-        if da < db:
-            raise ArithmeticError("inexact qt-poly division")
-        cq = _T_divexact(fa[da], lb)
-        e = da - db
-        out[e] = cq
-        for qe, tp in fb.items():
-            k = qe + e
-            s = _i_t_sub(fa.get(k, {}), _T_mul(tp, cq))
-            if s:
-                fa[k] = s
-            else:
-                fa.pop(k, None)
-    return _flat_q(out)
 
 
 _IONE = {(0, 0): 1}
@@ -519,7 +334,7 @@ def _cyclotomic_divisors(coeffs: list) -> list:
 # A denominator is the tuple (c, i, j, atoms, rest) for c q^i t^j times the
 # product of atom^e over atoms = ((key, e), ...) sorted by key, times rest.
 # rest is None, or the sorted items of a polynomial with no atom, monomial
-# or integer factor; only the generic route below makes one.
+# or integer factor, which only _generic_gcd reduces against.
 _DONE = (1, 0, 0, (), None)
 
 
@@ -589,7 +404,7 @@ def _cancel(n: dict, den: tuple, test: tuple | None = None) -> tuple[dict, tuple
 
     test = (c, i, j, atoms, rest) names the factors worth trying (all of
     den's by default); a sum passes only those its two terms share, since no
-    other factor can divide it.  A rest is tried through the generic GCD.
+    other factor can divide it.  A rest is tried through _generic_gcd.
     """
     c, qe, te, atoms, rest = den
     tc, tq, tt, tatoms, trest = den if test is None else test
@@ -629,7 +444,7 @@ def _cancel(n: dict, den: tuple, test: tuple | None = None) -> tuple[dict, tuple
     if trest is not None:
         h = _generic_gcd(n, dict(trest))
         if h != _IONE:
-            n, rest = _i_divexact(n, h), _rest_key(_i_divexact(dict(rest), h))
+            n, rest = _i_quotient(n, h), _rest_key(_i_quotient(dict(rest), h))
     return n, (c, qe, te, atoms, rest)
 
 
@@ -647,14 +462,24 @@ def _den_mul(b: tuple, d: tuple) -> tuple:
     return (b[0] * d[0], b[1] + d[1], b[2] + d[2], tuple(sorted(atoms.items())), rest)
 
 
-GENERIC_REDUCTIONS = 0  # content/PRS GCDs taken for non-atom denominator factors
+GENERIC_REDUCTIONS = 0  # reductions against a non-atom denominator factor (a rest)
 
 
 def _generic_gcd(a: dict, b: dict) -> dict:
-    """The one generic route: a content/PRS GCD, counted."""
+    """gcd(a, b) for a rest b, counted: the content GCD when _coprime proves
+    a and b coprime, else whichever of the two divides the other, with a
+    positive lex-leading coefficient.  No other pair is reduced: ValueError."""
     global GENERIC_REDUCTIONS
     GENERIC_REDUCTIONS += 1
-    return _i_gcd(a, b)
+    if _coprime(a, b):
+        return {(0, 0): _int_gcd(_content(a), _content(b))}
+    for x, y in ((b, a), (a, b)):
+        if _i_quotient(y, x) is not None:
+            return x if x[max(x)] > 0 else _i_neg(x)
+    raise ValueError(
+        f"cannot reduce {_poly_canonical_str(a)} against the non-atom factor {_poly_canonical_str(b)}:"
+        " they are not proven coprime and neither divides the other"
+    )
 
 
 def _reduce(n: dict, d: dict) -> "QtRational":
@@ -764,7 +589,7 @@ class QtRational:
             rb, rd = dict(rB or _IONE), dict(rD or _IONE)
             if rB and rD:
                 common = _generic_gcd(rb, rd)
-                rb, rd = _i_divexact(rb, common), _i_divexact(rd, common)
+                rb, rd = _i_quotient(rb, common), _i_quotient(rd, common)
             a, c = _i_mul(a, rd), _i_mul(c, rb)
             rest = _rest_key(_i_mul(_i_mul(common or _IONE, rb), rd))
         g = _int_gcd(cB, cD)

@@ -272,6 +272,21 @@ def test_verify_refuses_an_n_max_above_what_the_suite_checks(suite, top, monkeyp
     assert ran == []
 
 
+def test_verify_all_names_the_suites_that_stop_short(monkeypatch, capsys):
+    # every case is stubbed to pass: `all` keeps its report and exit code at
+    # any --n-max, and stderr names each suite whose grid stops below it
+    monkeypatch.setattr("qtshuffle.cli._run_case", lambda case: CaseResult(case.case_id, case.params, "pass"))
+    assert main(["verify", "all", "--n-max", "6", "--format", "json"]) == 0
+    assert capsys.readouterr().err == ""
+    assert main(["verify", "all", "--n-max", "8", "--format", "json"]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["n_max"] == 8
+    assert captured.err == "".join(
+        f"note: suite {suite} checks nothing above degree {top}\n"
+        for suite, top in (("operators", 7), ("recursion", 6), ("shuffle-qsym", 7), ("paths", 6))
+    )
+
+
 @pytest.mark.parametrize("suite", ["macdonald", "main-theorem"])
 def test_uncapped_suites_grow_at_every_degree(suite):
     for n in range(1, 10):

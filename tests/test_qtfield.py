@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -145,18 +146,23 @@ _coef = st.integers(min_value=-4, max_value=4)
 _exp = st.integers(min_value=0, max_value=2)
 
 
+# atoms (cyclotomic polynomials at monomials) that a denominator draws from
+_DEN_ATOMS = [1 - Q, 1 - T, Q - T, 1 + Q, 1 + T, 1 - Q * T, Q**2 - T, 1 + Q + Q**2]
+
+
 @st.composite
 def rationals(draw, allow_zero=True):
+    """A random numerator over an integer times a monomial times atoms.  Sums
+    and products of these stay over atoms, and a * a.inverse() meets the
+    non-atom part of a's numerator whole, so no law below reaches a pair that
+    shares a non-atom factor only in part, which the kernel refuses."""
     nterms = draw(st.integers(min_value=0 if allow_zero else 1, max_value=3))
     num = {}
     for _ in range(nterms):
         num[(draw(_exp), draw(_exp))] = draw(_coef)
-    dterms = draw(st.integers(min_value=1, max_value=2))
-    den = {}
-    for _ in range(dterms):
-        den[(draw(_exp), draw(_exp))] = draw(_coef)
-    if not any(den.values()):
-        den = {(0, 0): 1}
+    den = draw(st.sampled_from([1, -1, 2, -3, 4])) * Q ** draw(_exp) * T ** draw(_exp)
+    for atom in draw(st.lists(st.sampled_from(_DEN_ATOMS), max_size=2)):
+        den = den * atom
     r = QtRational(num, den)
     if not allow_zero and r.is_zero():
         return QTR_ONE
@@ -181,13 +187,12 @@ def test_multiplicative_inverse(a):
 
 
 @settings(max_examples=40, deadline=None)
-@given(rationals(), rationals(allow_zero=False), rationals(allow_zero=False))
-def test_normalize_cancels_common_factor(a, b, c):
-    # QtRational(a*c, b*c) == QtRational(a, b) on polynomial parts
-    (an, _), (bn, _), (cn, _) = num_den(a), num_den(b), num_den(c)
-    if bn.is_zero() or cn.is_zero():
-        return
-    assert QtRational(an * cn, bn * cn) == QtRational(an, bn)
+@given(rationals(), rationals(allow_zero=False))
+def test_normalize_cancels_common_factor(a, c):
+    # QtRational(an*cn, ad*cn) == an/ad for any polynomial cn: its atoms cancel
+    # on the atom path, and its non-atom part divides the numerator exactly
+    (an, ad), (cn, _) = num_den(a), num_den(c)
+    assert QtRational(an * cn, ad * cn) == a
 
 
 @settings(max_examples=30, deadline=None)
@@ -266,7 +271,7 @@ def test_hash_agrees_with_equality_for_constants():
     assert QtRational({(1, 0): 1}, 1) == Q and hash(QtRational({(1, 0): 1}, 1)) == hash(Q)
 
 
-# -- GCD kernel against an independent oracle --------------------------------
+# -- exact division against an independent oracle ---------------------------
 
 _ipoly = st.dictionaries(
     st.tuples(st.integers(0, 3), st.integers(0, 3)), st.integers(-5, 5), min_size=1, max_size=4
@@ -275,24 +280,75 @@ _ipoly = st.dictionaries(
 
 @settings(max_examples=100, deadline=None)
 @given(_ipoly, _ipoly, _ipoly)
-def test_gcd_kernel_matches_sympy(a, b, g):
-    """_i_gcd (content/PRS), _i_divexact and reduction agree with sympy on A = a*g, B = b*g."""
+def test_exact_quotient_matches_sympy(a, b, g):
+    """_i_quotient(x, y) is sympy's quotient when y divides x in Z[q,t], and
+    None when it does not (most pairs of a, b and A = a*g)."""
     sympy = pytest.importorskip("sympy")
     q, t = sympy.symbols("q t")
 
-    def to_sympy(d):
-        return sympy.Poly.from_dict(d, q, t, domain=sympy.ZZ)
+    def exquo(x, y):
+        """x / y when sympy's division over Q leaves no remainder and an integer quotient."""
+        X, Y = (sympy.Poly.from_dict(dict(p), q, t, domain=sympy.QQ) for p in (x, y))  # from_dict converts in place
+        quo, rem = X.div(Y)
+        if rem.is_zero and all(c.is_integer for c in quo.coeffs()):
+            return {m: int(c) for m, c in quo.terms() if c}
+        return None
 
-    def from_sympy(p):
-        return {m: int(c) for m, c in p.terms() if c}
+    A = qtfield._i_mul(a, g)
+    assert qtfield._i_quotient(A, g) == exquo(A, g) == a
+    for x, y in ((A, b), (b, A), (a, b), (b, a), (A, qtfield._i_mul(b, g))):
+        assert qtfield._i_quotient(x, y) == exquo(x, y), (x, y)
 
-    A, B = qtfield._i_mul(a, g), qtfield._i_mul(b, g)
-    want = to_sympy(A).gcd(to_sympy(B))
-    if want.LC() < 0:  # lex-leading, as in the kernel
-        want = -want
-    assert qtfield._i_gcd(A, B) == from_sympy(want)
-    assert qtfield._i_divexact(A, g) == from_sympy(to_sympy(A).exquo(to_sympy(g)))
-    assert QtRational(A, B) == QtRational(a, b)
+
+def test_exact_quotient_refuses_a_non_multiple():
+    assert qtfield._i_quotient({(2, 0): 1, (0, 0): 1}, {(1, 0): 1, (0, 0): 1}) is None  # q^2 + 1, q + 1
+    assert qtfield._i_quotient({(1, 0): 2}, {(0, 0): 4}) is None  # 2q over 4: not in Z[q,t]
+    assert qtfield._i_quotient({(0, 1): 1}, {(1, 0): 1}) is None  # t over q
+    assert qtfield._i_quotient({(1, 1): 6, (0, 1): -3}, {(1, 0): 2, (0, 0): -1}) == {(0, 1): 3}
+
+
+# -- a non-atom denominator factor: coprime, an exact divisor, or refused ---------
+
+
+def test_a_non_atom_factor_is_settled_by_coprimality_or_exact_division():
+    f = 1 + Q + T
+    before = qtfield.GENERIC_REDUCTIONS
+    assert num_den((Q**2 - T**2) / (Q * T + 3)) == (Q**2 - T**2, Q * T + 3)  # proven coprime
+    assert (f * (Q + 2)) / f == Q + 2  # the factor divides the numerator
+    assert (Q / f) * f == Q
+    assert QtRational(f, f * (Q + 2)) == 1 / (Q + 2)  # the numerator divides the factor
+    assert 1 / f + 1 / (f * (Q + 2)) == (Q + 3) / (f * (Q + 2))  # one factor divides the other
+    assert qtfield.GENERIC_REDUCTIONS > before
+
+
+def test_a_factor_shared_only_in_part_is_refused():
+    f = 1 + Q + T
+    for num, den in ((Q**2 + Q * T - T - 1, f * (1 + 2 * T)), (f * (Q + 2), f * f)):
+        message = f"against the non-atom factor {den.canonical().split('|')[0]}:"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            QtRational(num, den)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            num / den
+    # two factors that share only a part of themselves cannot be summed either
+    g = f * (2 * Q + 1)
+    with pytest.raises(ValueError, match=re.escape(f"against the non-atom factor {g.canonical().split('|')[0]}:")):
+        1 / (f * (Q + 2)) + 1 / g
+
+
+def test_the_degree6_coefficients_divide_each_other():
+    # every pair of coefficients of the degree-6 table, the traffic of the
+    # benchmark's kernel probe; 65 of the 103 divisors have a non-atom factor
+    from qtshuffle.macdonald import build_htilde
+
+    values = sorted(
+        {c for f in build_htilde(6).entries.values() for c in f.coeffs.values()}, key=QtRational.canonical
+    )
+    assert len(values) == 103
+    for y in values:
+        for x in values:
+            quot = x / y
+            assert quot * y == x and (x * y) / y == x
+            assert parse_rational(quot.canonical()) == quot
 
 
 # -- the atom path against sympy ------------------------------------------------
@@ -352,17 +408,15 @@ _small_poly = st.dictionaries(
 
 
 @st.composite
-def _atom_fractions(draw, K, generic):
+def _atom_fractions(draw, K):
     """(num, den) sympy polynomials: den a product of atoms, a monomial and an
-    integer (and 1 + q + t when generic); num shares some of den's atoms."""
+    integer; num shares some of den's atoms."""
     R = K.ring
     q, t = R.gens
     den = draw(st.integers(1, 4)) * q ** draw(st.integers(0, 2)) * t ** draw(st.integers(0, 1))
     atoms = draw(st.lists(_atoms, min_size=1, max_size=3))
     for key in atoms:
         den *= _sympy_atom(K, *key) ** draw(st.integers(1, 2))
-    if generic:
-        den *= 1 + q + t
     num = R.from_dict(draw(_small_poly)) * q ** draw(st.integers(0, 1))
     for key in draw(st.lists(st.sampled_from(atoms), max_size=2)):
         num *= _sympy_atom(K, *key)
@@ -381,23 +435,31 @@ _OPS = st.lists(
 )
 
 
+def _check_against_sympy(pairs):
+    for r, s in pairs:
+        assert r.canonical() == _sympy_canonical(s)
+        assert parse_rational(r.canonical()) == r
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.booleans(), st.data())
-def test_atom_path_matches_sympy(generic, data):
+@given(st.data())
+def test_atom_path_matches_sympy(data):
     """Every result of + - * / inverse frobenius swap_qt on atom denominators
-    has sympy's canonical bytes; a non-atom factor (1 + q + t) takes the one
-    generic route, which moves its counter."""
+    has sympy's canonical bytes.  A division only by a value whose numerator
+    is atoms too keeps every denominator atomic, so no reduction takes the
+    non-atom route."""
     K = _sympy_field()
     before = qtfield.GENERIC_REDUCTIONS
-    fracs = [data.draw(_atom_fractions(K, generic and i == 0)) for i in range(3)]
+    fracs = [data.draw(_atom_fractions(K)) for _ in range(3)]
     mine = [QtRational(dict(n.terms()), dict(d.terms())) for n, d in fracs]
     theirs = [K(n) / K(d) for n, d in fracs]
-    ops = data.draw(_OPS)
-    for op, i, j, k in ops:
+    for op, i, j, k in data.draw(_OPS):
         x, y = mine[i % len(mine)], mine[j % len(mine)]
         sx, sy = theirs[i % len(mine)], theirs[j % len(mine)]
-        if op in ("div", "inverse") and (y if op == "div" else x).is_zero():
-            continue
+        if op in ("div", "inverse"):
+            divisor = y if op == "div" else x
+            if divisor.is_zero() or divisor.inverse()._den[4] is not None:  # a non-atom numerator
+                continue
         mine.append({
             "add": lambda: x + y, "sub": lambda: x - y, "mul": lambda: x * y,
             "div": lambda: x / y, "inverse": x.inverse,
@@ -409,14 +471,39 @@ def test_atom_path_matches_sympy(generic, data):
             "frobenius": lambda: _sympy_substitute(K, sx, lambda a, b: (k * a, k * b)),
             "swap": lambda: _sympy_substitute(K, sx, lambda a, b: (b, a)),
         }[op]())
-    for r, s in zip(mine, theirs):
-        assert r.canonical() == _sympy_canonical(s)
-        assert parse_rational(r.canonical()) == r
-    moved = qtfield.GENERIC_REDUCTIONS > before
-    if generic:
-        assert moved
-    elif not any(op in ("div", "inverse") for op, *_ in ops):
-        assert not moved  # a random numerator turned denominator may hold a non-atom
+    _check_against_sympy(zip(mine, theirs))
+    assert qtfield.GENERIC_REDUCTIONS == before
+
+
+# irreducible polynomials that are no atom: each makes a denominator's rest
+_NON_ATOMS = [  # 1 + q + t, 2q + 1, q^2 + 2t, qt + 3
+    {(0, 0): 1, (1, 0): 1, (0, 1): 1}, {(1, 0): 2, (0, 0): 1}, {(2, 0): 1, (0, 1): 2}, {(1, 1): 1, (0, 0): 3},
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(_NON_ATOMS), st.data())
+def test_an_irreducible_non_atom_factor_matches_sympy(f, data):
+    """Atom fractions x, y over an irreducible non-atom f: each sum, product,
+    inverse and substitution below meets f only whole or not at all, so the
+    non-atom route settles it, and the result has sympy's canonical bytes."""
+    K = _sympy_field()
+    (xn, xd), (yn, yd) = data.draw(_atom_fractions(K)), data.draw(_atom_fractions(K))
+    x, y = (QtRational(dict(n.terms()), dict(d.terms())) for n, d in ((xn, xd), (yn, yd)))
+    fq = QtRational(f)
+    sx, sy, sf = K(xn) / K(xd), K(yn) / K(yd), K(K.ring.from_dict(f))
+    before = qtfield.GENERIC_REDUCTIONS
+    u, v, su, sv = x / fq, y / fq, sx / sf, sy / sf
+    pairs = [
+        (u, su), (u * fq, sx), ((x * fq) / fq, sx), (u + y, su + sy), (u * y, su * sy),
+        (u + v, su + sv), (u - v, su - sv), (u * v, su * sv),
+        (swap_qt(u), _sympy_substitute(K, su, lambda a, b: (b, a))),
+        (u.frobenius(2), _sympy_substitute(K, su, lambda a, b: (2 * a, 2 * b))),
+    ]
+    if not x.is_zero():
+        pairs.append((u.inverse(), 1 / su))
+    _check_against_sympy(pairs)
+    assert qtfield.GENERIC_REDUCTIONS > before
 
 
 def test_registry_and_main_grid_take_no_generic_route():
