@@ -1,21 +1,18 @@
 """The modified Macdonald basis, nabla, Pieri coefficients, the creation
 operators and their star-adjoints, and the registry of checkable identities.
 
-Tables are built per degree from the Haglund-Haiman-Loehr combinatorial
-formula (a sum over fillings of mu, in fundamental quasisymmetric functions,
-which shapes.count_fillings counts without listing them), then checked
-against the defining invariants (star-orthogonality with norms w_mu,
-<H~_mu, h_n> = 1) before use; a table that fails raises
-TableInvariantError.  A table loaded from a cache file is verified once, on
-load; install_table does not repeat the check.
-
-verify() works on two integer-polynomial matrices: K~, the table's Schur
-coefficients, and G_n = (<s_lam, s_nu>_*), one per degree (_star_gram).
-<H~_mu, h_n> is the lookup K~_mu,(n), and the Gram matrix <H~_lam, H~_mu>_*
-is K~ G_n K~^T, compared with diag(w_mu) as one _packed_product: a product
-of integer-polynomial matrices at q = 2^k, t = 2^(kD), with D and k from one
-proven degree and coefficient bound, so each entry is one exact comparison
-of Python ints.
+A table is K~ alone: the Schur coefficients of each H~_mu, mu |- n, as
+integer polynomials.  _hhl_schur builds it per degree in integers from the
+Haglund-Haiman-Loehr formula (fillings of mu counted by shapes.count_fillings
+without listing them, in fundamental quasisymmetric functions, solved for the
+Schur functions as a unitriangular system); a cache file's coefficients must
+parse as integer polynomials.  Before use, verify() checks the defining invariants or
+raises TableInvariantError: <H~_mu, h_n> = K~_mu,(n) = 1, and
+<H~_lam, H~_mu>_* = (K~ G_n K~^T)_lam,mu = delta w_mu, G_n = (<s_lam, s_nu>_*)
+(_star_gram), as one _packed_product: a product of integer-polynomial
+matrices at q = 2^k, t = 2^(kD), with D and k from one proven degree and
+coefficient bound, so each entry is one exact comparison of Python ints.  A
+loaded table is verified once, on load; install_table does not repeat it.
 
 Each coefficient on the H~ basis is <f, H~_mu>_* / w_mu (HTildeTable.coeff):
 the expansion behind both Pieri directions, which one loop in pieri() computes
@@ -27,8 +24,7 @@ install: verify() gives K~^-1 = G_n K~^T diag(1/w_mu), R is guessed at one
 point (_guess_rows) and certified by K~ R = diag(T_mu^sign) K~ with
 _packed_product.  nabla(f) is one sparse product of f's Schur coefficients
 with those rows (_nabla_schur, also the main grid's route).  A table converts
-its Schur entries to power sums (HTildeTable.power) only when something first
-reads them.
+K~ to power sums (HTildeTable.power) only when something first reads them.
 
 The registry's nabla(h_a^* e_b^* e_c^*) and its star-adjoints are computed in
 the frame S f = f[MX], where they are integer polynomials.  nabla is
@@ -110,6 +106,7 @@ from .symfunc import (
     Alphabet,
     QSymFunc,
     SymFunc,
+    _syt_descent_counts,
     character,
     check_degree,
     e_,
@@ -138,23 +135,22 @@ class TableInvariantError(RuntimeError):
 class HTildeTable:
     """Per-degree table mu -> modified Macdonald polynomial (Schur basis)."""
 
-    def __init__(self, degree: int, entries: dict):
+    def __init__(self, degree: int, kostka: dict):
         self.degree = degree
-        # a built table arrives in monomials, a loaded one already in Schur
-        self.entries = {mu: f.convert("schur") for mu, f in entries.items()}
-        self.invariants = {mu: partition_invariants(mu) for mu in entries}
+        self.kostka = kostka  # mu -> {lam: K~_mu,lam as a nonzero integer polynomial}
+        self.invariants = {mu: partition_invariants(mu) for mu in kostka}
         self.verified = False
-        self.kostka: dict = {}  # mu -> {lam: K~_mu,lam as an integer polynomial}, filled by verify()
         self.nabla_rows: dict[int, dict[Partition, SymFunc]] = {}  # sign -> rows, filled by nabla_row
 
     def __getitem__(self, mu: Partition) -> SymFunc:
-        return self.entries[tuple(mu)]
+        """H~_mu in the Schur basis."""
+        return SymFunc._make("schur", {lam: QtRational(p) for lam, p in self.kostka[tuple(mu)].items()})
 
     @cached_property
     def power(self) -> dict[Partition, SymFunc]:
         """mu -> H~_mu in power sums, converted on first use (verify() and the
-        nabla rows read the Schur entries only)."""
-        return {mu: f.to_power() for mu, f in self.entries.items()}
+        nabla rows read K~ only)."""
+        return {mu: self[mu].to_power() for mu in self.kostka}
 
     def coeff(self, f: SymFunc, mu: Partition) -> QtRational:
         """Coefficient of H~_mu in f: <f, H~_mu>_* / w_mu."""
@@ -193,7 +189,7 @@ class HTildeTable:
             inv = self.invariants[mu]
             a, b = shift[mu] = (inv.nmu_conj, inv.nmu) if sign == 1 else (top - inv.nmu_conj, top - inv.nmu)
             eigen[mu] = {nu: {(i + a, j + b): c for (i, j), c in p.items()} for nu, p in kostka[mu].items()}
-        k = _row_start(max(_size(p) for row in kostka.values() for p in row.values()))
+        k = _row_start(max(_size(p) for row in kostka.values() for p in row.values()), n)
         D = 1 + top  # at least n, so no w_mu vanishes at the point
         for _ in range(_ROW_ATTEMPTS):
             rows = _guess_rows(kostka, _star_gram(n), shift, k, D)
@@ -209,20 +205,14 @@ class HTildeTable:
         raise TableInvariantError(f"nabla rows of degree {n} (sign {sign}) failed their certificate")
 
     def verify(self) -> None:
-        """Assert the support (one entry per mu |- n, each Schur term of degree
-        n), an integer polynomial K~_mu,lam for every Schur coefficient,
-        <H~_mu, h_n> = K~_mu,(n) = 1 and <H~_lam, H~_mu>_* = (K~ G_n K~^T)_lam,mu
-        = delta w_mu for lam >= mu, exactly, as one _packed_product."""
+        """Assert the support (one row per mu |- n, each indexed by partitions
+        of n), <H~_mu, h_n> = K~_mu,(n) = 1 and <H~_lam, H~_mu>_* =
+        (K~ G_n K~^T)_lam,mu = delta w_mu for lam >= mu, exactly, as one
+        _packed_product."""
         parts = partitions_of(self.degree)
-        degrees = {sum(lam) for f in self.entries.values() for lam in f.coeffs}
-        if set(self.entries) != set(parts) or degrees - {self.degree}:
+        kostka, support = self.kostka, set(parts)
+        if kostka.keys() != support or any(row.keys() - support for row in kostka.values()):
             raise TableInvariantError(f"degree {self.degree} table has wrong support")
-        kostka = self.kostka = {mu: {} for mu in parts}
-        for mu, f in self.entries.items():
-            for lam, c in f.coeffs.items():
-                if (p := int_poly(c)) is None:  # the true K~_mu,lam lie in N[q,t] (Haiman)
-                    raise TableInvariantError(f"integrality failed at ({mu}, {lam}): K~_mu,lam not in Z[q,t]")
-                kostka[mu][lam] = p
         norms = {mu: {mu: int_poly(self.invariants[mu].w)} for mu in parts}
         read = {lam: parts[: i + 1] for i, lam in enumerate(parts)}  # (lam, mu) for lam >= mu
         _, _, gram, want = _packed_product([kostka, _star_gram(self.degree), _transpose(kostka)], norms, read)
@@ -237,25 +227,27 @@ class HTildeTable:
     # -- cache file round trip
 
     def to_json(self) -> dict:
-        entries = {}
-        for mu in sorted(self.entries):
-            f = self.entries[mu]
-            entries[partition_str(mu)] = {
-                partition_str(lam): c.canonical() for lam, c in sorted(f.coeffs.items())
-            }
+        entries = {
+            partition_str(mu): {partition_str(lam): QtRational(p).canonical() for lam, p in sorted(row.items())}
+            for mu, row in sorted(self.kostka.items())
+        }
         return {"degree": self.degree, "format": 1, "entries": entries}
 
     @classmethod
     def from_json(cls, data: dict) -> "HTildeTable":
         if data.get("format") != 1:
             raise ValueError(f"unsupported table format: {data.get('format')!r}")
-        entries = {}
+        kostka = {}
         for mu_s, coeffs in data["entries"].items():
             mu = parse_partition(mu_s)
-            entries[mu] = SymFunc(
-                "schur", {parse_partition(lam): parse_rational(c) for lam, c in coeffs.items()}
-            )
-        table = cls(int(data["degree"]), entries)
+            row = kostka[mu] = {}
+            for lam_s, c in coeffs.items():
+                lam = parse_partition(lam_s)
+                if (p := int_poly(parse_rational(c))) is None:  # the true K~_mu,lam lie in N[q,t] (Haiman)
+                    raise TableInvariantError(f"integrality failed at ({mu}, {lam}): K~_mu,lam not in Z[q,t]")
+                if p:
+                    row[lam] = p
+        table = cls(int(data["degree"]), kostka)
         table.verify()
         return table
 
@@ -374,14 +366,15 @@ def _star_gram(n: int) -> dict:
 _ROW_ATTEMPTS = 4  # nabla_matrix doubles the bits per slot k three times at most
 
 
-def _row_start(norm: int) -> int:
-    """Bits per slot of nabla_matrix's first guess, norm the largest |K~_mu,nu|_1.
-    The rows outgrow the norms: at degrees 4..9 their largest |coefficient|
-    is 2, 5, 14, 58, 222, 990 (either sign) against norms 3, 6, 16, 35, 90,
-    216, so four bits above the norm's length cover them through degree 9
-    (k = 12 there, 2^11 > 990).  Each retry doubles it; the slot stride
+def _row_start(norm: int, n: int) -> int:
+    """Bits per slot of nabla_matrix's first guess at degree n, norm the
+    largest |K~_mu,nu|_1.  The rows outgrow the norms by a factor that about
+    doubles per degree: at degrees 4..9 their largest |coefficient| is 2, 5,
+    14, 58, 222, 990 (either sign) against norms 3, 6, 16, 35, 90, 216, so
+    max(1, n - 6) bits above the norm's length cover them (k = 9 at degree 8,
+    11 at degree 9, 2^10 > 990).  Each retry doubles k; the slot stride
     D = 1 + n(n-1)/2 already exceeds every q-degree of the rows, so it stays."""
-    return norm.bit_length() + 4
+    return norm.bit_length() + max(1, n - 6)
 
 
 def _guess_rows(kostka: dict, gram: dict, shift: dict, k: int, D: int) -> dict | None:
@@ -414,9 +407,10 @@ _tables: dict[int, HTildeTable] = {}
 _tables_lock = threading.Lock()
 
 
-def _hhl_monomial(mu: Partition) -> SymFunc:
-    """H~_mu in the monomial basis by the Haglund-Haiman-Loehr formula,
-    sum over fillings w of mu by 1..n of q^inv(w) t^maj(w) F_iDes(read w).
+def _hhl_schur(mu: Partition) -> dict:
+    """{lam: K~_mu,lam}, the Schur coefficients of H~_mu as integer
+    polynomials, by the Haglund-Haiman-Loehr formula: H~_mu is the sum over
+    fillings w of mu by 1..n of q^inv(w) t^maj(w) F_iDes(read w).
 
     The reading order runs row by row from the top, each row left to right.
     A descent is a cell whose value exceeds the value directly below it;
@@ -425,6 +419,11 @@ def _hhl_monomial(mu: Partition) -> SymFunc:
     attacking pairs read larger value first, minus the arms of the descents.
     Both are sums over pairs of cells, so shapes.count_fillings counts the
     fillings by (iDes, inv, maj) without listing the n! of them.
+
+    s_nu is the sum of F_Des(T) over the standard tableaux T of shape nu; a T
+    with Des(T) = S(lam), the partial sums of lam, exists only if nu dominates
+    lam, and is unique if nu = lam.  So K~_mu,lam is [F_S(lam)] H~_mu less
+    K~_mu,nu #{T: Des(T) = S(lam)} over the nu before lam in partitions_of.
     """
     n = sum(mu)
     order = [(col, row) for row in reversed(range(len(mu))) for col in range(mu[row])]
@@ -442,17 +441,17 @@ def _hhl_monomial(mu: Partition) -> SymFunc:
     by_ides: dict[frozenset, dict[tuple[int, int], int]] = {}  # iDes -> q,t terms
     for (ides, inv, maj), c in count_fillings(range(n), gain).items():
         by_ides.setdefault(ides, {})[inv, maj] = c
-    # [m_lam] F_S = 1 exactly when S lies inside the partial sums of lam
-    coeffs = {}
+    out: dict = {}
     for lam in partitions_of(n):
-        sums = {sum(lam[:i]) for i in range(1, len(lam))}
-        total: dict[tuple[int, int], int] = {}
-        for ides, terms in by_ides.items():
-            if ides <= sums:
-                for key, c in terms.items():
-                    total[key] = total.get(key, 0) + c
-        coeffs[lam] = QtRational(total)
-    return SymFunc("monomial", coeffs)
+        sums = frozenset(sum(lam[:i]) for i in range(1, len(lam)))
+        total = dict(by_ides.get(sums, {}))
+        for nu, done in out.items():
+            k = _syt_descent_counts(nu).get(sums, 0)
+            for key, c in done.items():
+                total[key] = total.get(key, 0) - k * c
+        if row := {key: c for key, c in total.items() if c}:
+            out[lam] = row
+    return out
 
 
 def build_htilde(n: int) -> HTildeTable:
@@ -467,7 +466,7 @@ def build_htilde(n: int) -> HTildeTable:
         table = _tables.get(n)
         if table is not None:
             return table
-        table = HTildeTable(n, {mu: _hhl_monomial(mu) for mu in partitions_of(n)})
+        table = HTildeTable(n, {mu: _hhl_schur(mu) for mu in partitions_of(n)})
         table.verify()
         _tables[n] = table
     return table

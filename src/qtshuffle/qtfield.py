@@ -139,11 +139,12 @@ def _coprime(a: dict, b: dict) -> bool:
 
     A common factor G keeps its degree in q at t = t0 modulo _P when the
     leading q-coefficients of a and b survive there (G's divides theirs), so
-    a constant GCD of the images bounds deg_q G by 0; likewise for t.
+    a constant GCD of the images at any such t0 bounds deg_q G by 0; likewise
+    for t.  Each direction tries a second point when the first one fails.
     """
-    for keep, x0 in ((0, 1234577), (1, 7654337)):
-        fa, fb = _fp_image(a, keep, x0), _fp_image(b, keep, x0)
-        if not fa[-1] or not fb[-1] or _fp_gcd_degree(fa, fb) > 0:
+    for keep, points in ((0, (1234577, 7654337)), (1, (7654337, 1234577))):
+        images = ((_fp_image(a, keep, x0), _fp_image(b, keep, x0)) for x0 in points)
+        if not any(fa[-1] and fb[-1] and not _fp_gcd_degree(fa, fb) for fa, fb in images):
             return False
     return True
 

@@ -341,7 +341,7 @@ def test_the_degree6_coefficients_divide_each_other():
     from qtshuffle.macdonald import build_htilde
 
     values = sorted(
-        {c for f in build_htilde(6).entries.values() for c in f.coeffs.values()}, key=QtRational.canonical
+        {QtRational(p) for row in build_htilde(6).kostka.values() for p in row.values()}, key=QtRational.canonical
     )
     assert len(values) == 103
     for y in values:
@@ -504,6 +504,17 @@ def test_an_irreducible_non_atom_factor_matches_sympy(f, data):
         pairs.append((u.inverse(), 1 / su))
     _check_against_sympy(pairs)
     assert qtfield.GENERIC_REDUCTIONS > before
+
+
+def test_a_vanishing_leading_coefficient_moves_the_coprimality_proof_to_a_second_point():
+    # t = 1234577, the first point of the q direction, kills the leading
+    # q-coefficient t - 1234577 of the denominator
+    K = _sympy_field()
+    q, t = K.gens
+    before = qtfield.GENERIC_REDUCTIONS
+    r = QtRational(Q + 2, Q * T - 1234577 * Q + 1)
+    assert qtfield.GENERIC_REDUCTIONS > before
+    _check_against_sympy([(r, (q + 2) / (q * t - 1234577 * q + 1))])
 
 
 def test_registry_and_main_grid_take_no_generic_route():
