@@ -18,12 +18,13 @@ Each coefficient on the H~ basis is <f, H~_mu>_* / w_mu (HTildeTable.coeff):
 the expansion behind both Pieri directions, which one loop in pieri() computes
 and checks against d_{mu,nu} = M c_{mu,nu} w_nu / w_mu.
 
-nabla is one Schur-basis matrix per table and sign, R = K~^-1 diag(T_mu^sign) K~,
-built by HTildeTable.nabla_matrix on first use, never on build, load or
-install: verify() gives K~^-1 = G_n K~^T diag(1/w_mu), R is guessed at one
-point (_guess_rows) and certified by K~ R = diag(T_mu^sign) K~ with
-_packed_product.  nabla(f) is one sparse product of f's Schur coefficients
-with those rows (_nabla_schur, also the main grid's route).  A table converts
+nabla is one Schur-basis matrix per table, R = K~^-1 diag(T_mu) K~, built by
+HTildeTable.nabla_matrix on first use, never on build, load or install:
+verify() gives K~^-1 = G_n K~^T diag(1/w_mu), R is guessed at one point
+(_guess_rows) and certified by K~ R = diag(T_mu) K~ with _packed_product.
+The nabla^-1 rows are R under omega and q,t -> 1/q,1/t (_inverse_rows).
+nabla(f, sign) is one sparse product of f's Schur coefficients with the rows
+of that sign (_nabla_schur, also the main grid's route).  A table converts
 K~ to power sums (HTildeTable.power) only when something first reads them.
 
 The registry's nabla(h_a^* e_b^* e_c^*) and its star-adjoints are computed in
@@ -91,6 +92,7 @@ from .shapes import (
     Partition,
     capital_m,
     cell_stats,
+    check_abc,
     compositions_of,
     conjugate,
     corners,
@@ -158,51 +160,57 @@ class HTildeTable:
 
     def nabla_row(self, lam: Partition, sign: int) -> SymFunc:
         """nabla^sign s_lam in the Schur basis; the first call for a sign fills
-        every row of that sign (nabla_matrix)."""
+        every row of that sign: nabla_matrix for +1, and for -1 their image
+        under omega and q,t -> 1/q,1/t (_inverse_rows)."""
+        if sign not in (1, -1):
+            raise ValueError("sign must be +1 or -1")
         rows = self.nabla_rows.get(sign)
         if rows is None:
-            rows = self.nabla_rows[sign] = self.nabla_matrix(sign)
+            rows = self.nabla_rows[sign] = self.nabla_matrix() if sign == 1 else self._inverse_rows()
         return rows[lam]
 
-    def nabla_matrix(self, sign: int) -> dict[Partition, SymFunc]:
-        """{lam: nabla^sign s_lam in the Schur basis}, exact: the integer rows
-        R^ = K~^-1 diag(T^_mu) K~ (K~ the Schur coefficients), T^_mu = T_mu for
-        sign +1 and T_max / T_mu for sign -1, then divided by T_max =
-        (q t)^(n choose 2) for sign -1.
+    def nabla_matrix(self) -> dict[Partition, SymFunc]:
+        """{lam: nabla s_lam in the Schur basis}, exact: the integer rows
+        R = K~^-1 diag(T_mu) K~, K~ the Schur coefficients.
 
-        _guess_rows reads R^ off one point, and the certificate
-        K~ R^ = diag(T^_mu) K~, one _packed_product, fixes it, as K~ is
+        _guess_rows reads R off one point, and the certificate
+        K~ R = diag(T_mu) K~, one _packed_product, fixes it, as K~ is
         invertible (verify()).  A guess that is no integer or fails doubles k
         and keeps D; after _ROW_ATTEMPTS tries the table raises
         TableInvariantError (the first guess holds through degree 9, see
         _row_start).
         """
-        if sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
         if not self.verified:
             self.verify()
-        n, parts = self.degree, partitions_of(self.degree)
-        top = n * (n - 1) // 2  # the q- and t-degree of T_max, and the q-degree of K~
-        kostka = self.kostka
-        shift, eigen = {}, {}  # mu -> the exponents of the monomial T^_mu, and row mu of diag(T^) K~
-        for mu in parts:
-            inv = self.invariants[mu]
-            a, b = shift[mu] = (inv.nmu_conj, inv.nmu) if sign == 1 else (top - inv.nmu_conj, top - inv.nmu)
+        n, kostka = self.degree, self.kostka
+        eigen = {}  # row mu of diag(T_mu) K~
+        for mu, inv in self.invariants.items():
+            a, b = inv.nmu_conj, inv.nmu
             eigen[mu] = {nu: {(i + a, j + b): c for (i, j), c in p.items()} for nu, p in kostka[mu].items()}
         k = _row_start(max(_size(p) for row in kostka.values() for p in row.values()), n)
-        D = 1 + top  # at least n, so no w_mu vanishes at the point
+        D = 1 + n * (n - 1) // 2  # above every q-degree of K~ and R, and >= n: no w_mu vanishes at the point
         for _ in range(_ROW_ATTEMPTS):
-            rows = _guess_rows(kostka, _star_gram(n), shift, k, D)
+            rows = _guess_rows(kostka, _star_gram(n), k, D)
             if rows is not None:
-                _, _, got, want = _packed_product([kostka, rows], eigen)
+                got, want = _packed_product([kostka, rows], eigen)
                 if got == want:
-                    den = {(top, top) if sign == -1 else (0, 0): 1}
-                    return {
-                        lam: SymFunc("schur", {nu: QtRational(p, den) for nu, p in row.items()})
-                        for lam, row in rows.items()
-                    }
+                    return {lam: SymFunc("schur", {nu: QtRational(p) for nu, p in r.items()}) for lam, r in rows.items()}
             k *= 2
-        raise TableInvariantError(f"nabla rows of degree {n} (sign {sign}) failed their certificate")
+        raise TableInvariantError(f"nabla rows of degree {n} failed their certificate")
+
+    def _inverse_rows(self) -> dict[Partition, SymFunc]:
+        """{lam: nabla^-1 s_lam}: as H~_mu[X; 1/q, 1/t] = T_mu^-1 omega H~_mu[X; q, t]
+        (Garsia-Haiman) on the table verify() proved, [s_nu] nabla^-1 s_lam is
+        [s_nu'] nabla s_lam' at q,t -> 1/q,1/t: each term c q^i t^j of a nabla
+        row becomes c q^(top-i) t^(top-j) / (qt)^top, top = n(n-1)/2 >= i, j."""
+        top = self.degree * (self.degree - 1) // 2
+        return {
+            lam: SymFunc._make("schur", {
+                conjugate(nu): QtRational({(top - i, top - j): c for (i, j), c in int_poly(x).items()}, {(top, top): 1})
+                for nu, x in self.nabla_row(conjugate(lam), 1).coeffs.items()
+            })
+            for lam in partitions_of(self.degree)
+        }
 
     def verify(self) -> None:
         """Assert the support (one row per mu |- n, each indexed by partitions
@@ -215,7 +223,7 @@ class HTildeTable:
             raise TableInvariantError(f"degree {self.degree} table has wrong support")
         norms = {mu: {mu: int_poly(self.invariants[mu].w)} for mu in parts}
         read = {lam: parts[: i + 1] for i, lam in enumerate(parts)}  # (lam, mu) for lam >= mu
-        _, _, gram, want = _packed_product([kostka, _star_gram(self.degree), _transpose(kostka)], norms, read)
+        gram, want = _packed_product([kostka, _star_gram(self.degree), _transpose(kostka)], norms, read)
         for i, mu in enumerate(parts):
             if kostka[mu].get(parts[0]) != {(0, 0): 1}:  # parts[0] is (n), or () in degree 0
                 raise TableInvariantError(f"normalization failed for {mu}")
@@ -304,8 +312,8 @@ def _pack(m: dict, k: int, D: int) -> dict:
     return {i: {j: x for j, p in row.items() if (x := kronecker(p, k, D))} for i, row in m.items()}
 
 
-def _packed_product(factors: list, want: dict, entries: dict | None = None) -> tuple[int, int, dict, dict]:
-    """(k, D, got, wanted): the product of the integer-polynomial matrices in
+def _packed_product(factors: list, want: dict, entries: dict | None = None) -> tuple[dict, dict]:
+    """(got, wanted): the product of the integer-polynomial matrices in
     factors and the matrix want ({row: {col: poly}} each), both packed by
     qtfield.kronecker at q = 2^k, t = 2^(kD), zero entries left out, where
     got[i][j] == wanted[i][j] exactly when the two polynomials are equal.
@@ -331,10 +339,10 @@ def _packed_product(factors: list, want: dict, entries: dict | None = None) -> t
     packed = [_pack(f, k, D) for f in factors]
     wanted = _pack(want, k, D)
     if entries is None:
-        return k, D, reduce(_matmul, packed), wanted
+        return reduce(_matmul, packed), wanted
     head, last = reduce(_matmul, packed[:-1]), _transpose(packed[-1])
     got = {i: {j: x for j in cols if (x := _dot(head.get(i, {}), last.get(j, {})))} for i, cols in entries.items()}
-    return k, D, got, wanted
+    return got, wanted
 
 
 def _dot(u: dict, v: dict) -> int:
@@ -370,21 +378,20 @@ def _row_start(norm: int, n: int) -> int:
     """Bits per slot of nabla_matrix's first guess at degree n, norm the
     largest |K~_mu,nu|_1.  The rows outgrow the norms by a factor that about
     doubles per degree: at degrees 4..9 their largest |coefficient| is 2, 5,
-    14, 58, 222, 990 (either sign) against norms 3, 6, 16, 35, 90, 216, so
+    14, 58, 222, 990 against norms 3, 6, 16, 35, 90, 216, so
     max(1, n - 6) bits above the norm's length cover them (k = 9 at degree 8,
     11 at degree 9, 2^10 > 990).  Each retry doubles k; the slot stride
     D = 1 + n(n-1)/2 already exceeds every q-degree of the rows, so it stays."""
     return norm.bit_length() + max(1, n - 6)
 
 
-def _guess_rows(kostka: dict, gram: dict, shift: dict, k: int, D: int) -> dict | None:
-    """{lam: {nu: R^_lam,nu}} read off R^ = K~^-1 diag(T^_mu) K~ at q = 2^k,
-    t = 2^(kD), or None when a value is no integer (gram = G_n, shift[mu] the
-    exponents of T^_mu).
+def _guess_rows(kostka: dict, gram: dict, k: int, D: int) -> dict | None:
+    """{lam: {nu: R_lam,nu}} read off R = K~^-1 diag(T_mu) K~ at q = 2^k,
+    t = 2^(kD), or None when a value is no integer (gram = G_n).
 
     verify() showed K~ G_n K~^T = diag(w_mu), so K~^-1 = G_n K~^T
-    diag(1/w_mu); with common the lcm of the w_mu at the point, common R^ =
-    G_n K~^T diag(T^_mu common / w_mu) K~ is one integer product, then one
+    diag(1/w_mu); with common the lcm of the w_mu at the point, common R =
+    G_n K~^T diag(T_mu common / w_mu) K~ is one integer product, then one
     exact division per entry.  No w_mu vanishes there when D >= n: a factor
     q^a - t^(l+1) or t^l - q^(a+1) of w_mu is zero only if a = D(l+1) or
     Dl = a+1, and a + l < n.
@@ -395,8 +402,8 @@ def _guess_rows(kostka: dict, gram: dict, shift: dict, k: int, D: int) -> dict |
     inverse = _matmul(_pack(gram, k, D), _transpose(packed))  # K~^-1 diag(w_mu) at the point
     for row in inverse.values():
         for mu, x in row.items():
-            a, b = shift[mu]
-            row[mu] = x * (common // packed_norm[mu]) << k * (a + D * b)
+            inv = partition_invariants(mu)
+            row[mu] = x * (common // packed_norm[mu]) << k * (inv.nmu_conj + D * inv.nmu)
     product = _matmul(inverse, packed)
     if any(x % common for row in product.values() for x in row.values()):
         return None
@@ -641,9 +648,7 @@ def lhs_inner(alpha: Composition, a: int, b: int, c: int) -> QtRational:
     orthonormal, so it is sum over lam of [s_lam] nabla C_alpha 1 times
     [s_lam] e_a h_b h_c."""
     alpha = tuple(alpha)
-    if a + b + c != sum(alpha):
-        raise ValueError(f"(a,b,c)={(a, b, c)} must sum to |alpha|={sum(alpha)}")
-    if min(a, b, c) < 0:
+    if not check_abc(alpha, a, b, c):
         return QTR_ZERO
     return _lhs_inner_cached(alpha, a, b, c)
 

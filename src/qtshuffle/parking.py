@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, product
 
-from .qtfield import QTR_ONE, QTR_ZERO, QtRational
-from .shapes import Composition, check_composition, count_fillings, recursion_rhs
+from .qtfield import QTR_ZERO, QtRational
+from .shapes import Composition, check_abc, check_composition, count_fillings, recursion_rhs
 
 __all__ = [
     "InvalidParkingFunction",
@@ -254,9 +254,7 @@ def is_triple_shuffle(sigma, a: int, b: int, c: int) -> bool:
 
 def enumerate_family(alpha: Composition, a: int, b: int, c: int):
     """The shuffle-filtered family with diagonal composition alpha."""
-    if a + b + c != sum(alpha):
-        raise ValueError(f"(a,b,c)={(a, b, c)} must sum to |alpha|={sum(alpha)}")
-    if min(a, b, c) < 0:
+    if not check_abc(alpha, a, b, c):
         return
     for pf in enumerate_by_comp(alpha):
         if is_triple_shuffle(pf.stats.sigma, a, b, c):
@@ -305,12 +303,8 @@ def _ides_fits(ides: frozenset, a: int, b: int) -> bool:
 def pi_poly(alpha: Composition, a: int, b: int, c: int) -> QtRational:
     """Sum of t^area q^dinv over the shuffle-filtered family."""
     alpha = tuple(alpha)
-    if a + b + c != sum(alpha):
-        raise ValueError(f"(a,b,c)={(a, b, c)} must sum to |alpha|={sum(alpha)}")
-    if min(a, b, c) < 0:
+    if not check_abc(alpha, a, b, c):
         return QTR_ZERO
-    if not alpha:
-        return QTR_ONE
     terms: dict = {}
     for ides, bucket in _ides_index(alpha).items():
         if _ides_fits(ides, a, b):

@@ -35,6 +35,14 @@ def check_composition(alpha) -> Composition:
     return alpha
 
 
+def check_abc(alpha: Composition, a: int, b: int, c: int) -> bool:
+    """False when a size is negative (the (alpha; a, b, c) family is then
+    empty); a ValueError unless a + b + c = |alpha|."""
+    if a + b + c != sum(alpha):
+        raise ValueError(f"(a,b,c)={(a, b, c)} must sum to |alpha|={sum(alpha)}")
+    return min(a, b, c) >= 0
+
+
 def conjugate(mu: Partition) -> Partition:
     if not mu:
         return ()

@@ -232,10 +232,6 @@ class SymFunc:
     def one() -> "SymFunc":
         return SymFunc("power", {(): QTR_ONE})
 
-    @staticmethod
-    def scalar(c) -> "SymFunc":
-        return SymFunc("power", {(): c})
-
     # -- structure
 
     def degrees(self) -> tuple[int, ...]:
@@ -354,10 +350,6 @@ def h_(k: int) -> SymFunc:
 
 def s_(mu) -> SymFunc:
     return SymFunc("schur", {tuple(sorted(mu, reverse=True)): QTR_ONE})
-
-
-def m_(mu) -> SymFunc:
-    return SymFunc("monomial", {tuple(sorted(mu, reverse=True)): QTR_ONE})
 
 
 # ---------------------------------------------------------------------------

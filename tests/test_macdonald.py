@@ -198,17 +198,19 @@ def _star_route(table):
 
 
 def _verify_product(table):
-    """(k, D, got, want) of the one _packed_product that verify() computes."""
-    calls = []
-    product = mac._packed_product
+    """(k, D, got, want) of the one _packed_product that verify() computes,
+    (k, D) the point that every matrix of it is packed at."""
+    calls, points = [], set()
+    product, pack = mac._packed_product, mac._pack
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(mac, "_packed_product", lambda *args: calls.append(product(*args)) or calls[-1])
+        patch.setattr(mac, "_pack", lambda m, k, D: points.add((k, D)) or pack(m, k, D))
         try:
             table.verify()
         except TableInvariantError:
             pass
-    (result,) = calls
-    return result
+    (result,), (point,) = calls, points
+    return (*point, *result)
 
 
 def _assert_packed_gram_is_exact(table):
@@ -438,7 +440,7 @@ def _row_integers(table, sign):
 
 
 def _certified(kostka, eigen, rows):
-    _, _, got, want = mac._packed_product([kostka, rows], eigen)
+    got, want = mac._packed_product([kostka, rows], eigen)
     return got == want
 
 
@@ -454,33 +456,54 @@ def test_eigen_certificate_rejects_a_perturbed_row(sign):
         assert not _certified(kostka, eigen, bad), (lam, nu, key)
 
 
+def test_inverse_rows_pass_the_eigen_certificate():
+    # the sign -1 rows are read off the sign +1 rows, not guessed; the
+    # certificate K~ R^ = diag(T_max / T_mu) K~ checks them on its own
+    for n in range(8):
+        assert _certified(*_row_integers(build_htilde(n), -1)), n
+
+
+def test_inverse_rows_make_one_guess_the_nabla_one(monkeypatch):
+    table = build_htilde(5)
+    fresh = HTildeTable.from_json(table.to_json())  # verified on load, before the counters
+    guesses, products = [], []
+    guess, product = mac._guess_rows, mac._packed_product
+    monkeypatch.setattr(mac, "_guess_rows", lambda *args: guesses.append(args[-2:]) or guess(*args))
+    monkeypatch.setattr(mac, "_packed_product", lambda *args: products.append(args) or product(*args))
+    for lam in partitions_of(5):
+        assert fresh.nabla_row(lam, -1) == table.nabla_row(lam, -1), lam
+    assert list(fresh.nabla_rows) == [1, -1]  # the sign +1 rows came first
+    assert len(guesses) == len(products) == 1  # one guess and one certificate, for nabla
+    for lam in partitions_of(5):
+        assert fresh.nabla_row(lam, 1) == table.nabla_row(lam, 1), lam
+    assert len(guesses) == len(products) == 1
+
+
 def test_too_narrow_first_guess_is_retried(monkeypatch):
     table = build_htilde(6)
-    want = {sign: {lam: table.nabla_row(lam, sign) for lam in partitions_of(6)} for sign in (1, -1)}
+    want = {lam: table.nabla_row(lam, 1) for lam in partitions_of(6)}
     verdicts = []
     product = mac._packed_product
 
     def recorded(*args):
-        k, D, got, packed_want = product(*args)
+        got, packed_want = product(*args)
         verdicts.append(got == packed_want)
-        return k, D, got, packed_want
+        return got, packed_want
 
     monkeypatch.setattr(mac, "_packed_product", recorded)
     monkeypatch.setattr(mac, "_row_start", lambda norm, n: 2)  # coefficients reach 14 in degree 6
-    for sign in (1, -1):
-        fresh = HTildeTable.from_json(table.to_json())
-        verdicts.clear()  # drop the verdict of verify() on load
-        assert fresh.nabla_matrix(sign) == want[sign]
-        assert verdicts == [False, False, True]  # 2, 4, then 8 bits per slot
+    fresh = HTildeTable.from_json(table.to_json())
+    verdicts.clear()  # drop the verdict of verify() on load
+    assert fresh.nabla_matrix() == want
+    assert verdicts == [False, False, True]  # 2, 4, then 8 bits per slot
     # past the last attempt the table gives up loudly
     monkeypatch.setattr(mac, "_ROW_ATTEMPTS", 2)
-    message = r"^nabla rows of degree 6 \(sign 1\) failed their certificate$"
+    message = r"^nabla rows of degree 6 failed their certificate$"
     with pytest.raises(TableInvariantError, match=message):
-        HTildeTable.from_json(table.to_json()).nabla_matrix(1)
+        HTildeTable.from_json(table.to_json()).nabla_matrix()
 
 
-@pytest.mark.parametrize("sign", (1, -1))
-def test_first_row_guess_holds_through_degree_seven(monkeypatch, sign):
+def test_first_row_guess_holds_through_degree_seven(monkeypatch):
     # _row_start is wide enough for one guess per table (degrees 8 and 9
     # hold too, but take seconds)
     calls = []
@@ -488,7 +511,7 @@ def test_first_row_guess_holds_through_degree_seven(monkeypatch, sign):
     monkeypatch.setattr(mac, "_guess_rows", lambda *args: calls.append(args[-2:]) or guess(*args))
     for n in range(8):
         calls.clear()
-        HTildeTable.from_json(build_htilde(n).to_json()).nabla_matrix(sign)
+        HTildeTable.from_json(build_htilde(n).to_json()).nabla_matrix()
         assert len(calls) == 1, (n, calls)
 
 
@@ -503,7 +526,7 @@ def _recorded_guesses(monkeypatch):
         rows = guess(*args)
         if rows is not None:
             first = next(iter(rows))
-            poly = rows[first][first]
+            poly = rows[first].get(first, {})
             rows[first][first] = {**poly, (0, 0): poly.get((0, 0), 0) + 1}
         return rows
 
@@ -516,9 +539,9 @@ def test_failing_nabla_certificate_widens_the_point_then_raises(monkeypatch):
     # each retry doubles the bits per slot k and keeps the slot stride D
     table = build_htilde(5)
     calls = _recorded_guesses(monkeypatch)
-    message = r"^nabla rows of degree 5 \(sign -1\) failed their certificate$"
+    message = r"^nabla rows of degree 5 failed their certificate$"
     with pytest.raises(TableInvariantError, match=message):
-        HTildeTable.from_json(table.to_json()).nabla_matrix(-1)
+        HTildeTable.from_json(table.to_json()).nabla_matrix()
     k = calls[0][0]
     assert calls == [(k << i, 11) for i in range(mac._ROW_ATTEMPTS)]
 
@@ -527,7 +550,7 @@ def test_failing_nabla_certificate_widens_the_point_then_raises(monkeypatch):
 def test_nabla_rows_reject_a_bad_sign(sign):
     table = HTildeTable.from_json(build_htilde(2).to_json())
     with pytest.raises(ValueError, match=r"^sign must be \+1 or -1$"):
-        table.nabla_matrix(sign)
+        nabla(s_((2,)), sign)
     with pytest.raises(ValueError, match=r"^sign must be \+1 or -1$"):
         table.nabla_row((2,), sign)
     assert not table.nabla_rows

@@ -19,7 +19,6 @@ from qtshuffle.symfunc import (
     gessel_Q,
     h_,
     hall_inner,
-    m_,
     monomial_restriction,
     omega_involution,
     omega_series,
