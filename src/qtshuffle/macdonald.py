@@ -38,15 +38,20 @@ usual-frame operators.
 
 lhs_inner(alpha, a, b, c) = <nabla C_alpha 1, e_a h_b h_c> stays in the Schur
 basis, which is orthonormal: nabla C_alpha 1 is cached per composition in
-Schur coefficients, e_a h_b h_c per triple as integers, and the pairing is
-their dot product.  c_word builds C_alpha 1 as C_{alpha_1} applied to the
-cached word of alpha[1:].  The rec-m and rec-1 identities apply
-shapes.recursion_rhs to lhs_inner; the parking side applies the same formula
-to its own counts.
+Schur coefficients, e_a h_b h_c per triple as integers read off Pieri strips
+(_eh_schur), and the pairing is their dot product.  c_word builds C_alpha 1
+as C_{alpha_1} applied to the cached word of alpha[1:], in the Schur basis.
+The rec-m and rec-1 identities apply shapes.recursion_rhs to lhs_inner; the
+parking side applies the same formula to its own counts.
 
-The creation operators op_C, op_B and their star-adjoints op_C_star, op_B_star
-are each one symfunc.extract_z call with their own shift and Omega kernel, as is
-the a + b < 0 side of the commutator identity (with the empty kernel).
+op_C never leaves the Schur basis: C_a is
+(-1/q)^(a-1) sum over i, j >= 0 of (-1)^i q^-j h_(a+i+j) e_i^perp h_j^perp,
+so C_a s_lam is read off Pieri strips (shapes.remove_strip, add_strip) as one
+cached row of integer Laurent polynomials in q per (a, lam), and op_C is one
+linear map through those rows.  op_B and the star-adjoints op_C_star,
+op_B_star are each one symfunc.extract_z call with their own shift and Omega
+kernel, as is the a + b < 0 side of the commutator identity (with the empty
+kernel).
 
 Lemma 3.1, Proposition 3.1 and Theorems 3.1-3.2 expand over the same corners:
 a sum over r <= a, s <= b, nu |- r+s of scalars times a block(nu) that depends
@@ -90,6 +95,7 @@ from .qtfield import (
 from .shapes import (
     Composition,
     Partition,
+    add_strip,
     capital_m,
     cell_stats,
     check_abc,
@@ -102,6 +108,7 @@ from .shapes import (
     parse_partition,
     partitions_of,
     recursion_rhs,
+    remove_strip,
     zmu,
 )
 from .symfunc import (
@@ -590,11 +597,42 @@ def _pieri_sum(shape: Partition, direction: str, power: int) -> QtRational:
 
 
 def op_C(a: int, P: SymFunc) -> SymFunc:
-    """C_a P = (-1/q)^(a-1) P[X - (1-1/q)/z] Omega[zX] |_(z^a); raises the degree by a >= 1."""
+    """C_a P = (-1/q)^(a-1) P[X - (1-1/q)/z] Omega[zX] |_(z^a); raises the degree by a >= 1.
+
+    P[X - 1/z + 1/(qz)] = sum over i, j >= 0 of (-1/z)^i (1/(qz))^j e_i^perp h_j^perp P,
+    as f[X - u] = sum (-u)^i e_i^perp f and f[X + u] = sum u^j h_j^perp f for
+    one letter u, and Omega[zX] = sum z^m h_m.  The power z^a pairs (i, j)
+    with m = a + i + j, so
+        C_a = (-1/q)^(a-1) sum over i, j of (-1)^i q^-j h_(a+i+j) e_i^perp h_j^perp,
+    read off the Pieri strips in the Schur basis: one cached row per (a, lam)
+    (_c_row), and op_C is one linear map of P's Schur coefficients.
+    """
     if a < 1:
         raise ValueError("op_C is defined here for a >= 1 only")
-    shift = Alphabet.X() + Alphabet.scalar(Q.inverse() - 1)
-    return extract_z(P, shift, Alphabet.X(), a).scale((-Q.inverse()) ** (a - 1))
+    return SymFunc._make("schur", linear_map(P.convert("schur").coeffs, lambda lam: _c_row(a, lam)))
+
+
+@lru_cache(maxsize=None)
+def _c_row(a: int, lam: Partition) -> dict[Partition, QtRational]:
+    """{kappa: [s_kappa] C_a s_lam}: remove a horizontal j-strip, then a
+    vertical i-strip, then add a horizontal (a+i+j)-strip, with weight
+    (-1)^(a-1+i) q^(1-a-j); each coefficient an integer Laurent polynomial in q."""
+    terms: dict = {}  # kappa -> {q-exponent: integer}
+    for j in range(sum(lam) + 1):
+        for mu in remove_strip(lam, j):
+            for i in range(sum(mu) + 1):
+                sign = -1 if (a - 1 + i) % 2 else 1
+                for nu in remove_strip(mu, i, vertical=True):
+                    for kappa in add_strip(nu, a + i + j):
+                        laurent = terms.setdefault(kappa, {})
+                        laurent[1 - a - j] = laurent.get(1 - a - j, 0) + sign
+    row = {}
+    for kappa, laurent in terms.items():
+        low = min(laurent)
+        x = QtRational({(e - low, 0): c for e, c in laurent.items() if c}, {(-low, 0): 1})
+        if not x.is_zero():
+            row[kappa] = x
+    return row
 
 
 def op_B(a: int, P: SymFunc) -> SymFunc:
@@ -639,8 +677,17 @@ def _nabla_c_word(alpha: Composition) -> SymFunc:
 
 @lru_cache(maxsize=None)
 def _eh_schur(a: int, b: int, c: int) -> dict[Partition, int]:
-    """{lam: [s_lam] e_a h_b h_c}, each a nonnegative integer."""
-    return {lam: int_poly(x)[0, 0] for lam, x in (e_(a) * h_(b) * h_(c)).convert("schur").coeffs.items()}
+    """{lam: [s_lam] e_a h_b h_c}, each a nonnegative integer: Pieri strips
+    added to the empty shape, a horizontal c-strip (h_c), a horizontal b-strip,
+    then a vertical a-strip."""
+    out = {(): 1}
+    for k, vertical in ((c, False), (b, False), (a, True)):
+        nxt: dict = {}
+        for lam, n in out.items():
+            for kappa in add_strip(lam, k, vertical):
+                nxt[kappa] = nxt.get(kappa, 0) + n
+        out = nxt
+    return out
 
 
 def lhs_inner(alpha: Composition, a: int, b: int, c: int) -> QtRational:

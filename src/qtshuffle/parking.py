@@ -6,7 +6,9 @@ lattice path conversion.
 
 The index (_ides_index) counts (iDes, dinv, area) over the car fillings of
 each diagonal vector with shapes.count_fillings, the counter that also
-builds the HHL table; it builds no ParkingFunction.  enumerate_by_comp,
+builds the HHL table; it builds no ParkingFunction.  pi_poly reads a row
+per composition (_pi_row), summed for every (a, b) in one pass over the
+index's buckets.  enumerate_by_comp,
 enumerate_family and _compute_stats stay the independent per-object route.
 """
 
@@ -305,12 +307,42 @@ def pi_poly(alpha: Composition, a: int, b: int, c: int) -> QtRational:
     alpha = tuple(alpha)
     if not check_abc(alpha, a, b, c):
         return QTR_ZERO
-    terms: dict = {}
+    return _pi_row(alpha)[a, b]
+
+
+def _merge(terms: dict, bucket: dict) -> None:
+    for key, count in bucket.items():
+        terms[key] = terms.get(key, 0) + count
+
+
+@lru_cache(maxsize=None)
+def _pi_row(alpha: Composition) -> dict:
+    """{(a, b): pi_poly(alpha, a, b, n - a - b)} for every a + b <= n, read
+    off the index in one pass over its buckets.
+
+    _ides_fits(ides, a, b) asks for 1..a-1 in ides, so with g the least
+    i >= 1 not in ides a bucket fits only a <= g; then every element above a
+    must be a + b.  With none above a the bucket fits every b, with one, e,
+    only b = e - a, and with more it fits no b.
+    """
+    n = sum(alpha)
+    every_b: list[dict] = [{} for _ in range(n + 1)]
+    one_b: dict = {}
     for ides, bucket in _ides_index(alpha).items():
-        if _ides_fits(ides, a, b):
-            for key, count in bucket.items():
-                terms[key] = terms.get(key, 0) + count
-    return QtRational(terms, 1) if terms else QTR_ZERO
+        g = next(i for i in range(1, n + 2) if i not in ides)
+        for a in range(min(g, n) + 1):
+            above = [e for e in ides if e > a]
+            if not above:
+                _merge(every_b[a], bucket)
+            elif len(above) == 1:
+                _merge(one_b.setdefault((a, above[0] - a), {}), bucket)
+    row = {}
+    for a in range(n + 1):
+        for b in range(n + 1 - a):
+            terms = dict(every_b[a])
+            _merge(terms, one_b.get((a, b), {}))
+            row[a, b] = QtRational(terms, 1) if terms else QTR_ZERO
+    return row
 
 
 def rhs_quasisym(p: Composition):

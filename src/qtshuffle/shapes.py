@@ -1,6 +1,7 @@
-"""Partitions, compositions, cells, their q,t bookkeeping statistics, the one
-counter of fillings by 1..n (count_fillings), and the first-section recursion
-that both sides of the main identity satisfy.
+"""Partitions, compositions, cells, their q,t bookkeeping statistics, the
+Pieri strips of Young's lattice (add_strip, remove_strip), the one counter of
+fillings by 1..n (count_fillings), and the first-section recursion that both
+sides of the main identity satisfy.
 
 Shapes are plain tuples of ints: partitions weakly decreasing, compositions
 arbitrary positive parts.  Cells use the French convention, zero-based, as
@@ -192,30 +193,52 @@ def partition_invariants(mu: Partition) -> PartitionInvariants:
     return PartitionInvariants(nmu, nmu_conj, T, B, Pi, D, w)
 
 
+@lru_cache(maxsize=None)
+def _strips(lam: Partition, k: int, add: bool, vertical: bool) -> tuple[Partition, ...]:
+    """The shapes that differ from lam by a horizontal (or vertical) k-strip,
+    above lam (add) or inside it.  A horizontal strip interlaces the rows,
+    lam_(i+1) <= mu_i <= lam_i; a vertical one is a horizontal one of the
+    conjugates."""
+    if vertical:
+        return tuple(conjugate(m) for m in _strips(conjugate(lam), k, add, False))
+    if k < 0:
+        return ()
+    if add:  # kappa_i in [lam_i, lam_(i-1)], one new row allowed
+        rows = list(zip((lam[0] + k if lam else k,) + lam, lam + (0,)))
+    else:  # mu_i in [lam_(i+1), lam_i]
+        rows = list(zip(lam, lam[1:] + (0,)))
+    out = []
+
+    def place(i: int, left: int, parts: tuple):
+        if i == len(rows):
+            if not left:
+                out.append(tuple(p for p in parts if p))
+            return
+        hi, lo = rows[i]
+        for d in range(min(left, hi - lo), -1, -1):  # row by row, top row first
+            place(i + 1, left - d, parts + (lo + d if add else hi - d,))
+
+    place(0, k, ())
+    return tuple(out)
+
+
+def add_strip(lam: Partition, k: int, vertical: bool = False) -> tuple[Partition, ...]:
+    """The shapes kappa with kappa / lam a horizontal (or vertical) k-strip:
+    the Schur terms of s_lam h_k (of s_lam e_k when vertical)."""
+    return _strips(tuple(lam), k, True, vertical)
+
+
+def remove_strip(lam: Partition, k: int, vertical: bool = False) -> tuple[Partition, ...]:
+    """The shapes mu with lam / mu a horizontal (or vertical) k-strip: the
+    Schur terms of h_k^perp s_lam (of e_k^perp s_lam when vertical)."""
+    return _strips(tuple(lam), k, False, vertical)
+
+
 def corners(mu: Partition) -> tuple[tuple[Partition, ...], tuple[Partition, ...]]:
-    """(removable, addable) neighbours of mu in Young's lattice, by row."""
+    """(removable, addable) neighbours of mu in Young's lattice, by row: its
+    one-box strips."""
     mu = check_partition(mu)
-    removable = []
-    for i in range(len(mu)):
-        nxt = mu[i + 1] if i + 1 < len(mu) else 0
-        if mu[i] > nxt:
-            parts = list(mu)
-            parts[i] -= 1
-            if parts[-1] == 0:
-                parts.pop()
-            removable.append(tuple(parts))
-    addable = []
-    for i in range(len(mu) + 1):
-        prev = mu[i - 1] if i > 0 else None
-        cur = mu[i] if i < len(mu) else 0
-        if prev is None or prev > cur:
-            parts = list(mu)
-            if i < len(mu):
-                parts[i] += 1
-            else:
-                parts.append(1)
-            addable.append(tuple(parts))
-    return tuple(removable), tuple(addable)
+    return remove_strip(mu, 1), add_strip(mu, 1)
 
 
 def remove_part(alpha: Composition, i: int) -> Composition:

@@ -145,6 +145,21 @@ def test_pi_poly_small_values():
     assert pi_poly((2,), 0, 2, 0) == QTR_ZERO  # would need two stacked middles
 
 
+def test_pi_row_matches_the_bucket_scan():
+    # the per-composition row against summing the buckets that pass _ides_fits
+    for n in range(7):
+        for alpha in compositions_of(n):
+            for a, b, c in _abc_triples(n):
+                terms = {}
+                for ides, bucket in _ides_index(alpha).items():
+                    if _ides_fits(ides, a, b):
+                        for key, count in bucket.items():
+                            terms[key] = terms.get(key, 0) + count
+                want = QtRational(terms, 1) if terms else QTR_ZERO
+                got = pi_poly(alpha, a, b, c)
+                assert got == want and got.canonical() == want.canonical(), (alpha, a, b, c)
+
+
 def test_shuffle_filter():
     assert is_triple_shuffle((4, 5, 9, 10, 3, 11, 6, 7, 12, 2, 8, 1), 3, 5, 4)
     assert is_triple_shuffle((1, 2), 0, 1, 1)

@@ -5,6 +5,7 @@ import pytest
 
 from qtshuffle.qtfield import Q, QTR_ONE, QTR_ZERO, T
 from qtshuffle.shapes import (
+    add_strip,
     capital_m,
     cell_stats,
     compositions_of,
@@ -18,6 +19,7 @@ from qtshuffle.shapes import (
     partitions_of,
     composition_str,
     remove_part,
+    remove_strip,
     zmu,
 )
 
@@ -113,6 +115,31 @@ def test_corner_counts_match_distinct_parts():
             removable, addable = corners(mu)
             assert len(removable) == len(set(mu))
             assert len(addable) == len(set(mu)) + 1
+
+
+def _is_strip(outer, inner, vertical):
+    """outer contains inner and no two cells of outer / inner share a column
+    (a row, when vertical)."""
+    if len(inner) > len(outer) or any(x < y for x, y in zip(outer, inner)):
+        return False
+    if not vertical:
+        outer, inner = conjugate(outer), conjugate(inner)
+    return all(x - y <= 1 for x, y in zip(outer, inner + (0,) * len(outer)))
+
+
+@pytest.mark.parametrize("vertical", [False, True])
+def test_strips_match_the_containment_filter(vertical):
+    for n in range(9):
+        for lam in partitions_of(n):
+            for k in range(-1, 10):
+                added = add_strip(lam, k, vertical)
+                removed = remove_strip(lam, k, vertical)
+                assert len(set(added)) == len(added) and len(set(removed)) == len(removed)
+                if n + k <= 8:
+                    want = {kappa for kappa in partitions_of(n + k) if _is_strip(kappa, lam, vertical)}
+                    assert set(added) == want, (lam, k)
+                want = {mu for mu in partitions_of(n - k) if _is_strip(lam, mu, vertical)}
+                assert set(removed) == want, (lam, k)
 
 
 def test_remove_part():
