@@ -25,6 +25,7 @@ from functools import cache
 
 from .macdonald import (
     HTildeTable,
+    _laurent_schur,
     _nabla_c_word,
     build_htilde,
     check_identity,
@@ -284,7 +285,7 @@ def _cases_shuffle_qsym(n_max: int) -> list:
             pstr = f"p={composition_str(p)}"
 
             def sides(p=p):  # the main grid's cached nabla C_p 1, in the Schur basis
-                return [(None, fundamental_expand(_nabla_c_word(p)), rhs_quasisym(p))]
+                return [(None, fundamental_expand(_laurent_schur(_nabla_c_word(p))), rhs_quasisym(p))]
 
             cases.append(_Case(f"shuffle-qsym[{pstr}]", pstr, sides))
     return cases

@@ -19,28 +19,35 @@ the expansion behind both Pieri directions, which one loop in pieri() computes
 and checks against d_{mu,nu} = M c_{mu,nu} w_nu / w_mu.
 
 nabla is one Schur-basis matrix per table, R = K~^-1 diag(T_mu) K~, built by
-HTildeTable.nabla_matrix on first use, never on build, load or install:
+HTildeTable.int_rows on first use, never on build, load or install:
 verify() gives K~^-1 = G_n K~^T diag(1/w_mu), R is guessed at one point
 (_guess_rows) and certified by K~ R = diag(T_mu) K~ with _packed_product.
-The nabla^-1 rows are R under omega and q,t -> 1/q,1/t (_inverse_rows).
-nabla(f, sign) is one sparse product of f's Schur coefficients with the rows
-of that sign (_nabla_schur, also the main grid's route).  A table converts
-K~ to power sums (HTildeTable.power) only when something first reads them.
+The table keeps R as those certified integer polynomials; its SymFunc rows
+(nabla_row) are read off them, and the nabla^-1 rows are R under omega and
+q,t -> 1/q,1/t (_inverse_rows).  nabla(f, sign) is one sparse product of f's
+Schur coefficients with the SymFunc rows of that sign (_nabla_schur).  A
+table converts K~ to power sums (HTildeTable.power) only when something
+first reads them.
 
 The registry's nabla(h_a^* e_b^* e_c^*) and its star-adjoints are computed in
 the frame S f = f[MX], where they are integer polynomials.  nabla is
 self-adjoint for the star product, so the s_nu coefficient of
-S nabla (h_a^* e_b^* e_c^*) is <nabla s_nu', e_a h_b h_c>, read off the sign +1
-rows (_framed_nabla_hee); then C*_m or B*_m in the frame as one extract_z with
-a Laurent-polynomial shift and kernel, mapped back by one division per
-power-sum coefficient (_unframe).  op_C_star and op_B_star stay the
+S nabla (h_a^* e_b^* e_c^*) is <nabla s_nu', e_a h_b h_c>, one _schur_pairing
+with the integer rows (_framed_nabla_hee); then C*_m or B*_m in the frame as
+one extract_z with a Laurent-polynomial shift and kernel, mapped back by one
+division per power-sum coefficient (_unframe).  op_C_star and op_B_star stay the
 usual-frame operators.
 
 lhs_inner(alpha, a, b, c) = <nabla C_alpha 1, e_a h_b h_c> stays in the Schur
-basis, which is orthonormal: nabla C_alpha 1 is cached per composition in
-Schur coefficients, e_a h_b h_c per triple as integers read off Pieri strips
-(_eh_schur), and the pairing is their dot product.  c_word builds C_alpha 1
-as C_{alpha_1} applied to the cached word of alpha[1:], in the Schur basis.
+basis, which is orthonormal, and in integers until its one result: every
+Schur coefficient of C_alpha 1 is an integer Laurent polynomial in q
+(_c_word: C_{alpha_1} applied through the rows _c_row to the cached word of
+alpha[1:]), nabla C_alpha 1 is that word times the integer rows R, cached
+per composition as integer Laurent polynomials in q and t (_nabla_c_word),
+e_a h_b h_c per triple is integers read off Pieri strips (_eh_schur), and
+the pairing is their integer dot product, made one QtRational by one
+division by a monomial (_schur_pairing).  c_word and shuffle-qsym build one
+QtRational per Schur coefficient from the same integers (_laurent_schur).
 The rec-m and rec-1 identities apply shapes.recursion_rhs to lhs_inner; the
 parking side applies the same formula to its own counts.
 
@@ -48,10 +55,10 @@ op_C never leaves the Schur basis: C_a is
 (-1/q)^(a-1) sum over i, j >= 0 of (-1)^i q^-j h_(a+i+j) e_i^perp h_j^perp,
 so C_a s_lam is read off Pieri strips (shapes.remove_strip, add_strip) as one
 cached row of integer Laurent polynomials in q per (a, lam), and op_C is one
-linear map through those rows.  op_B and the star-adjoints op_C_star,
-op_B_star are each one symfunc.extract_z call with their own shift and Omega
-kernel, as is the a + b < 0 side of the commutator identity (with the empty
-kernel).
+linear map through those rows, one QtRational per coefficient (_c_row_qtr).
+op_B and the star-adjoints op_C_star, op_B_star are each one symfunc.extract_z
+call with their own shift and Omega kernel, as is the a + b < 0 side of the
+commutator identity (with the empty kernel).
 
 Lemma 3.1, Proposition 3.1 and Theorems 3.1-3.2 expand over the same corners:
 a sum over r <= a, s <= b, nu |- r+s of scalars times a block(nu) that depends
@@ -88,6 +95,7 @@ from .qtfield import (
     T,
     int_poly,
     kronecker,
+    laurent,
     parse_rational,
     qtr,
     unkronecker,
@@ -177,8 +185,15 @@ class HTildeTable:
         return rows[lam]
 
     def nabla_matrix(self) -> dict[Partition, SymFunc]:
-        """{lam: nabla s_lam in the Schur basis}, exact: the integer rows
-        R = K~^-1 diag(T_mu) K~, K~ the Schur coefficients.
+        """{lam: nabla s_lam in the Schur basis}, read off int_rows."""
+        return {lam: _laurent_schur(row) for lam, row in self.int_rows.items()}
+
+    @cached_property
+    def int_rows(self) -> dict[Partition, dict]:
+        """{lam: {nu: R_lam,nu}}, the nabla rows R = K~^-1 diag(T_mu) K~ as
+        certified integer polynomials, K~ the Schur coefficients; computed on
+        first use and kept, for the SymFunc rows (nabla_matrix,
+        _inverse_rows) and the main grid's integer products.
 
         _guess_rows reads R off one point, and the certificate
         K~ R = diag(T_mu) K~, one _packed_product, fixes it, as K~ is
@@ -201,20 +216,19 @@ class HTildeTable:
             if rows is not None:
                 got, want = _packed_product([kostka, rows], eigen)
                 if got == want:
-                    return {lam: SymFunc("schur", {nu: QtRational(p) for nu, p in r.items()}) for lam, r in rows.items()}
+                    return rows
             k *= 2
         raise TableInvariantError(f"nabla rows of degree {n} failed their certificate")
 
     def _inverse_rows(self) -> dict[Partition, SymFunc]:
         """{lam: nabla^-1 s_lam}: as H~_mu[X; 1/q, 1/t] = T_mu^-1 omega H~_mu[X; q, t]
         (Garsia-Haiman) on the table verify() proved, [s_nu] nabla^-1 s_lam is
-        [s_nu'] nabla s_lam' at q,t -> 1/q,1/t: each term c q^i t^j of a nabla
-        row becomes c q^(top-i) t^(top-j) / (qt)^top, top = n(n-1)/2 >= i, j."""
-        top = self.degree * (self.degree - 1) // 2
+        [s_nu'] nabla s_lam' at q,t -> 1/q,1/t: each term c q^i t^j of an
+        integer row (int_rows) becomes c q^-i t^-j."""
         return {
-            lam: SymFunc._make("schur", {
-                conjugate(nu): QtRational({(top - i, top - j): c for (i, j), c in int_poly(x).items()}, {(top, top): 1})
-                for nu, x in self.nabla_row(conjugate(lam), 1).coeffs.items()
+            lam: _laurent_schur({
+                conjugate(nu): {(-i, -j): c for (i, j), c in p.items()}
+                for nu, p in self.int_rows[conjugate(lam)].items()
             })
             for lam in partitions_of(self.degree)
         }
@@ -356,6 +370,32 @@ def _dot(u: dict, v: dict) -> int:
     if len(v) < len(u):
         u, v = v, u
     return sum(x * v[j] for j, x in u.items() if j in v)
+
+
+def _nonzero(coeffs: dict) -> dict:
+    """coeffs, integer Laurent polynomials keyed by shape, without zero terms
+    or zero polynomials."""
+    return {lam: x for lam, p in coeffs.items() if (x := {e: c for e, c in p.items() if c})}
+
+
+def _laurent_map(coeffs: dict, row) -> dict:
+    """sum over lam of coeffs[lam] times row(lam), as symfunc.linear_map, with
+    every coefficient an integer Laurent polynomial {(q-exp, t-exp): int}."""
+    out: dict = {}
+    for lam, p in coeffs.items():
+        for key, r in row(lam).items():
+            acc = out.setdefault(key, {})
+            for (i, j), x in p.items():
+                for (k, l), y in r.items():
+                    e = (i + k, j + l)
+                    acc[e] = acc.get(e, 0) + x * y
+    return _nonzero(out)
+
+
+def _laurent_schur(coeffs: dict) -> SymFunc:
+    """The symmetric function with Schur coefficients coeffs, integer Laurent
+    polynomials, one QtRational each (qtfield.laurent)."""
+    return SymFunc._make("schur", {lam: laurent(p) for lam, p in coeffs.items()})
 
 
 @lru_cache(maxsize=None)
@@ -609,30 +649,31 @@ def op_C(a: int, P: SymFunc) -> SymFunc:
     """
     if a < 1:
         raise ValueError("op_C is defined here for a >= 1 only")
-    return SymFunc._make("schur", linear_map(P.convert("schur").coeffs, lambda lam: _c_row(a, lam)))
+    return SymFunc._make("schur", linear_map(P.convert("schur").coeffs, lambda lam: _c_row_qtr(a, lam)))
 
 
 @lru_cache(maxsize=None)
-def _c_row(a: int, lam: Partition) -> dict[Partition, QtRational]:
-    """{kappa: [s_kappa] C_a s_lam}: remove a horizontal j-strip, then a
-    vertical i-strip, then add a horizontal (a+i+j)-strip, with weight
-    (-1)^(a-1+i) q^(1-a-j); each coefficient an integer Laurent polynomial in q."""
-    terms: dict = {}  # kappa -> {q-exponent: integer}
+def _c_row_qtr(a: int, lam: Partition) -> dict[Partition, QtRational]:
+    """_c_row(a, lam) with one QtRational per coefficient, for op_C."""
+    return {kappa: laurent(p) for kappa, p in _c_row(a, lam).items()}
+
+
+@lru_cache(maxsize=None)
+def _c_row(a: int, lam: Partition) -> dict[Partition, dict]:
+    """{kappa: [s_kappa] C_a s_lam} as integer Laurent polynomials in q,
+    {(q-exp, 0): int}: remove a horizontal j-strip, then a vertical i-strip,
+    then add a horizontal (a+i+j)-strip, with weight (-1)^(a-1+i) q^(1-a-j)."""
+    terms: dict = {}  # kappa -> {(q-exponent, 0): integer}
     for j in range(sum(lam) + 1):
         for mu in remove_strip(lam, j):
             for i in range(sum(mu) + 1):
                 sign = -1 if (a - 1 + i) % 2 else 1
                 for nu in remove_strip(mu, i, vertical=True):
                     for kappa in add_strip(nu, a + i + j):
-                        laurent = terms.setdefault(kappa, {})
-                        laurent[1 - a - j] = laurent.get(1 - a - j, 0) + sign
-    row = {}
-    for kappa, laurent in terms.items():
-        low = min(laurent)
-        x = QtRational({(e - low, 0): c for e, c in laurent.items() if c}, {(-low, 0): 1})
-        if not x.is_zero():
-            row[kappa] = x
-    return row
+                        p = terms.setdefault(kappa, {})
+                        p[1 - a - j, 0] = p.get((1 - a - j, 0), 0) + sign
+    return _nonzero(terms)
+
 
 
 def op_B(a: int, P: SymFunc) -> SymFunc:
@@ -659,20 +700,24 @@ def op_B_star(a: int, P: SymFunc) -> SymFunc:
 
 def c_word(alpha: Composition) -> SymFunc:
     """C_{alpha_1} ... C_{alpha_l} applied to 1, right to left."""
-    return _c_word(tuple(alpha))
+    return _laurent_schur(_c_word(tuple(alpha)))
 
 
 @lru_cache(maxsize=None)
-def _c_word(alpha: Composition) -> SymFunc:
-    """C_{alpha_1} applied to the cached word of alpha[1:], so each suffix is
-    built once however many words share it."""
-    return op_C(alpha[0], _c_word(alpha[1:])) if alpha else SymFunc.one()
+def _c_word(alpha: Composition) -> dict:
+    """The Schur coefficients of C_alpha 1, integer Laurent polynomials in q:
+    C_{alpha_1} applied through its rows _c_row to the cached word of
+    alpha[1:], so each suffix is built once however many words share it."""
+    if not alpha:
+        return {(): {(0, 0): 1}}
+    return _laurent_map(_c_word(alpha[1:]), lambda lam: _c_row(alpha[0], lam))
 
 
 @lru_cache(maxsize=None)
-def _nabla_c_word(alpha: Composition) -> SymFunc:
-    """nabla C_alpha 1 in the Schur basis."""
-    return _nabla_schur(c_word(alpha), 1)
+def _nabla_c_word(alpha: Composition) -> dict:
+    """The Schur coefficients of nabla C_alpha 1, integer Laurent polynomials:
+    the word _c_word times the certified integer nabla rows (int_rows)."""
+    return _laurent_map(_c_word(alpha), build_htilde(sum(alpha)).int_rows.__getitem__)
 
 
 @lru_cache(maxsize=None)
@@ -702,18 +747,25 @@ def lhs_inner(alpha: Composition, a: int, b: int, c: int) -> QtRational:
 
 @lru_cache(maxsize=None)
 def _lhs_inner_cached(alpha: Composition, a: int, b: int, c: int) -> QtRational:
-    return _schur_pairing(_nabla_c_word(alpha).coeffs, _eh_schur(a, b, c))
+    return _schur_pairing(_nabla_c_word(alpha), _eh_schur(a, b, c))
 
 
 def _schur_pairing(f: dict, weights: dict) -> QtRational:
-    """sum over lam of f[lam] weights[lam], f and weights Schur coefficients:
-    their Hall pairing, as the Schur basis is orthonormal."""
-    total = QTR_ZERO
+    """sum over lam of f[lam] weights[lam], f integer Laurent polynomials and
+    weights integers, both Schur coefficients: their Hall pairing, as the
+    Schur basis is orthonormal.
+
+    The sum is taken in integers, so it is the pairing itself, an integer
+    Laurent polynomial p.  One division then makes it a QtRational
+    (qtfield.laurent): p q^low / q^low, with q^low the least power of q
+    (of t, if any were negative) that clears the negative exponents.  The
+    division is exact, as p q^low is an integer polynomial, and its result
+    is already reduced, so no _cancel runs per term or per sum."""
+    total: dict = {}
     for lam, k in weights.items():
-        x = f.get(lam)
-        if x is not None:
-            total = total + x * k
-    return total
+        for e, x in f.get(lam, {}).items():
+            total[e] = total.get(e, 0) + k * x
+    return laurent(total)
 
 
 # ---------------------------------------------------------------------------
@@ -762,7 +814,7 @@ def _framed_nabla_hee(a: int, b: int, c: int) -> SymFunc:
         return SymFunc.zero()
     n = a + b + c
     table, weights = build_htilde(n), _eh_schur(a, b, c)
-    coeffs = {nu: _schur_pairing(table.nabla_row(conjugate(nu), 1).coeffs, weights) for nu in partitions_of(n)}
+    coeffs = {nu: _schur_pairing(table.int_rows[conjugate(nu)], weights) for nu in partitions_of(n)}
     return SymFunc._make("schur", coeffs).to_power()
 
 

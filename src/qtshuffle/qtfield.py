@@ -788,6 +788,21 @@ def int_poly(r: QtRational, scale=1) -> dict | None:
     return out
 
 
+def laurent(p: dict) -> QtRational:
+    """The integer Laurent polynomial p {(q-exp, t-exp): int}, exponents of
+    either sign, as a QtRational: p q^a t^b over q^a t^b, with a and b the
+    least shifts that make every exponent nonnegative.
+
+    The fraction is already reduced: a monomial denominator has no factor but
+    q and t, and q (or t) divides no shifted numerator whose denominator
+    carries it, as its lowest q- (or t-) exponent is then 0.
+    """
+    keys = [key for key, c in p.items() if c]
+    a = max(0, -min((i for i, _ in keys), default=0))
+    b = max(0, -min((j for _, j in keys), default=0))
+    return QtRational._make({(i + a, j + b): p[i, j] for i, j in keys}, (1, a, b, (), None))
+
+
 def kronecker(p: dict, k: int, D: int) -> int:
     """The integer polynomial p at q = 2^k, t = 2^(kD).
 

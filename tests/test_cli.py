@@ -454,6 +454,79 @@ def test_fail_rows_name_the_first_difference(capsys, monkeypatch):
     assert err == [f"fail: {row[1]}: {row[5]}" for row in rows]
 
 
+@pytest.fixture
+def word_caches():
+    """The caches of the integer words and their pairings, emptied before and
+    after a test that plants a wrong row under them."""
+    import qtshuffle.macdonald as mac
+
+    caches = (mac._c_row, mac._c_row_qtr, mac._c_word, mac._nabla_c_word, mac._lhs_inner_cached)
+    for f in caches:
+        f.cache_clear()
+    yield
+    for f in caches:
+        f.cache_clear()
+
+
+def _planted_fails(capsys, deltas):
+    """Run verify main-theorem --n-max 3 with a planted wrong row: it must exit
+    1, and fail exactly the cases whose lhs the plant moved, each csv row naming
+    where lhs - rhs = delta first differs from zero.  deltas maps alpha to the
+    planted change of nabla C_alpha 1."""
+    from qtshuffle.macdonald import first_difference
+    from qtshuffle.qtfield import QTR_ZERO
+    from qtshuffle.symfunc import e_, h_, hall_inner
+
+    want = {}
+    for alpha, delta in deltas.items():
+        n = sum(alpha)
+        for a in range(n + 1):
+            for b in range(n + 1 - a):
+                c = n - a - b
+                x = hall_inner(delta, e_(a) * h_(b) * h_(c))
+                if not x.is_zero():
+                    alpha_s = ",".join(map(str, alpha))
+                    want[f"main-theorem[alpha=({alpha_s}),a={a},b={b},c={c}]"] = first_difference([(None, x, QTR_ZERO)])
+    assert want
+    out, err = _report_lines(capsys, ["verify", "main-theorem", "--n-max", "3", "--format", "csv"])
+    failed = {row[1]: row[5] for row in list(csv.reader(io.StringIO(out)))[1:] if row[3] != "pass"}
+    assert failed == want
+    assert err == [f"fail: {case}: {detail}" for case, detail in failed.items()]
+
+
+def test_a_planted_wrong_nabla_row_fails_its_cases(capsys, monkeypatch, word_caches):
+    import qtshuffle.macdonald as mac
+    from qtshuffle.macdonald import HTildeTable, build_htilde, c_word
+    from qtshuffle.qtfield import Q, T
+    from qtshuffle.symfunc import SymFunc
+
+    table = HTildeTable.from_json(build_htilde(3).to_json())
+    monkeypatch.setitem(mac._tables, 3, table)
+    row = table.int_rows[(2, 1)]  # certified here, then one coefficient is made wrong
+    row[(2, 1)] = {**row[(2, 1)], (1, 1): row[(2, 1)].get((1, 1), 0) + 1}
+    # nabla C_alpha 1 moves by [s_21] C_alpha 1 times q t s_21
+    deltas = {}
+    for alpha in ((3,), (2, 1), (1, 2), (1, 1, 1)):
+        x = c_word(alpha).coeffs.get((2, 1))
+        if x is not None:
+            deltas[alpha] = SymFunc("schur", {(2, 1): x * Q * T})
+    _planted_fails(capsys, deltas)
+
+
+def test_a_planted_wrong_c_row_fails_its_cases(capsys, word_caches):
+    import qtshuffle.macdonald as mac
+    from qtshuffle.macdonald import nabla, op_C
+    from qtshuffle.qtfield import Q
+    from qtshuffle.symfunc import s_
+
+    # C_1 s_1 gains q^-1 s_2, so C_(1,1) 1 gains q^-1 s_2, and C_(1,1,1) 1
+    # gains C_1 of that; no other word of degree <= 3 reads this row
+    deltas = {(1, 1): nabla(s_((2,))).scale(Q.inverse()), (1, 1, 1): nabla(op_C(1, s_((2,)))).scale(Q.inverse())}
+    entry = mac._c_row(1, (1,))[(2,)]
+    entry[-1, 0] += 1
+    _planted_fails(capsys, deltas)
+
+
 def test_first_difference_names_the_descent_set_and_the_half():
     from qtshuffle.macdonald import first_difference
     from qtshuffle.parking import rhs_quasisym

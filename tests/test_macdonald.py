@@ -7,7 +7,7 @@ from math import prod
 
 import pytest
 
-from qtshuffle.qtfield import Q, QTR_ONE, QTR_ZERO, QtRational, T, int_poly, kronecker, qtr, swap_qt
+from qtshuffle.qtfield import Q, QTR_ONE, QTR_ZERO, QtRational, T, int_poly, kronecker, laurent, qtr, swap_qt
 from qtshuffle.shapes import (
     capital_m,
     cell_stats,
@@ -473,7 +473,8 @@ def test_inverse_rows_make_one_guess_the_nabla_one(monkeypatch):
     monkeypatch.setattr(mac, "_packed_product", lambda *args: products.append(args) or product(*args))
     for lam in partitions_of(5):
         assert fresh.nabla_row(lam, -1) == table.nabla_row(lam, -1), lam
-    assert list(fresh.nabla_rows) == [1, -1]  # the sign +1 rows came first
+    # read off the certified integer rows, so no sign +1 SymFunc row is built
+    assert list(fresh.nabla_rows) == [-1]
     assert len(guesses) == len(products) == 1  # one guess and one certificate, for nabla
     for lam in partitions_of(5):
         assert fresh.nabla_row(lam, 1) == table.nabla_row(lam, 1), lam
@@ -762,6 +763,16 @@ def test_c_word_matches_the_extract_z_words():
         for alpha in compositions_of(n):
             got, want = c_word(alpha), _extract_z_c_word(alpha)
             assert _sym_canonical(got) == _sym_canonical(want), alpha
+
+
+def test_integer_nabla_words_match_the_extract_z_route():
+    # the Schur coefficients shuffle-qsym reads, against nabla of the
+    # power-sum words
+    for n in range(7):
+        for alpha in compositions_of(n):
+            got = {lam: laurent(p).canonical() for lam, p in mac._nabla_c_word(alpha).items()}
+            want = {lam: c.canonical() for lam, c in nabla(_extract_z_c_word(alpha)).convert("schur").coeffs.items()}
+            assert got == want, alpha
 
 
 def test_eh_schur_matches_the_basis_change():

@@ -169,6 +169,19 @@ def rationals(draw, allow_zero=True):
     return r
 
 
+def test_laurent_is_the_constructor_over_a_monomial():
+    # any integer Laurent polynomial, as the constructor reduces it over q^4 t^2
+    rng = random.Random(2601)
+    for _ in range(300):
+        p = {(rng.randint(-4, 3), rng.randint(-2, 3)): rng.randint(-3, 3) for _ in range(rng.randint(0, 5))}
+        want = QtRational({(i + 4, j + 2): c for (i, j), c in p.items()}, {(4, 2): 1})
+        got = qtfield.laurent(p)
+        assert got == want and got.canonical() == want.canonical() and hash(got) == hash(want), p
+    assert qtfield.laurent({(-2, 0): 3, (1, 0): -1}) == (3 - Q**3) / Q**2
+    assert qtfield.laurent({(-1, -1): 1, (0, 0): 0}) == QTR_ONE / (Q * T)
+    assert qtfield.laurent({(0, 0): 0}) == QTR_ZERO and qtfield.laurent({}).canonical() == QTR_ZERO.canonical()
+
+
 @settings(max_examples=40, deadline=None)
 @given(rationals(), rationals(), rationals())
 def test_field_axioms(a, b, c):
