@@ -29,36 +29,27 @@ Schur coefficients with the SymFunc rows of that sign (_nabla_schur).  A
 table converts K~ to power sums (HTildeTable.power) only when something
 first reads them.
 
-The registry's nabla(h_a^* e_b^* e_c^*) and its star-adjoints are computed in
-the frame S f = f[MX], where they are integer polynomials.  nabla is
-self-adjoint for the star product, so the s_nu coefficient of
-S nabla (h_a^* e_b^* e_c^*) is <nabla s_nu', e_a h_b h_c>, one _schur_pairing
-with the integer rows (_framed_nabla_hee); then C*_m or B*_m in the frame as
-one extract_z with a Laurent-polynomial shift and kernel, mapped back by one
-division per power-sum coefficient (_unframe).  op_C_star and op_B_star stay the
-usual-frame operators.
+Every creation operator is one cached Schur row per (a, lam) of integer
+Laurent polynomials in q, read off Pieri strips (_op_row): C_a, B_a and the
+commutator's shift.  A star-adjoint is the same rows transposed in the frame
+S f = f[MX], as S A* S^-1 = omega A^T omega (_star_rows).  op_C, op_B,
+op_C_star and op_B_star are each one linear map through them (_apply).  In
+the frame the registry's nabla(h_a^* e_b^* e_c^*) has the integer s_nu
+coefficients <nabla s_nu', e_a h_b h_c> (_framed_nabla_hee), and C*_m, B*_m
+of it are integer products with the transposed rows, mapped back by one
+division per power-sum coefficient (_unframe).
 
 lhs_inner(alpha, a, b, c) = <nabla C_alpha 1, e_a h_b h_c> stays in the Schur
-basis, which is orthonormal, and in integers until its one result: every
-Schur coefficient of C_alpha 1 is an integer Laurent polynomial in q
-(_c_word: C_{alpha_1} applied through the rows _c_row to the cached word of
-alpha[1:]), nabla C_alpha 1 is that word times the integer rows R, cached
-per composition as integer Laurent polynomials in q and t (_nabla_c_word),
-e_a h_b h_c per triple is integers read off Pieri strips (_eh_schur), and
-the pairing is their integer dot product, made one QtRational by one
-division by a monomial (_schur_pairing).  c_word and shuffle-qsym build one
-QtRational per Schur coefficient from the same integers (_laurent_schur).
-The rec-m and rec-1 identities apply shapes.recursion_rhs to lhs_inner; the
-parking side applies the same formula to its own counts.
-
-op_C never leaves the Schur basis: C_a is
-(-1/q)^(a-1) sum over i, j >= 0 of (-1)^i q^-j h_(a+i+j) e_i^perp h_j^perp,
-so C_a s_lam is read off Pieri strips (shapes.remove_strip, add_strip) as one
-cached row of integer Laurent polynomials in q per (a, lam), and op_C is one
-linear map through those rows, one QtRational per coefficient (_c_row_qtr).
-op_B and the star-adjoints op_C_star, op_B_star are each one symfunc.extract_z
-call with their own shift and Omega kernel, as is the a + b < 0 side of the
-commutator identity (with the empty kernel).
+basis, which is orthonormal, and in integers until its one result: C_alpha 1
+is C_{alpha_1} applied through its rows to the cached word of alpha[1:]
+(_c_word), nabla C_alpha 1 is that word times the integer rows R, cached
+per composition (_nabla_c_word), e_a h_b h_c per triple is integers read
+off Pieri strips (_eh_schur), and the pairing is their integer dot product
+(_schur_pairing), made one QtRational by one division by a monomial.
+c_word and shuffle-qsym build one QtRational per Schur coefficient from the
+same integers (_laurent_schur).  The rec-m and rec-1 identities apply
+shapes.recursion_rhs to lhs_inner; the parking side applies the same
+formula to its own counts.
 
 Lemma 3.1, Proposition 3.1 and Theorems 3.1-3.2 expand over the same corners:
 a sum over r <= a, s <= b, nu |- r+s of scalars times a block(nu) that depends
@@ -127,7 +118,6 @@ from .symfunc import (
     character,
     check_degree,
     e_,
-    extract_z,
     h_,
     hall_inner,
     linear_map,
@@ -637,80 +627,110 @@ def _pieri_sum(shape: Partition, direction: str, power: int) -> QtRational:
 
 
 def op_C(a: int, P: SymFunc) -> SymFunc:
-    """C_a P = (-1/q)^(a-1) P[X - (1-1/q)/z] Omega[zX] |_(z^a); raises the degree by a >= 1.
-
-    P[X - 1/z + 1/(qz)] = sum over i, j >= 0 of (-1/z)^i (1/(qz))^j e_i^perp h_j^perp P,
-    as f[X - u] = sum (-u)^i e_i^perp f and f[X + u] = sum u^j h_j^perp f for
-    one letter u, and Omega[zX] = sum z^m h_m.  The power z^a pairs (i, j)
-    with m = a + i + j, so
-        C_a = (-1/q)^(a-1) sum over i, j of (-1)^i q^-j h_(a+i+j) e_i^perp h_j^perp,
-    read off the Pieri strips in the Schur basis: one cached row per (a, lam)
-    (_c_row), and op_C is one linear map of P's Schur coefficients.
-    """
-    if a < 1:
-        raise ValueError("op_C is defined here for a >= 1 only")
-    return SymFunc._make("schur", linear_map(P.convert("schur").coeffs, lambda lam: _c_row_qtr(a, lam)))
-
-
-@lru_cache(maxsize=None)
-def _c_row_qtr(a: int, lam: Partition) -> dict[Partition, QtRational]:
-    """_c_row(a, lam) with one QtRational per coefficient, for op_C."""
-    return {kappa: laurent(p) for kappa, p in _c_row(a, lam).items()}
-
-
-@lru_cache(maxsize=None)
-def _c_row(a: int, lam: Partition) -> dict[Partition, dict]:
-    """{kappa: [s_kappa] C_a s_lam} as integer Laurent polynomials in q,
-    {(q-exp, 0): int}: remove a horizontal j-strip, then a vertical i-strip,
-    then add a horizontal (a+i+j)-strip, with weight (-1)^(a-1+i) q^(1-a-j)."""
-    terms: dict = {}  # kappa -> {(q-exponent, 0): integer}
-    for j in range(sum(lam) + 1):
-        for mu in remove_strip(lam, j):
-            for i in range(sum(mu) + 1):
-                sign = -1 if (a - 1 + i) % 2 else 1
-                for nu in remove_strip(mu, i, vertical=True):
-                    for kappa in add_strip(nu, a + i + j):
-                        p = terms.setdefault(kappa, {})
-                        p[1 - a - j, 0] = p.get((1 - a - j, 0), 0) + sign
-    return _nonzero(terms)
-
+    """C_a P = (-1/q)^(a-1) P[X - (1-1/q)/z] Omega[zX] |_(z^a); raises the degree by a >= 1."""
+    return _apply("C", a, P)
 
 
 def op_B(a: int, P: SymFunc) -> SymFunc:
     """B_a P = P[X + eps(1-q)/z] Omega[-eps zX] |_(z^a); a may be zero or negative."""
-    shift = Alphabet.X() + Alphabet.scalar(1 - Q, eps=True)
-    return extract_z(P, shift, -Alphabet.X(eps=True), a)
+    return _apply("B", a, P)
 
 
 def op_C_star(a: int, P: SymFunc) -> SymFunc:
     """Star-adjoint of op_C, (-1/q)^(a-1) P[X - eps M/z] Omega[-eps zX/(q(1-t))] |_(z^-a);
     lowers the degree by a >= 1."""
-    if a < 1:
-        raise ValueError("op_C_star is defined here for a >= 1 only")
-    shift = Alphabet.X() - Alphabet.scalar(capital_m(), eps=True)
-    kernel = Alphabet.X(-(Q * (1 - T)).inverse(), eps=True)
-    return extract_z(P, shift, kernel, -a).scale((-Q.inverse()) ** (a - 1))
+    return _apply("C", a, P, star=True)
 
 
 def op_B_star(a: int, P: SymFunc) -> SymFunc:
     """Star-adjoint of op_B, P[X + M/z] Omega[-zX/(1-t)] |_(z^-a)."""
-    shift = Alphabet.X() + Alphabet.scalar(capital_m())
-    return extract_z(P, shift, Alphabet.X(-(1 - T).inverse()), -a)
+    return _apply("B", a, P, star=True)
+
+
+# kind -> ((i, j) -> (exponents of -1 and of q), whether the added strip is vertical,
+# None for the shift, whose kernel is empty, so it adds no strip):
+#   C_a = (-1/q)^(a-1) sum (-1)^i q^-j h_(a+i+j) e_i^perp h_j^perp, from Omega[zX] = sum z^m h_m;
+#   B_a = sum (-1)^j q^i e_(a+i+j) e_i^perp h_j^perp, from Omega[-eps zX] = sum z^m e_m;
+#   the commutator's P[X + (1/q - q)/z] |_(z^a) = sum over i + j = -a of (-1)^i q^(i-j) e_i^perp h_j^perp P,
+# as f[X + u] = sum u^j h_j^perp f, f[X - u] = sum (-u)^i e_i^perp f for one letter u, and
+# f[X + eps u], f[X - eps u] are the same sums with (-u)^j and u^i.
+_OPERATORS = {
+    "C": (lambda a, i, j: (a - 1 + i, 1 - a - j), False),
+    "B": (lambda a, i, j: (j, i), True),
+    "shift": (lambda a, i, j: (i, i - j), None),
+}
+
+
+@lru_cache(maxsize=None)
+def _op_row(kind: str, a: int, lam: Partition) -> dict[Partition, dict]:
+    """{kappa: [s_kappa] A s_lam}, A the operator kind at a (_OPERATORS), as
+    integer Laurent polynomials in q, {(q-exp, 0): int}: remove a horizontal
+    j-strip, then a vertical i-strip, then add an (a+i+j)-strip (none for the
+    shift, which keeps only a+i+j = 0)."""
+    weight, vertical = _OPERATORS[kind]
+    terms: dict = {}  # kappa -> {(q-exponent, 0): integer}
+    for j in range(sum(lam) + 1):
+        for mu in remove_strip(lam, j):
+            for i in range(sum(mu) + 1):
+                m = a + i + j
+                if m < 0 or (vertical is None and m):
+                    continue
+                sign, e = weight(a, i, j)
+                for nu in remove_strip(mu, i, vertical=True):
+                    for kappa in add_strip(nu, m, bool(vertical)):
+                        p = terms.setdefault(kappa, {})
+                        p[e, 0] = p.get((e, 0), 0) + _sign(sign)
+    return _nonzero(terms)
+
+
+@lru_cache(maxsize=None)
+def _star_rows(kind: str, a: int, n: int) -> dict[Partition, dict]:
+    """{nu: {kappa: [s_kappa] S A* S^-1 s_nu}} over nu |- n, A = C_a or B_a
+    and S f = f[MX]: as <f, g>_* = <f, omega S g> (Hall) and omega, S commute,
+    S A* S^-1 = omega A^T omega, so the entry is [s_nu'] A s_kappa', read off
+    the rows _op_row of the kappa |- n - a."""
+    rows: dict = {}
+    for kappa in partitions_of(n - a):
+        for nu, p in _op_row(kind, a, conjugate(kappa)).items():
+            rows.setdefault(conjugate(nu), {})[kappa] = p
+    return rows
+
+
+@lru_cache(maxsize=None)
+def _qtr_row(kind: str, a: int, lam: Partition, star: bool) -> dict[Partition, QtRational]:
+    """The row of lam in _op_row, or in _star_rows when star, with one
+    QtRational per coefficient."""
+    row = _star_rows(kind, a, sum(lam)).get(lam, {}) if star else _op_row(kind, a, lam)
+    return {kappa: laurent(p) for kappa, p in row.items()}
+
+
+def _apply(kind: str, a: int, P: SymFunc, star: bool = False) -> SymFunc:
+    """A P, A the operator kind at a, as one linear map of P's Schur
+    coefficients through its rows; when star, A* P = S^-1 (omega A^T omega) S P
+    through the transposed rows.  An output above the degree cap is refused."""
+    if kind == "C" and a < 1:
+        raise ValueError("op_C and op_C_star are defined here for a >= 1 only")
+    check_degree(P.max_degree() + (-a if star else a))
+    if star:
+        P = plethysm(P, Alphabet.X(capital_m()))
+    out = SymFunc._make("schur", linear_map(P.convert("schur").coeffs, lambda lam: _qtr_row(kind, a, lam, star)))
+    return _unframe(out) if star else out
 
 
 def c_word(alpha: Composition) -> SymFunc:
     """C_{alpha_1} ... C_{alpha_l} applied to 1, right to left."""
+    check_degree(sum(alpha))
     return _laurent_schur(_c_word(tuple(alpha)))
 
 
 @lru_cache(maxsize=None)
 def _c_word(alpha: Composition) -> dict:
     """The Schur coefficients of C_alpha 1, integer Laurent polynomials in q:
-    C_{alpha_1} applied through its rows _c_row to the cached word of
+    C_{alpha_1} applied through its rows _op_row to the cached word of
     alpha[1:], so each suffix is built once however many words share it."""
     if not alpha:
         return {(): {(0, 0): 1}}
-    return _laurent_map(_c_word(alpha[1:]), lambda lam: _c_row(alpha[0], lam))
+    return _laurent_map(_c_word(alpha[1:]), lambda lam: _op_row("C", alpha[0], lam))
 
 
 @lru_cache(maxsize=None)
@@ -747,25 +767,20 @@ def lhs_inner(alpha: Composition, a: int, b: int, c: int) -> QtRational:
 
 @lru_cache(maxsize=None)
 def _lhs_inner_cached(alpha: Composition, a: int, b: int, c: int) -> QtRational:
-    return _schur_pairing(_nabla_c_word(alpha), _eh_schur(a, b, c))
+    """The integer pairing made one QtRational by one exact division by a
+    monomial (qtfield.laurent), already reduced: no _cancel runs per term."""
+    return laurent(_schur_pairing(_nabla_c_word(alpha), _eh_schur(a, b, c)))
 
 
-def _schur_pairing(f: dict, weights: dict) -> QtRational:
+def _schur_pairing(f: dict, weights: dict) -> dict:
     """sum over lam of f[lam] weights[lam], f integer Laurent polynomials and
     weights integers, both Schur coefficients: their Hall pairing, as the
-    Schur basis is orthonormal.
-
-    The sum is taken in integers, so it is the pairing itself, an integer
-    Laurent polynomial p.  One division then makes it a QtRational
-    (qtfield.laurent): p q^low / q^low, with q^low the least power of q
-    (of t, if any were negative) that clears the negative exponents.  The
-    division is exact, as p q^low is an integer polynomial, and its result
-    is already reduced, so no _cancel runs per term or per sum."""
+    Schur basis is orthonormal, an integer Laurent polynomial."""
     total: dict = {}
     for lam, k in weights.items():
         for e, x in f.get(lam, {}).items():
             total[e] = total.get(e, 0) + k * x
-    return laurent(total)
+    return {e: x for e, x in total.items() if x}
 
 
 # ---------------------------------------------------------------------------
@@ -801,9 +816,9 @@ def _unframe(f: SymFunc) -> SymFunc:
 
 
 @lru_cache(maxsize=None)
-def _framed_nabla_hee(a: int, b: int, c: int) -> SymFunc:
-    """S nabla (h_a^* e_b^* e_c^*), S f = f[MX], in power sums: its s_nu
-    coefficient is the integer polynomial <nabla s_nu', e_a h_b h_c>.
+def _framed_nabla_hee(a: int, b: int, c: int) -> dict:
+    """The Schur coefficients of S nabla (h_a^* e_b^* e_c^*), S f = f[MX]: its
+    s_nu coefficient is the integer polynomial <nabla s_nu', e_a h_b h_c>.
 
     S(h_a^* e_b^* e_c^*) = h_a e_b e_c, whose Schur coefficients are those of
     e_a h_b h_c at the conjugate shapes, and S nabla S^-1 has the rows
@@ -811,39 +826,26 @@ def _framed_nabla_hee(a: int, b: int, c: int) -> SymFunc:
     Gram matrix, J the conjugation permutation), R G_n is symmetric, as nabla
     is self-adjoint for the star product."""
     if min(a, b, c) < 0:
-        return SymFunc.zero()
+        return {}
     n = a + b + c
     table, weights = build_htilde(n), _eh_schur(a, b, c)
-    coeffs = {nu: _schur_pairing(table.int_rows[conjugate(nu)], weights) for nu in partitions_of(n)}
-    return SymFunc._make("schur", coeffs).to_power()
+    return _nonzero({nu: _schur_pairing(table.int_rows[conjugate(nu)], weights) for nu in partitions_of(n)})
 
 
 @lru_cache(maxsize=None)
 def _nabla_hee(a: int, b: int, c: int) -> SymFunc:
     """nabla (h_a^* e_b^* e_c^*), unframed."""
-    return _unframe(_framed_nabla_hee(a, b, c))
-
-
-# The star-adjoints in the frame, S C*_m S^-1 and S B*_a S^-1: the shift and
-# kernel of op_C_star and op_B_star under X -> MX, where M/(1-t) = 1-q, so
-#   S C*_m P = (-1/q)^(m-1) (SP)[X - eps/z] Omega[-eps z X (1-q)/q] |_(z^-m),
-#   S B*_a P = (SP)[X + 1/z] Omega[-z X (1-q)] |_(z^-a).
-_FRAMED_STAR = {
-    "C": (Alphabet.X() - Alphabet.scalar(1, eps=True), Alphabet.X(1 - Q.inverse(), eps=True)),
-    "B": (Alphabet.X() + Alphabet.scalar(1), Alphabet.X(Q - 1)),
-}
+    return _unframe(_laurent_schur(_framed_nabla_hee(a, b, c)))
 
 
 @lru_cache(maxsize=None)
 def _adjoint_nabla_hee(kind: str, m: int, a: int, b: int, c: int) -> SymFunc:
     """C*_m (kind "C") or B*_m (kind "B") of nabla (h_a^* e_b^* e_c^*): the
-    framed adjoint of the framed nabla, unframed once; equal to op_C_star or
+    framed nabla times the transposed rows S A* S^-1 (_star_rows), in
+    integer Laurent polynomials, unframed once; equal to op_C_star or
     op_B_star of _nabla_hee(a, b, c)."""
-    shift, kernel = _FRAMED_STAR[kind]
-    framed = extract_z(_framed_nabla_hee(a, b, c), shift, kernel, -m)
-    if kind == "C":
-        framed = framed.scale((-Q.inverse()) ** (m - 1))
-    return _unframe(framed)
+    rows = _star_rows(kind, m, a + b + c)
+    return _unframe(_laurent_schur(_laurent_map(_framed_nabla_hee(a, b, c), lambda nu: rows.get(nu, {}))))
 
 
 def _sign(k: int) -> int:
@@ -1077,8 +1079,7 @@ def _check_commutator(a: int, b: int, P: SymFunc, tag: str) -> IdentityReport:
     elif a + b == 0:
         rhs = P.scale(pref)
     else:
-        shift = Alphabet.X() + Alphabet.scalar(Q.inverse() - Q)
-        rhs = extract_z(P, shift, Alphabet(), a + b).scale(pref)
+        rhs = _apply("shift", a + b, P).scale(pref)
     return _report("commutator", {"a": a, "b": b, "P": tag}, lhs, rhs)
 
 

@@ -13,10 +13,9 @@ fundamental expansion are the descent sets of standard tableaux, counted by
 shapes.count_fillings.  omega_series is sum h_m[K] and plethysm_eval the
 constant term of a plethysm, both through plethysm.
 
-Coefficients are QtRational.  The creation operators' [z^a] P[X + S/z] Omega[zK]
-(extract_z) needs no variable z: the power of z each term carries is fixed by
-its degree, so extract_z pairs homogeneous components of P[X + S] and of
-omega_series(K) by degree.
+Coefficients are QtRational.  extract_z, [z^a] P[X + S/z] Omega[zK] by
+degree, writes the creation operators plethystically: it is the tests'
+reference for macdonald's Pieri-strip rows.
 """
 
 from __future__ import annotations
@@ -544,7 +543,7 @@ def omega_series(A: Alphabet, maxdeg: int) -> SymFunc:
 
 @lru_cache(maxsize=None)
 def _omega_series(terms: tuple, maxdeg: int) -> SymFunc:
-    """omega_series, cached per kernel: the operators use only a handful."""
+    """omega_series, cached per kernel."""
     A = Alphabet(terms)
     out = SymFunc.zero()
     for m in range(maxdeg + 1):

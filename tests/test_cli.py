@@ -140,7 +140,8 @@ def test_verify_above_degree_cap_is_a_usage_error(tmp_path, capsys):
 
 
 # installs the benchmark's tracer, runs one call of each traced operator and
-# prints the names of the recorded spans
+# one of symfunc.extract_z (which no operator calls), and prints the names of
+# the recorded spans
 TRACED_OPERATORS = """
 import json
 from tracing import Tracer
@@ -151,6 +152,8 @@ from qtshuffle.symfunc import p_
 mac.op_C(1, p_((1,)))
 mac.op_C_star(1, p_((2,)))
 mac.op_B_star(1, p_((2,)))
+import qtshuffle.symfunc as symfunc
+symfunc.extract_z(p_((2,)), symfunc.Alphabet.X(), symfunc.Alphabet.X(), 1)
 print(json.dumps(sorted({span[0] for log in tracer._logs for span in log.spans})))
 """
 
@@ -460,7 +463,7 @@ def word_caches():
     after a test that plants a wrong row under them."""
     import qtshuffle.macdonald as mac
 
-    caches = (mac._c_row, mac._c_row_qtr, mac._c_word, mac._nabla_c_word, mac._lhs_inner_cached)
+    caches = (mac._op_row, mac._star_rows, mac._qtr_row, mac._c_word, mac._nabla_c_word, mac._lhs_inner_cached)
     for f in caches:
         f.cache_clear()
     yield
@@ -522,7 +525,7 @@ def test_a_planted_wrong_c_row_fails_its_cases(capsys, word_caches):
     # C_1 s_1 gains q^-1 s_2, so C_(1,1) 1 gains q^-1 s_2, and C_(1,1,1) 1
     # gains C_1 of that; no other word of degree <= 3 reads this row
     deltas = {(1, 1): nabla(s_((2,))).scale(Q.inverse()), (1, 1, 1): nabla(op_C(1, s_((2,)))).scale(Q.inverse())}
-    entry = mac._c_row(1, (1,))[(2,)]
+    entry = mac._op_row("C", 1, (1,))[(2,)]
     entry[-1, 0] += 1
     _planted_fails(capsys, deltas)
 

@@ -34,6 +34,7 @@ from qtshuffle.symfunc import (
 )
 from qtshuffle.cli import _operator_probes
 import qtshuffle.macdonald as mac
+import qtshuffle.symfunc as sf
 from qtshuffle.macdonald import (
     HTildeTable,
     TableInvariantError,
@@ -582,7 +583,7 @@ def _triples(n):
 def test_frame_rows_match_the_usual_route(n):
     # S nabla (h_a^* e_b^* e_c^*) against the usual plethysms, h_a^* = h_a[X/M]
     for a, b, c in _triples(n):
-        got = mac._framed_nabla_hee(a, b, c)
+        got = mac._laurent_schur(mac._framed_nabla_hee(a, b, c))
         assert all(x.is_polynomial() for x in got.coeffs.values()), (a, b, c)
         assert got == _frame(_usual_nabla_hee(a, b, c)), (a, b, c)
 
@@ -616,7 +617,7 @@ def test_frame_rows_are_the_nabla_rows_conjugated_by_s(n):
     for a, b, c in _triples(n)[::3]:
         weights = (h_(a) * e_(b) * e_(c)).convert("schur").coeffs
         got = sum((SymFunc("schur", rows[lam]).scale(x) for lam, x in weights.items()), SymFunc.zero())
-        assert got == mac._framed_nabla_hee(a, b, c), (a, b, c)
+        assert got == mac._laurent_schur(mac._framed_nabla_hee(a, b, c)), (a, b, c)
 
 
 def test_frame_matrix_is_the_star_gram_with_conjugate_columns():
@@ -647,13 +648,13 @@ def _registry_hee_calls(sizes):
 def test_framed_registry_sides_match_the_usual_route():
     # every star-adjoint and bare nabla of h_a^* e_b^* e_c^* the registry
     # reads at n <= 4, B* with m <= 0 and the zero sides min(a, b, c) < 0
-    # among them, against nabla, op_C_star and op_B_star in the usual frame
+    # among them, against nabla and the plethystic star-adjoints in the usual frame
     stars, bare = _registry_hee_calls(range(1, 5))
     assert any(m <= 0 for kind, m, *_ in stars if kind == "B")
     assert any(min(abc) < 0 for abc in bare)
     for a, b, c in bare:
         assert mac._nabla_hee(a, b, c) == _usual_nabla_hee(a, b, c), (a, b, c)
-    adjoints = {"C": op_C_star, "B": op_B_star}
+    adjoints = {"C": _extract_z_op_C_star, "B": _extract_z_op_B_star}
     for kind, m, a, b, c in stars:
         want = adjoints[kind](m, _usual_nabla_hee(a, b, c))
         assert mac._adjoint_nabla_hee(kind, m, a, b, c) == want, (kind, m, a, b, c)
@@ -663,7 +664,7 @@ def test_framed_registry_sides_match_the_usual_route_at_degree_five():
     stars, bare = _registry_hee_calls([5])
     sample = stars[::8]  # a fixed sample of both kinds, B* with m <= 0 among them
     assert {kind for kind, *_ in sample} == {"B", "C"} and any(m <= 0 for _, m, *_ in sample)
-    adjoints = {"C": op_C_star, "B": op_B_star}
+    adjoints = {"C": _extract_z_op_C_star, "B": _extract_z_op_B_star}
     for kind, m, a, b, c in sample:
         want = adjoints[kind](m, _usual_nabla_hee(a, b, c))
         assert mac._adjoint_nabla_hee(kind, m, a, b, c) == want, (kind, m, a, b, c)
@@ -728,12 +729,57 @@ def test_pieri_directions_agree():
 # -- creation operators -------------------------------------------------------------
 
 
+# The creation operators and star-adjoints by plethysm in power sums, each one
+# symfunc.extract_z: the references for the Pieri-strip rows and their
+# transposes.  They look extract_z up on the symfunc module, so a test that
+# patches it there patches them too.
+
+
 def _extract_z_op_C(a, P):
-    """C_a P = (-1/q)^(a-1) P[X - (1-1/q)/z] Omega[zX] |_(z^a) by plethysm in
-    power sums: the reference for the Pieri-strip op_C.  It looks extract_z up
-    on the macdonald module, so a test that patches it there patches this too."""
+    """C_a P = (-1/q)^(a-1) P[X - (1-1/q)/z] Omega[zX] |_(z^a)."""
     shift = Alphabet.X() + Alphabet.scalar(Q.inverse() - 1)
-    return mac.extract_z(P, shift, Alphabet.X(), a).scale((-Q.inverse()) ** (a - 1))
+    return sf.extract_z(P, shift, Alphabet.X(), a).scale((-Q.inverse()) ** (a - 1))
+
+
+def _extract_z_op_B(a, P):
+    """B_a P = P[X + eps(1-q)/z] Omega[-eps zX] |_(z^a)."""
+    shift = Alphabet.X() + Alphabet.scalar(1 - Q, eps=True)
+    return sf.extract_z(P, shift, -Alphabet.X(eps=True), a)
+
+
+def _extract_z_op_C_star(a, P):
+    """C*_a P = (-1/q)^(a-1) P[X - eps M/z] Omega[-eps zX/(q(1-t))] |_(z^-a)."""
+    shift = Alphabet.X() - Alphabet.scalar(M, eps=True)
+    kernel = Alphabet.X(-(Q * (1 - T)).inverse(), eps=True)
+    return sf.extract_z(P, shift, kernel, -a).scale((-Q.inverse()) ** (a - 1))
+
+
+def _extract_z_op_B_star(a, P):
+    """B*_a P = P[X + M/z] Omega[-zX/(1-t)] |_(z^-a)."""
+    shift = Alphabet.X() + Alphabet.scalar(M)
+    return sf.extract_z(P, shift, Alphabet.X(-(1 - T).inverse()), -a)
+
+
+def _extract_z_shift(a, P):
+    """The commutator's P[X + (1/q - q)/z] |_(z^a), with the empty kernel."""
+    return sf.extract_z(P, Alphabet.X() + Alphabet.scalar(Q.inverse() - Q), Alphabet(), a)
+
+
+# The star-adjoints in the frame, S C*_m S^-1 and S B*_a S^-1: the shift and
+# kernel of C* and B* under X -> MX, where M/(1-t) = 1-q, so
+#   S C*_m P = (-1/q)^(m-1) (SP)[X - eps/z] Omega[-eps z X (1-q)/q] |_(z^-m),
+#   S B*_a P = (SP)[X + 1/z] Omega[-z X (1-q)] |_(z^-a).
+_FRAMED_STAR = {
+    "C": (Alphabet.X() - Alphabet.scalar(1, eps=True), Alphabet.X(1 - Q.inverse(), eps=True)),
+    "B": (Alphabet.X() + Alphabet.scalar(1), Alphabet.X(Q - 1)),
+}
+
+
+def _extract_z_framed_star(kind, m, P):
+    """S C*_m S^-1 P (kind "C") or S B*_m S^-1 P (kind "B") by _FRAMED_STAR."""
+    shift, kernel = _FRAMED_STAR[kind]
+    out = sf.extract_z(P, shift, kernel, -m)
+    return out.scale((-Q.inverse()) ** (m - 1)) if kind == "C" else out
 
 
 @lru_cache(maxsize=None)
@@ -747,6 +793,43 @@ def test_op_c_strips_match_extract_z_on_schur_functions():
         for lam in partitions_of(n):
             for a in range(1, 5):
                 assert op_C(a, s_(lam)) == _extract_z_op_C(a, s_(lam)), (a, lam)
+
+
+def test_strip_operators_match_extract_z_on_schur_functions():
+    # B, B* and the shift at a in -3..3, C* at a in 1..4, and the transposed
+    # rows S A* S^-1 in the frame, on every s_lam with |lam| <= 5
+    framed = lambda kind, a, lam: mac._laurent_schur(mac._star_rows(kind, a, sum(lam)).get(lam, {}))
+    for n in range(6):
+        for lam in partitions_of(n):
+            s = s_(lam)
+            for a in range(-3, 4):
+                assert op_B(a, s) == _extract_z_op_B(a, s), (a, lam)
+                assert op_B_star(a, s) == _extract_z_op_B_star(a, s), (a, lam)
+                assert mac._apply("shift", a, s) == _extract_z_shift(a, s), (a, lam)
+                assert framed("B", a, lam) == _extract_z_framed_star("B", a, s), (a, lam)
+            for a in range(1, 5):
+                assert op_C_star(a, s) == _extract_z_op_C_star(a, s), (a, lam)
+                assert framed("C", a, lam) == _extract_z_framed_star("C", a, s), (a, lam)
+
+
+def test_operators_refuse_an_output_above_the_degree_cap():
+    one, cap = SymFunc.one(), "degree 13 exceeds the configured cap 12"
+    calls = [
+        lambda: op_C(13, one),
+        lambda: op_C(1, p_((12,))),
+        lambda: c_word((13,)),
+        lambda: c_word((1,) * 13),
+        lambda: op_B(13, one),
+        lambda: op_B(1, p_((12,))),
+        lambda: op_C_star(1, p_((14,))),
+        lambda: op_B_star(-13, one),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=cap):
+            call()
+    # the cap itself is allowed (Schur coefficients: no degree-12 basis change)
+    assert op_C(12, one).coeffs == c_word((12,)).coeffs == {(12,): (-Q.inverse()) ** 11}
+    assert op_B(12, one).coeffs == {(1,) * 12: QTR_ONE}
 
 
 def test_op_c_strips_match_extract_z_on_the_operator_probes():
@@ -877,14 +960,15 @@ def _uncapped_extract_z(P, shift, kernel, a):
 
 
 def test_degree_capped_extract_z_matches_the_whole_plethysm(monkeypatch):
+    # on the plethystic references, extract_z's callers
     probes = [P for _, P in _operator_probes(4)] + [p_((2,)) + p_((1,)) + SymFunc.one()]
-    calls = [(_extract_z_op_C, a) for a in (1, 2)] + [(op_C_star, a) for a in (1, 2, 3)]
-    calls += [(op_B, a) for a in (-4, -3, -2, -1, 0, 1)] + [(op_B_star, a) for a in (-1, 0, 1, 2)]
+    calls = [(_extract_z_op_C, a) for a in (1, 2)] + [(_extract_z_op_C_star, a) for a in (1, 2, 3)]
+    calls += [(_extract_z_op_B, a) for a in (-4, -3, -2, -1, 0, 1)]
+    calls += [(_extract_z_op_B_star, a) for a in (-1, 0, 1, 2)] + [(_extract_z_shift, a) for a in (-2, -1)]
+    calls += [(lambda a, P, kind=kind: _extract_z_framed_star(kind, a, P), a) for kind in "BC" for a in (1, 2)]
     capped = [op(a, P) for op, a in calls for P in probes]
-    commutator = [check_identity("commutator", a=-3, b=b, P=P, tag="").rhs for b in (1, 2) for P in probes]
-    monkeypatch.setattr(mac, "extract_z", _uncapped_extract_z)
+    monkeypatch.setattr(sf, "extract_z", _uncapped_extract_z)
     assert capped == [op(a, P) for op, a in calls for P in probes]
-    assert commutator == [check_identity("commutator", a=-3, b=b, P=P, tag="").rhs for b in (1, 2) for P in probes]
 
 
 def test_adjoint_degree_bookkeeping():
