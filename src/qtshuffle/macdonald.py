@@ -45,7 +45,9 @@ is C_{alpha_1} applied through its rows to the cached word of alpha[1:]
 (_c_word), nabla C_alpha 1 is that word times the integer rows R, cached
 per composition (_nabla_c_word), e_a h_b h_c per triple is integers read
 off Pieri strips (_eh_schur), and the pairing is their integer dot product
-(_schur_pairing), made one QtRational by one division by a monomial.
+(_schur_pairing), made one QtRational by one division by a monomial;
+lhs_inner_terms is that pairing before the division, on which the main grid
+decides a pass.
 c_word and shuffle-qsym build one QtRational per Schur coefficient from the
 same integers (_laurent_schur).  The rec-m and rec-1 identities apply
 shapes.recursion_rhs to lhs_inner; the parking side applies the same
@@ -723,6 +725,12 @@ def c_word(alpha: Composition) -> SymFunc:
     return _laurent_schur(_c_word(tuple(alpha)))
 
 
+def nabla_c_word(alpha: Composition) -> SymFunc:
+    """nabla C_alpha 1, read off the cached integer word _nabla_c_word."""
+    check_degree(sum(alpha))
+    return _laurent_schur(_nabla_c_word(tuple(alpha)))
+
+
 @lru_cache(maxsize=None)
 def _c_word(alpha: Composition) -> dict:
     """The Schur coefficients of C_alpha 1, integer Laurent polynomials in q:
@@ -769,7 +777,17 @@ def lhs_inner(alpha: Composition, a: int, b: int, c: int) -> QtRational:
 def _lhs_inner_cached(alpha: Composition, a: int, b: int, c: int) -> QtRational:
     """The integer pairing made one QtRational by one exact division by a
     monomial (qtfield.laurent), already reduced: no _cancel runs per term."""
-    return laurent(_schur_pairing(_nabla_c_word(alpha), _eh_schur(a, b, c)))
+    return laurent(lhs_inner_terms(alpha, a, b, c))
+
+
+def lhs_inner_terms(alpha: Composition, a: int, b: int, c: int) -> dict:
+    """lhs_inner(alpha, a, b, c) as the integer Laurent polynomial
+    {(q-exp, t-exp): int} it is read off, without zero terms: the pairing of
+    the cached word _nabla_c_word with e_a h_b h_c, uncached."""
+    alpha = tuple(alpha)
+    if not check_abc(alpha, a, b, c):
+        return {}
+    return _schur_pairing(_nabla_c_word(alpha), _eh_schur(a, b, c))
 
 
 def _schur_pairing(f: dict, weights: dict) -> dict:

@@ -8,8 +8,12 @@ The index (_ides_index) counts (iDes, dinv, area) over the car fillings of
 each diagonal vector with shapes.count_fillings, the counter that also
 builds the HHL table; it builds no ParkingFunction.  pi_poly reads a row
 per composition (_pi_row), summed for every (a, b) in one pass over the
-index's buckets.  enumerate_by_comp,
-enumerate_family and _compute_stats stay the independent per-object route.
+buckets of a pruned index: the same DP, told to drop each iDes mask with two
+or more elements above its first gap as the mask forms (_dead_masks), since
+no (a, b) reads those buckets.  That leaves O(n^2) masks of the 2^(n-1).
+The full _ides_index stays for rhs_quasisym and as the oracle of the rows.
+enumerate_by_comp, enumerate_family and _compute_stats stay the independent
+per-object route.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, product
 
-from .qtfield import QTR_ZERO, QtRational
+from .qtfield import QTR_ZERO, QtRational, laurent
 from .shapes import Composition, check_abc, check_composition, count_fillings, recursion_rhs
 
 __all__ = [
@@ -277,7 +281,11 @@ def _ides_index(alpha: Composition) -> dict:
     building a ParkingFunction.  enumerate_by_comp with _compute_stats stays
     the independent route.
     """
-    check_composition(alpha)
+    return _index(check_composition(alpha), frozenset())
+
+
+def _index(alpha: Composition, dead: frozenset) -> dict:
+    """The buckets of _ides_index whose iDes mask is not in dead."""
     index: dict = {}
     for diags in _diag_vectors(alpha):
         n = len(diags)
@@ -286,10 +294,26 @@ def _ides_index(alpha: Composition) -> dict:
         gain += [(i, j, 1, 0) for j in range(n) for i in range(j) if diags[i] == diags[j] + 1]
         needs = [1 << (j - 1) if j and diags[j] == diags[j - 1] + 1 else 0 for j in range(n)]
         area = sum(diags)
-        for (ides, dinv, _), count in count_fillings(rank, gain, needs).items():
+        for (ides, dinv, _), count in count_fillings(rank, gain, needs, dead).items():
             bucket = index.setdefault(ides, {})
             bucket[dinv, area] = bucket.get((dinv, area), 0) + count
     return index
+
+
+@lru_cache(maxsize=None)
+def _dead_masks(n: int) -> frozenset:
+    """The iDes masks of the words of 1..n (bit i for i in iDes) with two or
+    more elements above g, the least i >= 1 not in them: no (a, b) reads
+    their buckets (_pi_row).  Setting a bit above the highest keeps a mask
+    dead, as count_fillings needs."""
+    dead = set()
+    for mask in range(0, 1 << n, 2):
+        g = 1
+        while mask >> g & 1:
+            g += 1
+        if (mask >> g).bit_count() >= 2:
+            dead.add(mask)
+    return frozenset(dead)
 
 
 def _ides_fits(ides: frozenset, a: int, b: int) -> bool:
@@ -323,12 +347,14 @@ def _pi_row(alpha: Composition) -> dict:
     _ides_fits(ides, a, b) asks for 1..a-1 in ides, so with g the least
     i >= 1 not in ides a bucket fits only a <= g; then every element above a
     must be a + b.  With none above a the bucket fits every b, with one, e,
-    only b = e - a, and with more it fits no b.
+    only b = e - a, and with more it fits no b.  So a bucket with two or more
+    elements above g fits nothing, and the index read here is built without
+    those masks (_dead_masks).
     """
     n = sum(alpha)
     every_b: list[dict] = [{} for _ in range(n + 1)]
     one_b: dict = {}
-    for ides, bucket in _ides_index(alpha).items():
+    for ides, bucket in _index(check_composition(alpha), _dead_masks(n)).items():
         g = next(i for i in range(1, n + 2) if i not in ides)
         for a in range(min(g, n) + 1):
             above = [e for e in ides if e > a]
@@ -341,7 +367,7 @@ def _pi_row(alpha: Composition) -> dict:
         for b in range(n + 1 - a):
             terms = dict(every_b[a])
             _merge(terms, one_b.get((a, b), {}))
-            row[a, b] = QtRational(terms, 1) if terms else QTR_ZERO
+            row[a, b] = laurent(terms)  # counts over 1: already reduced
     return row
 
 

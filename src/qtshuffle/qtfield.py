@@ -778,6 +778,8 @@ def int_poly(r: QtRational, scale=1) -> dict | None:
     it is not one; scale is an int or a Fraction."""
     if r._den[1:] != _DONE[1:]:
         return None
+    if r._den[0] == 1 and scale == 1:
+        return dict(r._num)
     s = Fraction(scale, r._den[0])
     out = {}
     for key, v in r._num.items():
@@ -844,12 +846,10 @@ def unkronecker(x: int, k: int, D: int) -> dict:
 
 
 def _poly_canonical_str(ip: dict) -> str:
+    """Terms by q-exponent, then t-exponent, both descending."""
     if not ip:
         return "0"
-    parts = []
-    for (qe, te) in sorted(ip, key=lambda k: (-k[0], -k[1])):
-        parts.append(f"{ip[(qe, te)]}*q^{qe}*t^{te}")
-    return " + ".join(parts)
+    return " + ".join([f"{ip[qe, te]}*q^{qe}*t^{te}" for qe, te in sorted(ip, reverse=True)])
 
 
 _TERM_RE = re.compile(r"^(-?\d+)\*q\^(\d+)\*t\^(\d+)$")

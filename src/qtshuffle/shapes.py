@@ -72,7 +72,7 @@ def cell_stats(mu: Partition, c: Cell) -> tuple[int, int, int, int]:
     return arm, leg, col, row
 
 
-def count_fillings(rank, gain=(), needs=None) -> dict[tuple[frozenset, int, int], int]:
+def count_fillings(rank, gain=(), needs=None, dead=frozenset()) -> dict[tuple[frozenset, int, int], int]:
     """{(iDes, q-stat, t-stat): count} over the fillings of cells 0..n-1 by
     1..n, n = len(rank), where cell x is read before y when rank[x] < rank[y]
     and iDes holds each i with i + 1 read before i.  Each (x, y, dq, dt) in
@@ -80,6 +80,12 @@ def count_fillings(rank, gain=(), needs=None) -> dict[tuple[frozenset, int, int]
     of bitmask needs[x] must hold smaller values than x.  With the values
     placed in increasing order, a step depends only on the filled cells and
     on the cell of the previous value: one DP over those states, no listing.
+
+    dead is a set of iDes bitmasks (bit i for i in iDes) whose fillings are
+    dropped, tested only when placing v sets bit v - 1.  The test is final
+    when dead holds, with each mask, every mask it gains by setting bits
+    above its highest: bits >= v are still clear when v is placed, so a
+    partial mask in dead can only end in dead.
     """
     n = len(rank)
     needs = needs or [0] * n
@@ -101,6 +107,8 @@ def count_fillings(rank, gain=(), needs=None) -> dict[tuple[frozenset, int, int]
                 bit = 1 << (v - 1) if last >= 0 and rank[x] < rank[last] else 0
                 out = nxt.setdefault((filled | 1 << x, x), {})
                 for (mask, q, t), c in counts.items():
+                    if bit and mask | bit in dead:
+                        continue
                     key = (mask | bit, q + dq, t + dt)
                     out[key] = out.get(key, 0) + c
         layer = nxt

@@ -13,6 +13,7 @@ from qtshuffle.cli import (
     CaseResult,
     _Case,
     _run_case,
+    _verdict,
     build_cases,
     cmd_build_cache,
     main,
@@ -528,6 +529,32 @@ def test_a_planted_wrong_c_row_fails_its_cases(capsys, word_caches):
     entry = mac._op_row("C", 1, (1,))[(2,)]
     entry[-1, 0] += 1
     _planted_fails(capsys, deltas)
+
+
+def test_main_theorem_run_is_the_verdict_of_its_sides():
+    # run() decides a pass on integer terms and renders one side; the texts
+    # must be the bytes _verdict gives from the two symbolic sides
+    cases = build_cases("main-theorem", 6)
+    assert len(cases) == 1407
+    for case in cases:
+        assert case.run() == _verdict(case.sides()), case.case_id
+
+
+def test_a_planted_wrong_pi_row_entry_takes_the_fallback(capsys, monkeypatch):
+    import qtshuffle.parking as parking
+    from qtshuffle.macdonald import first_difference, lhs_inner
+    from qtshuffle.qtfield import T
+
+    row = parking._pi_row((2, 1))
+    monkeypatch.setitem(row, (1, 1), row[1, 1] + T)
+    (case,) = [c for c in build_cases("main-theorem", 3) if c.params == "alpha=(2,1),a=1,b=1,c=1"]
+    sides = case.sides()
+    assert case.run() == _verdict(sides) == (False, lhs_inner((2, 1), 1, 1, 1).canonical(), sides[0][2].canonical())
+    detail = first_difference(sides)
+    assert detail == "lhs - rhs leads with -1*q^0*t^1 (denominator 1*q^0*t^0)"
+    out, err = _report_lines(capsys, ["verify", "main-theorem", "--n-max", "3", "--format", "csv"])
+    assert [row[1] for row in list(csv.reader(io.StringIO(out)))[1:] if row[3] != "pass"] == [case.case_id]
+    assert err == [f"fail: {case.case_id}: {detail}"]
 
 
 def test_first_difference_names_the_descent_set_and_the_half():

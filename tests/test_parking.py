@@ -1,5 +1,5 @@
 import random
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -12,9 +12,11 @@ from qtshuffle.parking import (
     InvalidParkingFunction,
     ParkingFunction,
     PFStats,
+    _dead_masks,
     _diag_vectors,
     _ides_fits,
     _ides_index,
+    _index,
     enumerate_by_comp,
     enumerate_family,
     is_triple_shuffle,
@@ -147,7 +149,7 @@ def test_pi_poly_small_values():
 
 def test_pi_row_matches_the_bucket_scan():
     # the per-composition row against summing the buckets that pass _ides_fits
-    for n in range(7):
+    for n in range(8):
         for alpha in compositions_of(n):
             for a, b, c in _abc_triples(n):
                 terms = {}
@@ -158,6 +160,26 @@ def test_pi_row_matches_the_bucket_scan():
                 want = QtRational(terms, 1) if terms else QTR_ZERO
                 got = pi_poly(alpha, a, b, c)
                 assert got == want and got.canonical() == want.canonical(), (alpha, a, b, c)
+
+
+def _read_by_pi_row(ides, n):
+    """At most one element of ides above its least gap g >= 1."""
+    g = min(set(range(1, n + 2)) - ides)
+    return len([e for e in ides if e > g]) <= 1
+
+
+def test_pruned_index_is_the_full_index_on_its_live_buckets():
+    # _pi_row reads an index whose DP drops each iDes set with two or more
+    # elements above its least gap as the set forms; the full index is the oracle
+    for n in range(8):
+        subsets = [frozenset(S) for k in range(n) for S in combinations(range(1, n), k)]
+        dead = _dead_masks(n)
+        assert dead == {sum(1 << i for i in S) for S in subsets if not _read_by_pi_row(S, n)}, n
+        for alpha in compositions_of(n):
+            live = {ides: bucket for ides, bucket in _ides_index(alpha).items() if _read_by_pi_row(ides, n)}
+            assert _index(alpha, dead) == live, alpha
+    # n = 7 keeps 22 of its 64 iDes sets
+    assert len(_dead_masks(7)) == 64 - 22
 
 
 def test_shuffle_filter():
