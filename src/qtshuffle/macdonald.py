@@ -45,9 +45,7 @@ is C_{alpha_1} applied through its rows to the cached word of alpha[1:]
 (_c_word), nabla C_alpha 1 is that word times the integer rows R, cached
 per composition (_nabla_c_word), e_a h_b h_c per triple is integers read
 off Pieri strips (_eh_schur), and the pairing is their integer dot product
-(_schur_pairing), made one QtRational by one division by a monomial;
-lhs_inner_terms is that pairing before the division, on which the main grid
-decides a pass.
+(_schur_pairing), made one QtRational per call by one division by a monomial.
 c_word and shuffle-qsym build one QtRational per Schur coefficient from the
 same integers (_laurent_schur).  The rec-m and rec-1 identities apply
 shapes.recursion_rhs to lhs_inner; the parking side applies the same
@@ -410,14 +408,14 @@ def _star_gram(n: int) -> dict:
     return gram
 
 
-_ROW_ATTEMPTS = 4  # nabla_matrix doubles the bits per slot k three times at most
+_ROW_ATTEMPTS = 4  # HTildeTable.int_rows doubles the bits per slot k three times at most
 
 
 def _row_start(norm: int, n: int) -> int:
-    """Bits per slot of nabla_matrix's first guess at degree n, norm the
-    largest |K~_mu,nu|_1.  The rows outgrow the norms by a factor that about
-    doubles per degree: at degrees 4..9 their largest |coefficient| is 2, 5,
-    14, 58, 222, 990 against norms 3, 6, 16, 35, 90, 216, so
+    """Bits per slot of HTildeTable.int_rows' first guess at degree n, norm
+    the largest |K~_mu,nu|_1.  The rows outgrow the norms by a factor that
+    about doubles per degree: at degrees 4..9 their largest |coefficient| is
+    2, 5, 14, 58, 222, 990 against norms 3, 6, 16, 35, 90, 216, so
     max(1, n - 6) bits above the norm's length cover them (k = 9 at degree 8,
     11 at degree 9, 2^10 > 990).  Each retry doubles k; the slot stride
     D = 1 + n(n-1)/2 already exceeds every q-degree of the rows, so it stays."""
@@ -766,28 +764,12 @@ def _eh_schur(a: int, b: int, c: int) -> dict[Partition, int]:
 def lhs_inner(alpha: Composition, a: int, b: int, c: int) -> QtRational:
     """Hall pairing of nabla C_alpha 1 with e_a h_b h_c: the Schur basis is
     orthonormal, so it is sum over lam of [s_lam] nabla C_alpha 1 times
-    [s_lam] e_a h_b h_c."""
+    [s_lam] e_a h_b h_c, an integer Laurent polynomial made one QtRational by
+    one exact division by a monomial (qtfield.laurent), already reduced."""
     alpha = tuple(alpha)
     if not check_abc(alpha, a, b, c):
         return QTR_ZERO
-    return _lhs_inner_cached(alpha, a, b, c)
-
-
-@lru_cache(maxsize=None)
-def _lhs_inner_cached(alpha: Composition, a: int, b: int, c: int) -> QtRational:
-    """The integer pairing made one QtRational by one exact division by a
-    monomial (qtfield.laurent), already reduced: no _cancel runs per term."""
-    return laurent(lhs_inner_terms(alpha, a, b, c))
-
-
-def lhs_inner_terms(alpha: Composition, a: int, b: int, c: int) -> dict:
-    """lhs_inner(alpha, a, b, c) as the integer Laurent polynomial
-    {(q-exp, t-exp): int} it is read off, without zero terms: the pairing of
-    the cached word _nabla_c_word with e_a h_b h_c, uncached."""
-    alpha = tuple(alpha)
-    if not check_abc(alpha, a, b, c):
-        return {}
-    return _schur_pairing(_nabla_c_word(alpha), _eh_schur(a, b, c))
+    return laurent(_schur_pairing(_nabla_c_word(alpha), _eh_schur(a, b, c)))
 
 
 def _schur_pairing(f: dict, weights: dict) -> dict:

@@ -613,7 +613,8 @@ class RecursionReport:
 
 
 def verify_recursion(m: int, alpha: Composition, a: int, b: int, c: int) -> RecursionReport:
-    """Compare direct enumeration with the first-section reduction law."""
+    """Compare pi_poly, read off the iDes index, with the first-section
+    reduction law applied to it."""
     alpha = tuple(alpha)
     if m < 1:
         raise ValueError("the leading part m must be >= 1")

@@ -799,10 +799,18 @@ def laurent(p: dict) -> QtRational:
     q and t, and q (or t) divides no shifted numerator whose denominator
     carries it, as its lowest q- (or t-) exponent is then 0.
     """
-    keys = [key for key, c in p.items() if c]
-    a = max(0, -min((i for i, _ in keys), default=0))
-    b = max(0, -min((j for _, j in keys), default=0))
-    return QtRational._make({(i + a, j + b): p[i, j] for i, j in keys}, (1, a, b, (), None))
+    num = {}
+    a = b = 0  # the least exponents of the nonzero terms, capped at 0
+    for key, c in p.items():
+        if c:
+            num[key] = c
+            if key[0] < a:
+                a = key[0]
+            if key[1] < b:
+                b = key[1]
+    if a or b:
+        num = {(i - a, j - b): c for (i, j), c in num.items()}
+    return QtRational._make(num, (1, -a, -b, (), None))
 
 
 def kronecker(p: dict, k: int, D: int) -> int:

@@ -464,7 +464,7 @@ def word_caches():
     after a test that plants a wrong row under them."""
     import qtshuffle.macdonald as mac
 
-    caches = (mac._op_row, mac._star_rows, mac._qtr_row, mac._c_word, mac._nabla_c_word, mac._lhs_inner_cached)
+    caches = (mac._op_row, mac._star_rows, mac._qtr_row, mac._c_word, mac._nabla_c_word)
     for f in caches:
         f.cache_clear()
     yield
@@ -531,13 +531,33 @@ def test_a_planted_wrong_c_row_fails_its_cases(capsys, word_caches):
     _planted_fails(capsys, deltas)
 
 
-def test_main_theorem_run_is_the_verdict_of_its_sides():
-    # run() decides a pass on integer terms and renders one side; the texts
-    # must be the bytes _verdict gives from the two symbolic sides
-    cases = build_cases("main-theorem", 6)
-    assert len(cases) == 1407
+def test_every_case_runs_to_its_equality_and_both_side_texts():
+    # run() renders a pass's sides once; the texts must still be the bytes
+    # side_text gives for each side, whatever the types of the values.  No
+    # suite pairs equal values that print differently (paths' int against
+    # Fraction print alike), so one made-up case does
+    from qtshuffle.macdonald import side_text
+    from qtshuffle.qtfield import QTR_ONE
+
+    mixed = _Case("mixed[k=1]", "k=1", lambda: [(None, QTR_ONE, 1)])
+    cases = build_cases("all", 4) + build_cases("main-theorem", 6) + [mixed]
+    assert len(cases) > 1408
     for case in cases:
-        assert case.run() == _verdict(case.sides()), case.case_id
+        sides = case.sides()
+        want = (all(x == y for _, x, y in sides), side_text(sides, 1), side_text(sides, 2))
+        assert case.run() == want, case.case_id
+
+
+def test_verdict_renders_a_pass_once():
+    from qtshuffle.qtfield import Q, QTR_ONE, T
+
+    lhs, rhs = Q * T + 1, 1 + T * Q
+    ok, x, y = _verdict([(None, lhs, rhs)])
+    assert ok and x == lhs.canonical() and y is x
+    # equal values of two types print differently, so both sides are rendered
+    assert _verdict([(None, QTR_ONE, 1)]) == (True, "1*q^0*t^0|1*q^0*t^0", "1")
+    ok, x, y = _verdict([("a", Q, Q), ("b", Q, T)])
+    assert not ok and (x, y) == (f"a:{Q.canonical()} b:{Q.canonical()}", f"a:{Q.canonical()} b:{T.canonical()}")
 
 
 def test_a_planted_wrong_pi_row_entry_takes_the_fallback(capsys, monkeypatch):

@@ -180,6 +180,9 @@ def test_laurent_is_the_constructor_over_a_monomial():
     assert qtfield.laurent({(-2, 0): 3, (1, 0): -1}) == (3 - Q**3) / Q**2
     assert qtfield.laurent({(-1, -1): 1, (0, 0): 0}) == QTR_ONE / (Q * T)
     assert qtfield.laurent({(0, 0): 0}) == QTR_ZERO and qtfield.laurent({}).canonical() == QTR_ZERO.canonical()
+    # a zero coefficient at a negative exponent does not shift the result
+    got = qtfield.laurent({(-3, 0): 0, (1, 1): 2})
+    assert got == 2 * Q * T and got.canonical() == (2 * Q * T).canonical()
 
 
 @settings(max_examples=40, deadline=None)
