@@ -11,7 +11,7 @@ from .qtfield import QtRational
 from .shapes import partition_invariants
 from .symfunc import SymFunc, fundamental_expand, hall_inner, plethysm, star_inner
 from .macdonald import build_htilde, c_word, check_identity, lhs_inner, nabla, op_B, op_C
-from .parking import ParkingFunction, pi_poly, validate_pf, verify_recursion
+from .parking import ParkingFunction, pi_poly, validate_pf
 
 __all__ = [
     "QtRational",
@@ -31,7 +31,6 @@ __all__ = [
     "ParkingFunction",
     "validate_pf",
     "pi_poly",
-    "verify_recursion",
 ]
 
 __version__ = "0.1.0"

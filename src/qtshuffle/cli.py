@@ -1,16 +1,16 @@
 """Command-line front end: cache management, verification suites, reports.
 
-Suites aggregate the identity registry, the combinatorial recursions, and
+Suites aggregate the identity registry, the first-section recursion, and
 the cross-checks between the symbolic and enumeration pipelines.  Each case
-returns the values it compares, as (label, lhs, rhs) triples; its verdict,
-its two side texts (macdonald.side_text) and, on a fail, where the sides
-first differ (macdonald.first_difference) are all read off those values.
-A case's run() is _verdict of its sides, which renders a pass's equal sides
-once; _run_case reads the sides again only for a failure's first difference,
-and keeps the side texts of a fail or an error only, as no report prints a
-pass's.  Reports are deterministic: case order is fixed by case id, and the
-canonical JSON form carries no timings, so every run of a suite prints the
-same bytes.
+returns the values it compares, as (label, lhs, rhs) triples, and this module
+alone judges and renders them: a case's verdict, its two side texts (side_text)
+and, on a fail, where the sides first differ (first_difference) are all read
+off those values; no report text is parsed back.  A case's run() is _verdict
+of its sides, which renders a pass's equal sides once; _run_case reads the
+sides again only for a failure's first difference, and keeps the side texts
+of a fail or an error only, as no report prints a pass's.  Reports are
+deterministic: case order is fixed by case id, and the canonical JSON form
+carries no timings, so every run of a suite prints the same bytes.
 """
 
 from __future__ import annotations
@@ -30,11 +30,9 @@ from .macdonald import (
     HTildeTable,
     build_htilde,
     check_identity,
-    first_difference,
     install_table,
     lhs_inner,
     nabla_c_word,
-    side_text,
 )
 from .parking import (
     enumerate_by_comp,
@@ -44,13 +42,14 @@ from .parking import (
     pi_poly,
     rhs_quasisym,
 )
+from .qtfield import QTR_ZERO, QtRational
 from .shapes import (
     composition_str,
     compositions_of,
     partitions_of,
     recursion_rhs,
 )
-from .symfunc import SymFunc, check_degree, fundamental_expand, p_
+from .symfunc import QSymFunc, SymFunc, check_degree, fundamental_expand, p_
 
 ENV_CACHE = "QTSHUFFLE_CACHE"
 
@@ -124,6 +123,66 @@ class VerificationReport:
         return "\n".join(lines)
 
 
+def _sym_canonical(f: SymFunc) -> str:
+    fp = f.to_power()
+    items = sorted(fp.coeffs.items())
+    return "; ".join(f"p{list(lam)}={c.canonical()}" for lam, c in items) or "0"
+
+
+def _value_text(x) -> str:
+    """A compared value as report text: a symmetric function by its power-sum
+    coefficients, a scalar canonically, a two-alphabet tensor (cauchy's
+    {(lam, rho): coefficient}) key by key, anything else by str()."""
+    if isinstance(x, SymFunc):
+        return _sym_canonical(x)
+    if isinstance(x, QtRational):
+        return x.canonical()
+    if isinstance(x, dict):
+        return "; ".join(f"{k}={v.canonical()}" for k, v in sorted(x.items())) or "0"
+    return str(x)
+
+
+def side_text(sides: list, k: int) -> str:
+    """Side k (1 for lhs, 2 for rhs) of (label, lhs, rhs) triples: named values
+    as label:text joined by spaces, unnamed ones joined by '; ' ("0" if none)."""
+    if sides and sides[0][0] is not None:
+        return " ".join(f"{side[0]}:{_value_text(side[k])}" for side in sides)
+    return "; ".join(_value_text(side[k]) for side in sides) or "0"
+
+
+def _value_difference(x, y) -> str:
+    """Where two unequal values differ: for two scalars the leading term of the
+    reduced x - y; for two symmetric functions the first power-sum partition
+    (sorted) whose coefficients differ, and for two quasisymmetric functions
+    the first descent set, with both coefficients; otherwise both values."""
+    if isinstance(x, QtRational) and isinstance(y, QtRational):
+        num, den = (x - y).canonical().split("|")
+        return f"lhs - rhs leads with {num.split(' + ')[0]} (denominator {den})"
+    if isinstance(x, SymFunc) and isinstance(y, SymFunc):
+        letter, a, b = "p", x.to_power().coeffs, y.to_power().coeffs
+    elif isinstance(x, QSymFunc) and isinstance(y, QSymFunc):
+        letter, (a, b) = "F", ({tuple(sorted(S)): c for S, c in f.coeffs.items()} for f in (x, y))
+    else:
+        a = b = {}
+    for key in sorted(a.keys() | b.keys()):
+        u, v = a.get(key, QTR_ZERO), b.get(key, QTR_ZERO)
+        if u != v:
+            return f"{letter}{list(key)}: lhs {u.canonical()} rhs {v.canonical()}"
+    return f"lhs {_value_text(x)} rhs {_value_text(y)}"
+
+
+def first_difference(sides: list) -> str:
+    """Where a fail case's sides first differ: the first unequal triple, named
+    by its label (or pair <i> when unnamed and not alone), then where its two
+    values differ; "" when every triple is equal."""
+    for i, (label, x, y) in enumerate(sides):
+        if x != y:
+            where = label if label is not None else f"pair {i}" if len(sides) > 1 else None
+            diff = _value_difference(x, y)
+            return diff if where is None else f"{where}: {diff}"
+    return ""
+
+
 def _verdict(sides: list) -> tuple[bool, str, str]:
     """(all triples equal, lhs text, rhs text) of a case's (label, lhs, rhs) triples.
 
@@ -154,7 +213,7 @@ class _Case:
 
 def _ident_case(ident: str, **params) -> _Case:
     pstr = ",".join(f"{k}={v}" for k, v in params.items())
-    return _Case(f"{ident}[{pstr}]", pstr, lambda: check_identity(ident, **params).sides)
+    return _Case(f"{ident}[{pstr}]", pstr, lambda: check_identity(ident, **params))
 
 
 def _abc_triples(n: int):
@@ -245,14 +304,11 @@ def _cases_operators(n_max: int) -> list:
 def _recursion_case(m, alpha, a, b, c) -> _Case:
     pstr = f"m={m},alpha={composition_str(alpha)},a={a},b={b},c={c}"
 
-    def sides():
-        ((_, sym, sym_rhs),) = check_identity("rec-m" if m > 1 else "rec-1", **(
-            {"m": m, "alpha": alpha, "a": a, "b": b, "c": c} if m > 1
-            else {"alpha": alpha, "a": a, "b": b, "c": c}
-        )).sides
+    def sides():  # each pipeline against the recursion applied to its own values
+        sym = lhs_inner((m,) + alpha, a, b, c)
         comb = pi_poly((m,) + alpha, a, b, c)
         return [
-            ("sym", sym, sym_rhs),
+            ("sym", sym, recursion_rhs(lhs_inner, m, alpha, a, b, c)),
             ("comb", comb, recursion_rhs(pi_poly, m, alpha, a, b, c)),
             ("bridge", sym, comb),
         ]

@@ -5,9 +5,11 @@ A table is K~ alone: the Schur coefficients of each H~_mu, mu |- n, as
 integer polynomials.  _hhl_schur builds it per degree in integers from the
 Haglund-Haiman-Loehr formula (fillings of mu counted by shapes.count_fillings
 without listing them, in fundamental quasisymmetric functions, solved for the
-Schur functions as a unitriangular system); a cache file's coefficients must
-parse as integer polynomials.  Before use, verify() checks the defining invariants or
-raises TableInvariantError: <H~_mu, h_n> = K~_mu,(n) = 1, and
+Schur functions as a unitriangular system); a cache file's degree must be an
+int in 0..12 and its keys partitions of it, checked before anything is built
+from them, and its coefficients must parse as integer polynomials.  Before
+use, verify() checks the defining invariants or raises TableInvariantError:
+<H~_mu, h_n> = K~_mu,(n) = 1, and
 <H~_lam, H~_mu>_* = (K~ G_n K~^T)_lam,mu = delta w_mu, G_n = (<s_lam, s_nu>_*)
 (_star_gram), as one _packed_product: a product of integer-polynomial
 matrices at q = 2^k, t = 2^(kD), with D and k from one proven degree and
@@ -47,9 +49,8 @@ per composition (_nabla_c_word), e_a h_b h_c per triple is integers read
 off Pieri strips (_eh_schur), and the pairing is their integer dot product
 (_schur_pairing), made one QtRational per call by one division by a monomial.
 c_word and shuffle-qsym build one QtRational per Schur coefficient from the
-same integers (_laurent_schur).  The rec-m and rec-1 identities apply
-shapes.recursion_rhs to lhs_inner; the parking side applies the same
-formula to its own counts.
+same integers (_laurent_schur).  The recursion suite (cli) applies
+shapes.recursion_rhs to lhs_inner and to the parking side's pi_poly alike.
 
 Lemma 3.1, Proposition 3.1 and Theorems 3.1-3.2 expand over the same corners:
 a sum over r <= a, s <= b, nu |- r+s of scalars times a block(nu) that depends
@@ -61,10 +62,9 @@ nu-sums: A(r, d) over nu |- d, their s-partial sums G(r, b), then the entries.
 _corner_sum reads an entry off it; the weights e_r[B_nu]/w_nu are cached per
 (r, nu) for all tables (_corner_weight).
 
-Each identity returns the values it compares, as the (label, lhs, rhs)
-triples of an IdentityReport.  Its verdict, its two side texts (side_text)
-and, on a fail, where the sides first differ (first_difference) are read off
-those values; no report text is parsed back.
+check_identity returns the values an identity compares, as a list of
+(label, lhs, rhs) triples, the label None unless the sides are named (thm32's
+"1"/"2", sym-ab's "a"/"b"); cli judges and renders them.
 """
 
 from __future__ import annotations
@@ -73,7 +73,6 @@ import json
 import os
 import tempfile
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
 from math import factorial, lcm, prod
@@ -106,13 +105,11 @@ from .shapes import (
     partition_str,
     parse_partition,
     partitions_of,
-    recursion_rhs,
     remove_strip,
     zmu,
 )
 from .symfunc import (
     Alphabet,
-    QSymFunc,
     SymFunc,
     _syt_descent_counts,
     character,
@@ -256,17 +253,31 @@ class HTildeTable:
     def from_json(cls, data: dict) -> "HTildeTable":
         if data.get("format") != 1:
             raise ValueError(f"unsupported table format: {data.get('format')!r}")
+        # the degree and every key are checked before anything is built from
+        # them: the invariants of a key, and the partitions of a degree, cost
+        # time in their size
+        degree = data["degree"]
+        if type(degree) is not int or degree < 0:
+            raise ValueError(f"table degree must be a nonnegative integer, got {degree!r}")
+        check_degree(degree)
+
+        def key(text: str) -> Partition:
+            shape = parse_partition(text)
+            if sum(shape) != degree:
+                raise TableInvariantError(f"key {text} of the degree {degree} table is no partition of {degree}")
+            return shape
+
         kostka = {}
         for mu_s, coeffs in data["entries"].items():
-            mu = parse_partition(mu_s)
+            mu = key(mu_s)
             row = kostka[mu] = {}
             for lam_s, c in coeffs.items():
-                lam = parse_partition(lam_s)
+                lam = key(lam_s)
                 if (p := int_poly(parse_rational(c))) is None:  # the true K~_mu,lam lie in N[q,t] (Haiman)
                     raise TableInvariantError(f"integrality failed at ({mu}, {lam}): K~_mu,lam not in Z[q,t]")
                 if p:
                     row[lam] = p
-        table = cls(int(data["degree"]), kostka)
+        table = cls(degree, kostka)
         table.verify()
         return table
 
@@ -857,94 +868,7 @@ def _sign(k: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class IdentityReport:
-    """The values an identity compares: sides is a list of (label, lhs, rhs),
-    the label None unless the sides are named (thm32's "1"/"2", sym-ab's
-    "a"/"b").  The verdict and both side texts are read off these values."""
-
-    ident: str
-    params: dict
-    sides: list
-
-    @property
-    def passed(self) -> bool:
-        return all(x == y for _, x, y in self.sides)
-
-    @property
-    def lhs(self) -> str:
-        return side_text(self.sides, 1)
-
-    @property
-    def rhs(self) -> str:
-        return side_text(self.sides, 2)
-
-
-def _sym_canonical(f: SymFunc) -> str:
-    fp = f.to_power()
-    items = sorted(fp.coeffs.items())
-    return "; ".join(f"p{list(lam)}={c.canonical()}" for lam, c in items) or "0"
-
-
-def _value_text(x) -> str:
-    """A compared value as report text: a symmetric function by its power-sum
-    coefficients, a scalar canonically, a two-alphabet tensor (cauchy's
-    {(lam, rho): coefficient}) key by key, anything else by str()."""
-    if isinstance(x, SymFunc):
-        return _sym_canonical(x)
-    if isinstance(x, QtRational):
-        return x.canonical()
-    if isinstance(x, dict):
-        return "; ".join(f"{k}={v.canonical()}" for k, v in sorted(x.items())) or "0"
-    return str(x)
-
-
-def side_text(sides: list, k: int) -> str:
-    """Side k (1 for lhs, 2 for rhs) of (label, lhs, rhs) triples: named values
-    as label:text joined by spaces, unnamed ones joined by '; ' ("0" if none)."""
-    if sides and sides[0][0] is not None:
-        return " ".join(f"{side[0]}:{_value_text(side[k])}" for side in sides)
-    return "; ".join(_value_text(side[k]) for side in sides) or "0"
-
-
-def _value_difference(x, y) -> str:
-    """Where two unequal values differ: for two scalars the leading term of the
-    reduced x - y; for two symmetric functions the first power-sum partition
-    (sorted) whose coefficients differ, and for two quasisymmetric functions
-    the first descent set, with both coefficients; otherwise both values."""
-    if isinstance(x, QtRational) and isinstance(y, QtRational):
-        num, den = (x - y).canonical().split("|")
-        return f"lhs - rhs leads with {num.split(' + ')[0]} (denominator {den})"
-    if isinstance(x, SymFunc) and isinstance(y, SymFunc):
-        letter, a, b = "p", x.to_power().coeffs, y.to_power().coeffs
-    elif isinstance(x, QSymFunc) and isinstance(y, QSymFunc):
-        letter, (a, b) = "F", ({tuple(sorted(S)): c for S, c in f.coeffs.items()} for f in (x, y))
-    else:
-        a = b = {}
-    for key in sorted(a.keys() | b.keys()):
-        u, v = a.get(key, QTR_ZERO), b.get(key, QTR_ZERO)
-        if u != v:
-            return f"{letter}{list(key)}: lhs {u.canonical()} rhs {v.canonical()}"
-    return f"lhs {_value_text(x)} rhs {_value_text(y)}"
-
-
-def first_difference(sides: list) -> str:
-    """Where a fail case's sides first differ: the first unequal triple, named
-    by its label (or pair <i> when unnamed and not alone), then where its two
-    values differ; "" when every triple is equal."""
-    for i, (label, x, y) in enumerate(sides):
-        if x != y:
-            where = label if label is not None else f"pair {i}" if len(sides) > 1 else None
-            diff = _value_difference(x, y)
-            return diff if where is None else f"{where}: {diff}"
-    return ""
-
-
-def _report(ident, params, lhs, rhs) -> IdentityReport:
-    return IdentityReport(ident, params, [(None, lhs, rhs)])
-
-
-def _check_cauchy(n: int) -> IdentityReport:
+def _check_cauchy(n: int) -> list:
     """Reproducing-kernel decomposition on a two-alphabet tensor basis."""
     lhs: dict = {}
     for lam, c in e_(n).to_power().coeffs.items():
@@ -965,10 +889,10 @@ def _check_cauchy(n: int) -> IdentityReport:
                     rhs.pop(key, None)
                 else:
                     rhs[key] = cur
-    return _report("cauchy", {"n": n}, lhs, rhs)
+    return [(None, lhs, rhs)]
 
 
-def _check_sym_ab(alpha: Partition, beta: Partition) -> IdentityReport:
+def _check_sym_ab(alpha: Partition, beta: Partition) -> list:
     ia, ib = partition_invariants(alpha), partition_invariants(beta)
     M = capital_m()
     ha = build_htilde(sum(alpha)).power[alpha]
@@ -977,23 +901,20 @@ def _check_sym_ab(alpha: Partition, beta: Partition) -> IdentityReport:
     rhs_a = plethysm_eval(hb, M * ia.B) / ib.Pi
     lhs_b = plethysm_eval(ha, ib.D) / ia.T * _sign(sum(alpha))
     rhs_b = plethysm_eval(hb, ia.D) / ib.T * _sign(sum(beta))
-    return IdentityReport(
-        "sym-ab", {"alpha": alpha, "beta": beta}, [("a", lhs_a, rhs_a), ("b", lhs_b, rhs_b)]
-    )
+    return [("a", lhs_a, rhs_a), ("b", lhs_b, rhs_b)]
 
 
-def _check_pieri_rel(mu: Partition) -> IdentityReport:
+def _check_pieri_rel(mu: Partition) -> list:
     M = capital_m()
     wm = partition_invariants(mu).w
     # the raw coefficients: pieri() asserts this same relation and would raise
-    pairs = [
+    return [
         (None, _d_coeff(mu, nu), M * _c_coeff(mu, nu) * partition_invariants(nu).w / wm)
         for nu in sorted(corners(mu)[0])
     ]
-    return IdentityReport("pieri-rel", {"mu": mu}, pairs)
 
 
-def _check_sum_c(mu: Partition, k: int) -> IdentityReport:
+def _check_sum_c(mu: Partition, k: int) -> list:
     lhs = _pieri_sum(mu, "remove", k)
     if k == 0:
         rhs = partition_invariants(mu).B
@@ -1001,26 +922,26 @@ def _check_sum_c(mu: Partition, k: int) -> IdentityReport:
         M = capital_m()
         val = partition_invariants(mu).D / (T * Q)
         rhs = (T * Q / M) * plethysm_eval(h_(k + 1), val)
-    return _report("sum-c", {"mu": mu, "k": k}, lhs, rhs)
+    return [(None, lhs, rhs)]
 
 
-def _check_sum_d(nu: Partition, k: int) -> IdentityReport:
+def _check_sum_d(nu: Partition, k: int) -> list:
     lhs = _pieri_sum(nu, "add", k)
     if k == 0:
         rhs = QTR_ONE
     else:
         rhs = _scalar_pleth(e_, k - 1, partition_invariants(nu).D) * _sign(k - 1)
-    return _report("sum-d", {"nu": nu, "k": k}, lhs, rhs)
+    return [(None, lhs, rhs)]
 
 
-def _check_exp_abc(n: int, k: int) -> IdentityReport:
+def _check_exp_abc(n: int, k: int) -> list:
     lhs = _x_pleth(h_, k, _INV_M) * _x_pleth(e_, n - k, _INV_M)
     rhs = SymFunc.zero()
     table = build_htilde(n)
     for mu in partitions_of(n):
         coeff = _scalar_pleth(e_, k, table.invariants[mu].B) / table.invariants[mu].w
         rhs = rhs + table.power[mu].scale(coeff)
-    return _report("exp-abc", {"n": n, "k": k}, lhs, rhs)
+    return [(None, lhs, rhs)]
 
 
 @lru_cache(maxsize=None)
@@ -1029,7 +950,7 @@ def _htilde_at_d(nu: Partition, mu: Partition) -> QtRational:
     return plethysm_eval(build_htilde(sum(nu)).power[nu], partition_invariants(mu).D)
 
 
-def _check_reproducing(fname: str, r: int, lam: Partition | None, n: int) -> IdentityReport:
+def _check_reproducing(fname: str, r: int, lam: Partition | None, n: int) -> list:
     if fname == "e":
         f = e_(r)
     elif fname == "h":
@@ -1055,23 +976,23 @@ def _check_reproducing(fname: str, r: int, lam: Partition | None, n: int) -> Ide
         for nu, c in expansion:
             rhs = rhs + c * _htilde_at_d(nu, mu)
         pairs.append((None, lhs, rhs))
-    return IdentityReport("reproducing", {"f": fname, "r": r, "lam": lam, "n": n}, pairs)
+    return pairs
 
 
-def _check_erh(mu: Partition, r: int) -> IdentityReport:
+def _check_erh(mu: Partition, r: int) -> list:
     n = sum(mu)
     lhs = hall_inner(build_htilde(n).power[mu], e_(r) * h_(n - r))
     rhs = _scalar_pleth(e_, r, partition_invariants(mu).B)
-    return _report("erh", {"mu": mu, "r": r}, lhs, rhs)
+    return [(None, lhs, rhs)]
 
 
-def _check_commute(a: int, b: int, P: SymFunc, tag: str) -> IdentityReport:
+def _check_commute(a: int, b: int, P: SymFunc, tag: str) -> list:
     lhs = op_B(a, op_C(b, P))
     rhs = op_C(b, op_B(a, P)).scale(Q)
-    return _report("commute", {"a": a, "b": b, "P": tag}, lhs, rhs)
+    return [(None, lhs, rhs)]
 
 
-def _check_commutator(a: int, b: int, P: SymFunc, tag: str) -> IdentityReport:
+def _check_commutator(a: int, b: int, P: SymFunc, tag: str) -> list:
     lhs = op_C(b, op_B(a, P)).scale(Q) - op_B(a, op_C(b, P))
     pref = qtr(_sign(a + b - 1)) * (Q - 1) * Q ** (-(b - 1))
     if a + b > 0:
@@ -1080,7 +1001,7 @@ def _check_commutator(a: int, b: int, P: SymFunc, tag: str) -> IdentityReport:
         rhs = P.scale(pref)
     else:
         rhs = _apply("shift", a + b, P).scale(pref)
-    return _report("commutator", {"a": a, "b": b, "P": tag}, lhs, rhs)
+    return [(None, lhs, rhs)]
 
 
 _BLOCK_WEIGHTS = {
@@ -1170,27 +1091,27 @@ def _corner_sum(key: tuple, a: int, b: int) -> SymFunc:
     return -f if size % 2 else f
 
 
-def _check_lemma31(a: int, b: int, c: int) -> IdentityReport:
+def _check_lemma31(a: int, b: int, c: int) -> list:
     rhs = _corner_sum(("lemma31", a + b + c), a, b)
-    return _report("lemma31", {"a": a, "b": b, "c": c}, _nabla_hee(a, b, c), rhs)
+    return [(None, _nabla_hee(a, b, c), rhs)]
 
 
-def _check_lemma32(m: int, nu: Partition, n: int) -> IdentityReport:
+def _check_lemma32(m: int, nu: Partition, n: int) -> list:
     d_over_m = partition_invariants(nu).D / capital_m()
     lhs = op_C_star(m, _x_pleth(e_, n, d_over_m))
     rhs = _corner_block("gamma", m, n, nu)
     if m == 1:
         rhs = rhs - _x_pleth(e_, n - 1, d_over_m)
-    return _report("lemma32", {"m": m, "nu": nu, "n": n}, lhs, rhs)
+    return [(None, lhs, rhs)]
 
 
-def _check_prop31(m: int, a: int, b: int, n: int) -> IdentityReport:
+def _check_prop31(m: int, a: int, b: int, n: int) -> list:
     c = n - a - b
     lhs = _adjoint_nabla_hee("C", m, a, b, c)
     rhs = _corner_sum(("gamma", m, n), a, b)
     if m == 1:
         rhs = rhs + _nabla_hee(a, b, c - 1)
-    return _report("prop31", {"m": m, "a": a, "b": b, "n": n}, lhs, rhs)
+    return [(None, lhs, rhs)]
 
 
 def _phi1(m: int, a: int, b: int, n: int) -> SymFunc:
@@ -1201,53 +1122,38 @@ def _phi2(m: int, a: int, b: int, n: int) -> SymFunc:
     return _corner_sum(("phi2", m, n), a, b - 1)
 
 
-def _check_thm31(m: int, a: int, b: int, n: int) -> IdentityReport:
+def _check_thm31(m: int, a: int, b: int, n: int) -> list:
     c = n - a - b
     lhs = _adjoint_nabla_hee("C", m, a, b, c)
     rhs = (_phi1(m, a, b, n) + _phi2(m, a, b, n)).scale(T ** (m - 1))
     if m == 1:
         rhs = rhs + _nabla_hee(a, b, c - 1) + _nabla_hee(a, b - 1, c)
-    return _report("thm31", {"m": m, "a": a, "b": b, "n": n}, lhs, rhs)
+    return [(None, lhs, rhs)]
 
 
-def _check_thm32(m: int, a: int, b: int, n: int) -> IdentityReport:
+def _check_thm32(m: int, a: int, b: int, n: int) -> list:
     c = n - a - b
-    return IdentityReport("thm32", {"m": m, "a": a, "b": b, "n": n}, [
+    return [
         ("1", _phi1(m, a, b, n), _adjoint_nabla_hee("B", m - 1, a - 1, b, c)),
         ("2", _phi2(m, a, b, n), _adjoint_nabla_hee("B", m - 2, a, b - 1, c - 1)),
-    ])
+    ]
 
 
-def _check_thm21(m: int, a: int, b: int, c: int) -> IdentityReport:
+def _check_thm21(m: int, a: int, b: int, c: int) -> list:
     lhs = _adjoint_nabla_hee("C", m, a, b, c)
     tm = T ** (m - 1)
     rhs = _adjoint_nabla_hee("B", m - 1, a - 1, b, c).scale(tm)
     rhs = rhs + _adjoint_nabla_hee("B", m - 2, a, b - 1, c - 1).scale(tm)
     if m == 1:
         rhs = rhs + _nabla_hee(a, b - 1, c) + _nabla_hee(a, b, c - 1)
-    return _report("thm21", {"m": m, "a": a, "b": b, "c": c}, lhs, rhs)
+    return [(None, lhs, rhs)]
 
 
-def _check_rec_m(m: int, alpha: Composition, a: int, b: int, c: int) -> IdentityReport:
-    if m <= 1:
-        raise ValueError("this recursion case needs m > 1")
-    lhs = lhs_inner((m,) + tuple(alpha), a, b, c)
-    rhs = recursion_rhs(lhs_inner, m, alpha, a, b, c)
-    return _report("rec-m", {"m": m, "alpha": alpha, "a": a, "b": b, "c": c}, lhs, rhs)
-
-
-def _check_rec_1(alpha: Composition, a: int, b: int, c: int) -> IdentityReport:
-    alpha = tuple(alpha)
-    lhs = lhs_inner((1,) + alpha, a, b, c)
-    rhs = recursion_rhs(lhs_inner, 1, alpha, a, b, c)
-    return _report("rec-1", {"alpha": alpha, "a": a, "b": b, "c": c}, lhs, rhs)
-
-
-def _check_en_decomp(n: int) -> IdentityReport:
+def _check_en_decomp(n: int) -> list:
     total = SymFunc.zero()
     for p in compositions_of(n):
         total = total + c_word(p)
-    return _report("en-decomp", {"n": n}, total, e_(n).to_power())
+    return [(None, total, e_(n).to_power())]
 
 
 _REGISTRY = {
@@ -1267,8 +1173,6 @@ _REGISTRY = {
     "thm31": _check_thm31,
     "thm32": _check_thm32,
     "thm21": _check_thm21,
-    "rec-m": _check_rec_m,
-    "rec-1": _check_rec_1,
     "en-decomp": _check_en_decomp,
 }
 
@@ -1277,7 +1181,8 @@ def identity_ids() -> tuple[str, ...]:
     return tuple(sorted(_REGISTRY))
 
 
-def check_identity(ident: str, **params) -> IdentityReport:
+def check_identity(ident: str, **params) -> list:
+    """The (label, lhs, rhs) triples that identity ident compares at params."""
     fn = _REGISTRY.get(ident)
     if fn is None:
         raise ValueError(f"unknown identity id {ident!r}; known: {', '.join(identity_ids())}")

@@ -23,7 +23,7 @@ from functools import lru_cache
 from itertools import chain, product
 
 from .qtfield import QTR_ZERO, QtRational, laurent
-from .shapes import Composition, check_abc, check_composition, count_fillings, recursion_rhs
+from .shapes import Composition, check_abc, check_composition, count_fillings
 
 __all__ = [
     "InvalidParkingFunction",
@@ -41,7 +41,6 @@ __all__ = [
     "m1_split",
     "sieve_expand",
     "pf_to_path",
-    "verify_recursion",
     "parse_pf",
 ]
 
@@ -594,34 +593,3 @@ def pf_to_path(pf: ParkingFunction, a: int, b: int, c: int) -> FiveStepPath:
     steps.extend([STEP_EAST] * (n - x))
     return FiveStepPath(n, tuple(steps))
 
-
-# ---------------------------------------------------------------------------
-# the combinatorial recursion
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class RecursionReport:
-    m: int
-    alpha: Composition
-    a: int
-    b: int
-    c: int
-    passed: bool
-    lhs: str
-    rhs: str
-
-
-def verify_recursion(m: int, alpha: Composition, a: int, b: int, c: int) -> RecursionReport:
-    """Compare pi_poly, read off the iDes index, with the first-section
-    reduction law applied to it."""
-    alpha = tuple(alpha)
-    if m < 1:
-        raise ValueError("the leading part m must be >= 1")
-    if a + b + c != m + sum(alpha):
-        raise ValueError("sizes must satisfy a+b+c = m + |alpha|")
-    lhs = pi_poly((m,) + alpha, a, b, c)
-    rhs = recursion_rhs(pi_poly, m, alpha, a, b, c)
-    return RecursionReport(
-        m, alpha, a, b, c, lhs == rhs, lhs.canonical(), rhs.canonical()
-    )

@@ -8,7 +8,7 @@ every assertion is an equality, never a tolerance.
 import time
 
 from qtshuffle.qtfield import Q, QTR_ONE, QTR_ZERO, T, parse_rational, swap_qt
-from qtshuffle.shapes import compositions_of, partition_invariants, partitions_of
+from qtshuffle.shapes import compositions_of, partition_invariants, partitions_of, recursion_rhs
 from qtshuffle.symfunc import SymFunc, e_, fundamental_expand, h_, p_, star_inner
 from qtshuffle.macdonald import (
     HTildeTable,
@@ -30,9 +30,8 @@ from qtshuffle.parking import (
     pi_poly,
     rhs_quasisym,
     sieve_expand,
-    verify_recursion,
 )
-from qtshuffle.cli import run_suite
+from qtshuffle.cli import run_suite, side_text
 
 
 def _ok(num: int, text: str) -> None:
@@ -106,8 +105,8 @@ def test_criterion_06_identity_registry():
 
     def check(ident, **params):
         nonlocal count
-        rep = check_identity(ident, **params)
-        assert rep.passed, (ident, params, rep.lhs, rep.rhs)
+        sides = check_identity(ident, **params)
+        assert all(x == y for _, x, y in sides), (ident, params, side_text(sides, 1), side_text(sides, 2))
         count += 1
 
     for n in range(1, 5):
@@ -170,16 +169,13 @@ def test_criterion_07_recursions_four_way():
         for m in range(1, n + 1):
             for alpha in compositions_of(n - m):
                 for a, b, c in _abc_triples(n):
-                    sym = check_identity(
-                        "rec-m" if m > 1 else "rec-1",
-                        **({"m": m, "alpha": alpha, "a": a, "b": b, "c": c} if m > 1
-                           else {"alpha": alpha, "a": a, "b": b, "c": c}),
-                    )
-                    assert sym.passed, (m, alpha, a, b, c, sym.lhs, sym.rhs)
-                    comb = verify_recursion(m, alpha, a, b, c)
-                    assert comb.passed, (m, alpha, a, b, c, comb.lhs, comb.rhs)
-                    # the four values coincide: symbolic lhs equals combinatorial lhs
-                    assert sym.lhs == comb.lhs == comb.rhs
+                    # the four values coincide: each pipeline's value, and the
+                    # recursion applied to that pipeline's own values
+                    sym = lhs_inner((m,) + alpha, a, b, c)
+                    sym_rhs = recursion_rhs(lhs_inner, m, alpha, a, b, c)
+                    comb = pi_poly((m,) + alpha, a, b, c)
+                    comb_rhs = recursion_rhs(pi_poly, m, alpha, a, b, c)
+                    assert sym == sym_rhs == comb == comb_rhs, (m, alpha, a, b, c)
                     checked += 1
     _ok(7, f"both recursions, symbolic and combinatorial, {checked} instances")
 

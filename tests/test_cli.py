@@ -3,8 +3,10 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
+import time
 import types
 
 import pytest
@@ -378,6 +380,45 @@ def test_cache_with_a_non_polynomial_coefficient_fails_validation(tmp_path, coef
         assert err.count("\n") == 1
 
 
+_ONE = "1*q^0*t^0|1*q^0*t^0"
+# corruptions of htilde-3.json: a key of another degree, or a degree that is no int in 0..12
+_BAD_TABLES = {
+    "mu-100": lambda data: data["entries"].update({"[100]": {"[3]": _ONE}}),
+    "mu-200": lambda data: data["entries"].update({"[200]": {"[3]": _ONE}}),
+    "lam-200": lambda data: data["entries"]["[3]"].update({"[200]": _ONE}),
+    "degree-60": lambda data: data.update(degree=60),
+    "degree-13": lambda data: data.update(degree=13),
+    "degree-minus-1": lambda data: data.update(degree=-1),
+    "degree-str": lambda data: data.update(degree="3"),
+    "degree-float": lambda data: data.update(degree=3.0),
+}
+
+
+@pytest.mark.parametrize("bad", sorted(_BAD_TABLES))
+def test_cache_with_a_bad_degree_or_key_is_refused_before_any_work(tmp_path, bad, capsys):
+    # the degree must be an int in 0..12 and each key a partition of it, checked
+    # before the invariants of a key or the partitions of the degree are
+    # computed: for a key [100] those alone take about a minute
+    from qtshuffle.macdonald import HTildeTable, TableInvariantError
+
+    cache = str(tmp_path / "cache")
+    assert cmd_build_cache(3, cache) == 0
+    capsys.readouterr()
+    path = os.path.join(cache, "htilde-3.json")
+    data = json.loads(open(path).read())
+    _BAD_TABLES[bad](data)
+    open(path, "w").write(json.dumps(data))
+    t0 = time.perf_counter()
+    with pytest.raises((ValueError, TableInvariantError)):
+        HTildeTable.from_json(data)
+    assert main(["verify", "macdonald", "--n-max", "3", "--cache", cache]) == 1
+    assert time.perf_counter() - t0 < 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cache file {path} failed validation: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_benchmark_case_ids_match_the_reference():
     # perfbench keys its digests by case id; a changed id reads as a digest failure there
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -432,7 +473,7 @@ def test_fail_rows_name_the_first_difference(capsys, monkeypatch):
     # a symmetric-function identity: the coefficients of p_(n) and p_(1^n) off by t
     def wrong(n):
         lhs = e_(n) + (p_((n,)) + p_((1,) * n)).scale(T)
-        return mac._report("en-decomp", {"n": n}, lhs, e_(n).to_power())
+        return [(None, lhs, e_(n).to_power())]
 
     monkeypatch.setitem(mac._REGISTRY, "en-decomp", wrong)
     json_out, _ = _report_lines(capsys, ["verify", "operators", "--n-max", "2", "--format", "json"])
@@ -477,7 +518,7 @@ def _planted_fails(capsys, deltas):
     1, and fail exactly the cases whose lhs the plant moved, each csv row naming
     where lhs - rhs = delta first differs from zero.  deltas maps alpha to the
     planted change of nabla C_alpha 1."""
-    from qtshuffle.macdonald import first_difference
+    from qtshuffle.cli import first_difference
     from qtshuffle.qtfield import QTR_ZERO
     from qtshuffle.symfunc import e_, h_, hall_inner
 
@@ -536,7 +577,7 @@ def test_every_case_runs_to_its_equality_and_both_side_texts():
     # side_text gives for each side, whatever the types of the values.  No
     # suite pairs equal values that print differently (paths' int against
     # Fraction print alike), so one made-up case does
-    from qtshuffle.macdonald import side_text
+    from qtshuffle.cli import side_text
     from qtshuffle.qtfield import QTR_ONE
 
     mixed = _Case("mixed[k=1]", "k=1", lambda: [(None, QTR_ONE, 1)])
@@ -560,9 +601,10 @@ def test_verdict_renders_a_pass_once():
     assert not ok and (x, y) == (f"a:{Q.canonical()} b:{Q.canonical()}", f"a:{Q.canonical()} b:{T.canonical()}")
 
 
-def test_a_planted_wrong_pi_row_entry_takes_the_fallback(capsys, monkeypatch):
+def test_a_planted_wrong_pi_row_entry_fails_its_one_case(capsys, monkeypatch):
     import qtshuffle.parking as parking
-    from qtshuffle.macdonald import first_difference, lhs_inner
+    from qtshuffle.cli import first_difference
+    from qtshuffle.macdonald import lhs_inner
     from qtshuffle.qtfield import T
 
     row = parking._pi_row((2, 1))
@@ -578,7 +620,7 @@ def test_a_planted_wrong_pi_row_entry_takes_the_fallback(capsys, monkeypatch):
 
 
 def test_first_difference_names_the_descent_set_and_the_half():
-    from qtshuffle.macdonald import first_difference
+    from qtshuffle.cli import first_difference
     from qtshuffle.parking import rhs_quasisym
     from qtshuffle.qtfield import QTR_ONE, QTR_ZERO, T
     from qtshuffle.symfunc import QSymFunc, SymFunc, e_, p_
@@ -610,7 +652,7 @@ def test_fail_rows_name_the_first_differing_pair(capsys, monkeypatch):
     # pieri-rel sides are '; '-joined scalars, one per pair: a second pair off by t^2
     def wrong(mu):
         d = mac._d_coeff(mu, sorted(corners(mu)[0])[0])
-        return mac.IdentityReport("pieri-rel", {"mu": mu}, [(None, d, d), (None, d + T**2, d)])
+        return [(None, d, d), (None, d + T**2, d)]
 
     monkeypatch.setitem(mac._REGISTRY, "pieri-rel", wrong)
     json_out, _ = _report_lines(capsys, ["verify", "macdonald", "--n-max", "2", "--format", "json"])
@@ -634,18 +676,52 @@ def _failed_rows(capsys, argv):
     return failed, cases
 
 
-def test_recursion_fail_rows_name_the_differing_pipeline(capsys, monkeypatch):
+def _plant_in_recursion(monkeypatch, pipeline):
+    """Add t to recursion_rhs wherever it is given pipeline (lhs_inner or
+    pi_poly), so the recursion of that pipeline alone is off by t."""
     import qtshuffle.cli as cli
     from qtshuffle.qtfield import T
 
-    # the combinatorial recursion off by t: the symbolic one and the bridge still agree
     recursion_rhs = cli.recursion_rhs
-    monkeypatch.setattr(cli, "recursion_rhs", lambda *args: recursion_rhs(*args) + T)
+
+    def planted(value, *args):
+        out = recursion_rhs(value, *args)
+        return out + T if value is pipeline else out
+
+    monkeypatch.setattr(cli, "recursion_rhs", planted)
+
+
+def _recursion_triples(text):
+    """{label: value text} of a recursion case's side text."""
+    return dict(part.split(":", 1) for part in re.split(r" (?=comb:|bridge:)", text))
+
+
+def test_recursion_fail_rows_name_the_differing_pipeline(capsys, monkeypatch):
+    import qtshuffle.cli as cli
+
+    # the combinatorial recursion off by t: the symbolic one and the bridge still agree
+    _plant_in_recursion(monkeypatch, cli.pi_poly)
     failed, cases = _failed_rows(capsys, ["verify", "recursion", "--n-max", "2"])
     assert len(failed) == len(build_cases("recursion", 2))
     assert {row[5] for row in failed} == {"comb: lhs - rhs leads with -1*q^0*t^1 (denominator 1*q^0*t^0)"}
     for case in cases.values():
         assert case["lhs"].startswith("sym:") and " comb:" in case["lhs"] and " bridge:" in case["lhs"]
+        lhs, rhs = _recursion_triples(case["lhs"]), _recursion_triples(case["rhs"])
+        assert [label for label in lhs if lhs[label] != rhs[label]] == ["comb"]
+
+
+def test_recursion_fail_rows_name_the_symbolic_pipeline(capsys, monkeypatch):
+    import qtshuffle.cli as cli
+
+    # the mirror plant: the symbolic recursion off by t, the combinatorial one and the bridge agree
+    _plant_in_recursion(monkeypatch, cli.lhs_inner)
+    failed, cases = _failed_rows(capsys, ["verify", "recursion", "--n-max", "2"])
+    assert len(failed) == len(build_cases("recursion", 2))
+    assert {row[5] for row in failed} == {"sym: lhs - rhs leads with -1*q^0*t^1 (denominator 1*q^0*t^0)"}
+    for case in cases.values():
+        lhs, rhs = _recursion_triples(case["lhs"]), _recursion_triples(case["rhs"])
+        assert list(lhs) == list(rhs) == ["sym", "comb", "bridge"]
+        assert [label for label in lhs if lhs[label] != rhs[label]] == ["sym"]
 
 
 def test_paths_fail_rows_name_the_differing_count(capsys, monkeypatch):
@@ -675,9 +751,9 @@ def test_cauchy_fail_rows_show_both_tensors(capsys, monkeypatch):
     good = mac._REGISTRY["cauchy"]
 
     def wrong(n):
-        ((_, lhs, rhs),) = good(n).sides
+        ((_, lhs, rhs),) = good(n)
         key = min(lhs)
-        return mac._report("cauchy", {"n": n}, {**lhs, key: lhs[key] + T}, rhs)
+        return [(None, {**lhs, key: lhs[key] + T}, rhs)]
 
     monkeypatch.setitem(mac._REGISTRY, "cauchy", wrong)
     failed, cases = _failed_rows(capsys, ["verify", "macdonald", "--n-max", "2"])
@@ -694,8 +770,8 @@ def test_sym_ab_fail_rows_name_the_half(capsys, monkeypatch):
     good = mac._REGISTRY["sym-ab"]
 
     def wrong(alpha, beta):
-        half_a, (label, lhs, rhs) = good(alpha, beta).sides
-        return mac.IdentityReport("sym-ab", {"alpha": alpha, "beta": beta}, [half_a, (label, lhs + T, rhs)])
+        half_a, (label, lhs, rhs) = good(alpha, beta)
+        return [half_a, (label, lhs + T, rhs)]
 
     monkeypatch.setitem(mac._REGISTRY, "sym-ab", wrong)
     failed, cases = _failed_rows(capsys, ["verify", "macdonald", "--n-max", "1"])

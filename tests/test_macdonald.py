@@ -16,6 +16,7 @@ from qtshuffle.shapes import (
     corners,
     partition_invariants,
     partitions_of,
+    recursion_rhs,
     zmu,
 )
 from qtshuffle.symfunc import (
@@ -32,13 +33,12 @@ from qtshuffle.symfunc import (
     s_,
     star_inner,
 )
-from qtshuffle.cli import _operator_probes
+from qtshuffle.cli import _operator_probes, _sym_canonical, side_text
 import qtshuffle.macdonald as mac
 import qtshuffle.symfunc as sf
 from qtshuffle.macdonald import (
     HTildeTable,
     TableInvariantError,
-    _sym_canonical,
     build_htilde,
     c_word,
     check_identity,
@@ -942,7 +942,7 @@ def test_operator_output_is_pinned():
             for a in avals:
                 lines.append(f"{name}({a},{tag})={_sym_canonical(op(a, P))}")
         for a, b in ((-3, 1), (-3, 2), (-2, 1)):  # the a + b < 0 branch of the commutator
-            rhs = check_identity("commutator", a=a, b=b, P=P, tag=tag).rhs
+            rhs = side_text(check_identity("commutator", a=a, b=b, P=P, tag=tag), 2)
             lines.append(f"commutator({a},{b},{tag})={rhs}")
     assert len(lines) == 133
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == OPERATOR_OUTPUT_SHA256
@@ -1017,29 +1017,32 @@ def test_unknown_identity():
     assert "thm21" in identity_ids()
 
 
+def _holds(sides):
+    return all(x == y for _, x, y in sides)
+
+
 def test_cauchy_small():
     for n in (1, 2, 3):
-        assert check_identity("cauchy", n=n).passed
+        assert _holds(check_identity("cauchy", n=n))
 
 
 def test_erh_values():
-    rep = check_identity("erh", mu=(2, 1), r=1)
-    assert rep.passed
+    assert _holds(check_identity("erh", mu=(2, 1), r=1))
     assert hall_inner(build_htilde(3).power[(2, 1)], e_(1) * h_(2)) == 1 + Q + T
 
 
 def test_commutator_zero_regime():
-    rep = check_identity("commutator", a=1, b=1, P=h_(1), tag="h1")
-    assert rep.passed
-    assert rep.rhs == "0"
+    sides = check_identity("commutator", a=1, b=1, P=h_(1), tag="h1")
+    assert _holds(sides)
+    assert side_text(sides, 2) == "0"
 
 
 def test_failed_identity_reports_both_sides():
     # erh with a deliberately wrong right-hand side is not representable via
     # the registry, so check the report plumbing on a passing case instead
-    rep = check_identity("sum-d", nu=(2,), k=1)
-    assert rep.passed
-    assert rep.lhs == rep.rhs != ""
+    sides = check_identity("sum-d", nu=(2,), k=1)
+    assert _holds(sides)
+    assert side_text(sides, 1) == side_text(sides, 2) != ""
 
 
 def test_broken_pieri_relation_is_a_fail_with_both_sides(monkeypatch):
@@ -1049,13 +1052,13 @@ def test_broken_pieri_relation_is_a_fail_with_both_sides(monkeypatch):
     from qtshuffle.cli import _ident_case, _run_case
 
     good = check_identity("pieri-rel", mu=(2, 1))
-    assert good.passed
+    assert _holds(good)
     d_coeff = mac._d_coeff
     monkeypatch.setattr(mac, "_d_coeff", lambda mu, nu: 2 * d_coeff(mu, nu))
-    rep = check_identity("pieri-rel", mu=(2, 1))
-    assert not rep.passed
-    assert rep.rhs == good.rhs and rep.lhs != good.lhs
-    assert rep.lhs.count("; ") == 1  # one pair per removable corner
+    bad = check_identity("pieri-rel", mu=(2, 1))
+    assert not _holds(bad)
+    assert side_text(bad, 2) == side_text(good, 2) and side_text(bad, 1) != side_text(good, 1)
+    assert side_text(bad, 1).count("; ") == 1  # one pair per removable corner
     result = _run_case(_ident_case("pieri-rel", mu=(2,)))
     assert result.status == "fail"
     assert result.lhs and result.rhs
@@ -1067,19 +1070,19 @@ def test_thm21_small_grid():
     for N in (1, 2, 3):
         for a in range(0, N + 1):
             for b in range(0, N - a + 1):
-                rep = check_identity("lemma31", a=a, b=b, c=N - a - b)
-                assert rep.passed, rep
+                sides = check_identity("lemma31", a=a, b=b, c=N - a - b)
+                assert _holds(sides), sides
         for m in range(1, N + 1):
             for nu in (mu for d in range(0, N + 1) for mu in partitions_of(d)):
-                rep = check_identity("lemma32", m=m, nu=nu, n=N)
-                assert rep.passed, rep
+                sides = check_identity("lemma32", m=m, nu=nu, n=N)
+                assert _holds(sides), sides
             for a in range(0, N + 1):
                 for b in range(0, N - a + 1):
-                    rep = check_identity("thm21", m=m, a=a, b=b, c=N - a - b)
-                    assert rep.passed, rep
+                    sides = check_identity("thm21", m=m, a=a, b=b, c=N - a - b)
+                    assert _holds(sides), sides
                     for ident in ("prop31", "thm31", "thm32"):
-                        rep = check_identity(ident, m=m, a=a, b=b, n=N)
-                        assert rep.passed, rep
+                        sides = check_identity(ident, m=m, a=a, b=b, n=N)
+                        assert _holds(sides), sides
 
 
 def _direct_corner_sum(a, b, size, block):
@@ -1122,9 +1125,9 @@ def test_corner_tables_match_the_direct_triple_loop(n):
 
 
 def test_recursion_identities_small():
-    assert check_identity("rec-m", m=2, alpha=(1,), a=1, b=1, c=1).passed
-    assert check_identity("rec-1", alpha=(1, 1), a=1, b=1, c=1).passed
-    assert check_identity("rec-1", alpha=(), a=0, b=1, c=0).passed
+    assert lhs_inner((2, 1), 1, 1, 1) == recursion_rhs(lhs_inner, 2, (1,), 1, 1, 1)
+    assert lhs_inner((1, 1, 1), 1, 1, 1) == recursion_rhs(lhs_inner, 1, (1, 1), 1, 1, 1)
+    assert lhs_inner((1,), 0, 1, 0) == recursion_rhs(lhs_inner, 1, (), 0, 1, 0)
 
 
 def test_fundamental_expansion_of_degree_two_entry():

@@ -4,7 +4,7 @@ from itertools import combinations, permutations, product
 import pytest
 
 from qtshuffle.qtfield import Q, QTR_ONE, QTR_ZERO, QtRational, T
-from qtshuffle.shapes import compositions_of, partitions_of
+from qtshuffle.shapes import compositions_of, partitions_of, recursion_rhs
 from qtshuffle.symfunc import QSymFunc, SymFunc, e_, fundamental_expand, h_, hall_inner
 from qtshuffle.macdonald import c_word, lhs_inner, nabla
 from qtshuffle.parking import (
@@ -30,7 +30,6 @@ from qtshuffle.parking import (
     sieve_expand,
     stats,
     validate_pf,
-    verify_recursion,
 )
 
 
@@ -372,8 +371,7 @@ def test_phi_inverse_column_case_matches_the_search():
 
 
 def test_phi_weight_recursion_instance():
-    rep = verify_recursion(3, (2,), 1, 2, 2)
-    assert rep.passed, (rep.lhs, rep.rhs)
+    assert pi_poly((3, 2), 1, 2, 2) == recursion_rhs(pi_poly, 3, (2,), 1, 2, 2)
 
 
 def test_phi_rejects_short_leading_section():
@@ -490,12 +488,6 @@ def test_path_geometry_validated():
 
 
 def test_recursion_base_cases():
-    rep = verify_recursion(1, (), 1, 0, 0)
-    assert rep.passed and rep.lhs == rep.rhs
-    assert verify_recursion(1, (1, 1), 1, 1, 1).passed
-    assert verify_recursion(2, (1,), 1, 1, 1).passed
-
-
-def test_recursion_rejects_bad_sizes():
-    with pytest.raises(ValueError):
-        verify_recursion(2, (1,), 1, 1, 5)
+    assert pi_poly((1,), 1, 0, 0) == recursion_rhs(pi_poly, 1, (), 1, 0, 0) == QTR_ONE
+    assert pi_poly((1, 1, 1), 1, 1, 1) == recursion_rhs(pi_poly, 1, (1, 1), 1, 1, 1)
+    assert pi_poly((2, 1), 1, 1, 1) == recursion_rhs(pi_poly, 2, (1,), 1, 1, 1)
