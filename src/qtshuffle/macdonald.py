@@ -48,6 +48,12 @@ is C_{alpha_1} applied through its rows to the cached word of alpha[1:]
 per composition (_nabla_c_word), e_a h_b h_c per triple is integers read
 off Pieri strips (_eh_schur), and the pairing is their integer dot product
 (_schur_pairing), made one QtRational per call by one division by a monomial.
+Each word-times-rows step, and the registry's adjoint products, is
+_laurent_map: one kronecker-packed product whose D and k the call proves
+from the word's q-span and 1-norms and the rows' (as _packed_product does),
+on rows packed once and kept with them (_Rows: int_rows on the table, the
+C_a rows per degree in _c_rows), packed again wider only when a word proves
+more than they hold; unkronecker reads each s_nu coefficient back.
 c_word and shuffle-qsym build one QtRational per Schur coefficient from the
 same integers (_laurent_schur).  The recursion suite (cli) applies
 shapes.recursion_rhs to lhs_inner and to the parking side's pi_poly alike.
@@ -176,7 +182,7 @@ class HTildeTable:
         return {lam: _laurent_schur(row) for lam, row in self.int_rows.items()}
 
     @cached_property
-    def int_rows(self) -> dict[Partition, dict]:
+    def int_rows(self) -> _Rows:
         """{lam: {nu: R_lam,nu}}, the nabla rows R = K~^-1 diag(T_mu) K~ as
         certified integer polynomials, K~ the Schur coefficients; computed on
         first use and kept, for the SymFunc rows (nabla_matrix,
@@ -203,7 +209,7 @@ class HTildeTable:
             if rows is not None:
                 got, want = _packed_product([kostka, rows], eigen)
                 if got == want:
-                    return rows
+                    return _Rows(rows)
             k *= 2
         raise TableInvariantError(f"nabla rows of degree {n} failed their certificate")
 
@@ -379,18 +385,94 @@ def _nonzero(coeffs: dict) -> dict:
     return {lam: x for lam, p in coeffs.items() if (x := {e: c for e, c in p.items() if c})}
 
 
-def _laurent_map(coeffs: dict, row) -> dict:
-    """sum over lam of coeffs[lam] times row(lam), as symfunc.linear_map, with
-    every coefficient an integer Laurent polynomial {(q-exp, t-exp): int}."""
-    out: dict = {}
+def _shifted_kronecker(p: dict, low: tuple, k: int, D: int) -> int:
+    """qtfield.kronecker of the integer Laurent polynomial p divided by the
+    monomial q^low[0] t^low[1], which leaves no negative exponent."""
+    a, b = low
+    return sum(c << k * (i - a + D * (j - b)) for (i, j), c in p.items())
+
+
+def _low_span(polys) -> tuple:
+    """((the least q-exponent, the least t-exponent), the q-span) of the
+    integer Laurent polynomials, or ((0, 0), 0) when they have no term."""
+    keys = [e for p in polys for e in p]
+    if not keys:
+        return (0, 0), 0
+    qs = [i for i, _ in keys]
+    return (min(qs), min(j for _, j in keys)), max(qs) - min(qs)
+
+
+class _Rows(dict):
+    """A linear map's rows {lam: {nu: R_lam,nu}}, integer Laurent polynomials,
+    that keep their kronecker packing for _laurent_map.
+
+    The rows are shifted by their least q- and t-exponents (low) and packed
+    on the first product at the (k, D) that product proves, then kept; a
+    later product that proves a larger k or D packs them again, each of the
+    two that grew _REPACK_MARGIN above what it proves, so a table's words
+    repack it a bounded number of times.  The rows must not change once
+    packed."""
+
+    @cached_property
+    def shape(self) -> tuple:
+        """(low, the q-span of the rows, their 1-norms {lam: {nu: |R_lam,nu|_1}})."""
+        low, span = _low_span(p for row in self.values() for p in row.values())
+        return low, span, {lam: {nu: _size(p) for nu, p in row.items()} for lam, row in self.items()}
+
+    _packing: tuple | None = None  # (k, D, {lam: {nu: packed R_lam,nu}})
+
+    def packing(self, k: int, D: int) -> tuple:
+        """(k', D', packed rows) with k' >= k and D' >= D."""
+        have = self._packing
+        if have is None or k > have[0] or D > have[1]:
+            if have is not None:
+                k = k + _REPACK_MARGIN if k > have[0] else have[0]
+                D = D + _REPACK_MARGIN if D > have[1] else have[1]
+            low = self.shape[0]
+            packed = {lam: {nu: _shifted_kronecker(p, low, k, D) for nu, p in row.items()} for lam, row in self.items()}
+            have = self._packing = (k, D, packed)
+        return have
+
+
+_REPACK_MARGIN = 2  # the slack a repacking _Rows adds to each of k and D
+
+
+def _laurent_map(coeffs: dict, rows: _Rows) -> dict:
+    """sum over lam of coeffs[lam] times rows[lam], as symfunc.linear_map, with
+    every coefficient an integer Laurent polynomial {(q-exp, t-exp): int}, as
+    one kronecker-packed product.
+
+    The word coeffs is shifted by its least q- and t-exponents and the rows
+    by theirs (_Rows.shape), so both are polynomials.  A coefficient of the
+    shifted product then has q-degree below D = 1 + the word's q-span + the
+    rows' q-span, and its s_nu coefficient a 1-norm of at most the sum over
+    lam of |coeffs[lam]|_1 |rows[lam][nu]|_1, below 2^(k-1) for k = 1 + the
+    bit length of the largest such sum.  kronecker at (k, D) or above is
+    injective there (_packed_product's argument), so unkronecker reads each
+    packed sum back exactly, and the shift goes back on.
+    """
+    if not coeffs:
+        return {}
+    (a, b), span = _low_span(coeffs.values())
+    low, top, norms = rows.shape
+    bound: dict = {}
     for lam, p in coeffs.items():
-        for key, r in row(lam).items():
-            acc = out.setdefault(key, {})
-            for (i, j), x in p.items():
-                for (k, l), y in r.items():
-                    e = (i + k, j + l)
-                    acc[e] = acc.get(e, 0) + x * y
-    return _nonzero(out)
+        w = _size(p)
+        for nu, r in norms.get(lam, {}).items():
+            bound[nu] = bound.get(nu, 0) + w * r
+    k, D, packed = rows.packing(1 + max(bound.values(), default=0).bit_length(), 1 + span + top)
+    acc: dict = {}
+    for lam, p in coeffs.items():
+        x = _shifted_kronecker(p, (a, b), k, D)
+        for nu, y in packed.get(lam, {}).items():
+            acc[nu] = acc.get(nu, 0) + x * y
+    a, b = a + low[0], b + low[1]
+    out = {}
+    for nu, x in acc.items():
+        if x:
+            p = unkronecker(x, k, D)
+            out[nu] = {(i + a, j + b): c for (i, j), c in p.items()} if a or b else p
+    return out
 
 
 def _laurent_schur(coeffs: dict) -> SymFunc:
@@ -695,7 +777,7 @@ def _op_row(kind: str, a: int, lam: Partition) -> dict[Partition, dict]:
 
 
 @lru_cache(maxsize=None)
-def _star_rows(kind: str, a: int, n: int) -> dict[Partition, dict]:
+def _star_rows(kind: str, a: int, n: int) -> _Rows:
     """{nu: {kappa: [s_kappa] S A* S^-1 s_nu}} over nu |- n, A = C_a or B_a
     and S f = f[MX]: as <f, g>_* = <f, omega S g> (Hall) and omega, S commute,
     S A* S^-1 = omega A^T omega, so the entry is [s_nu'] A s_kappa', read off
@@ -704,7 +786,14 @@ def _star_rows(kind: str, a: int, n: int) -> dict[Partition, dict]:
     for kappa in partitions_of(n - a):
         for nu, p in _op_row(kind, a, conjugate(kappa)).items():
             rows.setdefault(conjugate(nu), {})[kappa] = p
-    return rows
+    return _Rows(rows)
+
+
+@lru_cache(maxsize=None)
+def _c_rows(a: int, n: int) -> _Rows:
+    """{lam: [s_kappa] C_a s_lam} over lam |- n, the rows _op_row as one
+    _Rows, so _c_word packs them once."""
+    return _Rows({lam: _op_row("C", a, lam) for lam in partitions_of(n)})
 
 
 @lru_cache(maxsize=None)
@@ -747,14 +836,14 @@ def _c_word(alpha: Composition) -> dict:
     alpha[1:], so each suffix is built once however many words share it."""
     if not alpha:
         return {(): {(0, 0): 1}}
-    return _laurent_map(_c_word(alpha[1:]), lambda lam: _op_row("C", alpha[0], lam))
+    return _laurent_map(_c_word(alpha[1:]), _c_rows(alpha[0], sum(alpha[1:])))
 
 
 @lru_cache(maxsize=None)
 def _nabla_c_word(alpha: Composition) -> dict:
     """The Schur coefficients of nabla C_alpha 1, integer Laurent polynomials:
     the word _c_word times the certified integer nabla rows (int_rows)."""
-    return _laurent_map(_c_word(alpha), build_htilde(sum(alpha)).int_rows.__getitem__)
+    return _laurent_map(_c_word(alpha), build_htilde(sum(alpha)).int_rows)
 
 
 @lru_cache(maxsize=None)
@@ -856,7 +945,7 @@ def _adjoint_nabla_hee(kind: str, m: int, a: int, b: int, c: int) -> SymFunc:
     integer Laurent polynomials, unframed once; equal to op_C_star or
     op_B_star of _nabla_hee(a, b, c)."""
     rows = _star_rows(kind, m, a + b + c)
-    return _unframe(_laurent_schur(_laurent_map(_framed_nabla_hee(a, b, c), lambda nu: rows.get(nu, {}))))
+    return _unframe(_laurent_schur(_laurent_map(_framed_nabla_hee(a, b, c), rows)))
 
 
 def _sign(k: int) -> int:

@@ -11,6 +11,8 @@ per composition (_pi_row), summed for every (a, b) in one pass over the
 buckets of a pruned index: the same DP, told to drop each iDes mask with two
 or more elements above its first gap as the mask forms (_dead_masks), since
 no (a, b) reads those buckets.  That leaves O(n^2) masks of the 2^(n-1).
+The row keeps each (a, b) as its integer terms, and pi_poly makes the
+QtRational of the one it reads (qtfield.laurent).
 The full _ides_index stays for rhs_quasisym and as the oracle of the rows.
 enumerate_by_comp, enumerate_family and _compute_stats stay the independent
 per-object route.
@@ -330,7 +332,7 @@ def pi_poly(alpha: Composition, a: int, b: int, c: int) -> QtRational:
     alpha = tuple(alpha)
     if not check_abc(alpha, a, b, c):
         return QTR_ZERO
-    return _pi_row(alpha)[a, b]
+    return laurent(_pi_row(alpha)[a, b])  # counts over 1: already reduced
 
 
 def _merge(terms: dict, bucket: dict) -> None:
@@ -340,8 +342,9 @@ def _merge(terms: dict, bucket: dict) -> None:
 
 @lru_cache(maxsize=None)
 def _pi_row(alpha: Composition) -> dict:
-    """{(a, b): pi_poly(alpha, a, b, n - a - b)} for every a + b <= n, read
-    off the index in one pass over its buckets.
+    """{(a, b): the terms {(dinv, area): count} of pi_poly(alpha, a, b,
+    n - a - b)} for every a + b <= n, read off the index in one pass over its
+    buckets; integer dicts, so the cached rows hold no QtRational.
 
     _ides_fits(ides, a, b) asks for 1..a-1 in ides, so with g the least
     i >= 1 not in ides a bucket fits only a <= g; then every element above a
@@ -366,7 +369,7 @@ def _pi_row(alpha: Composition) -> dict:
         for b in range(n + 1 - a):
             terms = dict(every_b[a])
             _merge(terms, one_b.get((a, b), {}))
-            row[a, b] = laurent(terms)  # counts over 1: already reduced
+            row[a, b] = terms
     return row
 
 

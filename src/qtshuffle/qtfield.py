@@ -833,18 +833,26 @@ def unkronecker(x: int, k: int, D: int) -> dict:
     For k >= 2 every x has exactly one such p, so unkronecker inverts
     kronecker on the range where kronecker is injective (coefficients below
     2^(k-1) in absolute value, q-degree below D).
+
+    Each digit d is written as a k-bit field in two's complement, d mod 2^k,
+    so a zero digit is k zero characters: str.find jumps from one nonzero
+    field to the next, and every zero slot, every all-zero t-row of D slots
+    among them, is skipped by that one scan and never sliced or compared.
     """
-    half = 1 << (k - 1)
+    half, full = 1 << (k - 1), 1 << k
     slots = abs(x).bit_length() // k + 2  # |x| < 2^(k (slots - 1))
-    # adding half to every digit makes each one a plain k-bit field
-    digits = format(x + half * (((1 << k * slots) - 1) // ((1 << k) - 1)), "b").zfill(k * slots)
-    zero = format(half, "b")  # the field of a zero coefficient
+    ones = half * (((1 << k * slots) - 1) // (full - 1))  # half in every slot
+    # x + ones holds each digit plus half as a plain k-bit field, and the xor
+    # takes half off again bitwise, leaving the digit mod 2^k
+    digits = format((x + ones) ^ ones, "b").zfill(k * slots)
     out = {}
-    for s in range(slots):
-        field = digits[len(digits) - k * (s + 1) : len(digits) - k * s]
-        if field != zero:
-            j, i = divmod(s, D)
-            out[i, j] = int(field, 2) - half
+    pos = digits.find("1")
+    while pos >= 0:
+        start = pos - pos % k
+        c = int(digits[start : start + k], 2)
+        j, i = divmod(slots - 1 - start // k, D)
+        out[i, j] = c - full if c >= half else c
+        pos = digits.find("1", start + k)
     return out
 
 

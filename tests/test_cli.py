@@ -505,7 +505,7 @@ def word_caches():
     after a test that plants a wrong row under them."""
     import qtshuffle.macdonald as mac
 
-    caches = (mac._op_row, mac._star_rows, mac._qtr_row, mac._c_word, mac._nabla_c_word)
+    caches = (mac._op_row, mac._star_rows, mac._c_rows, mac._qtr_row, mac._c_word, mac._nabla_c_word)
     for f in caches:
         f.cache_clear()
     yield
@@ -605,10 +605,9 @@ def test_a_planted_wrong_pi_row_entry_fails_its_one_case(capsys, monkeypatch):
     import qtshuffle.parking as parking
     from qtshuffle.cli import first_difference
     from qtshuffle.macdonald import lhs_inner
-    from qtshuffle.qtfield import T
 
-    row = parking._pi_row((2, 1))
-    monkeypatch.setitem(row, (1, 1), row[1, 1] + T)
+    row = parking._pi_row((2, 1))  # integer terms {(dinv, area): count}; t^1 is one more
+    monkeypatch.setitem(row, (1, 1), {**row[1, 1], (0, 1): row[1, 1].get((0, 1), 0) + 1})
     (case,) = [c for c in build_cases("main-theorem", 3) if c.params == "alpha=(2,1),a=1,b=1,c=1"]
     sides = case.sides()
     assert case.run() == _verdict(sides) == (False, lhs_inner((2, 1), 1, 1, 1).canonical(), sides[0][2].canonical())

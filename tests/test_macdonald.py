@@ -858,6 +858,78 @@ def test_integer_nabla_words_match_the_extract_z_route():
             assert got == want, alpha
 
 
+def _reference_laurent_map(coeffs, row):
+    """sum over lam of coeffs[lam] times row(lam), term pair by term pair with
+    (q-exp, t-exp) tuple keys, zero terms and zero polynomials left out: the
+    map the packed _laurent_map must equal."""
+    out = {}
+    for lam, p in coeffs.items():
+        for key, r in row(lam).items():
+            acc = out.setdefault(key, {})
+            for (i, j), x in p.items():
+                for (k, l), y in r.items():
+                    e = (i + k, j + l)
+                    acc[e] = acc.get(e, 0) + x * y
+    return {key: x for key, p in out.items() if (x := {e: c for e, c in p.items() if c})}
+
+
+def test_packed_laurent_map_matches_the_reference_on_every_word():
+    # each C-word step and each nabla word of degree <= 7, against the tuple-key map
+    for n in range(8):
+        rows = build_htilde(n).int_rows
+        for alpha in compositions_of(n):
+            word = mac._c_word(alpha)
+            if alpha:
+                step = _reference_laurent_map(mac._c_word(alpha[1:]), lambda lam: mac._op_row("C", alpha[0], lam))
+                assert word == step, alpha
+            assert mac._nabla_c_word(alpha) == _reference_laurent_map(word, rows.__getitem__), alpha
+
+
+def test_packed_laurent_map_matches_the_reference_on_the_framed_adjoints():
+    # every C* and B* product of the framed nabla(h_a^* e_b^* e_c^*) the
+    # registry reads at n <= 5
+    stars, _ = _registry_hee_calls(range(1, 6))
+    for kind, m, a, b, c in stars:
+        rows, framed = mac._star_rows(kind, m, a + b + c), mac._framed_nabla_hee(a, b, c)
+        want = _reference_laurent_map(framed, lambda nu: rows.get(nu, {}))
+        assert mac._laurent_map(framed, rows) == want, (kind, m, a, b, c)
+        assert mac._adjoint_nabla_hee(kind, m, a, b, c) == mac._unframe(mac._laurent_schur(want))
+
+
+def test_packed_laurent_map_is_exact_at_its_proven_bounds():
+    # fresh rows pack at exactly the (k, D) their first product proves, and
+    # each of these products sits on one bound.  First the coefficients:
+    # 29 * 1 + 1 * 2 = 31 = 2^(k-1) - 1 at q t^2, k = 6
+    rows = {(1,): {(1,): {(3, 0): 1}}, (2,): {(1,): {(1, 1): 2}, (2,): {(0, 0): -1}}}
+    word = {(1,): {(-2, 2): 29}, (2,): {(0, 1): 1}}
+    packed = mac._Rows(rows)
+    assert mac._laurent_map(word, packed) == {(1,): {(1, 2): 31}, (2,): {(0, 1): -1}}
+    assert packed.packing(0, 0)[:2] == (6, 1 + 2 + 3)
+    # then the slots: after the shifts q^3 q^2 t has q-degree 3 + 4 = D - 1
+    rows = {(1,): {(1,): {(-2, 0): 1, (2, 1): 1}}}
+    word = {(1,): {(0, 1): 1, (3, 0): 1}}
+    packed = mac._Rows(rows)
+    want = {(1,): {(-2, 1): 1, (2, 2): 1, (1, 0): 1, (5, 1): 1}}
+    assert mac._laurent_map(word, packed) == _reference_laurent_map(word, rows.__getitem__) == want
+    assert packed.packing(0, 0)[:2] == (4, 1 + 3 + 4)
+
+
+def test_packed_rows_repack_only_when_a_product_proves_more():
+    rows = {(1,): {(1,): {(0, 0): 1, (1, 0): 1}, (2,): {(0, 2): -1}}}
+    packed = mac._Rows(rows)
+    small, large = {(1,): {(0, 0): 1}}, {(1,): {(-4, 0): 100, (3, 1): -7}}
+    points = []
+    for word in (small, large, small, large):
+        assert mac._laurent_map(word, packed) == _reference_laurent_map(word, rows.__getitem__), word
+        points.append(packed.packing(0, 0))
+    # the small word packs at its own (k, D) = (3, 2); the large one proves
+    # (9, 9) and packs once more, wider by the margin; later products reuse it
+    wide = (9 + mac._REPACK_MARGIN, 9 + mac._REPACK_MARGIN)
+    assert [p[:2] for p in points] == [(3, 2), wide, wide, wide]
+    assert points[1] is points[2] is points[3]
+    assert mac._laurent_map({}, packed) == {}
+
+
 def test_eh_schur_matches_the_basis_change():
     for n in range(8):
         for a in range(n + 1):

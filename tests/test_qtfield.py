@@ -276,6 +276,29 @@ def test_unkronecker_inverts_kronecker_within_its_slots():
     assert qtfield.unkronecker(qtfield.kronecker({(5, 0): 1}, 8, 5), 8, 5) == {(0, 1): 1}
 
 
+def test_unkronecker_skips_zero_slots_and_rows_only():
+    # zero digits are jumped over, whole t-rows of them among them; every
+    # nonzero slot is still read, wherever it sits in its row
+    for k in (2, 5, 13):
+        top = 2 ** (k - 1) - 1
+        for D in (1, 2, 4, 7):
+            # whole zero t-rows between nonzero ones, and between a row's two ends
+            p = {(0, 0): top, (D - 1, 0): -1, (D - 1, 3): -top, (0, 7): 1}
+            # a partial top row: only its lowest or only its highest slot is set
+            for last in ((0, 9), (D - 1, 9)):
+                q = {**p, last: -top - 1}  # the least digit, -2^(k-1)
+                assert qtfield.unkronecker(qtfield.kronecker(q, k, D), k, D) == q, (k, D, last)
+    # D = 1: one slot per row, each t-degree its own row
+    p = {(0, 0): -3, (0, 1): 3, (0, 4): -1, (0, 5): 2}
+    assert qtfield.unkronecker(qtfield.kronecker(p, 3, 1), 3, 1) == p
+    # negative values, one digit or many, and x = 0 at every shape
+    for k, D in ((2, 1), (3, 4), (9, 2)):
+        assert qtfield.unkronecker(0, k, D) == {}
+        assert qtfield.unkronecker(-1, k, D) == {(0, 0): -1}
+        p = {(i % D, i // D): -(i % (2 ** (k - 1))) - 1 for i in range(0, 12, 3)}
+        assert qtfield.unkronecker(qtfield.kronecker(p, k, D), k, D) == p, (k, D)
+
+
 def test_hash_agrees_with_equality_for_constants():
     half = qtr(Fraction(1, 2))
     assert half == Fraction(1, 2) and hash(half) == hash(Fraction(1, 2))
