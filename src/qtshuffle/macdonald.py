@@ -11,10 +11,13 @@ from them, and its coefficients must parse as integer polynomials.  Before
 use, verify() checks the defining invariants or raises TableInvariantError:
 <H~_mu, h_n> = K~_mu,(n) = 1, and
 <H~_lam, H~_mu>_* = (K~ G_n K~^T)_lam,mu = delta w_mu, G_n = (<s_lam, s_nu>_*)
-(_star_gram), as one _packed_product: a product of integer-polynomial
-matrices at q = 2^k, t = 2^(kD), with D and k from one proven degree and
-coefficient bound, so each entry is one exact comparison of Python ints.  A
-loaded table is verified once, on load; install_table does not repeat it.
+(_star_gram), as one _packed_product.  That is the one exact product of
+integer Laurent-polynomial matrices here: each row of the first factor and
+each later factor divided by its least monomial, all packed at q = 2^k,
+t = 2^(kD) with D and k from one proven degree and coefficient bound,
+multiplied as Python ints, and each entry read back (unkronecker) with its
+monomial put back on.  A loaded table is verified once, on load;
+install_table does not repeat it.
 
 Each coefficient on the H~ basis is <f, H~_mu>_* / w_mu (HTildeTable.coeff):
 the expansion behind both Pieri directions, which one loop in pieri() computes
@@ -23,7 +26,7 @@ and checks against d_{mu,nu} = M c_{mu,nu} w_nu / w_mu.
 nabla is one Schur-basis matrix per table, R = K~^-1 diag(T_mu) K~, built by
 HTildeTable.int_rows on first use, never on build, load or install:
 verify() gives K~^-1 = G_n K~^T diag(1/w_mu), R is guessed at one point
-(_guess_rows) and certified by K~ R = diag(T_mu) K~ with _packed_product.
+(_guess_rows) and certified by K~ R = diag(T_mu) K~, one _packed_product.
 The table keeps R as those certified integer polynomials; its SymFunc rows
 (nabla_row) are read off them, and the nabla^-1 rows are R under omega and
 q,t -> 1/q,1/t (_inverse_rows).  nabla(f, sign) is one sparse product of f's
@@ -42,20 +45,18 @@ of it are integer products with the transposed rows, mapped back by one
 division per power-sum coefficient (_unframe).
 
 lhs_inner(alpha, a, b, c) = <nabla C_alpha 1, e_a h_b h_c> stays in the Schur
-basis, which is orthonormal, and in integers until its one result: C_alpha 1
-is C_{alpha_1} applied through its rows to the cached word of alpha[1:]
-(_c_word), nabla C_alpha 1 is that word times the integer rows R, cached
-per composition (_nabla_c_word), e_a h_b h_c per triple is integers read
-off Pieri strips (_eh_schur), and the pairing is their integer dot product
-(_schur_pairing), made one QtRational per call by one division by a monomial.
-Each word-times-rows step, and the registry's adjoint products, is
-_laurent_map: one kronecker-packed product whose D and k the call proves
-from the word's q-span and 1-norms and the rows' (as _packed_product does),
-on rows packed once and kept with them (_Rows: int_rows on the table, the
-C_a rows per degree in _c_rows), packed again wider only when a word proves
-more than they hold; unkronecker reads each s_nu coefficient back.
-c_word and shuffle-qsym build one QtRational per Schur coefficient from the
-same integers (_laurent_schur).  The recursion suite (cli) applies
+basis, which is orthonormal, and in integers until its one result.  C_alpha 1
+is C_{alpha_1} applied through its rows to the word of alpha[1:], the words
+of one degree built and cached together, one _packed_product per first part
+(_c_words).  nabla C_alpha 1 for every alpha |= n is the matrix of those
+words times the integer rows R, one _packed_product cached per degree
+(_nabla_c_words).  e_a h_b h_c per triple is integers read off Pieri strips
+(_eh_schur), and the pairing is their integer dot product (_schur_pairing),
+made one QtRational per call by one division by a monomial.  The registry's
+adjoint products are one-row _packed_products.  c_word and shuffle-qsym
+build one QtRational per Schur coefficient from the same integers
+(_laurent_schur); c_word, nabla_c_word and lhs_inner refuse a part below 1,
+as pi_poly does.  The recursion suite (cli) applies
 shapes.recursion_rhs to lhs_inner and to the parking side's pi_poly alike.
 
 Lemma 3.1, Proposition 3.1 and Theorems 3.1-3.2 expand over the same corners:
@@ -103,6 +104,7 @@ from .shapes import (
     capital_m,
     cell_stats,
     check_abc,
+    check_composition,
     compositions_of,
     conjugate,
     corners,
@@ -182,16 +184,17 @@ class HTildeTable:
         return {lam: _laurent_schur(row) for lam, row in self.int_rows.items()}
 
     @cached_property
-    def int_rows(self) -> _Rows:
+    def int_rows(self) -> dict:
         """{lam: {nu: R_lam,nu}}, the nabla rows R = K~^-1 diag(T_mu) K~ as
         certified integer polynomials, K~ the Schur coefficients; computed on
         first use and kept, for the SymFunc rows (nabla_matrix,
-        _inverse_rows) and the main grid's integer products.
+        _inverse_rows), the words of each degree (_nabla_c_words) and the
+        registry's framed sides.
 
-        _guess_rows reads R off one point, and the certificate
-        K~ R = diag(T_mu) K~, one _packed_product, fixes it, as K~ is
-        invertible (verify()).  A guess that is no integer or fails doubles k
-        and keeps D; after _ROW_ATTEMPTS tries the table raises
+        _guess_rows reads R off one point, and the certificate, the
+        _packed_product K~ R compared as a dict with diag(T_mu) K~, fixes it,
+        as K~ is invertible (verify()).  A guess that is no integer or fails
+        doubles k and keeps D; after _ROW_ATTEMPTS tries the table raises
         TableInvariantError (the first guess holds through degree 9, see
         _row_start).
         """
@@ -206,10 +209,8 @@ class HTildeTable:
         D = 1 + n * (n - 1) // 2  # above every q-degree of K~ and R, and >= n: no w_mu vanishes at the point
         for _ in range(_ROW_ATTEMPTS):
             rows = _guess_rows(kostka, _star_gram(n), k, D)
-            if rows is not None:
-                got, want = _packed_product([kostka, rows], eigen)
-                if got == want:
-                    return _Rows(rows)
+            if rows is not None and _packed_product([kostka, rows]) == eigen:
+                return rows
             k *= 2
         raise TableInvariantError(f"nabla rows of degree {n} failed their certificate")
 
@@ -230,19 +231,19 @@ class HTildeTable:
         """Assert the support (one row per mu |- n, each indexed by partitions
         of n), <H~_mu, h_n> = K~_mu,(n) = 1 and <H~_lam, H~_mu>_* =
         (K~ G_n K~^T)_lam,mu = delta w_mu for lam >= mu, exactly, as one
-        _packed_product."""
+        _packed_product compared with the norms."""
         parts = partitions_of(self.degree)
         kostka, support = self.kostka, set(parts)
         if kostka.keys() != support or any(row.keys() - support for row in kostka.values()):
             raise TableInvariantError(f"degree {self.degree} table has wrong support")
         norms = {mu: {mu: int_poly(self.invariants[mu].w)} for mu in parts}
         read = {lam: parts[: i + 1] for i, lam in enumerate(parts)}  # (lam, mu) for lam >= mu
-        gram, want = _packed_product([kostka, _star_gram(self.degree), _transpose(kostka)], norms, read)
+        gram = _packed_product([kostka, _star_gram(self.degree), _transpose(kostka)], read)
         for i, mu in enumerate(parts):
             if kostka[mu].get(parts[0]) != {(0, 0): 1}:  # parts[0] is (n), or () in degree 0
                 raise TableInvariantError(f"normalization failed for {mu}")
             for lam in parts[i:]:
-                if gram[lam].get(mu, 0) != want[lam].get(mu, 0):
+                if gram[lam].get(mu) != norms[lam].get(mu):
                     raise TableInvariantError(f"orthogonality failed at ({lam}, {mu})")
         self.verified = True
 
@@ -312,10 +313,6 @@ def _size(p: dict) -> int:
     return sum(map(abs, p.values()))
 
 
-def _q_degree(polys) -> int:
-    return max((i for p in polys for i, _ in p), default=0)
-
-
 def _transpose(m: dict) -> dict:
     out: dict = {}
     for i, row in m.items():
@@ -336,41 +333,62 @@ def _matmul(a: dict, b: dict) -> dict:
     return out
 
 
-def _pack(m: dict, k: int, D: int) -> dict:
-    return {i: {j: x for j, p in row.items() if (x := kronecker(p, k, D))} for i, row in m.items()}
+def _pack(m: dict, k: int, D: int, lows: dict | None = None) -> dict:
+    """m with every entry packed by qtfield.kronecker at (k, D), each row i
+    first divided by the monomial q^a t^b, (a, b) = lows[i] ((0, 0) when lows
+    is None), which must leave it no negative exponent."""
+    out = {}
+    for i, row in m.items():
+        a, b = lows[i] if lows else (0, 0)
+        out[i] = {j: sum(c << k * (e - a + D * (f - b)) for (e, f), c in p.items()) for j, p in row.items()}
+    return out
 
 
-def _packed_product(factors: list, want: dict, entries: dict | None = None) -> tuple[dict, dict]:
-    """(got, wanted): the product of the integer-polynomial matrices in
-    factors and the matrix want ({row: {col: poly}} each), both packed by
-    qtfield.kronecker at q = 2^k, t = 2^(kD), zero entries left out, where
-    got[i][j] == wanted[i][j] exactly when the two polynomials are equal.
-    entries ({row: cols}), when given, names the entries the caller reads;
-    the last stage of the factors' product computes only those.
+def _packed_product(factors: list, entries: dict | None = None) -> dict:
+    """The product of the matrices in factors, {row: {col: p}} each with p an
+    integer Laurent polynomial {(q-exp, t-exp): int}, as one kronecker-packed
+    product of Python ints: {row: {col: p}}, zero entries left out.  entries
+    ({row: cols}), when given, names the entries the caller reads; the last
+    stage computes only those.
 
-    kronecker is a ring homomorphism, injective on polynomials of q-degree
-    below D with coefficients below 2^(k-1) in absolute value, so got is the
-    product of the packed factors.  An entry of a product has q-degree at
-    most the sum of its factors' largest q-degrees, and no coefficient above
-    the matching entry of the product of the factors' 1-norm matrices
-    (|f g|_1 <= |f|_1 |g|_1).  D exceeds that degree sum and the q-degree of
-    want, and 2^(k-1) exceeds the largest 1-norm entry of that product plus
-    the largest of want, so every got - wanted lies where kronecker is
-    injective.
+    Each row of the first factor is divided by the monomial of its least q-
+    and t-exponents, and each later factor by the monomial of its own, so
+    every factor is a polynomial and the product is the shifted product times
+    those monomials.  kronecker is a ring homomorphism, injective on
+    polynomials of q-degree below D with coefficients below 2^(k-1) in
+    absolute value.  A shifted entry has q-degree at most the largest q-span
+    of a first-factor row plus the later factors' q-spans, so below
+    D = 1 + that sum, and no coefficient above the matching entry of the
+    product of the factors' 1-norm matrices (|f g|_1 <= |f|_1 |g|_1), so
+    below 2^(k-1) for k = 1 + the bit length of its largest entry.  So
+    unkronecker reads every entry back exactly, and the monomials go back on.
+    The last stage runs row by row, each row read back before the next.
     """
-    degree, bound = 0, 0
-    for side in (factors, [want]):
-        degree = max(degree, sum(_q_degree(p for row in f.values() for p in row.values()) for f in side))
-        norms = [{i: {j: _size(p) for j, p in row.items()} for i, row in f.items()} for f in side]
-        bound += max((x for row in reduce(_matmul, norms).values() for x in row.values()), default=0)
-    D, k = 1 + degree, bound.bit_length() + 1
-    packed = [_pack(f, k, D) for f in factors]
-    wanted = _pack(want, k, D)
-    if entries is None:
-        return reduce(_matmul, packed), wanted
-    head, last = reduce(_matmul, packed[:-1]), _transpose(packed[-1])
-    got = {i: {j: x for j in cols if (x := _dot(head.get(i, {}), last.get(j, {})))} for i, cols in entries.items()}
-    return got, wanted
+    first, rest = factors[0], factors[1:]
+    row_shifts = {i: _low_span(row.values()) for i, row in first.items()}
+    shifts = [_low_span(p for row in f.values() for p in row.values()) for f in rest]
+    D = 1 + max((span for _, span in row_shifts.values()), default=0) + sum(span for _, span in shifts)
+    norms = [{i: {j: _size(p) for j, p in row.items()} for i, row in f.items()} for f in factors]
+    k = 1 + max((x for row in reduce(_matmul, norms).values() for x in row.values()), default=0).bit_length()
+    packed = [_pack(first, k, D, {i: low for i, (low, _) in row_shifts.items()})]
+    packed += [_pack(f, k, D, dict.fromkeys(f, low)) for f, (low, _) in zip(rest, shifts)]
+    head, last = reduce(_matmul, packed[:-1]), packed[-1]
+    cols = _transpose(last) if entries is not None else None
+    q0, t0 = sum(low[0] for low, _ in shifts), sum(low[1] for low, _ in shifts)
+    out = {}
+    for i, row in head.items():
+        if entries is None:
+            acc = _matmul({i: row}, last)[i]
+        else:
+            acc = {j: _dot(row, cols.get(j, {})) for j in entries.get(i, ())}
+        (a, b), _ = row_shifts[i]
+        a, b, got = a + q0, b + t0, {}
+        for j, x in acc.items():
+            if x:
+                p = unkronecker(x, k, D)
+                got[j] = {(e + a, f + b): c for (e, f), c in p.items()} if a or b else p
+        out[i] = got
+    return out
 
 
 def _dot(u: dict, v: dict) -> int:
@@ -385,13 +403,6 @@ def _nonzero(coeffs: dict) -> dict:
     return {lam: x for lam, p in coeffs.items() if (x := {e: c for e, c in p.items() if c})}
 
 
-def _shifted_kronecker(p: dict, low: tuple, k: int, D: int) -> int:
-    """qtfield.kronecker of the integer Laurent polynomial p divided by the
-    monomial q^low[0] t^low[1], which leaves no negative exponent."""
-    a, b = low
-    return sum(c << k * (i - a + D * (j - b)) for (i, j), c in p.items())
-
-
 def _low_span(polys) -> tuple:
     """((the least q-exponent, the least t-exponent), the q-span) of the
     integer Laurent polynomials, or ((0, 0), 0) when they have no term."""
@@ -400,79 +411,6 @@ def _low_span(polys) -> tuple:
         return (0, 0), 0
     qs = [i for i, _ in keys]
     return (min(qs), min(j for _, j in keys)), max(qs) - min(qs)
-
-
-class _Rows(dict):
-    """A linear map's rows {lam: {nu: R_lam,nu}}, integer Laurent polynomials,
-    that keep their kronecker packing for _laurent_map.
-
-    The rows are shifted by their least q- and t-exponents (low) and packed
-    on the first product at the (k, D) that product proves, then kept; a
-    later product that proves a larger k or D packs them again, each of the
-    two that grew _REPACK_MARGIN above what it proves, so a table's words
-    repack it a bounded number of times.  The rows must not change once
-    packed."""
-
-    @cached_property
-    def shape(self) -> tuple:
-        """(low, the q-span of the rows, their 1-norms {lam: {nu: |R_lam,nu|_1}})."""
-        low, span = _low_span(p for row in self.values() for p in row.values())
-        return low, span, {lam: {nu: _size(p) for nu, p in row.items()} for lam, row in self.items()}
-
-    _packing: tuple | None = None  # (k, D, {lam: {nu: packed R_lam,nu}})
-
-    def packing(self, k: int, D: int) -> tuple:
-        """(k', D', packed rows) with k' >= k and D' >= D."""
-        have = self._packing
-        if have is None or k > have[0] or D > have[1]:
-            if have is not None:
-                k = k + _REPACK_MARGIN if k > have[0] else have[0]
-                D = D + _REPACK_MARGIN if D > have[1] else have[1]
-            low = self.shape[0]
-            packed = {lam: {nu: _shifted_kronecker(p, low, k, D) for nu, p in row.items()} for lam, row in self.items()}
-            have = self._packing = (k, D, packed)
-        return have
-
-
-_REPACK_MARGIN = 2  # the slack a repacking _Rows adds to each of k and D
-
-
-def _laurent_map(coeffs: dict, rows: _Rows) -> dict:
-    """sum over lam of coeffs[lam] times rows[lam], as symfunc.linear_map, with
-    every coefficient an integer Laurent polynomial {(q-exp, t-exp): int}, as
-    one kronecker-packed product.
-
-    The word coeffs is shifted by its least q- and t-exponents and the rows
-    by theirs (_Rows.shape), so both are polynomials.  A coefficient of the
-    shifted product then has q-degree below D = 1 + the word's q-span + the
-    rows' q-span, and its s_nu coefficient a 1-norm of at most the sum over
-    lam of |coeffs[lam]|_1 |rows[lam][nu]|_1, below 2^(k-1) for k = 1 + the
-    bit length of the largest such sum.  kronecker at (k, D) or above is
-    injective there (_packed_product's argument), so unkronecker reads each
-    packed sum back exactly, and the shift goes back on.
-    """
-    if not coeffs:
-        return {}
-    (a, b), span = _low_span(coeffs.values())
-    low, top, norms = rows.shape
-    bound: dict = {}
-    for lam, p in coeffs.items():
-        w = _size(p)
-        for nu, r in norms.get(lam, {}).items():
-            bound[nu] = bound.get(nu, 0) + w * r
-    k, D, packed = rows.packing(1 + max(bound.values(), default=0).bit_length(), 1 + span + top)
-    acc: dict = {}
-    for lam, p in coeffs.items():
-        x = _shifted_kronecker(p, (a, b), k, D)
-        for nu, y in packed.get(lam, {}).items():
-            acc[nu] = acc.get(nu, 0) + x * y
-    a, b = a + low[0], b + low[1]
-    out = {}
-    for nu, x in acc.items():
-        if x:
-            p = unkronecker(x, k, D)
-            out[nu] = {(i + a, j + b): c for (i, j), c in p.items()} if a or b else p
-    return out
 
 
 def _laurent_schur(coeffs: dict) -> SymFunc:
@@ -777,7 +715,7 @@ def _op_row(kind: str, a: int, lam: Partition) -> dict[Partition, dict]:
 
 
 @lru_cache(maxsize=None)
-def _star_rows(kind: str, a: int, n: int) -> _Rows:
+def _star_rows(kind: str, a: int, n: int) -> dict:
     """{nu: {kappa: [s_kappa] S A* S^-1 s_nu}} over nu |- n, A = C_a or B_a
     and S f = f[MX]: as <f, g>_* = <f, omega S g> (Hall) and omega, S commute,
     S A* S^-1 = omega A^T omega, so the entry is [s_nu'] A s_kappa', read off
@@ -786,14 +724,7 @@ def _star_rows(kind: str, a: int, n: int) -> _Rows:
     for kappa in partitions_of(n - a):
         for nu, p in _op_row(kind, a, conjugate(kappa)).items():
             rows.setdefault(conjugate(nu), {})[kappa] = p
-    return _Rows(rows)
-
-
-@lru_cache(maxsize=None)
-def _c_rows(a: int, n: int) -> _Rows:
-    """{lam: [s_kappa] C_a s_lam} over lam |- n, the rows _op_row as one
-    _Rows, so _c_word packs them once."""
-    return _Rows({lam: _op_row("C", a, lam) for lam in partitions_of(n)})
+    return rows
 
 
 @lru_cache(maxsize=None)
@@ -819,31 +750,41 @@ def _apply(kind: str, a: int, P: SymFunc, star: bool = False) -> SymFunc:
 
 def c_word(alpha: Composition) -> SymFunc:
     """C_{alpha_1} ... C_{alpha_l} applied to 1, right to left."""
+    alpha = check_composition(alpha)
     check_degree(sum(alpha))
-    return _laurent_schur(_c_word(tuple(alpha)))
+    return _laurent_schur(_c_words(sum(alpha))[alpha])
 
 
 def nabla_c_word(alpha: Composition) -> SymFunc:
-    """nabla C_alpha 1, read off the cached integer word _nabla_c_word."""
-    check_degree(sum(alpha))
-    return _laurent_schur(_nabla_c_word(tuple(alpha)))
+    """nabla C_alpha 1, read off the cached integer words of its degree
+    (_nabla_c_words)."""
+    alpha = check_composition(alpha)
+    return _laurent_schur(_nabla_c_words(sum(alpha))[alpha])
 
 
 @lru_cache(maxsize=None)
-def _c_word(alpha: Composition) -> dict:
-    """The Schur coefficients of C_alpha 1, integer Laurent polynomials in q:
-    C_{alpha_1} applied through its rows _op_row to the cached word of
-    alpha[1:], so each suffix is built once however many words share it."""
-    if not alpha:
-        return {(): {(0, 0): 1}}
-    return _laurent_map(_c_word(alpha[1:]), _c_rows(alpha[0], sum(alpha[1:])))
+def _c_words(n: int) -> dict:
+    """{alpha: the Schur coefficients of C_alpha 1} over alpha |= n, integer
+    Laurent polynomials in q: for each first part a, the words of degree
+    n - a times the rows _op_row of C_a, one _packed_product, so each suffix
+    is built once however many words share it."""
+    if not n:
+        return {(): {(): {(0, 0): 1}}}
+    words = {}
+    for a in range(1, n + 1):
+        rows = {lam: _op_row("C", a, lam) for lam in partitions_of(n - a)}
+        for beta, word in _packed_product([_c_words(n - a), rows]).items():
+            words[(a,) + beta] = word
+    return words
 
 
 @lru_cache(maxsize=None)
-def _nabla_c_word(alpha: Composition) -> dict:
-    """The Schur coefficients of nabla C_alpha 1, integer Laurent polynomials:
-    the word _c_word times the certified integer nabla rows (int_rows)."""
-    return _laurent_map(_c_word(alpha), build_htilde(sum(alpha)).int_rows)
+def _nabla_c_words(n: int) -> dict:
+    """{alpha: the Schur coefficients of nabla C_alpha 1} over alpha |= n,
+    integer Laurent polynomials: the matrix of the words _c_words(n) times the
+    certified integer nabla rows (int_rows), one _packed_product."""
+    rows = build_htilde(n).int_rows  # first, as build_htilde refuses a degree above the cap
+    return _packed_product([_c_words(n), rows])
 
 
 @lru_cache(maxsize=None)
@@ -866,10 +807,10 @@ def lhs_inner(alpha: Composition, a: int, b: int, c: int) -> QtRational:
     orthonormal, so it is sum over lam of [s_lam] nabla C_alpha 1 times
     [s_lam] e_a h_b h_c, an integer Laurent polynomial made one QtRational by
     one exact division by a monomial (qtfield.laurent), already reduced."""
-    alpha = tuple(alpha)
+    alpha = check_composition(alpha)
     if not check_abc(alpha, a, b, c):
         return QTR_ZERO
-    return laurent(_schur_pairing(_nabla_c_word(alpha), _eh_schur(a, b, c)))
+    return laurent(_schur_pairing(_nabla_c_words(sum(alpha))[alpha], _eh_schur(a, b, c)))
 
 
 def _schur_pairing(f: dict, weights: dict) -> dict:
@@ -941,11 +882,11 @@ def _nabla_hee(a: int, b: int, c: int) -> SymFunc:
 @lru_cache(maxsize=None)
 def _adjoint_nabla_hee(kind: str, m: int, a: int, b: int, c: int) -> SymFunc:
     """C*_m (kind "C") or B*_m (kind "B") of nabla (h_a^* e_b^* e_c^*): the
-    framed nabla times the transposed rows S A* S^-1 (_star_rows), in
-    integer Laurent polynomials, unframed once; equal to op_C_star or
-    op_B_star of _nabla_hee(a, b, c)."""
+    framed nabla times the transposed rows S A* S^-1 (_star_rows), one
+    one-row _packed_product of integer Laurent polynomials, unframed once;
+    equal to op_C_star or op_B_star of _nabla_hee(a, b, c)."""
     rows = _star_rows(kind, m, a + b + c)
-    return _unframe(_laurent_schur(_laurent_map(_framed_nabla_hee(a, b, c), rows)))
+    return _unframe(_laurent_schur(_packed_product([{0: _framed_nabla_hee(a, b, c)}, rows])[0]))
 
 
 def _sign(k: int) -> int:

@@ -7,7 +7,7 @@ from math import prod
 
 import pytest
 
-from qtshuffle.qtfield import Q, QTR_ONE, QTR_ZERO, QtRational, T, int_poly, kronecker, laurent, qtr, swap_qt
+from qtshuffle.qtfield import Q, QTR_ONE, QTR_ZERO, QtRational, T, int_poly, laurent, qtr, swap_qt
 from qtshuffle.shapes import (
     capital_m,
     cell_stats,
@@ -200,36 +200,38 @@ def _star_route(table):
 
 
 def _verify_product(table):
-    """(k, D, got, want) of the one _packed_product that verify() computes,
-    (k, D) the point that every matrix of it is packed at."""
+    """(k, D, gram) of the one _packed_product that verify() computes, (k, D)
+    the point that every entry of it is read back at."""
     calls, points = [], set()
-    product, pack = mac._packed_product, mac._pack
+    product, unpack = mac._packed_product, mac.unkronecker
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(mac, "_packed_product", lambda *args: calls.append(product(*args)) or calls[-1])
-        patch.setattr(mac, "_pack", lambda m, k, D: points.add((k, D)) or pack(m, k, D))
+        patch.setattr(mac, "unkronecker", lambda x, k, D: points.add((k, D)) or unpack(x, k, D))
         try:
             table.verify()
         except TableInvariantError:
             pass
-    (result,), (point,) = calls, points
-    return (*point, *result)
+    (gram,), (point,) = calls, points
+    return (*point, gram)
 
 
 def _assert_packed_gram_is_exact(table):
-    """Every packed entry verify() compares is its star_inner value, packed,
-    every got - want lies where packing is injective, and the normalization
-    lookup K~_mu,(n) is the hall_inner value <H~_mu, h_n>."""
+    """Every entry verify() compares is its star_inner value, equal to the
+    wanted norm exactly when star_inner says so, and lies where packing is
+    injective: q-degree below D and coefficients below 2^(k-1) (no row of K~,
+    nor G_n or K~^T, is shifted, as each holds a constant term).  The
+    normalization lookup K~_mu,(n) is the hall_inner value <H~_mu, h_n>."""
     n, parts = table.degree, partitions_of(table.degree)
-    k, D, gram, packed_want = _verify_product(table)
+    k, D, gram = _verify_product(table)
     for i, mu in enumerate(parts):
         assert table[mu].coeffs.get(parts[0]) == hall_inner(table.power[mu], h_(n).to_power())
         for lam in parts[i:]:
             got = star_inner(table.power[lam], table.power[mu])
             want = partition_invariants(mu).w if lam == mu else QTR_ZERO
-            assert gram[lam].get(mu, 0) == kronecker(int_poly(got), k, D)
-            assert packed_want[lam].get(mu, 0) == kronecker(int_poly(want), k, D)
-            diff = int_poly(got - want)
-            assert all(i < D and abs(c) < 2 ** (k - 1) for (i, _), c in diff.items())
+            entry = gram[lam].get(mu, {})
+            assert entry == int_poly(got)
+            assert (entry == int_poly(want)) == (got == want)
+            assert all(i < D and abs(c) < 2 ** (k - 1) for (i, _), c in entry.items())
     return k, D
 
 
@@ -442,8 +444,7 @@ def _row_integers(table, sign):
 
 
 def _certified(kostka, eigen, rows):
-    got, want = mac._packed_product([kostka, rows], eigen)
-    return got == want
+    return mac._packed_product([kostka, rows]) == eigen
 
 
 @pytest.mark.parametrize("sign", (1, -1))
@@ -485,13 +486,14 @@ def test_inverse_rows_make_one_guess_the_nabla_one(monkeypatch):
 def test_too_narrow_first_guess_is_retried(monkeypatch):
     table = build_htilde(6)
     want = {lam: table.nabla_row(lam, 1) for lam in partitions_of(6)}
+    _, eigen, _ = _row_integers(table, 1)
     verdicts = []
     product = mac._packed_product
 
     def recorded(*args):
-        got, packed_want = product(*args)
-        verdicts.append(got == packed_want)
-        return got, packed_want
+        got = product(*args)
+        verdicts.append(got == eigen)
+        return got
 
     monkeypatch.setattr(mac, "_packed_product", recorded)
     monkeypatch.setattr(mac, "_row_start", lambda norm, n: 2)  # coefficients reach 14 in degree 6
@@ -853,7 +855,7 @@ def test_integer_nabla_words_match_the_extract_z_route():
     # power-sum words
     for n in range(7):
         for alpha in compositions_of(n):
-            got = {lam: laurent(p).canonical() for lam, p in mac._nabla_c_word(alpha).items()}
+            got = {lam: laurent(p).canonical() for lam, p in mac._nabla_c_words(n)[alpha].items()}
             want = {lam: c.canonical() for lam, c in nabla(_extract_z_c_word(alpha)).convert("schur").coeffs.items()}
             assert got == want, alpha
 
@@ -861,7 +863,7 @@ def test_integer_nabla_words_match_the_extract_z_route():
 def _reference_laurent_map(coeffs, row):
     """sum over lam of coeffs[lam] times row(lam), term pair by term pair with
     (q-exp, t-exp) tuple keys, zero terms and zero polynomials left out: the
-    map the packed _laurent_map must equal."""
+    map each row of the packed _packed_product must equal."""
     out = {}
     for lam, p in coeffs.items():
         for key, r in row(lam).items():
@@ -876,13 +878,14 @@ def _reference_laurent_map(coeffs, row):
 def test_packed_laurent_map_matches_the_reference_on_every_word():
     # each C-word step and each nabla word of degree <= 7, against the tuple-key map
     for n in range(8):
-        rows = build_htilde(n).int_rows
+        rows, words, nablas = build_htilde(n).int_rows, mac._c_words(n), mac._nabla_c_words(n)
+        assert list(words) == list(nablas) == list(compositions_of(n))
         for alpha in compositions_of(n):
-            word = mac._c_word(alpha)
+            word = words[alpha]
             if alpha:
-                step = _reference_laurent_map(mac._c_word(alpha[1:]), lambda lam: mac._op_row("C", alpha[0], lam))
-                assert word == step, alpha
-            assert mac._nabla_c_word(alpha) == _reference_laurent_map(word, rows.__getitem__), alpha
+                suffix = mac._c_words(n - alpha[0])[alpha[1:]]
+                assert word == _reference_laurent_map(suffix, lambda lam: mac._op_row("C", alpha[0], lam)), alpha
+            assert nablas[alpha] == _reference_laurent_map(word, rows.__getitem__), alpha
 
 
 def test_packed_laurent_map_matches_the_reference_on_the_framed_adjoints():
@@ -892,42 +895,38 @@ def test_packed_laurent_map_matches_the_reference_on_the_framed_adjoints():
     for kind, m, a, b, c in stars:
         rows, framed = mac._star_rows(kind, m, a + b + c), mac._framed_nabla_hee(a, b, c)
         want = _reference_laurent_map(framed, lambda nu: rows.get(nu, {}))
-        assert mac._laurent_map(framed, rows) == want, (kind, m, a, b, c)
+        assert mac._packed_product([{0: framed}, rows]) == {0: want}, (kind, m, a, b, c)
         assert mac._adjoint_nabla_hee(kind, m, a, b, c) == mac._unframe(mac._laurent_schur(want))
 
 
-def test_packed_laurent_map_is_exact_at_its_proven_bounds():
-    # fresh rows pack at exactly the (k, D) their first product proves, and
-    # each of these products sits on one bound.  First the coefficients:
-    # 29 * 1 + 1 * 2 = 31 = 2^(k-1) - 1 at q t^2, k = 6
-    rows = {(1,): {(1,): {(3, 0): 1}}, (2,): {(1,): {(1, 1): 2}, (2,): {(0, 0): -1}}}
-    word = {(1,): {(-2, 2): 29}, (2,): {(0, 1): 1}}
-    packed = mac._Rows(rows)
-    assert mac._laurent_map(word, packed) == {(1,): {(1, 2): 31}, (2,): {(0, 1): -1}}
-    assert packed.packing(0, 0)[:2] == (6, 1 + 2 + 3)
-    # then the slots: after the shifts q^3 q^2 t has q-degree 3 + 4 = D - 1
-    rows = {(1,): {(1,): {(-2, 0): 1, (2, 1): 1}}}
-    word = {(1,): {(0, 1): 1, (3, 0): 1}}
-    packed = mac._Rows(rows)
-    want = {(1,): {(-2, 1): 1, (2, 2): 1, (1, 0): 1, (5, 1): 1}}
-    assert mac._laurent_map(word, packed) == _reference_laurent_map(word, rows.__getitem__) == want
-    assert packed.packing(0, 0)[:2] == (4, 1 + 3 + 4)
-
-
-def test_packed_rows_repack_only_when_a_product_proves_more():
-    rows = {(1,): {(1,): {(0, 0): 1, (1, 0): 1}, (2,): {(0, 2): -1}}}
-    packed = mac._Rows(rows)
-    small, large = {(1,): {(0, 0): 1}}, {(1,): {(-4, 0): 100, (3, 1): -7}}
-    points = []
-    for word in (small, large, small, large):
-        assert mac._laurent_map(word, packed) == _reference_laurent_map(word, rows.__getitem__), word
-        points.append(packed.packing(0, 0))
-    # the small word packs at its own (k, D) = (3, 2); the large one proves
-    # (9, 9) and packs once more, wider by the margin; later products reuse it
-    wide = (9 + mac._REPACK_MARGIN, 9 + mac._REPACK_MARGIN)
-    assert [p[:2] for p in points] == [(3, 2), wide, wide, wide]
-    assert points[1] is points[2] is points[3]
-    assert mac._laurent_map({}, packed) == {}
+def test_packed_laurent_map_is_exact_at_its_proven_bounds(monkeypatch):
+    # one product whose first-factor rows have different least exponents,
+    # each shifted by its own, and whose entries sit on both proven bounds
+    points = set()
+    unpack = mac.unkronecker
+    monkeypatch.setattr(mac, "unkronecker", lambda x, k, D: points.add((k, D)) or unpack(x, k, D))
+    # the later factor: least exponents (-1, 0), q-span 4
+    rows = {(1,): {(1,): {(3, 0): 1}}, (2,): {(1,): {(1, 1): 2}, (2,): {(-1, 0): -1}}}
+    words = {
+        # 125 * 1 + 1 * 2 = 127 = 2^(k-1) - 1 at q t^2, the largest 1-norm: k = 8
+        "coefficient": {(1,): {(-2, 2): 125}, (2,): {(0, 1): 1}},
+        # q-span 7, the largest of a row: D = 1 + 7 + 4, and after the shifts
+        # q^7 t q^4 has q-degree 11 = D - 1
+        "large": {(1,): {(-4, 0): 100, (3, 1): -7}},
+        "small": {(1,): {(0, 0): 1}},
+        "zero": {},
+    }
+    want = {
+        "coefficient": {(1,): {(1, 2): 127}, (2,): {(-1, 1): -1}},
+        "large": {(1,): {(-1, 0): 100, (6, 1): -7}},
+        "small": {(1,): {(3, 0): 1}},
+        "zero": {},
+    }
+    assert mac._packed_product([words, rows]) == want
+    assert points == {(8, 1 + 7 + 4)}
+    for name, word in words.items():
+        assert want[name] == _reference_laurent_map(word, lambda lam: rows.get(lam, {})), name
+    assert mac._packed_product([{}, rows]) == {}
 
 
 def test_eh_schur_matches_the_basis_change():
@@ -959,6 +958,21 @@ def test_c_word_examples():
     assert c_word(()) == SymFunc.one()
     assert c_word((1, 1)) == build_htilde(2).power[(2,)].scale(Q.inverse())
     assert c_word((2,)) == h_(2).scale(-Q.inverse())
+
+
+@pytest.mark.parametrize("alpha", [(0,), (2, 0), (1, -1, 2)])
+def test_words_refuse_parts_below_one_as_pi_poly_does(alpha):
+    # the symbolic side holds only the words of compositions, as the
+    # combinatorial side does: no C_0 and no C of a negative part
+    from qtshuffle.parking import pi_poly
+
+    n = sum(alpha)
+    with pytest.raises(ValueError) as refused:
+        pi_poly(alpha, 0, n, 0)
+    message = f"^{re.escape(str(refused.value))}$"
+    for side in (c_word, mac.nabla_c_word, lambda alpha: lhs_inner(alpha, 0, n, 0)):
+        with pytest.raises(ValueError, match=message):
+            side(alpha)
 
 
 def test_c_word_accepts_a_list_and_shares_suffixes():
