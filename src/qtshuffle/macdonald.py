@@ -27,18 +27,17 @@ nabla is one Schur-basis matrix per table, R = K~^-1 diag(T_mu) K~, built by
 HTildeTable.int_rows on first use, never on build, load or install:
 verify() gives K~^-1 = G_n K~^T diag(1/w_mu), R is guessed at one point
 (_guess_rows) and certified by K~ R = diag(T_mu) K~, one _packed_product.
-The table keeps R as those certified integer polynomials; its SymFunc rows
-(nabla_row) are read off them, and the nabla^-1 rows are R under omega and
-q,t -> 1/q,1/t (_inverse_rows).  nabla(f, sign) is one sparse product of f's
-Schur coefficients with the SymFunc rows of that sign (_nabla_schur).  A
-table converts K~ to power sums (HTildeTable.power) only when something
-first reads them.
+The table keeps R as those certified integer polynomials and nothing else;
+the nabla^-1 rows are read off them when nabla(f, -1) asks, as R under omega
+and q,t -> 1/q,1/t.  A table converts K~ to power sums (HTildeTable.power)
+only when something first reads them.
 
 Every creation operator is one cached Schur row per (a, lam) of integer
 Laurent polynomials in q, read off Pieri strips (_op_row): C_a, B_a and the
 commutator's shift.  A star-adjoint is the same rows transposed in the frame
-S f = f[MX], as S A* S^-1 = omega A^T omega (_star_rows).  op_C, op_B,
-op_C_star and op_B_star are each one linear map through them (_apply).  In
+S f = f[MX], as S A* S^-1 = omega A^T omega (_star_rows).  nabla^sign, op_C,
+op_B, op_C_star and op_B_star are each one map of a function's Schur
+coefficients through integer rows, one QtRational per entry (_map_rows).  In
 the frame the registry's nabla(h_a^* e_b^* e_c^*) has the integer s_nu
 coefficients <nabla s_nu', e_a h_b h_c> (_framed_nabla_hee), and C*_m, B*_m
 of it are integer products with the transposed rows, mapped back by one
@@ -150,9 +149,7 @@ class HTildeTable:
     def __init__(self, degree: int, kostka: dict):
         self.degree = degree
         self.kostka = kostka  # mu -> {lam: K~_mu,lam as a nonzero integer polynomial}
-        self.invariants = {mu: partition_invariants(mu) for mu in kostka}
         self.verified = False
-        self.nabla_rows: dict[int, dict[Partition, SymFunc]] = {}  # sign -> rows, filled by nabla_row
 
     def __getitem__(self, mu: Partition) -> SymFunc:
         """H~_mu in the Schur basis."""
@@ -166,30 +163,14 @@ class HTildeTable:
 
     def coeff(self, f: SymFunc, mu: Partition) -> QtRational:
         """Coefficient of H~_mu in f: <f, H~_mu>_* / w_mu."""
-        return star_inner(f, self.power[mu]) / self.invariants[mu].w
-
-    def nabla_row(self, lam: Partition, sign: int) -> SymFunc:
-        """nabla^sign s_lam in the Schur basis; the first call for a sign fills
-        every row of that sign: nabla_matrix for +1, and for -1 their image
-        under omega and q,t -> 1/q,1/t (_inverse_rows)."""
-        if sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
-        rows = self.nabla_rows.get(sign)
-        if rows is None:
-            rows = self.nabla_rows[sign] = self.nabla_matrix() if sign == 1 else self._inverse_rows()
-        return rows[lam]
-
-    def nabla_matrix(self) -> dict[Partition, SymFunc]:
-        """{lam: nabla s_lam in the Schur basis}, read off int_rows."""
-        return {lam: _laurent_schur(row) for lam, row in self.int_rows.items()}
+        return star_inner(f, self.power[mu]) / partition_invariants(mu).w
 
     @cached_property
     def int_rows(self) -> dict:
         """{lam: {nu: R_lam,nu}}, the nabla rows R = K~^-1 diag(T_mu) K~ as
         certified integer polynomials, K~ the Schur coefficients; computed on
-        first use and kept, for the SymFunc rows (nabla_matrix,
-        _inverse_rows), the words of each degree (_nabla_c_words) and the
-        registry's framed sides.
+        first use and kept, for nabla^sign (nabla), the words of each degree
+        (_nabla_c_words) and the registry's framed sides.
 
         _guess_rows reads R off one point, and the certificate, the
         _packed_product K~ R compared as a dict with diag(T_mu) K~, fixes it,
@@ -202,7 +183,8 @@ class HTildeTable:
             self.verify()
         n, kostka = self.degree, self.kostka
         eigen = {}  # row mu of diag(T_mu) K~
-        for mu, inv in self.invariants.items():
+        for mu in kostka:
+            inv = partition_invariants(mu)
             a, b = inv.nmu_conj, inv.nmu
             eigen[mu] = {nu: {(i + a, j + b): c for (i, j), c in p.items()} for nu, p in kostka[mu].items()}
         k = _row_start(max(_size(p) for row in kostka.values() for p in row.values()), n)
@@ -214,19 +196,6 @@ class HTildeTable:
             k *= 2
         raise TableInvariantError(f"nabla rows of degree {n} failed their certificate")
 
-    def _inverse_rows(self) -> dict[Partition, SymFunc]:
-        """{lam: nabla^-1 s_lam}: as H~_mu[X; 1/q, 1/t] = T_mu^-1 omega H~_mu[X; q, t]
-        (Garsia-Haiman) on the table verify() proved, [s_nu] nabla^-1 s_lam is
-        [s_nu'] nabla s_lam' at q,t -> 1/q,1/t: each term c q^i t^j of an
-        integer row (int_rows) becomes c q^-i t^-j."""
-        return {
-            lam: _laurent_schur({
-                conjugate(nu): {(-i, -j): c for (i, j), c in p.items()}
-                for nu, p in self.int_rows[conjugate(lam)].items()
-            })
-            for lam in partitions_of(self.degree)
-        }
-
     def verify(self) -> None:
         """Assert the support (one row per mu |- n, each indexed by partitions
         of n), <H~_mu, h_n> = K~_mu,(n) = 1 and <H~_lam, H~_mu>_* =
@@ -236,7 +205,7 @@ class HTildeTable:
         kostka, support = self.kostka, set(parts)
         if kostka.keys() != support or any(row.keys() - support for row in kostka.values()):
             raise TableInvariantError(f"degree {self.degree} table has wrong support")
-        norms = {mu: {mu: int_poly(self.invariants[mu].w)} for mu in parts}
+        norms = {mu: {mu: int_poly(partition_invariants(mu).w)} for mu in parts}
         read = {lam: parts[: i + 1] for i, lam in enumerate(parts)}  # (lam, mu) for lam >= mu
         gram = _packed_product([kostka, _star_gram(self.degree), _transpose(kostka)], read)
         for i, mu in enumerate(parts):
@@ -561,32 +530,38 @@ def htilde_expand(f: SymFunc) -> dict:
     out: dict[Partition, QtRational] = {}
     fp = f.to_power()
     for d in fp.degrees():
-        comp = fp.homogeneous_component(d)
+        comp, table = fp.homogeneous_component(d), build_htilde(d)
         for mu in partitions_of(d):
-            c = _htilde_coeff(comp, mu)
+            c = table.coeff(comp, mu)
             if not c.is_zero():
                 out[mu] = c
     return out
 
 
-def _htilde_coeff(f: SymFunc, mu: Partition) -> QtRational:
-    """Coefficient of H~_mu in f, read off the installed table."""
-    return build_htilde(sum(mu)).coeff(f, mu)
-
-
 def nabla(f: SymFunc, sign: int = 1) -> SymFunc:
-    """The Macdonald eigenoperator (sign=-1 gives its inverse), in power sums,
-    through the Schur rows (_nabla_schur)."""
+    """The Macdonald eigenoperator (sign=-1 gives its inverse), in power sums:
+    f's Schur coefficients through the integer rows R of each degree
+    (HTildeTable.int_rows, _map_rows).  As H~_mu[X; 1/q, 1/t] =
+    T_mu^-1 omega H~_mu[X; q, t] (Garsia-Haiman) on the table verify() proved,
+    [s_nu] nabla^-1 s_lam is [s_nu'] nabla s_lam' at q,t -> 1/q,1/t: each term
+    c q^i t^j of R's row lam' becomes c q^-i t^-j."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    return _nabla_schur(f, sign).to_power()
+
+    def row(lam: Partition) -> dict:
+        rows = build_htilde(sum(lam)).int_rows
+        if sign == 1:
+            return rows[lam]
+        return {conjugate(nu): {(-i, -j): c for (i, j), c in p.items()} for nu, p in rows[conjugate(lam)].items()}
+
+    return _map_rows(f, row).to_power()
 
 
-def _nabla_schur(f: SymFunc, sign: int) -> SymFunc:
-    """nabla^sign f in the Schur basis: one sparse product of f's Schur
-    coefficients with the table rows nabla^sign s_lam."""
-    schur = f.convert("schur").coeffs
-    return SymFunc("schur", linear_map(schur, lambda lam: build_htilde(sum(lam)).nabla_row(lam, sign).coeffs))
+def _map_rows(f: SymFunc, row) -> SymFunc:
+    """sum over lam of [s_lam] f times row(lam), each row {kappa: p} with p an
+    integer Laurent polynomial made one QtRational (_laurent_schur), in the
+    Schur basis."""
+    return SymFunc._make("schur", linear_map(f.convert("schur").coeffs, lambda lam: _laurent_schur(row(lam)).coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -596,12 +571,12 @@ def _nabla_schur(f: SymFunc, sign: int) -> SymFunc:
 
 def _d_coeff(mu: Partition, nu: Partition) -> QtRational:
     """d_{mu,nu}: coefficient of H~_mu in e_1 H~_nu."""
-    return _htilde_coeff(e_(1) * build_htilde(sum(nu)).power[nu], mu)
+    return build_htilde(sum(mu)).coeff(e_(1) * build_htilde(sum(nu)).power[nu], mu)
 
 
 def _c_coeff(mu: Partition, nu: Partition) -> QtRational:
     """c_{mu,nu}: coefficient of H~_nu in e_1-perp H~_mu."""
-    return _htilde_coeff(skew_by_e1(build_htilde(sum(mu)).power[mu]), nu)
+    return build_htilde(sum(nu)).coeff(skew_by_e1(build_htilde(sum(mu)).power[mu]), nu)
 
 
 _PIERI_ARROWS = {"add": "<-", "remove": "->"}
@@ -623,7 +598,7 @@ def pieri(shape: Partition, direction: str) -> dict[Partition, QtRational]:
     M = capital_m()
     coeffs = {}
     for other in partitions_of(sum(shape) + (1 if add else -1)):
-        x = _htilde_coeff(f, other)
+        x = build_htilde(sum(other)).coeff(f, other)
         mu, nu = (other, shape) if add else (shape, other)
         if other in targets:
             coeffs[other] = x
@@ -727,25 +702,18 @@ def _star_rows(kind: str, a: int, n: int) -> dict:
     return rows
 
 
-@lru_cache(maxsize=None)
-def _qtr_row(kind: str, a: int, lam: Partition, star: bool) -> dict[Partition, QtRational]:
-    """The row of lam in _op_row, or in _star_rows when star, with one
-    QtRational per coefficient."""
-    row = _star_rows(kind, a, sum(lam)).get(lam, {}) if star else _op_row(kind, a, lam)
-    return {kappa: laurent(p) for kappa, p in row.items()}
-
-
 def _apply(kind: str, a: int, P: SymFunc, star: bool = False) -> SymFunc:
-    """A P, A the operator kind at a, as one linear map of P's Schur
-    coefficients through its rows; when star, A* P = S^-1 (omega A^T omega) S P
-    through the transposed rows.  An output above the degree cap is refused."""
+    """A P, A the operator kind at a, as P's Schur coefficients through its
+    rows _op_row (_map_rows); when star, A* P = S^-1 (omega A^T omega) S P
+    through the transposed rows _star_rows.  An output above the degree cap
+    is refused."""
     if kind == "C" and a < 1:
         raise ValueError("op_C and op_C_star are defined here for a >= 1 only")
     check_degree(P.max_degree() + (-a if star else a))
-    if star:
-        P = plethysm(P, Alphabet.X(capital_m()))
-    out = SymFunc._make("schur", linear_map(P.convert("schur").coeffs, lambda lam: _qtr_row(kind, a, lam, star)))
-    return _unframe(out) if star else out
+    if not star:
+        return _map_rows(P, lambda lam: _op_row(kind, a, lam))
+    framed = plethysm(P, Alphabet.X(capital_m()))
+    return _unframe(_map_rows(framed, lambda lam: _star_rows(kind, a, sum(lam)).get(lam, {})))
 
 
 def c_word(alpha: Composition) -> SymFunc:
@@ -910,7 +878,7 @@ def _check_cauchy(n: int) -> list:
     table = build_htilde(n)
     for mu in partitions_of(n):
         hmu = table.power[mu]
-        winv = table.invariants[mu].w.inverse()
+        winv = partition_invariants(mu).w.inverse()
         for lam, cx in hmu.coeffs.items():
             for rho, cy in hmu.coeffs.items():
                 key = (lam, rho)
@@ -969,7 +937,8 @@ def _check_exp_abc(n: int, k: int) -> list:
     rhs = SymFunc.zero()
     table = build_htilde(n)
     for mu in partitions_of(n):
-        coeff = _scalar_pleth(e_, k, table.invariants[mu].B) / table.invariants[mu].w
+        inv = partition_invariants(mu)
+        coeff = _scalar_pleth(e_, k, inv.B) / inv.w
         rhs = rhs + table.power[mu].scale(coeff)
     return [(None, lhs, rhs)]
 

@@ -26,6 +26,7 @@ from itertools import chain, product
 
 from .qtfield import QTR_ZERO, QtRational, laurent
 from .shapes import Composition, check_abc, check_composition, count_fillings
+from .symfunc import QSymFunc, check_degree
 
 __all__ = [
     "InvalidParkingFunction",
@@ -328,8 +329,10 @@ def _ides_fits(ides: frozenset, a: int, b: int) -> bool:
 
 
 def pi_poly(alpha: Composition, a: int, b: int, c: int) -> QtRational:
-    """Sum of t^area q^dinv over the shuffle-filtered family."""
-    alpha = tuple(alpha)
+    """Sum of t^area q^dinv over the shuffle-filtered family; refuses a part
+    below 1 or a degree above the cap, as lhs_inner does."""
+    alpha = check_composition(alpha)
+    check_degree(sum(alpha))
     if not check_abc(alpha, a, b, c):
         return QTR_ZERO
     return laurent(_pi_row(alpha)[a, b])  # counts over 1: already reduced
@@ -375,9 +378,8 @@ def _pi_row(alpha: Composition) -> dict:
 
 def rhs_quasisym(p: Composition):
     """Fundamental-basis weight sum over a diagonal-composition class."""
-    from .symfunc import QSymFunc
-
-    p = tuple(p)
+    p = check_composition(p)
+    check_degree(sum(p))
     return QSymFunc(sum(p), {
         ides: QtRational(bucket, 1) for ides, bucket in _ides_index(p).items()
     })

@@ -505,7 +505,7 @@ def word_caches():
     after a test that plants a wrong row under them."""
     import qtshuffle.macdonald as mac
 
-    caches = (mac._op_row, mac._star_rows, mac._qtr_row, mac._c_words, mac._nabla_c_words)
+    caches = (mac._op_row, mac._star_rows, mac._c_words, mac._nabla_c_words)
     for f in caches:
         f.cache_clear()
     yield

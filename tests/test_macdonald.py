@@ -395,19 +395,26 @@ def _eigenbasis_nabla(lam, sign):
     """nabla^sign s_lam summed over the H~ expansion, without the table rows."""
     out = SymFunc.zero()
     for mu, c in htilde_expand(s_(lam)).items():
-        table = build_htilde(sum(mu))
-        out = out + table.power[mu].scale(c * table.invariants[mu].T ** sign)
+        out = out + build_htilde(sum(mu)).power[mu].scale(c * partition_invariants(mu).T ** sign)
     return out
+
+
+def _nabla_row(lam, sign):
+    """nabla^sign s_lam in the Schur basis: the certified integer row for +1,
+    nabla(s_lam, -1) for -1."""
+    if sign == 1:
+        return mac._laurent_schur(build_htilde(sum(lam)).int_rows[lam])
+    return nabla(s_(lam), -1).convert("schur")
 
 
 @pytest.mark.parametrize("sign", (1, -1))
 def test_nabla_rows_match_the_eigenbasis_expansion(sign):
     for n in range(0, 7):
-        table = build_htilde(n)
         for lam in partitions_of(n):
-            row = table.nabla_row(lam, sign)
+            row = _nabla_row(lam, sign)
             assert row.basis == "schur" and row == _eigenbasis_nabla(lam, sign), lam
             if sign == 1:  # nabla s_lam has Schur coefficients in Z[q,t]
+                assert nabla(s_(lam)) == row, lam
                 for nu, c in row.coeffs.items():
                     assert c.canonical().split("|")[1] == "1*q^0*t^0", (lam, nu)
 
@@ -417,27 +424,37 @@ def test_nabla_reads_the_rows_of_the_installed_table(monkeypatch):
     want = nabla(s_((2, 1)))
     monkeypatch.setitem(mac._tables, 3, old)  # put the original back afterwards
     fresh = HTildeTable.from_json(old.to_json())
+    assert "int_rows" not in fresh.__dict__  # rows are built on first use, not on load
     install_table(fresh)
-    assert not fresh.nabla_rows  # rows are built on first use, not on load or install
-    monkeypatch.setitem(old.nabla_rows, 1, {**old.nabla_rows[1], (2, 1): s_((3,))})  # stale
-    assert nabla(s_((2, 1))) == want
-    # the first use fills every sign +1 row of the fresh table, and nothing else
-    assert list(fresh.nabla_rows) == [1] and set(fresh.nabla_rows[1]) == set(partitions_of(3))
+    assert "int_rows" not in fresh.__dict__  # nor on install
+    rows = old.int_rows
+    stale = {**rows, (2, 1): {(3,): {(0, 0): 1}}}
+    monkeypatch.setitem(old.__dict__, "int_rows", stale)  # a row planted in the old table
+    assert nabla(s_((2, 1))) == want  # is not seen
+    assert fresh.__dict__["int_rows"] == rows  # the first use built the fresh table's rows
+    # and nabla reads them: a row planted there is seen
+    monkeypatch.setitem(fresh.__dict__, "int_rows", stale)
+    assert nabla(s_((2, 1))) == s_((3,))
 
 
 def _row_integers(table, sign):
     """(K~, eigen, rows) for the certificate K~ R^ == diag(T^_mu) K~, as the
-    table's integer polynomials (eigen the right side)."""
+    table's integer polynomials (eigen the right side): the certified rows
+    int_rows for sign +1, nabla(s_lam, -1) for -1.  table is the installed
+    table of its degree."""
     n = table.degree
     top = n * (n - 1) // 2
-    scale = QTR_ONE if sign == 1 else (Q * T) ** top
-    rows = {
-        lam: {nu: int_poly(c * scale) for nu, c in table.nabla_row(lam, sign).coeffs.items()}
-        for lam in partitions_of(n)
-    }
+    if sign == 1:
+        rows = table.int_rows
+    else:
+        scale = (Q * T) ** top
+        rows = {
+            lam: {nu: int_poly(c * scale) for nu, c in _nabla_row(lam, -1).coeffs.items()} for lam in partitions_of(n)
+        }
     kostka = table.kostka
     eigen = {}
-    for mu, inv in table.invariants.items():
+    for mu in kostka:
+        inv = partition_invariants(mu)
         a, b = (inv.nmu_conj, inv.nmu) if sign == 1 else (top - inv.nmu_conj, top - inv.nmu)
         eigen[mu] = {nu: {(i + a, j + b): c for (i, j), c in p.items()} for nu, p in kostka[mu].items()}
     return kostka, eigen, rows
@@ -468,24 +485,26 @@ def test_inverse_rows_pass_the_eigen_certificate():
 
 def test_inverse_rows_make_one_guess_the_nabla_one(monkeypatch):
     table = build_htilde(5)
+    want = {sign: {lam: nabla(s_(lam), sign) for lam in partitions_of(5)} for sign in (-1, 1)}
     fresh = HTildeTable.from_json(table.to_json())  # verified on load, before the counters
+    monkeypatch.setitem(mac._tables, 5, fresh)
     guesses, products = [], []
     guess, product = mac._guess_rows, mac._packed_product
     monkeypatch.setattr(mac, "_guess_rows", lambda *args: guesses.append(args[-2:]) or guess(*args))
     monkeypatch.setattr(mac, "_packed_product", lambda *args: products.append(args) or product(*args))
     for lam in partitions_of(5):
-        assert fresh.nabla_row(lam, -1) == table.nabla_row(lam, -1), lam
-    # read off the certified integer rows, so no sign +1 SymFunc row is built
-    assert list(fresh.nabla_rows) == [-1]
+        assert nabla(s_(lam), -1) == want[-1][lam], lam
+    # read off the certified integer rows of the fresh table
+    assert fresh.__dict__["int_rows"] == table.int_rows
     assert len(guesses) == len(products) == 1  # one guess and one certificate, for nabla
     for lam in partitions_of(5):
-        assert fresh.nabla_row(lam, 1) == table.nabla_row(lam, 1), lam
+        assert nabla(s_(lam)) == want[1][lam], lam
     assert len(guesses) == len(products) == 1
 
 
 def test_too_narrow_first_guess_is_retried(monkeypatch):
     table = build_htilde(6)
-    want = {lam: table.nabla_row(lam, 1) for lam in partitions_of(6)}
+    want = table.int_rows
     _, eigen, _ = _row_integers(table, 1)
     verdicts = []
     product = mac._packed_product
@@ -499,13 +518,13 @@ def test_too_narrow_first_guess_is_retried(monkeypatch):
     monkeypatch.setattr(mac, "_row_start", lambda norm, n: 2)  # coefficients reach 14 in degree 6
     fresh = HTildeTable.from_json(table.to_json())
     verdicts.clear()  # drop the verdict of verify() on load
-    assert fresh.nabla_matrix() == want
+    assert fresh.int_rows == want
     assert verdicts == [False, False, True]  # 2, 4, then 8 bits per slot
     # past the last attempt the table gives up loudly
     monkeypatch.setattr(mac, "_ROW_ATTEMPTS", 2)
     message = r"^nabla rows of degree 6 failed their certificate$"
     with pytest.raises(TableInvariantError, match=message):
-        HTildeTable.from_json(table.to_json()).nabla_matrix()
+        HTildeTable.from_json(table.to_json()).int_rows
 
 
 def test_first_row_guess_holds_through_degree_seven(monkeypatch):
@@ -516,7 +535,7 @@ def test_first_row_guess_holds_through_degree_seven(monkeypatch):
     monkeypatch.setattr(mac, "_guess_rows", lambda *args: calls.append(args[-2:]) or guess(*args))
     for n in range(8):
         calls.clear()
-        HTildeTable.from_json(build_htilde(n).to_json()).nabla_matrix()
+        HTildeTable.from_json(build_htilde(n).to_json()).int_rows
         assert len(calls) == 1, (n, calls)
 
 
@@ -546,19 +565,18 @@ def test_failing_nabla_certificate_widens_the_point_then_raises(monkeypatch):
     calls = _recorded_guesses(monkeypatch)
     message = r"^nabla rows of degree 5 failed their certificate$"
     with pytest.raises(TableInvariantError, match=message):
-        HTildeTable.from_json(table.to_json()).nabla_matrix()
+        HTildeTable.from_json(table.to_json()).int_rows
     k = calls[0][0]
     assert calls == [(k << i, 11) for i in range(mac._ROW_ATTEMPTS)]
 
 
 @pytest.mark.parametrize("sign", (0, 2, -2))
-def test_nabla_rows_reject_a_bad_sign(sign):
+def test_nabla_rows_reject_a_bad_sign(sign, monkeypatch):
     table = HTildeTable.from_json(build_htilde(2).to_json())
+    monkeypatch.setitem(mac._tables, 2, table)
     with pytest.raises(ValueError, match=r"^sign must be \+1 or -1$"):
         nabla(s_((2,)), sign)
-    with pytest.raises(ValueError, match=r"^sign must be \+1 or -1$"):
-        table.nabla_row((2,), sign)
-    assert not table.nabla_rows
+    assert "int_rows" not in table.__dict__  # refused before any row is built
 
 
 def _frame(f):
@@ -598,7 +616,7 @@ def test_frame_rows_are_the_nabla_rows_conjugated_by_s(n):
     # as a sum over rho of chi^lam(rho) (chi(rho) R S) / (z_rho p_rho[M])
     table, parts = build_htilde(n), partitions_of(n)
     gram = mac._star_gram(n)
-    nabla_rows = {lam: table.nabla_row(lam, 1).coeffs for lam in parts}
+    nabla_rows = {lam: mac._laurent_schur(row).coeffs for lam, row in table.int_rows.items()}
     frame = {mu: {nu: QtRational(gram[mu].get(conjugate(nu), {})) for nu in parts} for mu in parts}
     rs = {
         lam: {nu: sum((x * frame[mu][nu] for mu, x in row.items()), QTR_ZERO) for nu in parts}
@@ -681,8 +699,8 @@ def test_degree_seven_rows_match_the_eigenbasis_expansion():
         for sign in (1, -1):
             want = SymFunc.zero()
             for mu, c in expansion.items():
-                want = want + table.power[mu].scale(c * table.invariants[mu].T ** sign)
-            assert table.nabla_row(lam, sign) == want, (lam, sign)
+                want = want + table.power[mu].scale(c * partition_invariants(mu).T ** sign)
+            assert _nabla_row(lam, sign) == want, (lam, sign)
 
 
 # -- Pieri ------------------------------------------------------------------------

@@ -297,6 +297,26 @@ def test_both_sides_reject_a_bad_sum_before_a_negative_index():
         list(enumerate_family((2,), -1, 5, 5))
 
 
+def test_parking_side_checks_parts_then_the_degree_cap_first(monkeypatch):
+    # pi_poly and rhs_quasisym check the composition, then the degree cap,
+    # before any cache or early return, as lhs_inner does
+    import qtshuffle.symfunc as sf
+
+    for side in (lhs_inner, pi_poly):
+        with pytest.raises(ValueError, match="parts must be >= 1"):
+            side((0, 2), -1, 1, 2)  # a negative index, which would return 0
+    with pytest.raises(ValueError, match="parts must be >= 1"):
+        rhs_quasisym((0, 2))
+    assert pi_poly((2.0, 1), 3, 0, 0) == pi_poly((2, 1), 3, 0, 0)
+    pi_poly((4,), 4, 0, 0), rhs_quasisym((4,))  # cached below the cap
+    monkeypatch.setattr(sf, "_DEGREE_CAP", 3)
+    cap = r"^degree 4 exceeds the configured cap 3$"
+    with pytest.raises(ValueError, match=cap):
+        pi_poly((4,), 4, 0, 0)
+    with pytest.raises(ValueError, match=cap):
+        rhs_quasisym((4,))
+
+
 # -- quasisymmetric side -----------------------------------------------------------
 
 
