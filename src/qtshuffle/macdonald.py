@@ -9,15 +9,17 @@ Schur functions as a unitriangular system); a cache file's degree must be an
 int in 0..12 and its keys partitions of it, checked before anything is built
 from them, and its coefficients must parse as integer polynomials.  Before
 use, verify() checks the defining invariants or raises TableInvariantError:
-<H~_mu, h_n> = K~_mu,(n) = 1, and
-<H~_lam, H~_mu>_* = (K~ G_n K~^T)_lam,mu = delta w_mu, G_n = (<s_lam, s_nu>_*)
-(_star_gram), as one _packed_product.  That is the one exact product of
-integer Laurent-polynomial matrices here: each row of the first factor and
-each later factor divided by its least monomial, all packed at q = 2^k,
-t = 2^(kD) with D and k from one proven degree and coefficient bound,
-multiplied as Python ints, and each entry read back (unkronecker) with its
-monomial put back on.  A loaded table is verified once, on load;
-install_table does not repeat it.
+<H~_mu, h_n> = K~_mu,(n) = 1, and <H~_lam, H~_mu>_* = delta w_mu.  As
+<f, g>_* = <f[X(1-t)], omega g[X(1-q)]>, the star Gram matrix of the Schur
+functions is G_n = P_t J P_q^T, P_q = ([s_nu] s_lam[X(1-q)]) and P_t the same
+in t (_plethysm_rows, summed from characters), J the conjugation of the
+column index; so the Gram matrix of the table is (K~ P_t) J (K~ P_q)^T,
+three _packed_products.  That is the one exact product of integer
+Laurent-polynomial matrices here: each row of the first factor and each later
+factor divided by its least monomial, all packed at q = 2^k, t = 2^(kD) with
+D and k from one proven degree and coefficient bound, multiplied as Python
+ints, and each entry read back (unkronecker) with its monomial put back on.
+A loaded table is verified once, on load; install_table does not repeat it.
 
 Each coefficient on the H~ basis is <f, H~_mu>_* / w_mu (HTildeTable.coeff):
 the expansion behind both Pieri directions, which one loop in pieri() computes
@@ -25,8 +27,9 @@ and checks against d_{mu,nu} = M c_{mu,nu} w_nu / w_mu.
 
 nabla is one Schur-basis matrix per table, R = K~^-1 diag(T_mu) K~, built by
 HTildeTable.int_rows on first use, never on build, load or install:
-verify() gives K~^-1 = G_n K~^T diag(1/w_mu), R is guessed at one point
-(_guess_rows) and certified by K~ R = diag(T_mu) K~, one _packed_product.
+verify() gives K~^-1 = G_n K~^T diag(1/w_mu) = P_t J (K~ P_q)^T diag(1/w_mu),
+R is guessed at one point from those factors (_guess_rows) and certified by
+K~ R = diag(T_mu) K~, one _packed_product.
 The table keeps R as those certified integer polynomials and nothing else;
 the nabla^-1 rows are read off them when nabla(f, -1) asks, as R under omega
 and q,t -> 1/q,1/t.  A table converts K~ to power sums (HTildeTable.power)
@@ -79,7 +82,6 @@ import json
 import os
 import tempfile
 import threading
-from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
 from math import factorial, lcm, prod
 
@@ -130,7 +132,6 @@ from .symfunc import (
     plethysm_eval,
     skew_by_e1,
     star_inner,
-    star_z,
 )
 
 
@@ -172,7 +173,8 @@ class HTildeTable:
         first use and kept, for nabla^sign (nabla), the words of each degree
         (_nabla_c_words) and the registry's framed sides.
 
-        _guess_rows reads R off one point, and the certificate, the
+        _guess_rows reads R off one point, from K~ and the plethysm rows
+        P_q, P_t that verify() reads, and the certificate, the
         _packed_product K~ R compared as a dict with diag(T_mu) K~, fixes it,
         as K~ is invertible (verify()).  A guess that is no integer or fails
         doubles k and keeps D; after _ROW_ATTEMPTS tries the table raises
@@ -190,7 +192,7 @@ class HTildeTable:
         k = _row_start(max(_size(p) for row in kostka.values() for p in row.values()), n)
         D = 1 + n * (n - 1) // 2  # above every q-degree of K~ and R, and >= n: no w_mu vanishes at the point
         for _ in range(_ROW_ATTEMPTS):
-            rows = _guess_rows(kostka, _star_gram(n), k, D)
+            rows = _guess_rows(kostka, _plethysm_rows(n), k, D)
             if rows is not None and _packed_product([kostka, rows]) == eigen:
                 return rows
             k *= 2
@@ -198,16 +200,26 @@ class HTildeTable:
 
     def verify(self) -> None:
         """Assert the support (one row per mu |- n, each indexed by partitions
-        of n), <H~_mu, h_n> = K~_mu,(n) = 1 and <H~_lam, H~_mu>_* =
-        (K~ G_n K~^T)_lam,mu = delta w_mu for lam >= mu, exactly, as one
-        _packed_product compared with the norms."""
+        of n), <H~_mu, h_n> = K~_mu,(n) = 1 and <H~_lam, H~_mu>_* = delta w_mu
+        for lam >= mu, exactly, compared with the norms.
+
+        <f, g>_* = <f[X(1-t)], omega g[X(1-q)]> (Hall), as on p_rho both sides
+        are z_rho eps_rho prod over parts j of (1-q^j)(1-t^j); so the Gram
+        matrix is (K~ P_t) J (K~ P_q)^T, P_q and P_t the plethysm rows
+        (_plethysm_rows) and J the conjugation of the column index.  Each
+        factor K~ P_q, K~ P_t and the Gram entries is one _packed_product.
+        On the true table row mu of K~ P_q, H~_mu[X(1-q)], has s_nu only for
+        nu >= mu in dominance, and row mu of K~ P_t only for nu >= mu', so
+        each entry sums over a few nu; the check does not rely on it."""
         parts = partitions_of(self.degree)
         kostka, support = self.kostka, set(parts)
         if kostka.keys() != support or any(row.keys() - support for row in kostka.values()):
             raise TableInvariantError(f"degree {self.degree} table has wrong support")
         norms = {mu: {mu: int_poly(partition_invariants(mu).w)} for mu in parts}
         read = {lam: parts[: i + 1] for i, lam in enumerate(parts)}  # (lam, mu) for lam >= mu
-        gram = _packed_product([kostka, _star_gram(self.degree), _transpose(kostka)], read)
+        pq, pt = _plethysm_rows(self.degree)
+        u, v = _packed_product([kostka, pq]), _packed_product([kostka, pt])
+        gram = _packed_product([_conjugate_columns(v), _transpose(u)], read)
         for i, mu in enumerate(parts):
             if kostka[mu].get(parts[0]) != {(0, 0): 1}:  # parts[0] is (n), or () in degree 0
                 raise TableInvariantError(f"normalization failed for {mu}")
@@ -288,6 +300,11 @@ def _transpose(m: dict) -> dict:
         for j, x in row.items():
             out.setdefault(j, {})[i] = x
     return out
+
+
+def _conjugate_columns(m: dict) -> dict:
+    """m J: the column index of m conjugated."""
+    return {i: {conjugate(j): x for j, x in row.items()} for i, row in m.items()}
 
 
 def _matmul(a: dict, b: dict) -> dict:
@@ -389,23 +406,35 @@ def _laurent_schur(coeffs: dict) -> SymFunc:
 
 
 @lru_cache(maxsize=None)
-def _star_gram(n: int) -> dict:
-    """G_n = {lam: {nu: <s_lam, s_nu>_*}} as integer polynomials, one matrix
-    for every table of degree n: the sum over rho of chi^lam(rho) chi^nu(rho)
-    W_rho / n!, W_rho = (n!/z_rho^2) <p_rho, p_rho>_* in Z[q,t].  The division
-    is exact, as <s_lam, s_nu>_* = <s_lam, omega s_nu[(1-q)(1-t)X]> in Z[q,t]."""
+def _plethysm_rows(n: int) -> tuple[dict, dict]:
+    """(P_q, P_t), P_q = {lam: {nu: [s_nu] s_lam[X(1-q)]}} over lam, nu |- n
+    as integer polynomials in q and P_t the same in t, one pair for every
+    table of degree n.  As p_rho[X(1-q)] = p_rho prod over parts j of
+    (1 - q^j), the entry is the sum over rho of chi^lam(rho) chi^nu(rho)
+    prod (1 - q^j) / z_rho, summed times n! on plain ints and divided
+    exactly; it is symmetric in lam and nu."""
     parts, nfact = partitions_of(n), factorial(n)
-    weight = {rho: int_poly(star_z(rho), Fraction(nfact, zmu(rho) ** 2)) for rho in parts}
-    gram: dict = {lam: {} for lam in parts}
+    weight = {}  # rho -> (n!/z_rho) prod (1 - q^j), {q-exp: int}
+    for rho in parts:
+        w = {0: nfact // zmu(rho)}
+        for j in rho:
+            nxt = dict(w)
+            for e, x in w.items():
+                nxt[e + j] = nxt.get(e + j, 0) - x
+            w = nxt
+        weight[rho] = w
+    pq: dict = {lam: {} for lam in parts}
     for i, lam in enumerate(parts):
         for nu in parts[i:]:
             total: dict = {}
             for rho, w in weight.items():
-                c = character(lam, rho) * character(nu, rho)
-                for key, x in w.items():
-                    total[key] = total.get(key, 0) + c * x
-            gram[lam][nu] = gram[nu][lam] = {key: x // nfact for key, x in total.items() if x}
-    return gram
+                if c := character(lam, rho) * character(nu, rho):
+                    for e, x in w.items():
+                        total[e] = total.get(e, 0) + c * x
+            if p := {(e, 0): x // nfact for e, x in total.items() if x}:
+                pq[lam][nu] = pq[nu][lam] = p
+    pt = {lam: {nu: {(0, e): x for (e, _), x in p.items()} for nu, p in row.items()} for lam, row in pq.items()}
+    return pq, pt
 
 
 _ROW_ATTEMPTS = 4  # HTildeTable.int_rows doubles the bits per slot k three times at most
@@ -422,21 +451,25 @@ def _row_start(norm: int, n: int) -> int:
     return norm.bit_length() + max(1, n - 6)
 
 
-def _guess_rows(kostka: dict, gram: dict, k: int, D: int) -> dict | None:
+def _guess_rows(kostka: dict, plethysm_rows: tuple, k: int, D: int) -> dict | None:
     """{lam: {nu: R_lam,nu}} read off R = K~^-1 diag(T_mu) K~ at q = 2^k,
-    t = 2^(kD), or None when a value is no integer (gram = G_n).
+    t = 2^(kD), or None when a value is no integer (plethysm_rows =
+    _plethysm_rows(n), (P_q, P_t)).
 
-    verify() showed K~ G_n K~^T = diag(w_mu), so K~^-1 = G_n K~^T
-    diag(1/w_mu); with common the lcm of the w_mu at the point, common R =
-    G_n K~^T diag(T_mu common / w_mu) K~ is one integer product, then one
-    exact division per entry.  No w_mu vanishes there when D >= n: a factor
-    q^a - t^(l+1) or t^l - q^(a+1) of w_mu is zero only if a = D(l+1) or
-    Dl = a+1, and a + l < n.
+    verify() showed K~ G_n K~^T = diag(w_mu), G_n = P_t J P_q^T the star Gram
+    matrix, so K~^-1 = P_t J (K~ P_q)^T diag(1/w_mu), read here at the point
+    as packing is a ring homomorphism; with common the lcm of the w_mu at
+    the point, common R = P_t J (K~ P_q)^T diag(T_mu common / w_mu) K~ is
+    one integer product, then one exact division per entry.  No w_mu
+    vanishes there when D >= n: a factor q^a - t^(l+1) or t^l - q^(a+1) of
+    w_mu is zero only if a = D(l+1) or Dl = a+1, and a + l < n.
     """
+    pq, pt = plethysm_rows
     packed_norm = {mu: kronecker(int_poly(partition_invariants(mu).w), k, D) for mu in kostka}
     common = lcm(*packed_norm.values())
     packed = _pack(kostka, k, D)
-    inverse = _matmul(_pack(gram, k, D), _transpose(packed))  # K~^-1 diag(w_mu) at the point
+    u = _matmul(packed, _pack(pq, k, D))  # K~ P_q at the point
+    inverse = _matmul(_pack(_conjugate_columns(pt), k, D), _transpose(u))  # K~^-1 diag(w_mu) at the point
     for row in inverse.values():
         for mu, x in row.items():
             inv = partition_invariants(mu)

@@ -261,7 +261,10 @@ def is_triple_shuffle(sigma, a: int, b: int, c: int) -> bool:
 
 
 def enumerate_family(alpha: Composition, a: int, b: int, c: int):
-    """The shuffle-filtered family with diagonal composition alpha."""
+    """The shuffle-filtered family with diagonal composition alpha; refuses a
+    part below 1 or a degree above the cap, as pi_poly does."""
+    alpha = check_composition(alpha)
+    check_degree(sum(alpha))
     if not check_abc(alpha, a, b, c):
         return
     for pf in enumerate_by_comp(alpha):

@@ -1,9 +1,10 @@
 import hashlib
 import json
 import re
+from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
-from math import prod
+from math import factorial, prod
 
 import pytest
 
@@ -200,26 +201,34 @@ def _star_route(table):
 
 
 def _verify_product(table):
-    """(k, D, gram) of the one _packed_product that verify() computes, (k, D)
-    the point that every entry of it is read back at."""
-    calls, points = [], set()
+    """(k, D, gram) of the last of the three _packed_products that verify()
+    computes, the Gram entries, (k, D) the point that every entry of that
+    product is read back at."""
+    calls = []  # [the points read back at, the result] per _packed_product
     product, unpack = mac._packed_product, mac.unkronecker
+
+    def recorded(*args):
+        calls.append([set(), None])
+        calls[-1][1] = product(*args)
+        return calls[-1][1]
+
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(mac, "_packed_product", lambda *args: calls.append(product(*args)) or calls[-1])
-        patch.setattr(mac, "unkronecker", lambda x, k, D: points.add((k, D)) or unpack(x, k, D))
+        patch.setattr(mac, "_packed_product", recorded)
+        patch.setattr(mac, "unkronecker", lambda x, k, D: calls[-1][0].add((k, D)) or unpack(x, k, D))
         try:
             table.verify()
         except TableInvariantError:
             pass
-    (gram,), (point,) = calls, points
+    assert len(calls) == 3
+    (point,), gram = calls[-1]
     return (*point, gram)
 
 
 def _assert_packed_gram_is_exact(table):
     """Every entry verify() compares is its star_inner value, equal to the
     wanted norm exactly when star_inner says so, and lies where packing is
-    injective: q-degree below D and coefficients below 2^(k-1) (no row of K~,
-    nor G_n or K~^T, is shifted, as each holds a constant term).  The
+    injective: q-degree below D and coefficients below 2^(k-1) (no row of
+    (K~ P_t) J, nor (K~ P_q)^T, is shifted, as each holds a constant term).  The
     normalization lookup K~_mu,(n) is the hall_inner value <H~_mu, h_n>."""
     n, parts = table.degree, partitions_of(table.degree)
     k, D, gram = _verify_product(table)
@@ -235,13 +244,71 @@ def _assert_packed_gram_is_exact(table):
     return k, D
 
 
+@lru_cache(maxsize=None)
+def _star_gram(n):
+    """G_n = {lam: {nu: <s_lam, s_nu>_*}} as integer polynomials: the sum over
+    rho of chi^lam(rho) chi^nu(rho) W_rho / n!, W_rho = (n!/z_rho^2)
+    <p_rho, p_rho>_* in Z[q,t].  The division is exact, as <s_lam, s_nu>_* =
+    <s_lam, omega s_nu[(1-q)(1-t)X]> in Z[q,t]."""
+    parts, nfact = partitions_of(n), factorial(n)
+    weight = {rho: int_poly(sf.star_z(rho), Fraction(nfact, zmu(rho) ** 2)) for rho in parts}
+    gram = {lam: {} for lam in parts}
+    for i, lam in enumerate(parts):
+        for nu in parts[i:]:
+            total = {}
+            for rho, w in weight.items():
+                c = character(lam, rho) * character(nu, rho)
+                for key, x in w.items():
+                    total[key] = total.get(key, 0) + c * x
+            gram[lam][nu] = gram[nu][lam] = {key: x // nfact for key, x in total.items() if x}
+    return gram
+
+
 def test_star_gram_matches_star_inner():
     # G_n, summed on plain ints, against the Q(q,t) star product of Schur functions
     for n in range(0, 7):
-        gram = mac._star_gram(n)
+        gram = _star_gram(n)
         for lam in partitions_of(n):
             for nu in partitions_of(n):
                 assert gram[lam].get(nu, {}) == int_poly(star_inner(s_(lam), s_(nu))), (lam, nu)
+
+
+def test_plethysm_rows_match_plethysm():
+    # P_q and P_t, summed on plain ints from characters, against the library's
+    # plethysms s_lam[X(1-q)] and s_lam[X(1-t)]
+    for n in range(0, 7):
+        pq, pt = mac._plethysm_rows(n)
+        for rows, v in ((pq, 1 - Q), (pt, 1 - T)):
+            for lam in partitions_of(n):
+                want = plethysm(s_(lam), Alphabet.X(v)).convert("schur").coeffs
+                assert rows[lam] == {nu: int_poly(c) for nu, c in want.items() if not c.is_zero()}, (n, lam)
+
+
+def _dominates(nu, mu):
+    """nu >= mu in dominance order, nu and mu of one size."""
+    nu, mu = list(nu), list(mu)
+    width = max(len(nu), len(mu))
+    nu, mu = nu + [0] * (width - len(nu)), mu + [0] * (width - len(mu))
+    return all(sum(nu[: i + 1]) >= sum(mu[: i + 1]) for i in range(width))
+
+
+def test_true_factors_are_dominance_triangular():
+    # H~_mu[X(1-q)] has s_nu only for nu >= mu, and H~_mu[X(1-t)] only for
+    # nu >= mu', so each Gram entry sums over few nu; verify() does not rely on it
+    for n in range(0, 8):
+        kostka = build_htilde(n).kostka
+        pq, pt = mac._plethysm_rows(n)
+        for rows, shape in ((pq, lambda mu: mu), (pt, conjugate)):
+            for mu, row in mac._packed_product([kostka, rows]).items():
+                assert row and all(_dominates(nu, shape(mu)) for nu in row), (n, mu)
+    assert not _dominates((2, 2), (3, 1)) and not _dominates((3, 1, 1, 1), (2, 2, 2))
+
+
+def _reference_gram(table):
+    """K~ G_n K~^T on the entries (lam, mu), lam >= mu, that verify() compares."""
+    parts = partitions_of(table.degree)
+    read = {lam: parts[: i + 1] for i, lam in enumerate(parts)}
+    return mac._packed_product([table.kostka, _star_gram(table.degree), mac._transpose(table.kostka)], read)
 
 
 @pytest.mark.parametrize("n", range(0, 6))
@@ -258,18 +325,22 @@ def _perturbed(table, mu, lam, change):
     return HTildeTable(table.degree, kostka)
 
 
-def test_perturbed_tables_fail_both_routes():
-    table = build_htilde(4)
-    k0, D0 = _assert_packed_gram_is_exact(table)
+def _perturbed_tables(table):
+    """Four degree-4 tables that break orthogonality, by name."""
     swapped = dict(table.kostka)
     swapped[(3, 1)], swapped[(2, 1, 1)] = swapped[(2, 1, 1)], swapped[(3, 1)]
-    bad = {
+    return {
         "q^a t^b": _perturbed(table, (2, 2), (2, 1, 1), lambda c: c + Q**2 * T),
         "2^200": _perturbed(table, (3, 1), (2, 2), lambda c: qtr(2**200)),
         "q^60": _perturbed(table, (2, 1, 1), (3, 1), lambda c: c + Q**60),
         "swap": HTildeTable(4, swapped),
     }
-    for name, copy in bad.items():
+
+
+def test_perturbed_tables_fail_both_routes():
+    table = build_htilde(4)
+    k0, D0 = _assert_packed_gram_is_exact(table)
+    for name, copy in _perturbed_tables(table).items():
         k, D = _assert_packed_gram_is_exact(copy)
         if name == "2^200":
             assert k > k0 + 200, k  # a wider slot
@@ -283,6 +354,14 @@ def test_perturbed_tables_fail_both_routes():
     for route in (_star_route, HTildeTable.verify):
         with pytest.raises(TableInvariantError, match=r"^normalization failed for \(4,\)$"):
             route(copy)
+
+
+def test_verify_gram_is_the_reference_gram():
+    # (K~ P_t) J (K~ P_q)^T, as verify() computes it, is K~ G_n K~^T entry for
+    # entry, on the true tables and on tables that fail
+    tables = [build_htilde(n) for n in range(0, 8)] + list(_perturbed_tables(build_htilde(4)).values())
+    for table in tables:
+        assert _verify_product(table)[2] == _reference_gram(table), table.degree
 
 
 @pytest.mark.parametrize("coeff", ["1*q^0*t^0|1*q^1*t^0 + -1*q^0*t^0", "1*q^0*t^0|2*q^0*t^0"])
@@ -615,7 +694,7 @@ def test_frame_rows_are_the_nabla_rows_conjugated_by_s(n):
     # over rho of chi^lam(rho) chi^nu(rho) / (z_rho p_rho[M]), applied here
     # as a sum over rho of chi^lam(rho) (chi(rho) R S) / (z_rho p_rho[M])
     table, parts = build_htilde(n), partitions_of(n)
-    gram = mac._star_gram(n)
+    gram = _star_gram(n)
     nabla_rows = {lam: mac._laurent_schur(row).coeffs for lam, row in table.int_rows.items()}
     frame = {mu: {nu: QtRational(gram[mu].get(conjugate(nu), {})) for nu in parts} for mu in parts}
     rs = {
@@ -643,7 +722,7 @@ def test_frame_rows_are_the_nabla_rows_conjugated_by_s(n):
 def test_frame_matrix_is_the_star_gram_with_conjugate_columns():
     # [s_nu] s_lam[MX] = <s_lam, s_nu'>_*, for n <= 6
     for n in range(0, 7):
-        gram = mac._star_gram(n)
+        gram = _star_gram(n)
         for lam in partitions_of(n):
             schur = _frame(s_(lam)).convert("schur").coeffs
             for nu in partitions_of(n):

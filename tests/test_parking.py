@@ -317,6 +317,17 @@ def test_parking_side_checks_parts_then_the_degree_cap_first(monkeypatch):
         rhs_quasisym((4,))
 
 
+def test_enumerate_family_checks_parts_then_the_degree_cap_first(monkeypatch):
+    # the per-object route refuses what pi_poly refuses, before check_abc
+    import qtshuffle.symfunc as sf
+
+    with pytest.raises(ValueError, match="^composition parts must be >= 1"):
+        list(enumerate_family((0, 2), -1, 1, 2))  # a negative index, which would return nothing
+    monkeypatch.setattr(sf, "_DEGREE_CAP", 3)
+    with pytest.raises(ValueError, match=r"^degree 4 exceeds the configured cap 3$"):
+        list(enumerate_family((4,), 4, 0, 0))
+
+
 # -- quasisymmetric side -----------------------------------------------------------
 
 
